@@ -5,7 +5,8 @@ Subcommands:
     run     build a synthetic workload, prefill + greedy decode under a
             pruning method, write a JSON report and a per-layer CSV
     sweep   run a grid of hyperparameter points, write one CSV row each
-    replay  apply the pruning rules offline to a recorded trace file
+    replay  apply a pruning method's rule offline to a recorded trace file
+            (``--method``, default plphp) and count RR/KV from its decisions
 
 Every flag has a config-file equivalent: the file is flat ``key = value``
 text, keys matching the long flag names with underscores (``method = plphp``,
@@ -21,7 +22,6 @@ import csv
 import itertools
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,44 +29,25 @@ import numpy as np
 
 from .baselines import FastVConfig, VTWConfig, make_fastv_hook, make_vtw_hook
 from .layout import IMAGE, TEXT, Segment, build_sequence
-from .metrics import MetricsReport, account, report_to_json, write_report_csv
+from .metrics import MetricsReport, account, latency_probe, report_to_json, write_report_csv
 from .model import ModelConfig, decode_step, init_model, prefill
 from .pruning import PruningConfig, make_hook
 from .trace import TraceFormatError, read_trace, replay, trace_from_run, write_trace
 
+# Every config key once, as key: (type, default). Each key is also the flag
+# --key-with-dashes and a config-file key; the sweep CSV records the method keys.
+_METHOD_KEYS = {"method": (str, "none"), "r": (float, 0.4), "dr": (float, 0.3),
+                "alpha": (float, 0.25), "beta": (float, 0.1), "fastv_k": (int, 3),
+                "fastv_ratio": (float, 0.5), "vtw_k": (int, 4)}
+_KEYS = {"model_layers": (int, 8), "model_heads": (int, 4), "model_dim": (int, 32),
+         "head_dim": (int, 8), "vocab_size": (int, 256), "max_positions": (int, 4608),
+         "segments": (str, "T:8,I:92,T:4"), **_METHOD_KEYS, "seed": (int, 0),
+         "steps": (int, 16), "trace_out": (str, None), "report_out": (str, None)}
+_FLAG_EXTRAS = {"segments": {"help": 'layout, e.g. "T:8,I:92,T:4"'},
+                "method": {"choices": ["none", "plphp", "fastv", "vtw"]}}
+
 SWEEP_CSV_VERSION = 1
-SWEEP_COLUMNS = ["method", "r", "dr", "alpha", "beta", "fastv_k", "fastv_ratio",
-                 "vtw_k", "RR", "KV", "latency_ms", "status"]
-
-_DEFAULTS = {
-    "model_layers": 8,
-    "model_heads": 4,
-    "model_dim": 32,
-    "head_dim": 8,
-    "vocab_size": 256,
-    "max_positions": 4608,
-    "segments": "T:8,I:92,T:4",
-    "method": "none",
-    "r": 0.4,
-    "dr": 0.3,
-    "alpha": 0.25,
-    "beta": 0.1,
-    "fastv_k": 3,
-    "fastv_ratio": 0.5,
-    "vtw_k": 4,
-    "seed": 0,
-    "steps": 16,
-    "trace_out": None,
-    "report_out": None,
-}
-
-_TYPES = {
-    "model_layers": int, "model_heads": int, "model_dim": int, "head_dim": int,
-    "vocab_size": int, "max_positions": int, "segments": str, "method": str,
-    "r": float, "dr": float, "alpha": float, "beta": float,
-    "fastv_k": int, "fastv_ratio": float, "vtw_k": int,
-    "seed": int, "steps": int, "trace_out": str, "report_out": str,
-}
+SWEEP_COLUMNS = [*_METHOD_KEYS, "RR", "KV", "latency_ms", "status"]
 
 
 class ConfigError(ValueError):
@@ -102,10 +83,10 @@ def load_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _TYPES[key](raw.strip())
+            values[key] = _KEYS[key][0](raw.strip())
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from e
     return values
@@ -113,52 +94,39 @@ def load_config_file(path) -> dict:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--model-layers", type=int, dest="model_layers")
-    p.add_argument("--model-heads", type=int, dest="model_heads")
-    p.add_argument("--model-dim", type=int, dest="model_dim")
-    p.add_argument("--head-dim", type=int, dest="head_dim")
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--max-positions", type=int, dest="max_positions")
-    p.add_argument("--segments", help='layout, e.g. "T:8,I:92,T:4"')
-    p.add_argument("--method", choices=["none", "plphp", "fastv", "vtw"])
-    p.add_argument("--r", type=float)
-    p.add_argument("--dr", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--fastv-k", type=int, dest="fastv_k")
-    p.add_argument("--fastv-ratio", type=float, dest="fastv_ratio")
-    p.add_argument("--vtw-k", type=int, dest="vtw_k")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--trace-out", dest="trace_out")
-    p.add_argument("--report-out", dest="report_out")
+    for key, (kind, _) in _KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       **_FLAG_EXTRAS.get(key, {}))
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(_DEFAULTS)
+def resolve_config(args: argparse.Namespace, **defaults) -> dict:
+    """Table defaults, overridden by ``defaults`` < config file < explicit flags."""
+    cfg = {key: default for key, (_, default) in _KEYS.items()} | defaults
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in _KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     return cfg
 
 
-def _make_method_hook(cfg: dict, model_cfg: ModelConfig):
-    if cfg["method"] == "none":
+def method_config(cfg: dict) -> PruningConfig | FastVConfig | VTWConfig | None:
+    """The pruning method ``cfg`` names, configured; None for no pruning."""
+    method = cfg["method"]
+    if method == "none":
         return None
-    if cfg["method"] == "plphp":
-        pruning = PruningConfig(r=cfg["r"], delta_r=cfg["dr"],
-                                alpha=cfg["alpha"], beta=cfg["beta"])
-        return make_hook(pruning, model_cfg.num_layers)
-    if cfg["method"] == "fastv":
-        return make_fastv_hook(FastVConfig(k_layer=cfg["fastv_k"], prune_ratio=cfg["fastv_ratio"]),
-                               model_cfg.num_layers)
-    if cfg["method"] == "vtw":
-        return make_vtw_hook(VTWConfig(k_layer=cfg["vtw_k"]), model_cfg.num_layers)
-    raise ConfigError(f"unknown method {cfg['method']!r}")
+    if method == "plphp":
+        return PruningConfig(r=cfg["r"], delta_r=cfg["dr"], alpha=cfg["alpha"], beta=cfg["beta"])
+    if method == "fastv":
+        return FastVConfig(k_layer=cfg["fastv_k"], prune_ratio=cfg["fastv_ratio"])
+    if method == "vtw":
+        return VTWConfig(k_layer=cfg["vtw_k"])
+    raise ConfigError(f"unknown method {method!r}")
+
+
+_HOOK_FACTORIES = {PruningConfig: make_hook, FastVConfig: make_fastv_hook,
+                   VTWConfig: make_vtw_hook}
 
 
 def execute_experiment(cfg: dict) -> tuple[MetricsReport, "np.ndarray | None", object]:
@@ -169,21 +137,25 @@ def execute_experiment(cfg: dict) -> tuple[MetricsReport, "np.ndarray | None", o
     seq = build_sequence(parse_segments(cfg["segments"]), seed=cfg["seed"],
                          vocab_size=cfg["vocab_size"])
     weights = init_model(model_cfg, seed=cfg["seed"])
-    hook = _make_method_hook(cfg, model_cfg)
+    pruning = method_config(cfg)
+    hook = None if pruning is None else _HOOK_FACTORIES[type(pruning)](pruning,
+                                                                       model_cfg.num_layers)
     state, prefill_report = prefill(weights, model_cfg, seq, hook=hook,
                                     record_trace=cfg["trace_out"] is not None)
 
+    report = account(state, seq, prefill_report.decisions)  # decode rows never count
     token = 0
-    step_times = []
-    for _ in range(cfg["steps"]):
-        t0 = time.perf_counter()
-        logits, state = decode_step(weights, model_cfg, state, token)
-        step_times.append(time.perf_counter() - t0)
+
+    def step():
+        nonlocal token
+        logits, _ = decode_step(weights, model_cfg, state, token)
         token = int(np.argmax(logits))
 
-    report = account(state, seq)
     if cfg["steps"] >= 16:
-        report.decode_latency_ms = float(np.median(step_times) * 1000.0)
+        report.decode_latency_ms = latency_probe(step, cfg["steps"])
+    else:
+        for _ in range(cfg["steps"]):
+            step()
     return report, prefill_report.attn_last_rows, seq
 
 
@@ -213,10 +185,10 @@ def parse_grid(spec: str) -> list[dict]:
             raise ConfigError(f"bad grid entry {part!r}, expected key=v1|v2|...")
         key, _, raw = part.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"unknown grid key {key!r}")
         keys.append(key)
-        value_lists.append([_TYPES[key](v) for v in raw.split("|")])
+        value_lists.append([_KEYS[key][0](v) for v in raw.split("|")])
     points = [dict(zip(keys, combo)) for combo in itertools.product(*value_lists)]
     if not points:
         raise ConfigError("empty parameter grid")
@@ -228,9 +200,7 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     merged = dict(cfg)
     merged.update(point)
     merged["trace_out"] = None
-    row.update(method=merged["method"], r=merged["r"], dr=merged["dr"],
-               alpha=merged["alpha"], beta=merged["beta"], fastv_k=merged["fastv_k"],
-               fastv_ratio=merged["fastv_ratio"], vtw_k=merged["vtw_k"])
+    row.update({key: merged[key] for key in _METHOD_KEYS})
     try:
         report, _, _ = execute_experiment(merged)
     except (ValueError, ConfigError) as e:
@@ -263,11 +233,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, method="plphp")
     trace = read_trace(args.trace)
-    pruning = PruningConfig(r=cfg["r"], delta_r=cfg["dr"],
-                            alpha=cfg["alpha"], beta=cfg["beta"])
-    decisions, report = replay(trace, pruning)
+    _, report = replay(trace, method_config(cfg))
     _write_reports(cfg, report)
     print(f"replayed {trace.num_layers} layers: "
           f"RR={report.retention_rate:.6f} KV={report.kv_fraction:.6f}")

@@ -28,7 +28,7 @@ from .model import DecoderState
 
 CSV_COLUMNS = ["layer", "gamma", "class", "retention", "head", "kept_rows"]
 
-__all__ = ["CSV_COLUMNS", "MetricsReport", "account", "latency_probe",
+__all__ = ["CSV_COLUMNS", "MetricsReport", "account", "report_from_counts", "latency_probe",
            "report_to_json", "write_report_csv"]
 
 
@@ -40,36 +40,39 @@ class MetricsReport:
     per_layer: list[dict]  # one entry per (layer, head): the CSV row contents
 
 
-def account(state: DecoderState, seq: MultimodalSequence) -> MetricsReport:
-    """Recount every head cache against the prompt layout."""
+def account(state: DecoderState, seq: MultimodalSequence,
+            decisions: list | None = None) -> MetricsReport:
+    """Recount every head cache against the prompt layout.
+
+    ``decisions`` (one per layer, as ``PrefillReport.decisions``) fill the
+    gamma, class and retention columns; without them those stay None.
+    """
     s = seq.total_length
     vision = vision_index_union(seq)
-    v = vision.size
-    n = len(state.caches)
-    h = len(state.caches[0])
-    decisions = state.per_layer_decisions
+    resident = [[c.positions[c.positions < s] for c in layer] for layer in state.caches]
+    kept_rows = np.array([[r.size for r in layer] for layer in resident])
+    kept_vision = np.array([[np.isin(r, vision).sum() for r in layer] for layer in resident])
+    return report_from_counts(kept_rows, kept_vision, s, vision.size, decisions)
 
-    kept_rows_total = 0
-    kept_vision_total = 0
-    per_layer: list[dict] = []
-    for l in range(n):
-        dec = decisions[l] if decisions is not None else None
-        for head in range(h):
-            cache = state.caches[l][head]
-            resident = cache.positions[cache.positions < s]
-            kept_rows_total += resident.size
-            kept_vision_total += int(np.isin(resident, vision).sum())
-            per_layer.append({
-                "layer": l + 1,
-                "gamma": getattr(dec, "gamma", None),
-                "class": getattr(dec, "layer_class", None),
-                "retention": getattr(dec, "retention", None),
-                "head": head + 1,
-                "kept_rows": int(resident.size),
-            })
 
-    rr = kept_vision_total / (n * h * v) if v > 0 else 1.0
-    kv = kept_rows_total / (n * h * s)
+def report_from_counts(kept_rows: np.ndarray, kept_vision: np.ndarray, seq_len: int,
+                       num_vision: int, decisions: list | None) -> MetricsReport:
+    """RR, KV and the per-(layer, head) rows from N x H counts of kept prompt rows.
+
+    The one accounting both ``account`` (counting live caches) and trace
+    replay (counting decisions) go through.
+    """
+    n, h = kept_rows.shape
+    per_layer = [{
+        "layer": l + 1,
+        "gamma": getattr(dec, "gamma", None),
+        "class": getattr(dec, "layer_class", None),
+        "retention": getattr(dec, "retention", None),
+        "head": head + 1,
+        "kept_rows": int(kept_rows[l, head]),
+    } for l, dec in enumerate(decisions or [None] * n) for head in range(h)]
+    rr = int(kept_vision.sum()) / (n * h * num_vision) if num_vision > 0 else 1.0
+    kv = int(kept_rows.sum()) / (n * h * seq_len)
     return MetricsReport(retention_rate=rr, kv_fraction=kv,
                          decode_latency_ms=None, per_layer=per_layer)
 

@@ -8,7 +8,8 @@ input, which makes cache pruning a pure row deletion with no renumbering.
 
 After each layer finishes its prefill forward pass an optional pruning hook
 may shrink that layer's caches; the hook never affects prefill values, only
-decode-time attention.
+decode-time attention. The hook sees only the last prompt row of each head's
+attention map, the one row every pruning rule reads.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from .layout import MultimodalSequence
 from .tensor_core import make_rng, masked_row_softmax, matmul
 
-# hook(layer_1based, per_head_attn, caches_for_layer, seq) -> (caches, decision | None)
+# hook(layer_1based, last_rows[H, S], caches_for_layer, seq) -> (caches, LayerDecision);
+# last_rows[h] is the last prompt row of head h's causal attention map
 PruningHook = Callable[
-    [int, list[np.ndarray], list["HeadKVCache"], MultimodalSequence],
+    [int, np.ndarray, list["HeadKVCache"], MultimodalSequence],
     tuple[list["HeadKVCache"], Any],
 ]
 
@@ -93,20 +95,15 @@ class HeadKVCache:
 class DecoderState:
     caches: list[list[HeadKVCache]]  # N x H
     next_position: int
-    per_layer_decisions: list[Any] | None = None
 
     def clone(self) -> "DecoderState":
-        return DecoderState(
-            caches=[[c.clone() for c in layer] for layer in self.caches],
-            next_position=self.next_position,
-            per_layer_decisions=list(self.per_layer_decisions)
-            if self.per_layer_decisions is not None else None,
-        )
+        return DecoderState(caches=[[c.clone() for c in layer] for layer in self.caches],
+                            next_position=self.next_position)
 
 
 @dataclass
 class PrefillReport:
-    decisions: list[Any] | None              # per layer, None entries if no hook ran
+    decisions: list[Any] | None              # one LayerDecision per layer; None without a hook
     head_cache_lengths: np.ndarray           # N x H after the hook
     attn_last_rows: np.ndarray | None = None # N x H x S when tracing was requested
 
@@ -143,8 +140,8 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     """Run the full prompt through all layers, populating per-head caches.
 
     The hook, when given, fires after each layer's own forward pass has
-    consumed the full cache, and may replace that layer's caches with
-    pruned ones.
+    consumed the full cache, receives that layer's H x S block of last
+    attention rows, and may replace the layer's caches with pruned ones.
     """
     s = seq.total_length
     if s > config.max_positions:
@@ -159,34 +156,29 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     for l in range(config.num_layers):
         h_in = _rmsnorm(x)
         layer_caches: list[HeadKVCache] = []
-        attn_maps: list[np.ndarray] = []
         head_outs: list[np.ndarray] = []
+        last_rows = np.empty((config.num_heads, s))
         for h in range(config.num_heads):
             q = matmul(h_in, weights.w_q[l, h])
             k = matmul(h_in, weights.w_k[l, h])
             v = matmul(h_in, weights.w_v[l, h])
-            scores = matmul(q, k.T) * inv_sqrt_dk
-            attn = masked_row_softmax(scores, causal=True)
+            attn = masked_row_softmax(matmul(q, k.T) * inv_sqrt_dk, causal=True)
             head_outs.append(matmul(attn, v))
-            attn_maps.append(attn)
+            last_rows[h] = attn[-1]
+            del attn  # free this head's S x S map before the next head builds its own
             layer_caches.append(HeadKVCache(keys=k, values=v, positions=positions.copy()))
         x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
         m_in = _rmsnorm(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
 
         if record_trace:
-            for h in range(config.num_heads):
-                trace_rows[l, h] = attn_maps[h][-1]
+            trace_rows[l] = last_rows
         if hook is not None:
-            layer_caches, decision = hook(l + 1, attn_maps, layer_caches, seq)
-        else:
-            decision = None
-        decisions.append(decision)
+            layer_caches, decision = hook(l + 1, last_rows, layer_caches, seq)
+            decisions.append(decision)
         caches.append(layer_caches)
-        del attn_maps
 
-    state = DecoderState(caches=caches, next_position=s,
-                         per_layer_decisions=decisions if hook is not None else None)
+    state = DecoderState(caches=caches, next_position=s)
     lengths = np.array([[len(c) for c in layer] for layer in caches])
     report = PrefillReport(decisions=decisions if hook is not None else None,
                            head_cache_lengths=lengths, attn_last_rows=trace_rows)

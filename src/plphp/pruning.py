@@ -5,6 +5,10 @@ row pays to vision tokens, classifies the layer, and allocates a retention
 rate. Level two lets every attention head independently keep its own top-K
 vision rows per image and drop the rest from that head's cache. Text rows
 are never pruned, and layers 1, 2 and N are exempt.
+
+Every method, the baselines included, is a rule ``(layer, last_rows[H, S],
+seq) -> LayerDecision``. A live hook is its rule plus ``prune_layer``; trace
+replay runs the same rule and counts what the decisions keep.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
     "PruningConfig", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
-    "select_retained", "prune_head_cache", "decide_layer", "plphp_hook",
+    "select_retained", "prune_head_cache", "prune_layer", "decide_layer", "plphp_hook",
     "make_hook",
 ]
 
@@ -67,15 +71,16 @@ class PruningConfig:
 class LayerDecision:
     """Outcome of the layer-level decision for one decoder layer.
 
-    ``exempt`` layers keep their full caches; gamma and the class are still
-    recorded so per-layer attention reports cover the whole model.
-    ``per_head_retained[h][j]`` is the ascending set of absolute positions
-    kept for image j by head h.
+    ``exempt`` layers keep their full caches; gamma (and, for plphp, the
+    class) is still recorded so per-layer attention reports cover the whole
+    model. The baselines have no layer classes and leave ``layer_class`` and
+    ``retention`` None. ``per_head_retained[h][j]`` is the ascending set of
+    absolute positions kept for image j by head h.
     """
 
     layer: int
     gamma: float
-    layer_class: str
+    layer_class: str | None
     exempt: bool
     retention: float | None = None
     per_head_retained: list[list[np.ndarray]] | None = None
@@ -84,6 +89,7 @@ class LayerDecision:
         if self.per_head_retained is None:
             return 0
         return sum(len(s) for s in self.per_head_retained[head])
+
 
 
 def vision_attention_score(attn_last_rows: list[np.ndarray] | np.ndarray,
@@ -181,32 +187,27 @@ def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalS
                          exempt=False, retention=retention, per_head_retained=per_head)
 
 
-def plphp_hook(layer: int, attn: list[np.ndarray], caches: list[HeadKVCache],
+def prune_layer(caches: list[HeadKVCache], seq: MultimodalSequence,
+                decision: LayerDecision) -> list[HeadKVCache]:
+    """Cut each head's cache to text plus the vision rows ``decision`` keeps."""
+    if decision.exempt:
+        return caches
+    text = seq.text_union
+    empty = np.empty(0, dtype=np.int64)
+    return [prune_head_cache(cache, text, np.concatenate([empty, *decision.per_head_retained[h]]))
+            for h, cache in enumerate(caches)]
+
+
+def plphp_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
                seq: MultimodalSequence, cfg: PruningConfig,
                num_layers: int) -> tuple[list[HeadKVCache], LayerDecision]:
-    """Post-prefill hook for one layer: decide, then prune each head's cache.
-
-    ``attn`` holds each head's full S x S attention map; only the last row
-    is read.
-    """
-    rows = [np.asarray(a, dtype=np.float64)[-1] for a in attn]
-    decision = decide_layer(rows, seq, cfg, layer, num_layers)
-    if decision.exempt:
-        return caches, decision
-    text = seq.text_union
-    pruned = [
-        prune_head_cache(caches[h],
-                         text,
-                         np.concatenate(decision.per_head_retained[h])
-                         if decision.per_head_retained[h]
-                         else np.empty(0, dtype=np.int64))
-        for h in range(len(caches))
-    ]
-    return pruned, decision
+    """Post-prefill hook for one layer: decide, then prune each head's cache."""
+    decision = decide_layer(last_rows, seq, cfg, layer, num_layers)
+    return prune_layer(caches, seq, decision), decision
 
 
 def make_hook(cfg: PruningConfig, num_layers: int):
     """Adapter with the generic prefill-hook signature."""
-    def hook(layer, attn, caches, seq):
-        return plphp_hook(layer, attn, caches, seq, cfg, num_layers)
+    def hook(layer, last_rows, caches, seq):
+        return plphp_hook(layer, last_rows, caches, seq, cfg, num_layers)
     return hook

@@ -9,19 +9,22 @@ platforms:
     u32 segment_count | (u32 kind, u32 length) per segment   kind: 0=text, 1=image
     N * H * S float64 rows in (layer, head, position) order
 
-Loading validates the header, the segment lengths against S, and that each
-stored row sums to 1 within 1e-6.
+Loading checks the declared sizes against the file size before reading the
+body, then validates the header, the segment lengths against S, that the
+layout ends in text, and that each stored row sums to 1 within 1e-6.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import FastVConfig, FastVRule, VTWConfig, check_depth, vtw_decide
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
-from .metrics import MetricsReport
+from .metrics import MetricsReport, report_from_counts
 from .pruning import LayerDecision, PruningConfig, decide_layer
 
 MAGIC = b"PLPT"
@@ -47,10 +50,14 @@ class AttentionTrace:
 
     def validate(self) -> None:
         n, h, s = self.num_layers, self.num_heads, self.seq_len
+        if min(n, h) < 1:
+            raise TraceFormatError(f"trace needs at least one layer and head, got N={n}, H={h}")
         if self.rows.shape != (n, h, s):
             raise TraceFormatError(f"row block shape {self.rows.shape} != ({n}, {h}, {s})")
         if sum(seg.length for seg in self.segments) != s:
             raise TraceFormatError("segment lengths do not sum to the sequence length")
+        if not self.segments or self.segments[-1].kind != TEXT:
+            raise TraceFormatError("final segment must be text (the last row is a text query)")
         if not np.all(np.isfinite(self.rows)):
             raise TraceFormatError("trace contains non-finite values")
         sums = self.rows.sum(axis=2)
@@ -87,15 +94,17 @@ def read_trace(path) -> AttentionTrace:
         if version != VERSION:
             raise TraceFormatError(f"unsupported trace version {version}")
         (seg_count,) = struct.unpack("<I", _read_exact(f, 4))
+        declared = 24 + 8 * seg_count + 8 * n * h * s
+        actual = os.fstat(f.fileno()).st_size
+        if declared != actual:
+            raise TraceFormatError(f"header declares {declared} bytes, file has {actual}")
         segments = []
         for _ in range(seg_count):
             kind_code, length = struct.unpack("<II", _read_exact(f, 8))
-            if kind_code not in _CODE_KIND:
-                raise TraceFormatError(f"unknown segment kind code {kind_code}")
+            if kind_code not in _CODE_KIND or length < 1:
+                raise TraceFormatError(f"bad segment: kind code {kind_code}, length {length}")
             segments.append(Segment(_CODE_KIND[kind_code], length))
         raw = _read_exact(f, n * h * s * 8)
-        if f.read(1):
-            raise TraceFormatError("trailing bytes after trace payload")
     rows = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, h, s)
     trace = AttentionTrace(num_layers=n, num_heads=h, seq_len=s,
                            segments=tuple(segments), rows=rows)
@@ -110,43 +119,34 @@ def trace_from_run(attn_last_rows: np.ndarray, seq: MultimodalSequence) -> Atten
                           segments=seq.segments, rows=np.asarray(attn_last_rows, dtype=np.float64))
 
 
-def replay(trace: AttentionTrace, cfg: PruningConfig) -> tuple[list[LayerDecision], MetricsReport]:
+def _method_rule(cfg: PruningConfig | FastVConfig | VTWConfig, num_layers: int):
+    """The method's rule ``(layer, last_rows, seq) -> LayerDecision``, as its hook runs it."""
+    if isinstance(cfg, PruningConfig):
+        return lambda layer, rows, seq: decide_layer(rows, seq, cfg, layer, num_layers)
+    check_depth(cfg, num_layers)
+    if isinstance(cfg, FastVConfig):
+        return FastVRule(cfg)
+    return lambda layer, rows, seq: vtw_decide(layer, rows, seq, cfg)
+
+
+def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig | None
+           ) -> tuple[list[LayerDecision] | None, MetricsReport]:
     """Recompute every pruning decision offline, plus RR/KV accounting.
 
-    Runs the same decision path a live prefill hook uses, so replaying a
-    recorded run reproduces its decisions exactly. No model execution.
+    ``cfg`` names the method (None: no pruning). Its rule is the one the
+    live hook runs, so replaying a recorded run reproduces its decisions
+    exactly; RR/KV are counted from the decisions. No model execution.
     """
     trace.validate()
     seq = build_sequence(trace.segments, seed=0)
     n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
     v = vision_index_union(seq).size
-    t = s - v
-
-    decisions = [decide_layer(trace.rows[l], seq, cfg, l + 1, n) for l in range(n)]
-
-    kept_rows = 0
-    kept_vision = 0
-    per_layer: list[dict] = []
-    for dec in decisions:
-        for head in range(h):
-            if dec.exempt:
-                rows_here, vision_here = s, v
-            else:
-                vision_here = dec.head_kept_vision(head)
-                rows_here = t + vision_here
-            kept_rows += rows_here
-            kept_vision += vision_here
-            per_layer.append({
-                "layer": dec.layer,
-                "gamma": dec.gamma,
-                "class": dec.layer_class,
-                "retention": dec.retention,
-                "head": head + 1,
-                "kept_rows": rows_here,
-            })
-
-    rr = kept_vision / (n * h * v) if v > 0 else 1.0
-    kv = kept_rows / (n * h * s)
-    report = MetricsReport(retention_rate=rr, kv_fraction=kv,
-                           decode_latency_ms=None, per_layer=per_layer)
-    return decisions, report
+    kept_vision = np.full((n, h), v)
+    decisions = None
+    if cfg is not None:
+        rule = _method_rule(cfg, n)
+        decisions = [rule(l + 1, trace.rows[l], seq) for l in range(n)]
+        for l, dec in enumerate(decisions):
+            if not dec.exempt:
+                kept_vision[l] = [dec.head_kept_vision(head) for head in range(h)]
+    return decisions, report_from_counts(kept_vision + (s - v), kept_vision, s, v, decisions)

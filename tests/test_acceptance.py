@@ -180,7 +180,7 @@ def test_criterion_6_structural_contrast():
     for peaks in [(2, 3), (8, 9)]:
         row = np.full(s, 1e-4)
         row[list(peaks)] = 1.0
-        rows.append(np.tile(row / row.sum(), (s, 1)))
+        rows.append(row / row.sum())
     caches = [HeadKVCache(keys=np.zeros((s, 4)), values=np.zeros((s, 4)),
                           positions=np.arange(s, dtype=np.int64)) for _ in rows]
     pruned, decision = plphp_hook(3, rows, caches, seq,

@@ -6,7 +6,7 @@ from helpers import sort_topk
 from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, Segment, VTWConfig,
                    build_sequence, init_model, make_fastv_hook, make_rng,
                    make_vtw_hook, prefill, vision_index_union)
-from plphp.baselines import fastv_hook, fastv_surviving_set, vtw_hook
+from plphp.baselines import FastVRule, fastv_hook, fastv_surviving_set, vtw_hook
 from plphp.model import ModelConfig
 
 
@@ -22,9 +22,9 @@ def caches_for(seq, heads=2):
                         positions=np.arange(s, dtype=np.int64)) for _ in range(heads)]
 
 
-def attn_for(rng, seq, heads=2):
-    s = seq.total_length
-    return [np.tile(r, (s, 1)) for r in random_softmax_rows(rng, heads, s)]
+def rows_for(rng, seq, heads=2):
+    """H x S last attention rows."""
+    return random_softmax_rows(rng, heads, seq.total_length)
 
 
 class TestConfigs:
@@ -45,40 +45,43 @@ class TestFastV:
     def test_ratio_zero_identity(self, rng):
         seq = mixed_seq()
         caches = caches_for(seq)
-        out, surviving = fastv_hook(3, attn_for(rng, seq), caches, seq,
-                                    FastVConfig(k_layer=3, prune_ratio=0.0), None)
+        rule = FastVRule(FastVConfig(k_layer=3, prune_ratio=0.0))
+        out, _ = fastv_hook(3, rows_for(rng, seq), caches, seq, rule)
+        surviving = rule.surviving
         assert all(len(c) == seq.total_length for c in out)
         assert surviving.size == 6
 
     def test_ratio_one_drops_all_vision(self, rng):
         seq = mixed_seq()
-        out, surviving = fastv_hook(3, attn_for(rng, seq), caches_for(seq), seq,
-                                    FastVConfig(k_layer=3, prune_ratio=1.0), None)
+        rule = FastVRule(FastVConfig(k_layer=3, prune_ratio=1.0))
+        out, _ = fastv_hook(3, rows_for(rng, seq), caches_for(seq), seq, rule)
+        surviving = rule.surviving
         assert surviving.size == 0
         for cache in out:
             assert cache.positions.tolist() == seq.text_union.tolist()
 
     def test_surviving_count(self, rng):
         seq = mixed_seq(text_a=4, vision=92, text_b=4)
-        surviving = fastv_surviving_set(attn_for(rng, seq), seq,
+        surviving = fastv_surviving_set(rows_for(rng, seq), seq,
                                         FastVConfig(k_layer=3, prune_ratio=0.5))
         assert surviving.size == 46  # 92 - floor(0.5 * 92)
 
     def test_ranking_matches_sort_oracle(self, rng):
         seq = mixed_seq(vision=10)
-        attn = attn_for(rng, seq, heads=3)
+        rows = rows_for(rng, seq, heads=3)
         cfg = FastVConfig(k_layer=2, prune_ratio=0.4)
-        surviving = fastv_surviving_set(attn, seq, cfg)
+        surviving = fastv_surviving_set(rows, seq, cfg)
         vision = vision_index_union(seq)
-        mean_row = np.mean([a[-1] for a in attn], axis=0)
+        mean_row = np.mean(rows, axis=0)
         keep = vision.size - int(np.floor(0.4 * vision.size))
         expected = vision[sort_topk(mean_row[vision], keep)]
         assert surviving.tolist() == expected.tolist()
 
     def test_layers_below_k_untouched(self, rng):
         seq = mixed_seq()
-        out, surviving = fastv_hook(1, attn_for(rng, seq), caches_for(seq), seq,
-                                    FastVConfig(k_layer=3, prune_ratio=0.5), None)
+        rule = FastVRule(FastVConfig(k_layer=3, prune_ratio=0.5))
+        out, _ = fastv_hook(1, rows_for(rng, seq), caches_for(seq), seq, rule)
+        surviving = rule.surviving
         assert surviving is None
         assert all(len(c) == seq.total_length for c in out)
 
@@ -103,13 +106,13 @@ class TestFastV:
 class TestVTW:
     def test_k1_all_layers_text_only(self, rng):
         seq = mixed_seq()
-        out = vtw_hook(1, caches_for(seq), seq, VTWConfig(k_layer=1))
+        out, _ = vtw_hook(1, rows_for(rng, seq), caches_for(seq), seq, VTWConfig(k_layer=1))
         for cache in out:
             assert cache.positions.tolist() == seq.text_union.tolist()
 
     def test_below_k_untouched(self, rng):
         seq = mixed_seq()
-        out = vtw_hook(2, caches_for(seq), seq, VTWConfig(k_layer=3))
+        out, _ = vtw_hook(2, rows_for(rng, seq), caches_for(seq), seq, VTWConfig(k_layer=3))
         assert all(len(c) == seq.total_length for c in out)
 
     def test_retention_by_layer_counting_oracle(self):

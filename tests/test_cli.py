@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from plphp.cli import main, parse_grid, parse_segments, load_config_file, ConfigError
+from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
+                       parse_segments, resolve_config)
 
 SMALL_MODEL = ["--model-layers", "4", "--model-heads", "2", "--model-dim", "8",
                "--head-dim", "4", "--vocab-size", "32", "--max-positions", "64",
@@ -46,6 +47,30 @@ class TestParsing:
         cfg.write_text("bogus = 1\n")
         with pytest.raises(ConfigError):
             load_config_file(cfg)
+
+
+# a non-default value for every config key, as it is written on the command line
+KEY_VALUES = {
+    "model_layers": "5", "model_heads": "3", "model_dim": "12", "head_dim": "4",
+    "vocab_size": "64", "max_positions": "99", "segments": "T:2,I:3,T:1",
+    "method": "fastv", "r": "0.45", "dr": "0.2", "alpha": "0.3", "beta": "0.05",
+    "fastv_k": "2", "fastv_ratio": "0.25", "vtw_k": "5", "seed": "7", "steps": "20",
+    "trace_out": "t.plpt", "report_out": "r.json",
+}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+def test_flag_and_config_file_agree(tmp_path, key):
+    defaults = resolve_config(build_parser().parse_args(["run"]))
+    assert set(defaults) == set(KEY_VALUES)
+    from_flag = resolve_config(build_parser().parse_args(
+        ["run", "--" + key.replace("_", "-"), KEY_VALUES[key]]))[key]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {KEY_VALUES[key]}\n")
+    from_file = resolve_config(build_parser().parse_args(["run", "--config", str(cfg)]))[key]
+    default = defaults[key]
+    assert from_flag == from_file != default
+    assert type(from_flag) is type(from_file) is (str if default is None else type(default))
 
 
 class TestRun:
@@ -126,6 +151,19 @@ class TestReplay:
         offline = json.loads(replay_out.read_text())
         assert live["retention_rate"] == offline["retention_rate"]
         assert live["kv_fraction"] == offline["kv_fraction"]
+
+    @pytest.mark.parametrize("method", ["none", "plphp", "fastv", "vtw"])
+    def test_replay_method_matches_run(self, tmp_path, method):
+        trace = tmp_path / "run.plpt"
+        args = ["--method", method, "--fastv-k", "2", "--vtw-k", "3"]
+        live = run_report(tmp_path, "run.json", [*args, "--trace-out", str(trace)])
+        replay_out = tmp_path / "replay.json"
+        assert main(["replay", "--trace", str(trace), *args,
+                     "--report-out", str(replay_out)]) == 0
+        offline = json.loads(replay_out.read_text())
+        assert offline["retention_rate"] == live["retention_rate"]
+        assert offline["kv_fraction"] == live["kv_fraction"]
+        assert offline["per_layer"] == live["per_layer"]
 
     def test_missing_trace_exit_code(self, tmp_path):
         assert main(["replay", "--trace", str(tmp_path / "nope.plpt")]) == 3

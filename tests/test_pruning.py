@@ -165,10 +165,8 @@ class TestPlphpHook:
                                   seed=0)
 
     def hook_at(self, layer, rows, cfg=DEFAULT, num_layers=5):
-        s = self.seq.total_length
-        attn = [np.tile(r, (s, 1)) for r in rows]  # only the last row is read
-        caches = [make_cache(s) for _ in rows]
-        return plphp_hook(layer, attn, caches, self.seq, cfg, num_layers)
+        caches = [make_cache(self.seq.total_length) for _ in rows]
+        return plphp_hook(layer, rows, caches, self.seq, cfg, num_layers)
 
     def test_exempt_layers_untouched(self, rng):
         rows = random_softmax_rows(rng, 2, self.seq.total_length)

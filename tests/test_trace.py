@@ -1,12 +1,25 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from plphp import (IMAGE, TEXT, PruningConfig, Segment, account, build_sequence,
-                   init_model, make_hook, prefill)
-from plphp.model import ModelConfig
+from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, PruningConfig, Segment, VTWConfig,
+                   account, build_sequence, init_model, make_fastv_hook, make_hook,
+                   make_vtw_hook, prefill)
+from plphp.cli import main
+from plphp.model import DecoderState, ModelConfig
 from plphp.trace import (AttentionTrace, TraceFormatError, read_trace, replay,
                          trace_from_run, write_trace)
+
+# method -> (config, hook factory) at the settings the live/replay tests use
+METHODS = {
+    "plphp": (PruningConfig(), make_hook),
+    "fastv": (FastVConfig(k_layer=3, prune_ratio=0.5), make_fastv_hook),
+    "vtw": (VTWConfig(k_layer=4), make_vtw_hook),
+}
 
 
 def make_trace(rng, n=5, h=2, segments=(Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2))):
@@ -14,6 +27,13 @@ def make_trace(rng, n=5, h=2, segments=(Segment(TEXT, 2), Segment(IMAGE, 6), Seg
     rows = np.stack([random_softmax_rows(rng, h, s) for _ in range(n)])
     return AttentionTrace(num_layers=n, num_heads=h, seq_len=s,
                           segments=tuple(segments), rows=rows)
+
+
+def raw_trace(n, h, s, segments, payload=b""):
+    """PLPT bytes written by hand, so headers write_trace would refuse can be built."""
+    header = b"PLPT" + struct.pack("<IIIII", 1, n, h, s, len(segments))
+    return header + b"".join(struct.pack("<II", kind, length) for kind, length in segments) \
+        + payload
 
 
 class TestRoundTrip:
@@ -63,6 +83,36 @@ class TestRoundTrip:
         with pytest.raises(TraceFormatError):
             trace.validate()
 
+    def test_final_image_segment_rejected(self, rng, tmp_path):
+        segments = (Segment(TEXT, 2), Segment(IMAGE, 3))
+        trace = make_trace(rng, segments=segments)
+        with pytest.raises(TraceFormatError):
+            trace.validate()
+        path = tmp_path / "t.plpt"
+        path.write_bytes(raw_trace(5, 2, 5, [(0, 2), (1, 3)], trace.rows.astype("<f8").tobytes()))
+        with pytest.raises(TraceFormatError):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path)]) == 3
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # N = H = S = 2^20 declares an 8 PiB payload the file does not have
+        path = tmp_path / "t.plpt"
+        path.write_bytes(raw_trace(2**20, 2**20, 2**20, [(0, 2**20)]))
+        with pytest.raises(TraceFormatError):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path)]) == 3
+
+    @pytest.mark.parametrize("n, h, s, segments, payload", [
+        (0, 2, 4, [(0, 4)], b""),                                # no layers
+        (1, 1, 1, [(0, 1), (1, 0)], struct.pack("<d", 1.0)),     # empty segment
+    ])
+    def test_degenerate_header_rejected(self, tmp_path, n, h, s, segments, payload):
+        path = tmp_path / "t.plpt"
+        path.write_bytes(raw_trace(n, h, s, segments, payload))
+        with pytest.raises(TraceFormatError):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path)]) == 3
+
 
 class TestReplay:
     def test_uniform_attention_all_attentive(self):
@@ -82,19 +132,21 @@ class TestReplay:
         assert all(d.layer_class == "vision-indifferent" for d in decisions)
         assert report.retention_rate == 1.0  # no vision tokens to retain
 
-    def test_live_equals_replay(self, tmp_path):
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_live_equals_replay(self, tmp_path, method):
         cfg = ModelConfig(num_layers=6, num_heads=3, model_dim=12, head_dim=4,
                           vocab_size=32, max_positions=64)
         seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 5), Segment(IMAGE, 7),
                               Segment(TEXT, 3)], seed=4, vocab_size=32)
-        pruning = PruningConfig()
-        hook = make_hook(pruning, cfg.num_layers)
+        pruning, factory = METHODS[method]
+        hook = factory(pruning, cfg.num_layers)
         state, prefill_report = prefill(init_model(cfg, 4), cfg, seq, hook=hook,
                                         record_trace=True)
         path = tmp_path / "run.plpt"
         write_trace(path, trace_from_run(prefill_report.attn_last_rows, seq))
         decisions, replay_report = replay(read_trace(path), pruning)
 
+        assert len(decisions) == len(prefill_report.decisions) == cfg.num_layers
         for live, offline in zip(prefill_report.decisions, decisions):
             assert live.layer == offline.layer
             assert live.gamma == offline.gamma
@@ -103,9 +155,56 @@ class TestReplay:
             assert live.retention == offline.retention
             if not live.exempt:
                 for h in range(cfg.num_heads):
-                    for a, b in zip(live.per_head_retained[h], offline.per_head_retained[h]):
+                    for a, b in zip(live.per_head_retained[h], offline.per_head_retained[h],
+                                    strict=True):
                         assert np.array_equal(a, b)
 
-        live_metrics = account(state, seq)
+        live_metrics = account(state, seq, prefill_report.decisions)
         assert replay_report.retention_rate == live_metrics.retention_rate
         assert replay_report.kv_fraction == live_metrics.kv_fraction
+        assert replay_report.per_layer == live_metrics.per_layer
+
+
+@st.composite
+def method_and_hook(draw, num_layers):
+    method = draw(st.sampled_from(sorted(METHODS)))
+    if method == "plphp":
+        dr = draw(st.floats(0.0, 0.5))
+        beta, alpha = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        cfg = PruningConfig(r=draw(st.floats(dr, 1.0 - dr)), delta_r=dr, alpha=alpha, beta=beta)
+    elif method == "fastv":
+        cfg = FastVConfig(k_layer=draw(st.integers(1, num_layers)),
+                          prune_ratio=draw(st.floats(0.0, 1.0)))
+    else:
+        cfg = VTWConfig(k_layer=draw(st.integers(1, num_layers)))
+    return cfg, METHODS[method][1](cfg, num_layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_replay_counts_equal_account_of_live_hook(data):
+    """Replay counts RR/KV from decisions; account() counts what the live hook kept."""
+    n = data.draw(st.integers(4, 6))
+    h = data.draw(st.integers(1, 3))
+    kinds = data.draw(st.lists(st.sampled_from([TEXT, IMAGE]), max_size=4)) + [TEXT]
+    segments = [Segment(kind, data.draw(st.integers(1, 6))) for kind in kinds]
+    s = sum(seg.length for seg in segments)
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    trace = AttentionTrace(n, h, s, tuple(segments),
+                           np.stack([random_softmax_rows(rng, h, s) for _ in range(n)]))
+    cfg, hook = data.draw(method_and_hook(n))
+
+    seq = build_sequence(segments, seed=0)
+    caches, live_decisions = [], []
+    for l in range(n):
+        full = [HeadKVCache(keys=np.zeros((s, 1)), values=np.zeros((s, 1)),
+                            positions=np.arange(s, dtype=np.int64)) for _ in range(h)]
+        layer_caches, decision = hook(l + 1, trace.rows[l], full, seq)
+        caches.append(layer_caches)
+        live_decisions.append(decision)
+    live = account(DecoderState(caches=caches, next_position=s), seq, live_decisions)
+
+    _, offline = replay(trace, cfg)
+    assert offline.per_layer == live.per_layer
+    assert offline.retention_rate == live.retention_rate
+    assert offline.kv_fraction == live.kv_fraction

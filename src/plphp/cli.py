@@ -213,10 +213,20 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     return row
 
 
+def sweep_workers(num_points: int) -> int:
+    """Sweep threads: PLPHP_THREADS (default 1), at most one per point and per CPU."""
+    raw = os.environ.get("PLPHP_THREADS", "1")
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ConfigError(f"PLPHP_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(requested, num_points, os.cpu_count() or 1))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     points = parse_grid(args.grid)
-    workers = max(1, int(os.environ.get("PLPHP_THREADS", "1")))
+    workers = sweep_workers(len(points))
     if workers == 1:
         rows = [_sweep_point(cfg, p) for p in points]
     else:

@@ -6,6 +6,11 @@ normalization, 4x MLP with ReLU) so the decoder is a genuine, if tiny,
 language model. Position embeddings are absolute and added once at the
 input, which makes cache pruning a pure row deletion with no renumbering.
 
+Prefill computes each head's causal attention in row blocks, so no head
+holds an S x S map and the masked upper triangle is never multiplied; every
+output keeps the bits of the full-matrix computation (a masked weight is
+exactly +0.0, and adding its +-0 product leaves the sum unchanged).
+
 After each layer finishes its prefill forward pass an optional pruning hook
 may shrink that layer's caches; the hook never affects prefill values, only
 decode-time attention. The hook sees only the last prompt row of each head's
@@ -28,6 +33,10 @@ PruningHook = Callable[
     [int, np.ndarray, list["HeadKVCache"], MultimodalSequence],
     tuple[list["HeadKVCache"], Any],
 ]
+
+# Rows of one prefill attention block: each head's scores and weights take
+# ATTN_BLOCK_ROWS x S floats at a time instead of S x S.
+ATTN_BLOCK_ROWS = 256
 
 __all__ = [
     "ModelConfig", "ModelWeights", "HeadKVCache", "DecoderState",
@@ -134,6 +143,18 @@ def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
 
 
+def attention_row_blocks(s: int) -> list[tuple[int, int]]:
+    """Prefill's causal attention row blocks ``[i0, i1)`` over an S-row prompt.
+
+    Blocks hold ATTN_BLOCK_ROWS rows; a 1-row tail joins the block before it,
+    so only an S=1 prompt has a single-row block (the shape of a decode step).
+    """
+    bounds = [*range(0, s, ATTN_BLOCK_ROWS), s]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
 def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
             hook: PruningHook | None = None,
             record_trace: bool = False) -> tuple[DecoderState, PrefillReport]:
@@ -152,6 +173,7 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     trace_rows = np.empty((config.num_layers, config.num_heads, s)) if record_trace else None
     inv_sqrt_dk = 1.0 / np.sqrt(config.head_dim)
     positions = np.arange(s, dtype=np.int64)
+    blocks = attention_row_blocks(s)
 
     for l in range(config.num_layers):
         h_in = _rmsnorm(x)
@@ -162,10 +184,13 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
             q = matmul(h_in, weights.w_q[l, h])
             k = matmul(h_in, weights.w_k[l, h])
             v = matmul(h_in, weights.w_v[l, h])
-            attn = masked_row_softmax(matmul(q, k.T) * inv_sqrt_dk, causal=True)
-            head_outs.append(matmul(attn, v))
+            out = np.empty((s, config.head_dim))
+            for i0, i1 in blocks:
+                scores = matmul(q[i0:i1], k[:i1].T) * inv_sqrt_dk
+                attn = masked_row_softmax(scores, causal=True, first_row=i0, width=s)
+                out[i0:i1] = matmul(attn[:, :i1], v[:i1])
+            head_outs.append(out)
             last_rows[h] = attn[-1]
-            del attn  # free this head's S x S map before the next head builds its own
             layer_caches.append(HeadKVCache(keys=k, values=v, positions=positions.copy()))
         x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
         m_in = _rmsnorm(x)

@@ -28,6 +28,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (``c += a[:, k] * b[k, :]`` for k = 0, 1, ...), which is bitwise
     identical to a naive triple loop. BLAS-backed ``a @ b`` reorders the
     sum and is deliberately not used.
+
+    A single-row ``a`` (every decode-step product) takes the same
+    left-to-right sum as one ``np.add.accumulate`` over the products; the
+    trailing ``+ 0.0`` turns a ``-0.0`` first product into the ``+0.0`` the
+    loop's zero-initialised sum gives, so the result keeps the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -35,6 +40,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
+    if a.shape[0] == 1 and a.shape[1] > 0:
+        return np.add.accumulate(a[0][:, None] * b, axis=0)[-1:] + 0.0
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
     tmp = np.empty_like(out)
     for k in range(a.shape[1]):
@@ -43,26 +50,44 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def masked_row_softmax(scores: np.ndarray, causal: bool = False) -> np.ndarray:
+def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int = 0,
+                       width: int | None = None) -> np.ndarray:
     """Row-wise softmax with optional causal (lower-triangular) masking.
 
     Each row is normalized over its unmasked prefix using max-subtraction;
     masked entries come out exactly 0. Under the causal mask row ``i`` may
     attend to columns ``0..i`` only, so row 0 is always ``[1, 0, ...]``.
+
+    A causal map may be normalised one row block at a time: ``scores`` then
+    holds rows ``first_row .. first_row + m - 1`` of a ``width`` x ``width``
+    score matrix, cut after column ``first_row + m`` (every later column is
+    masked in these rows). The result is zero-padded back to ``width``
+    columns, and each of its rows is bitwise equal to that row of the full
+    matrix's softmax: the row sum runs over the same zero-padded row, so
+    numpy's pairwise summation keeps its tree.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"expected a 2-D score matrix, got {scores.ndim}-D")
-    if causal and scores.shape[0] != scores.shape[1]:
-        raise ValueError(f"causal softmax needs a square matrix, got {scores.shape}")
+    m, n = scores.shape
+    width = n if width is None else width
+    if not causal and (first_row, width) != (0, n):
+        raise ValueError("first_row and width apply to causal row blocks only")
+    if causal and (n != first_row + m or width < n):
+        raise ValueError(f"causal rows {first_row}..{first_row + m - 1} of a width-{width} "
+                         f"map need {first_row + m} score columns, got {n}")
+    neg = scores.copy()
     if causal:
-        allowed = np.tril(np.ones(scores.shape, dtype=bool))
-    else:
-        allowed = np.ones(scores.shape, dtype=bool)
-    neg = np.where(allowed, scores, -np.inf)
-    row_max = np.max(neg, axis=1, keepdims=True)
-    exp = np.where(allowed, np.exp(neg - row_max), 0.0)
-    return exp / np.sum(exp, axis=1, keepdims=True)
+        masked = np.arange(n) > np.arange(first_row, first_row + m)[:, None]
+        np.copyto(neg, -np.inf, where=masked)
+    neg -= np.max(neg, axis=1, keepdims=True)
+    exp = np.exp(neg, out=neg)
+    if causal:  # already 0 unless a row's max is -inf or NaN
+        np.copyto(exp, 0.0, where=masked)
+    if width > n:
+        exp = np.concatenate([exp, np.zeros((m, width - n))], axis=1)
+    exp /= np.sum(exp, axis=1, keepdims=True)
+    return exp
 
 
 def argtopk(values: np.ndarray, k: int) -> np.ndarray:

@@ -2,12 +2,25 @@
 
 Everything here is deliberately written the dumb way (explicit loops,
 sorting, set arithmetic, BLAS matmul) and never calls into the code paths
-it checks.
+it checks. The one exception is ``full_matrix_prefill``: it is the
+unblocked prefill, kept as the bitwise reference for the row-blocked one,
+so it shares the kernels and checks only the blocking.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from plphp import DecoderState, HeadKVCache, masked_row_softmax, matmul
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    """Bit patterns of a float64 array: unlike ==, tells -0.0 from +0.0."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and np.array_equal(bits(x), bits(y))
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,3 +141,36 @@ def cache_free_decode_logits(weights, config, seq, decode_tokens,
         x = x + np.maximum(_rms(x) @ weights.w_up[l], 0.0) @ weights.w_down[l]
 
     return (_rms(x) @ weights.unembedding)[s:]
+
+
+def full_matrix_prefill(weights, config, seq, hook=None):
+    """Prefill with each head's full S x S causal attention map.
+
+    Returns ``(state, last_rows[N, H, S])``. Same kernels
+    (``matmul``, ``masked_row_softmax``) and summation order as
+    ``plphp.prefill``, so its outputs must match the row-blocked prefill
+    bit for bit.
+    """
+    s = seq.total_length
+    x = weights.token_embedding[seq.token_ids] + weights.position_embedding[:s]
+    n, h = config.num_layers, config.num_heads
+    scale = 1.0 / np.sqrt(config.head_dim)
+    caches = []
+    last_rows = np.empty((n, h, s))
+    for l in range(n):
+        h_in = _rms(x)
+        layer_caches, outs = [], []
+        for head in range(h):
+            q = matmul(h_in, weights.w_q[l, head])
+            k = matmul(h_in, weights.w_k[l, head])
+            v = matmul(h_in, weights.w_v[l, head])
+            attn = masked_row_softmax(matmul(q, k.T) * scale, causal=True)
+            outs.append(matmul(attn, v))
+            last_rows[l, head] = attn[-1]
+            layer_caches.append(HeadKVCache(keys=k, values=v, positions=np.arange(s)))
+        x = x + matmul(np.concatenate(outs, axis=1), weights.w_o[l])
+        x = x + matmul(np.maximum(matmul(_rms(x), weights.w_up[l]), 0.0), weights.w_down[l])
+        if hook is not None:
+            layer_caches, _ = hook(l + 1, last_rows[l], layer_caches, seq)
+        caches.append(layer_caches)
+    return DecoderState(caches=caches, next_position=s), last_rows

@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
-                       parse_segments, resolve_config)
+                       parse_segments, resolve_config, sweep_workers)
 
 SMALL_MODEL = ["--model-layers", "4", "--model-heads", "2", "--model-dim", "8",
                "--head-dim", "4", "--vocab-size", "32", "--max-positions", "64",
@@ -136,6 +137,25 @@ class TestSweep:
 
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", *SMALL_MODEL, "--grid", ""]) == 2
+
+    @pytest.mark.parametrize("env,points,cpus,want", [
+        (None, 8, 4, 1), ("3", 8, 4, 3), ("100000", 8, 4, 4), ("100000", 2, 4, 2),
+        ("0", 5, 4, 1), ("-7", 5, 4, 1), ("6", 9, None, 1)])
+    def test_threads_clamped(self, monkeypatch, env, points, cpus, want):
+        # only the count is computed; no pool is started
+        if env is None:
+            monkeypatch.delenv("PLPHP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PLPHP_THREADS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep_workers(points) == want
+
+    def test_threads_not_an_integer(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PLPHP_THREADS", "many")
+        with pytest.raises(ConfigError):
+            sweep_workers(3)
+        assert main(["sweep", *SMALL_MODEL, "--grid", "r=0.4",
+                     "--report-out", str(tmp_path / "s.csv")]) == 2
 
 
 class TestReplay:

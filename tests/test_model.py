@@ -1,12 +1,19 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_segments, small_model
-from helpers import cache_free_decode_logits
+from helpers import cache_free_decode_logits, full_matrix_prefill, same_bits
 from plphp import (IMAGE, TEXT, ModelConfig, PruningConfig, Segment, build_sequence,
-                   decode_step, greedy_generate, init_model, make_hook, make_rng, prefill)
+                   decode_step, greedy_generate, init_model, make_hook, make_rng, model,
+                   prefill)
+
+B = model.ATTN_BLOCK_ROWS
 
 
 def mixed_seq(vocab=32, seed=0):
@@ -100,6 +107,77 @@ class TestPrefill:
                 pos = pruned.caches[l][h].positions
                 assert np.array_equal(pruned.caches[l][h].keys, full.caches[l][h].keys[pos])
                 assert np.array_equal(pruned.caches[l][h].values, full.caches[l][h].values[pos])
+
+
+def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
+    """Row-blocked prefill vs the full-matrix reference, bit for bit: caches,
+    last attention rows, and the logits of ``steps`` greedy decode steps."""
+    def hook():
+        return None if pruning is None else make_hook(pruning, cfg.num_layers)
+
+    ref, ref_rows = full_matrix_prefill(w, cfg, seq, hook=hook())
+    got, report = prefill(w, cfg, seq, hook=hook(), record_trace=True)
+    assert same_bits(report.attn_last_rows, ref_rows)
+    for ref_layer, got_layer in zip(ref.caches, got.caches):
+        for a, b in zip(ref_layer, got_layer):
+            assert np.array_equal(a.positions, b.positions)
+            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
+    token = 0
+    for _ in range(steps):
+        ref_logits, ref = decode_step(w, cfg, ref, token)
+        got_logits, got = decode_step(w, cfg, got, token)
+        assert same_bits(got_logits, ref_logits)
+        token = int(np.argmax(ref_logits))
+
+
+class TestBlockedPrefill:
+    @pytest.mark.parametrize("s", [37, B, B + 1, 2 * B - 1, 2 * B + 1])
+    def test_block_boundaries_bitwise(self, s):
+        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
+                          vocab_size=32, max_positions=s + 8)
+        w = init_model(cfg, s)
+        seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
+                             seed=s, vocab_size=cfg.vocab_size)
+        assert_blocked_equals_full(w, cfg, seq, PruningConfig())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
+           prune=st.booleans())
+    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, prune):
+        # small blocks put many boundaries (and 1-row blocks) inside short prompts
+        rng = make_rng(seed)
+        cfg, w = small_model(rng, max_layers=5)
+        seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
+                             seed=seed, vocab_size=cfg.vocab_size)
+        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
+            assert_blocked_equals_full(w, cfg, seq, PruningConfig() if prune else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.integers(1, 2000), block_rows=st.integers(1, 300))
+    def test_row_blocks_tile_the_prompt(self, s, block_rows):
+        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
+            blocks = model.attention_row_blocks(s)
+        assert blocks[0][0] == 0 and blocks[-1][1] == s
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+        sizes = [i1 - i0 for i0, i1 in blocks]
+        assert all(1 <= n <= block_rows + 1 for n in sizes)
+        if s > 1 and block_rows > 1:  # a 1-row block would look like a decode step
+            assert min(sizes) > 1
+
+    def test_peak_memory_below_one_score_matrix(self):
+        s = 2048
+        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
+                          vocab_size=32, max_positions=s)
+        w = init_model(cfg, 0)
+        seq = build_sequence([Segment(TEXT, 16), Segment(IMAGE, s - 32), Segment(TEXT, 16)],
+                             seed=0, vocab_size=cfg.vocab_size)
+        tracemalloc.start()
+        try:
+            prefill(w, cfg, seq, hook=make_hook(PruningConfig(), cfg.num_layers))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s * s * 8, f"prefill peak {peak / 2**20:.1f} MiB"
 
 
 class TestDecode:

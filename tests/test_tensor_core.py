@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import naive_matmul, naive_softmax, sort_topk
+from helpers import naive_matmul, naive_softmax, same_bits, sort_topk
 from plphp import argtopk, make_rng, masked_row_softmax, matmul
 
 
 class TestMatmul:
     def test_identity(self, rng):
         m = rng.random((3, 3))
-        assert np.array_equal(matmul(np.eye(3), m), m)
+        assert same_bits(matmul(np.eye(3), m), m)
 
     def test_scalar(self):
         assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
@@ -16,14 +20,42 @@ class TestMatmul:
     def test_bitwise_equals_triple_loop(self, rng):
         a = rng.standard_normal((7, 5))
         b = rng.standard_normal((5, 4))
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+        assert same_bits(matmul(a, b), naive_matmul(a, b))
 
     def test_bitwise_many_shapes(self, rng):
         for _ in range(50):
             m, k, n = rng.integers(1, 9, size=3)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
-            assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+            assert same_bits(matmul(a, b), naive_matmul(a, b))
+
+    @pytest.mark.parametrize("inner", [1, 2, 7, 64, 1000, 5000])
+    def test_single_row_bitwise(self, rng, inner):
+        # one query row against a long cache: the decode-step shape
+        a = rng.standard_normal((1, inner))
+        b = rng.standard_normal((inner, 3))
+        assert same_bits(matmul(a, b), naive_matmul(a, b))
+
+    def test_single_row_empty_inner(self):
+        assert same_bits(matmul(np.zeros((1, 0)), np.zeros((0, 3))), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_signed_zeros_and_inf(self, rng, rows):
+        # a -0.0 first product must not survive into the result: the loop's
+        # sum starts at +0.0, so -0.0 + -0.0 + ... ends +0.0
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.0])
+        for _ in range(200):
+            inner, cols = rng.integers(1, 6, size=2)
+            a = rng.choice(specials, size=(rows, inner))
+            b = rng.choice(specials, size=(inner, cols))
+            with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf give NaN
+                assert same_bits(matmul(a, b), naive_matmul(a, b))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        a = np.array([[-0.0, 1.0, -1.0]])
+        b = np.array([[1.0], [-0.0], [0.0]])
+        assert same_bits(naive_matmul(a, b), np.zeros((1, 1)))
+        assert same_bits(matmul(a, b), np.zeros((1, 1)))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -58,6 +90,38 @@ class TestMaskedRowSoftmax:
     def test_causal_requires_square(self, rng):
         with pytest.raises(ValueError):
             masked_row_softmax(rng.random((3, 4)), causal=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(s=st.integers(1, 700), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 60.0]), data=st.data())
+    def test_row_blocks_equal_full_rows_bitwise(self, s, seed, scale, data):
+        scores = make_rng(seed).standard_normal((s, s)) * scale
+        full = masked_row_softmax(scores, causal=True)
+        cuts = data.draw(st.lists(st.integers(1, s - 1), max_size=6)) if s > 1 else []
+        bounds = sorted({0, s, *cuts})
+        for i0, i1 in zip(bounds, bounds[1:]):
+            block = masked_row_softmax(scores[i0:i1, :i1], causal=True, first_row=i0, width=s)
+            assert same_bits(block, full[i0:i1])
+
+    def test_row_block_arguments_checked(self, rng):
+        with pytest.raises(ValueError):  # rows 2..3 need 4 score columns
+            masked_row_softmax(rng.random((2, 3)), causal=True, first_row=2, width=6)
+        with pytest.raises(ValueError):  # narrower than the block
+            masked_row_softmax(rng.random((2, 4)), causal=True, first_row=2, width=3)
+        with pytest.raises(ValueError):  # blocks are causal only
+            masked_row_softmax(rng.random((2, 4)), first_row=2)
+
+    def test_causal_temporaries_bounded(self, rng):
+        # the result plus boolean masks: no S x S float64 temporaries
+        s = 1024
+        scores = rng.standard_normal((s, s))
+        tracemalloc.start()
+        try:
+            masked_row_softmax(scores, causal=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * s * s * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestArgtopk:

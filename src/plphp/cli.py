@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FastVConfig, VTWConfig, make_fastv_hook, make_vtw_hook
-from .layout import IMAGE, TEXT, Segment, build_sequence
+from .baselines import FastVConfig, VTWConfig, check_depth, make_fastv_hook, make_vtw_hook
+from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, account, latency_probe, report_to_json, write_report_csv
 from .model import ModelConfig, decode_step, init_model, prefill
 from .pruning import PruningConfig, make_hook
@@ -111,18 +111,43 @@ def resolve_config(args: argparse.Namespace, **defaults) -> dict:
     return cfg
 
 
-def method_config(cfg: dict) -> PruningConfig | FastVConfig | VTWConfig | None:
-    """The pruning method ``cfg`` names, configured; None for no pruning."""
+def method_config(cfg: dict, num_layers: int) -> PruningConfig | FastVConfig | VTWConfig | None:
+    """The pruning method ``cfg`` names, checked against the model depth; None for no pruning."""
     method = cfg["method"]
     if method == "none":
         return None
-    if method == "plphp":
-        return PruningConfig(r=cfg["r"], delta_r=cfg["dr"], alpha=cfg["alpha"], beta=cfg["beta"])
-    if method == "fastv":
-        return FastVConfig(k_layer=cfg["fastv_k"], prune_ratio=cfg["fastv_ratio"])
-    if method == "vtw":
-        return VTWConfig(k_layer=cfg["vtw_k"])
-    raise ConfigError(f"unknown method {method!r}")
+    if method not in ("plphp", "fastv", "vtw"):
+        raise ConfigError(f"unknown method {method!r}")
+    try:
+        if method == "plphp":
+            return PruningConfig(r=cfg["r"], delta_r=cfg["dr"], alpha=cfg["alpha"],
+                                 beta=cfg["beta"])
+        if method == "fastv":
+            pruning = FastVConfig(k_layer=cfg["fastv_k"], prune_ratio=cfg["fastv_ratio"])
+        else:
+            pruning = VTWConfig(k_layer=cfg["vtw_k"])
+        check_depth(pruning, num_layers)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return pruning
+
+
+def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
+    """The model config and prompt ``cfg`` describes, with room for its decode steps."""
+    segments = parse_segments(cfg["segments"])
+    try:
+        model_cfg = ModelConfig(num_layers=cfg["model_layers"], num_heads=cfg["model_heads"],
+                                model_dim=cfg["model_dim"], head_dim=cfg["head_dim"],
+                                vocab_size=cfg["vocab_size"],
+                                max_positions=cfg["max_positions"])
+        seq = build_sequence(segments, seed=cfg["seed"], vocab_size=cfg["vocab_size"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    positions = seq.total_length + max(cfg["steps"], 0)
+    if positions > model_cfg.max_positions:
+        raise ConfigError(f"{seq.total_length} prompt positions plus {cfg['steps']} steps "
+                          f"exceed max_positions {model_cfg.max_positions}")
+    return model_cfg, seq
 
 
 _HOOK_FACTORIES = {PruningConfig: make_hook, FastVConfig: make_fastv_hook,
@@ -131,13 +156,9 @@ _HOOK_FACTORIES = {PruningConfig: make_hook, FastVConfig: make_fastv_hook,
 
 def execute_experiment(cfg: dict) -> tuple[MetricsReport, "np.ndarray | None", object]:
     """Run one full pipeline; returns (report, trace rows or None, sequence)."""
-    model_cfg = ModelConfig(num_layers=cfg["model_layers"], num_heads=cfg["model_heads"],
-                            model_dim=cfg["model_dim"], head_dim=cfg["head_dim"],
-                            vocab_size=cfg["vocab_size"], max_positions=cfg["max_positions"])
-    seq = build_sequence(parse_segments(cfg["segments"]), seed=cfg["seed"],
-                         vocab_size=cfg["vocab_size"])
+    model_cfg, seq = experiment_inputs(cfg)
+    pruning = method_config(cfg, model_cfg.num_layers)
     weights = init_model(model_cfg, seed=cfg["seed"])
-    pruning = method_config(cfg)
     hook = None if pruning is None else _HOOK_FACTORIES[type(pruning)](pruning,
                                                                        model_cfg.num_layers)
     state, prefill_report = prefill(weights, model_cfg, seq, hook=hook,
@@ -188,7 +209,10 @@ def parse_grid(spec: str) -> list[dict]:
         if key not in _KEYS:
             raise ConfigError(f"unknown grid key {key!r}")
         keys.append(key)
-        value_lists.append([_KEYS[key][0](v) for v in raw.split("|")])
+        try:
+            value_lists.append([_KEYS[key][0](v) for v in raw.split("|")])
+        except ValueError as e:
+            raise ConfigError(f"bad grid value for {key}: {e}") from e
     points = [dict(zip(keys, combo)) for combo in itertools.product(*value_lists)]
     if not points:
         raise ConfigError("empty parameter grid")
@@ -203,7 +227,7 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     row.update({key: merged[key] for key in _METHOD_KEYS})
     try:
         report, _, _ = execute_experiment(merged)
-    except (ValueError, ConfigError) as e:
+    except ConfigError as e:
         row["status"] = f"failed: {e}"
         return row
     row.update(RR=f"{report.retention_rate:.6f}", KV=f"{report.kv_fraction:.6f}",
@@ -245,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, method="plphp")
     trace = read_trace(args.trace)
-    _, report = replay(trace, method_config(cfg))
+    _, report = replay(trace, method_config(cfg, trace.num_layers))
     _write_reports(cfg, report)
     print(f"replayed {trace.num_layers} layers: "
           f"RR={report.retention_rate:.6f} KV={report.kv_fraction:.6f}")
@@ -275,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceFormatError as e:
         print(f"trace error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

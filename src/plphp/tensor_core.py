@@ -3,7 +3,9 @@
 All public operations work on float64 numpy arrays and are deterministic:
 ``matmul`` accumulates over the inner dimension in a fixed sequential order,
 so results are bit-reproducible across runs and match a naive triple-loop
-product exactly.
+product exactly. It picks its path from the operand shape: a loop over the
+inner dimension when the output has long rows, else a chunked reduction
+that adds the same products in the same order (see ``matmul``).
 
 The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so any
 synthetic experiment replays identically on every platform.
@@ -15,6 +17,14 @@ import numpy as np
 
 __all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
 
+# matmul's two paths (see its docstring). The k-loop makes two numpy calls per
+# k, each over the whole m x n output, so it needs long output rows
+# (m <= n) and at least MATMUL_LOOP_MIN_OUTPUT elements to pay for them.
+# The chunked path fills a product buffer of MATMUL_BUFFER_FLOATS floats
+# (256 KiB) per chunk of k: chunk = MATMUL_BUFFER_FLOATS // (m * n), at least 1.
+MATMUL_LOOP_MIN_OUTPUT = 2048
+MATMUL_BUFFER_FLOATS = 2**15
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64) for the given seed."""
@@ -24,15 +34,26 @@ def make_rng(seed: int) -> np.random.Generator:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a mandated summation order.
 
-    The result is accumulated one inner-dimension slice at a time
-    (``c += a[:, k] * b[k, :]`` for k = 0, 1, ...), which is bitwise
-    identical to a naive triple loop. BLAS-backed ``a @ b`` reorders the
-    sum and is deliberately not used.
+    Every output element is ``((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``,
+    added left to right, which is bitwise identical to a naive triple loop.
+    BLAS-backed ``a @ b`` reorders the sum and is deliberately not used. The
+    operand shape, (m x K) by (K x n), picks one of two paths that add the
+    same products in the same order:
 
-    A single-row ``a`` (every decode-step product) takes the same
-    left-to-right sum as one ``np.add.accumulate`` over the products; the
-    trailing ``+ 0.0`` turns a ``-0.0`` first product into the ``+0.0`` the
-    loop's zero-initialised sum gives, so the result keeps the same bits.
+    * k-loop, for outputs with long rows (``m <= n`` and ``m * n >=
+      MATMUL_LOOP_MIN_OUTPUT``), with ``K == 0`` or with one output element:
+      ``c += a[:, k] * b[k, :]`` for k = 0, 1, ...
+    * chunked reduce, for every other shape: the products of a chunk of k
+      fill one buffer, laid out ``(chunk, n, m)`` when ``m > n`` (else
+      ``(chunk, m, n)``) so the innermost axis is the long one. The running
+      sum is added into slice 0 as the left operand, as in the loop, and
+      ``np.add.reduce`` over axis 0 adds the slices strictly in order: numpy
+      sums pairwise only when the reduced axis is the innermost loop, which
+      happens for a single output element, so that shape takes the k-loop.
+
+    Where two different NaNs meet in one sum or product the result may carry
+    either payload, in the loop as well: numpy's vector and tail lanes pick
+    different operands.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -40,14 +61,31 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-    if a.shape[0] == 1 and a.shape[1] > 0:
-        return np.add.accumulate(a[0][:, None] * b, axis=0)[-1:] + 0.0
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    tmp = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.multiply(a[:, k : k + 1], b[k : k + 1, :], out=tmp)
-        out += tmp
-    return out
+    (m, inner), n = a.shape, b.shape[1]
+    if inner == 0 or m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
+        out = np.zeros((m, n))
+        tmp = np.empty_like(out)
+        for k in range(inner):
+            np.multiply(a[:, k : k + 1], b[k : k + 1, :], out=tmp)
+            out += tmp
+        return out
+    wide = m > n
+    chunk = min(inner, max(1, MATMUL_BUFFER_FLOATS // (m * n)))
+    prod = np.empty((chunk, n, m) if wide else (chunk, m, n))
+    acc = None
+    for k0 in range(0, inner, chunk):
+        p = prod[: inner - k0]
+        ak, bk = a[:, k0 : k0 + len(p)].T, b[k0 : k0 + len(p)]
+        if wide:  # a's columns copied to rows: every product slice reads contiguous rows
+            np.multiply(np.ascontiguousarray(ak)[:, None, :], bk[:, :, None], out=p)
+        else:
+            np.multiply(ak[:, :, None], bk[:, None, :], out=p)
+        if acc is None:
+            p[0] += 0.0  # the loop starts at +0.0, so a -0.0 first product ends +0.0
+        else:
+            np.add(acc, p[0], out=p[0])
+        acc = np.add.reduce(p, axis=0, out=acc)
+    return acc.T.copy() if wide else acc
 
 
 def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int = 0,
@@ -76,18 +114,19 @@ def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int 
     if causal and (n != first_row + m or width < n):
         raise ValueError(f"causal rows {first_row}..{first_row + m - 1} of a width-{width} "
                          f"map need {first_row + m} score columns, got {n}")
-    neg = scores.copy()
-    if causal:
-        masked = np.arange(n) > np.arange(first_row, first_row + m)[:, None]
-        np.copyto(neg, -np.inf, where=masked)
-    neg -= np.max(neg, axis=1, keepdims=True)
-    exp = np.exp(neg, out=neg)
+    out = np.zeros((m, width))
+    exp = out[:, :n]
+    exp[...] = scores
+    if causal:  # only the trailing m x m triangle of the block is masked
+        tail = exp[:, first_row:]
+        masked = np.arange(m) > np.arange(m)[:, None]
+        np.copyto(tail, -np.inf, where=masked)
+    exp -= np.max(exp, axis=1, keepdims=True)
+    np.exp(exp, out=exp)
     if causal:  # already 0 unless a row's max is -inf or NaN
-        np.copyto(exp, 0.0, where=masked)
-    if width > n:
-        exp = np.concatenate([exp, np.zeros((m, width - n))], axis=1)
-    exp /= np.sum(exp, axis=1, keepdims=True)
-    return exp
+        np.copyto(tail, 0.0, where=masked)
+    out /= np.sum(out, axis=1, keepdims=True)
+    return out
 
 
 def argtopk(values: np.ndarray, k: int) -> np.ndarray:

@@ -36,6 +36,32 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The k-loop product ``c += a[:, k] * b[k, :]``, one numpy step per k.
+
+    Same summation order as ``naive_matmul`` and fast enough for the
+    differential tests of ``plphp.matmul``, whose k-loop path it copies and
+    whose chunked path must reproduce it bit for bit.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]))
+    tmp = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.multiply(a[:, k : k + 1], b[k : k + 1, :], out=tmp)
+        out += tmp
+    return out
+
+
+def canonical_nan_bits(x: np.ndarray) -> np.ndarray:
+    """Bit patterns with every NaN replaced by one NaN.
+
+    numpy does not define which payload a sum or product of two different
+    NaNs carries: its SIMD loops return one operand's in vector lanes and the
+    other's in the tail, so it depends on where the element sits in the
+    array. Compare such results by this; compare everything else by ``bits``.
+    """
+    return bits(np.where(np.isnan(x), np.nan, x))
+
+
 def naive_softmax(scores: np.ndarray, causal: bool = False) -> np.ndarray:
     out = np.zeros_like(scores, dtype=float)
     for i in range(scores.shape[0]):

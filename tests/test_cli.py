@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from plphp import pruning
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config, sweep_workers)
 
@@ -108,6 +109,24 @@ class TestRun:
         assert main(["run", *SMALL_MODEL, "--method", "plphp",
                      "--r", "0.1", "--dr", "0.5"]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--method", "fastv", "--fastv-k", "9"],      # deeper than the 4-layer model
+        ["--segments", "T:2,I:6"],                     # prompt ends in an image
+        ["--model-dim", "9"],                          # not heads * head_dim
+        ["--max-positions", "12", "--steps", "3"],     # 10 prompt rows + 3 steps
+        ["--seed", "-1"],
+    ])
+    def test_user_input_errors_exit_2(self, extra):
+        assert main(["run", *SMALL_MODEL, *extra]) == 2
+
+    def test_internal_value_error_exits_4(self, monkeypatch, capsys):
+        # a broken invariant below the CLI is an internal error, not a config error
+        def broken(cache, text_union, retained_vision):
+            raise ValueError("retained positions [3] not present in cache")
+        monkeypatch.setattr(pruning, "prune_head_cache", broken)
+        assert main(["run", *SMALL_MODEL, "--method", "plphp"]) == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_io_error_exit_code(self, tmp_path):
         assert main(["run", *SMALL_MODEL, "--method", "none",
                      "--report-out", str(tmp_path / "no" / "dir" / "r.json")]) == 3
@@ -137,6 +156,19 @@ class TestSweep:
 
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", *SMALL_MODEL, "--grid", ""]) == 2
+
+    def test_bad_grid_value_rejected(self, tmp_path):
+        assert main(["sweep", *SMALL_MODEL, "--grid", "r=0.4|high",
+                     "--report-out", str(tmp_path / "s.csv")]) == 2
+
+    def test_internal_value_error_is_not_a_failed_point(self, monkeypatch, tmp_path):
+        def broken(cache, text_union, retained_vision):
+            raise ValueError("retained positions [3] not present in cache")
+        monkeypatch.setattr(pruning, "prune_head_cache", broken)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *SMALL_MODEL, "--method", "plphp", "--grid", "r=0.4",
+                     "--report-out", str(out)]) == 4
+        assert not out.exists()
 
     @pytest.mark.parametrize("env,points,cpus,want", [
         (None, 8, 4, 1), ("3", 8, 4, 3), ("100000", 8, 4, 4), ("100000", 2, 4, 2),

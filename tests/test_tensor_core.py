@@ -1,12 +1,32 @@
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_matmul, naive_softmax, same_bits, sort_topk
-from plphp import argtopk, make_rng, masked_row_softmax, matmul
+from helpers import (bits, canonical_nan_bits, loop_matmul, naive_matmul, naive_softmax,
+                     same_bits, sort_topk)
+from plphp import argtopk, make_rng, masked_row_softmax, matmul, tensor_core
+
+NAN_A = np.uint64(0x7FF8000000000001).view(np.float64)
+NAN_B = np.uint64(0xFFF80000000ABCDE).view(np.float64)
+# product-buffer sizes: tiny ones put chunk boundaries inside small K
+BUFFER_FLOATS = st.sampled_from([1, 2, 3, 5, 16, 64, 200, tensor_core.MATMUL_BUFFER_FLOATS])
+# m and n: 1, small, and large enough that m * n crosses MATMUL_LOOP_MIN_OUTPUT
+DIM = st.one_of(st.just(1), st.integers(1, 24), st.integers(300, 400))
+# values mixed into the normal operands, per test mode
+SPECIALS = {"finite": [0.0, -0.0], "inf": [0.0, -0.0, np.inf, -np.inf],
+            "nan_a": [0.0, -0.0, NAN_A], "nan_b": [0.0, -0.0, NAN_B],
+            "nan_two": [0.0, -0.0, np.inf, -np.inf, NAN_A, NAN_B]}
+
+
+def _operand(rng, shape, mode):
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(SPECIALS[mode], size=int(pick.sum()))
+    return x
 
 
 class TestMatmul:
@@ -60,6 +80,58 @@ class TestMatmul:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             matmul(rng.random((2, 3)), rng.random((4, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=DIM, inner=st.one_of(st.just(0), st.integers(1, 70)), n=DIM,
+           mode=st.sampled_from(sorted(SPECIALS)),
+           buffer_floats=BUFFER_FLOATS, seed=st.integers(0, 2**32 - 1))
+    def test_shape_rule_bitwise_equals_loop(self, m, inner, n, mode, buffer_floats, seed):
+        # both paths, m = 1, n = 1 and chunk boundaries inside K. One NaN
+        # payload must come through bit for bit; where two different NaNs meet
+        # (nan_two: two payloads and inf * 0), numpy defines no payload
+        rng = make_rng(seed)
+        a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
+        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
+                np.errstate(invalid="ignore"):
+            got, want = matmul(a, b), loop_matmul(a, b)
+        view = canonical_nan_bits if mode == "nan_two" else bits
+        assert got.shape == want.shape and np.array_equal(view(got), view(want))
+
+    @pytest.mark.parametrize("m,inner,n", [(1, 5000, 1), (1, 5000, 4), (2, 5000, 1),
+                                           (1, 8, 64), (1, 4, 2047), (1, 4, 2048),
+                                           (300, 70, 4), (4, 70, 300), (2048, 8, 8)])
+    def test_decode_and_prefill_shapes_bitwise(self, rng, m, inner, n):
+        a = rng.standard_normal((m, inner))
+        b = rng.standard_normal((inner, n))
+        assert same_bits(matmul(a, b), loop_matmul(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), data=st.data(),
+           buffer_floats=BUFFER_FLOATS)
+    def test_causal_value_mix_block_bitwise(self, s, seed, data, buffer_floats):
+        # the prefill value mix: a causal softmax block (zero upper triangle) times V
+        rng = make_rng(seed)
+        i0 = data.draw(st.integers(0, s - 1))
+        i1 = data.draw(st.integers(i0 + 1, s))
+        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), causal=True,
+                                  first_row=i0, width=s)[:, :i1]
+        v = rng.standard_normal((i1, 4))
+        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats):
+            assert same_bits(matmul(attn, v), loop_matmul(attn, v))
+
+    def test_chunked_temporaries_bounded(self, rng):
+        # a 256 x 4096 attention block times 4096 x 4 values: no m x K temporary
+        m, inner = 256, 4096
+        a = rng.random((m, inner))
+        b = rng.standard_normal((inner, 4))
+        tracemalloc.start()
+        try:
+            matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # below an eighth of one m x K float64 matrix
+        assert peak < m * inner * 8 / 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestMaskedRowSoftmax:

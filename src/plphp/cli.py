@@ -12,7 +12,8 @@ Every flag has a config-file equivalent: the file is flat ``key = value``
 text, keys matching the long flag names with underscores (``method = plphp``,
 ``model_layers = 12``). Explicit flags override file values.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal error.
+Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal error (printed
+with its traceback).
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -237,25 +237,9 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
     return row
 
 
-def sweep_workers(num_points: int) -> int:
-    """Sweep threads: PLPHP_THREADS (default 1), at most one per point and per CPU."""
-    raw = os.environ.get("PLPHP_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ConfigError(f"PLPHP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(requested, num_points, os.cpu_count() or 1))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    points = parse_grid(args.grid)
-    workers = sweep_workers(len(points))
-    if workers == 1:
-        rows = [_sweep_point(cfg, p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _sweep_point(cfg, p), points))
+    rows = [_sweep_point(cfg, p) for p in parse_grid(args.grid)]
     out = cfg["report_out"] or "sweep.csv"
     with open(out, "w", newline="") as f:
         f.write(f"# sweep csv v{SWEEP_CSV_VERSION}\n")
@@ -306,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
     except Exception as e:  # invariant violations and anything unforeseen
+        sys.stderr.write(traceback.format_exc())
         print(f"internal error: {e}", file=sys.stderr)
         return 4
 

@@ -6,10 +6,12 @@ normalization, 4x MLP with ReLU) so the decoder is a genuine, if tiny,
 language model. Position embeddings are absolute and added once at the
 input, which makes cache pruning a pure row deletion with no renumbering.
 
-Prefill computes each head's causal attention in row blocks, so no head
-holds an S x S map and the masked upper triangle is never multiplied; every
-output keeps the bits of the full-matrix computation (a masked weight is
-exactly +0.0, and adding its +-0 product leaves the sum unchanged).
+Prefill and decode are one forward pass: each head appends the new rows to
+its cache and attends over it in causal row blocks. Prefill starts from
+empty caches, decode from the rows each head kept. No head holds an S x S
+map and the masked upper triangle is never multiplied; every output keeps
+the bits of the full-matrix computation (a masked weight is exactly +0.0,
+and adding its +-0 product leaves the sum unchanged).
 
 After each layer finishes its prefill forward pass an optional pruning hook
 may shrink that layer's caches; the hook never affects prefill values, only
@@ -143,16 +145,64 @@ def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
 
 
-def attention_row_blocks(s: int) -> list[tuple[int, int]]:
-    """Prefill's causal attention row blocks ``[i0, i1)`` over an S-row prompt.
+def attention_row_blocks(m: int) -> list[tuple[int, int]]:
+    """Causal attention row blocks ``[i0, i1)`` over the m new rows of a pass.
 
     Blocks hold ATTN_BLOCK_ROWS rows; a 1-row tail joins the block before it,
-    so only an S=1 prompt has a single-row block (the shape of a decode step).
+    so only a 1-row pass (a decode step, or an S=1 prompt) has a 1-row block.
     """
-    bounds = [*range(0, s, ATTN_BLOCK_ROWS), s]
+    bounds = [*range(0, m, ATTN_BLOCK_ROWS), m]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds, bounds[1:]))
+
+
+def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadKVCache]],
+             token_ids: np.ndarray, first_position: int,
+             after_layer: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+    """Run m new rows from ``first_position`` through every layer; returns m x D.
+
+    Each head appends the rows' keys, values and positions to its cache and
+    attends over it: with l0 rows cached before, row block ``[i0, i1)`` is
+    rows ``l0 + i0..`` of a causal map ``l0 + m`` wide. ``after_layer(l,
+    last_rows[H, l0 + m])`` runs after each layer (every head must then hold
+    l0 rows) and may replace ``caches[l]``.
+    """
+    m = len(token_ids)
+    if first_position + m > config.max_positions:
+        raise ValueError(f"positions up to {first_position + m - 1} exceed "
+                         f"max_positions {config.max_positions}")
+    positions = np.arange(first_position, first_position + m, dtype=np.int64)
+    x = weights.token_embedding[token_ids] + weights.position_embedding[positions]
+    dk = config.head_dim
+    inv_sqrt_dk = 1.0 / np.sqrt(dk)
+    blocks = attention_row_blocks(m)
+
+    for l in range(config.num_layers):
+        h_in = _rmsnorm(x)
+        mixed = np.empty((m, config.model_dim))
+        last_rows = []
+        for h in range(config.num_heads):
+            cache = caches[l][h]
+            l0 = len(cache)
+            q = matmul(h_in, weights.w_q[l, h])
+            cache.keys = np.concatenate([cache.keys, matmul(h_in, weights.w_k[l, h])])
+            cache.values = np.concatenate([cache.values, matmul(h_in, weights.w_v[l, h])])
+            cache.positions = np.concatenate([cache.positions, positions])
+            out = mixed[:, h * dk:(h + 1) * dk]
+            for i0, i1 in blocks:  # no name keeps a block's scores alive into the next
+                attn = masked_row_softmax(
+                    matmul(q[i0:i1], cache.keys[:l0 + i1].T) * inv_sqrt_dk,
+                    causal=True, first_row=l0 + i0, width=l0 + m)
+                out[i0:i1] = matmul(attn[:, :l0 + i1], cache.values[:l0 + i1])
+            if after_layer is not None:  # a copy, so the block buffer is freed
+                last_rows.append(attn[-1].copy())
+        x = x + matmul(mixed, weights.w_o[l])
+        m_in = _rmsnorm(x)
+        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
+        if after_layer is not None:
+            after_layer(l, np.stack(last_rows))
+    return x
 
 
 def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
@@ -165,44 +215,20 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     attention rows, and may replace the layer's caches with pruned ones.
     """
     s = seq.total_length
-    if s > config.max_positions:
-        raise ValueError(f"sequence length {s} exceeds max_positions {config.max_positions}")
-    x = weights.token_embedding[seq.token_ids] + weights.position_embedding[:s]
-    caches: list[list[HeadKVCache]] = []
+    empty = np.empty((0, config.head_dim))
+    caches = [[HeadKVCache(empty, empty, np.empty(0, dtype=np.int64))
+               for _ in range(config.num_heads)] for _ in range(config.num_layers)]
     decisions: list[Any] = []
     trace_rows = np.empty((config.num_layers, config.num_heads, s)) if record_trace else None
-    inv_sqrt_dk = 1.0 / np.sqrt(config.head_dim)
-    positions = np.arange(s, dtype=np.int64)
-    blocks = attention_row_blocks(s)
 
-    for l in range(config.num_layers):
-        h_in = _rmsnorm(x)
-        layer_caches: list[HeadKVCache] = []
-        head_outs: list[np.ndarray] = []
-        last_rows = np.empty((config.num_heads, s))
-        for h in range(config.num_heads):
-            q = matmul(h_in, weights.w_q[l, h])
-            k = matmul(h_in, weights.w_k[l, h])
-            v = matmul(h_in, weights.w_v[l, h])
-            out = np.empty((s, config.head_dim))
-            for i0, i1 in blocks:
-                scores = matmul(q[i0:i1], k[:i1].T) * inv_sqrt_dk
-                attn = masked_row_softmax(scores, causal=True, first_row=i0, width=s)
-                out[i0:i1] = matmul(attn[:, :i1], v[:i1])
-            head_outs.append(out)
-            last_rows[h] = attn[-1]
-            layer_caches.append(HeadKVCache(keys=k, values=v, positions=positions.copy()))
-        x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
-        m_in = _rmsnorm(x)
-        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
-
+    def after_layer(l: int, last_rows: np.ndarray) -> None:
         if record_trace:
             trace_rows[l] = last_rows
         if hook is not None:
-            layer_caches, decision = hook(l + 1, last_rows, layer_caches, seq)
+            caches[l], decision = hook(l + 1, last_rows, caches[l], seq)
             decisions.append(decision)
-        caches.append(layer_caches)
 
+    _forward(weights, config, caches, seq.token_ids, 0, after_layer)
     state = DecoderState(caches=caches, next_position=s)
     lengths = np.array([[len(c) for c in layer] for layer in caches])
     report = PrefillReport(decisions=decisions if hook is not None else None,
@@ -217,32 +243,9 @@ def decode_step(weights: ModelWeights, config: ModelConfig, state: DecoderState,
     Each head attends only over its own (possibly pruned) rows, normalized
     over the survivors. Mutates ``state`` in place and returns it.
     """
-    pos = state.next_position
-    if pos >= config.max_positions:
-        raise ValueError(f"position {pos} exceeds max_positions {config.max_positions}")
-    x = (weights.token_embedding[token_id] + weights.position_embedding[pos]).reshape(1, -1)
-    inv_sqrt_dk = 1.0 / np.sqrt(config.head_dim)
-
-    for l in range(config.num_layers):
-        h_in = _rmsnorm(x)
-        head_outs: list[np.ndarray] = []
-        for h in range(config.num_heads):
-            cache = state.caches[l][h]
-            q = matmul(h_in, weights.w_q[l, h])
-            k_new = matmul(h_in, weights.w_k[l, h])
-            v_new = matmul(h_in, weights.w_v[l, h])
-            cache.keys = np.concatenate([cache.keys, k_new])
-            cache.values = np.concatenate([cache.values, v_new])
-            cache.positions = np.concatenate([cache.positions, [pos]])
-            scores = matmul(q, cache.keys.T) * inv_sqrt_dk
-            attn = masked_row_softmax(scores, causal=False)
-            head_outs.append(matmul(attn, cache.values))
-        x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
-        m_in = _rmsnorm(x)
-        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
-
+    x = _forward(weights, config, state.caches, np.array([token_id]), state.next_position)
     logits = matmul(_rmsnorm(x), weights.unembedding)[0]
-    state.next_position = pos + 1
+    state.next_position += 1
     return logits, state
 
 

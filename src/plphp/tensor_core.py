@@ -117,13 +117,15 @@ def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int 
     out = np.zeros((m, width))
     exp = out[:, :n]
     exp[...] = scores
-    if causal:  # only the trailing m x m triangle of the block is masked
+    # only the trailing m x m triangle of the block is masked: none of a 1-row block
+    mask = causal and m > 1
+    if mask:
         tail = exp[:, first_row:]
         masked = np.arange(m) > np.arange(m)[:, None]
         np.copyto(tail, -np.inf, where=masked)
     exp -= np.max(exp, axis=1, keepdims=True)
     np.exp(exp, out=exp)
-    if causal:  # already 0 unless a row's max is -inf or NaN
+    if mask:  # already 0 unless a row's max is -inf or NaN
         np.copyto(tail, 0.0, where=masked)
     out /= np.sum(out, axis=1, keepdims=True)
     return out

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the dumb way (explicit loops,
 sorting, set arithmetic, BLAS matmul) and never calls into the code paths
-it checks. The one exception is ``full_matrix_prefill``: it is the
-unblocked prefill, kept as the bitwise reference for the row-blocked one,
-so it shares the kernels and checks only the blocking.
+it checks. The exceptions are ``full_matrix_prefill`` and
+``reference_decode_step``: the unblocked prefill and the decode step with its
+own attention path, kept as bitwise references for the one forward pass that
+``plphp.prefill`` and ``plphp.decode_step`` share, so they share the kernels
+and check only the blocking and the cache handling.
 """
 
 from __future__ import annotations
@@ -200,3 +202,38 @@ def full_matrix_prefill(weights, config, seq, hook=None):
             layer_caches, _ = hook(l + 1, last_rows[l], layer_caches, seq)
         caches.append(layer_caches)
     return DecoderState(caches=caches, next_position=s), last_rows
+
+
+def reference_decode_step(weights, config, state, token_id):
+    """Decode step with its own layer loop and non-causal softmax over each cache.
+
+    The decode path ``plphp.decode_step`` had before prefill and decode shared
+    one forward pass; it must match that pass bit for bit. Mutates ``state``.
+    """
+    pos = state.next_position
+    if pos >= config.max_positions:
+        raise ValueError(f"position {pos} exceeds max_positions {config.max_positions}")
+    x = (weights.token_embedding[token_id] + weights.position_embedding[pos]).reshape(1, -1)
+    inv_sqrt_dk = 1.0 / np.sqrt(config.head_dim)
+
+    for l in range(config.num_layers):
+        h_in = _rms(x)
+        head_outs: list[np.ndarray] = []
+        for h in range(config.num_heads):
+            cache = state.caches[l][h]
+            q = matmul(h_in, weights.w_q[l, h])
+            k_new = matmul(h_in, weights.w_k[l, h])
+            v_new = matmul(h_in, weights.w_v[l, h])
+            cache.keys = np.concatenate([cache.keys, k_new])
+            cache.values = np.concatenate([cache.values, v_new])
+            cache.positions = np.concatenate([cache.positions, [pos]])
+            scores = matmul(q, cache.keys.T) * inv_sqrt_dk
+            attn = masked_row_softmax(scores, causal=False)
+            head_outs.append(matmul(attn, cache.values))
+        x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
+        m_in = _rms(x)
+        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
+
+    logits = matmul(_rms(x), weights.unembedding)[0]
+    state.next_position = pos + 1
+    return logits, state

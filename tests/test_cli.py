@@ -1,11 +1,10 @@
 import json
-import os
 
 import pytest
 
 from plphp import pruning
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
-                       parse_segments, resolve_config, sweep_workers)
+                       parse_segments, resolve_config)
 
 SMALL_MODEL = ["--model-layers", "4", "--model-heads", "2", "--model-dim", "8",
                "--head-dim", "4", "--vocab-size", "32", "--max-positions", "64",
@@ -125,7 +124,9 @@ class TestRun:
             raise ValueError("retained positions [3] not present in cache")
         monkeypatch.setattr(pruning, "prune_head_cache", broken)
         assert main(["run", *SMALL_MODEL, "--method", "plphp"]) == 4
-        assert "internal error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "Traceback" in err and "in broken" in err
 
     def test_io_error_exit_code(self, tmp_path):
         assert main(["run", *SMALL_MODEL, "--method", "none",
@@ -169,25 +170,6 @@ class TestSweep:
         assert main(["sweep", *SMALL_MODEL, "--method", "plphp", "--grid", "r=0.4",
                      "--report-out", str(out)]) == 4
         assert not out.exists()
-
-    @pytest.mark.parametrize("env,points,cpus,want", [
-        (None, 8, 4, 1), ("3", 8, 4, 3), ("100000", 8, 4, 4), ("100000", 2, 4, 2),
-        ("0", 5, 4, 1), ("-7", 5, 4, 1), ("6", 9, None, 1)])
-    def test_threads_clamped(self, monkeypatch, env, points, cpus, want):
-        # only the count is computed; no pool is started
-        if env is None:
-            monkeypatch.delenv("PLPHP_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("PLPHP_THREADS", env)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert sweep_workers(points) == want
-
-    def test_threads_not_an_integer(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("PLPHP_THREADS", "many")
-        with pytest.raises(ConfigError):
-            sweep_workers(3)
-        assert main(["sweep", *SMALL_MODEL, "--grid", "r=0.4",
-                     "--report-out", str(tmp_path / "s.csv")]) == 2
 
 
 class TestReplay:

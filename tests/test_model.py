@@ -8,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segments, small_model
-from helpers import cache_free_decode_logits, full_matrix_prefill, same_bits
-from plphp import (IMAGE, TEXT, ModelConfig, PruningConfig, Segment, build_sequence,
-                   decode_step, greedy_generate, init_model, make_hook, make_rng, model,
-                   prefill)
+from helpers import (cache_free_decode_logits, full_matrix_prefill, reference_decode_step,
+                     same_bits)
+from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
+                   build_sequence, decode_step, greedy_generate, init_model, make_fastv_hook,
+                   make_hook, make_rng, make_vtw_hook, model, prefill)
 
 B = model.ATTN_BLOCK_ROWS
+
+# method -> hook factory taking the model depth; None runs unpruned
+HOOKS = {
+    "none": lambda n: None,
+    "plphp": lambda n: make_hook(PruningConfig(), n),
+    "fastv": lambda n: make_fastv_hook(FastVConfig(k_layer=2, prune_ratio=0.5), n),
+    "vtw": lambda n: make_vtw_hook(VTWConfig(k_layer=3), n),
+}
 
 
 def mixed_seq(vocab=32, seed=0):
@@ -109,25 +118,40 @@ class TestPrefill:
                 assert np.array_equal(pruned.caches[l][h].values, full.caches[l][h].values[pos])
 
 
+def assert_same_caches(ref, got):
+    """Every head's keys, values and positions, bit for bit and dtype for dtype."""
+    for ref_layer, got_layer in zip(ref.caches, got.caches, strict=True):
+        for a, b in zip(ref_layer, got_layer, strict=True):
+            assert a.positions.dtype == b.positions.dtype
+            assert np.array_equal(a.positions, b.positions)
+            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
+
+
+def assert_decodes_like_reference(w, cfg, ref, got, steps):
+    """``steps`` greedy steps: decode_step on ``got``, the reference decoder on
+    ``ref``; logits and every cache must keep the same bits after each step."""
+    token = 0
+    for _ in range(steps):
+        ref_logits, ref = reference_decode_step(w, cfg, ref, token)
+        got_logits, got = decode_step(w, cfg, got, token)
+        assert same_bits(got_logits, ref_logits)
+        assert_same_caches(ref, got)
+        assert got.next_position == ref.next_position
+        token = int(np.argmax(ref_logits))
+
+
 def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
     """Row-blocked prefill vs the full-matrix reference, bit for bit: caches,
-    last attention rows, and the logits of ``steps`` greedy decode steps."""
+    last attention rows, and ``steps`` greedy decode steps against the
+    reference decoder."""
     def hook():
         return None if pruning is None else make_hook(pruning, cfg.num_layers)
 
     ref, ref_rows = full_matrix_prefill(w, cfg, seq, hook=hook())
     got, report = prefill(w, cfg, seq, hook=hook(), record_trace=True)
     assert same_bits(report.attn_last_rows, ref_rows)
-    for ref_layer, got_layer in zip(ref.caches, got.caches):
-        for a, b in zip(ref_layer, got_layer):
-            assert np.array_equal(a.positions, b.positions)
-            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
-    token = 0
-    for _ in range(steps):
-        ref_logits, ref = decode_step(w, cfg, ref, token)
-        got_logits, got = decode_step(w, cfg, got, token)
-        assert same_bits(got_logits, ref_logits)
-        token = int(np.argmax(ref_logits))
+    assert_same_caches(ref, got)
+    assert_decodes_like_reference(w, cfg, ref, got, steps)
 
 
 class TestBlockedPrefill:
@@ -209,6 +233,20 @@ class TestDecode:
         after = [[len(c) for c in layer] for layer in state.caches]
         for row_b, row_a in zip(before, after):
             assert [b + 1 for b in row_b] == row_a
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
+           method=st.sampled_from(sorted(HOOKS)), steps=st.integers(8, 12))
+    def test_bitwise_equals_reference_decoder(self, seed, block_rows, method, steps):
+        # decode runs prefill's forward pass over one row: it must keep the
+        # bits of the separate decode loop over head-divergent caches
+        rng = make_rng(seed)
+        cfg, w = small_model(rng, max_layers=5)
+        seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
+                             seed=seed, vocab_size=cfg.vocab_size)
+        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
+            got, _ = prefill(w, cfg, seq, hook=HOOKS[method](cfg.num_layers))
+            assert_decodes_like_reference(w, cfg, got.clone(), got, steps)
 
     def test_position_overflow(self):
         cfg, w = tiny()

@@ -174,6 +174,10 @@ class TestMaskedRowSoftmax:
         for i0, i1 in zip(bounds, bounds[1:]):
             block = masked_row_softmax(scores[i0:i1, :i1], causal=True, first_row=i0, width=s)
             assert same_bits(block, full[i0:i1])
+        # a decode step's 1-row block masks nothing: it is the plain row softmax
+        last = scores[-1:]
+        assert same_bits(masked_row_softmax(last, causal=True, first_row=s - 1, width=s),
+                         masked_row_softmax(last))
 
     def test_row_block_arguments_checked(self, rng):
         with pytest.raises(ValueError):  # rows 2..3 need 4 score columns

@@ -1,4 +1,6 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,54 @@ class TestRoundTrip:
         with pytest.raises(TraceFormatError):
             read_trace(path)
         assert main(["replay", "--trace", str(path)]) == 3
+
+
+HEADER_WORDS = (0, 1, 2**31, 2**32 - 1)
+
+# (kind, offset or bytes, value); offsets past the end of a shortened file wrap
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("word"), st.integers(1, 5 + 2 * 3), st.sampled_from(HEADER_WORDS)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16), st.none()),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16), st.none()),
+)
+
+
+def mutate(raw: bytes, kind, arg, value) -> bytes:
+    if kind == "append":
+        return raw + arg
+    if not raw:
+        return raw
+    if kind == "flip":
+        at = arg % len(raw)
+        return raw[:at] + bytes([raw[at] ^ value]) + raw[at + 1:]
+    if kind == "word":  # the arg-th u32 after the magic: version, N, H, S, count, segments
+        at = 4 * arg
+        return raw[:at] + struct.pack("<I", value) + raw[at + 4:] if at + 4 <= len(raw) else raw
+    return raw[:arg % len(raw)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_trace_exits_0_or_3(data):
+    """A damaged trace is replayed or refused as a trace/I/O error, for every
+    method; it is never a config error (2) or an internal error (4)."""
+    n, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    kinds = data.draw(st.lists(st.sampled_from([TEXT, IMAGE]), max_size=2)) + [TEXT]
+    segments = tuple(Segment(kind, data.draw(st.integers(1, 4))) for kind in kinds)
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.plpt"
+        write_trace(path, make_trace(rng, n=n, h=h, segments=segments))
+        raw = path.read_bytes()
+        for change in data.draw(st.lists(MUTATIONS, min_size=1, max_size=3)):
+            raw = mutate(raw, *change)
+        path.write_bytes(raw)
+        for method in ("none", *sorted(METHODS)):
+            # k = 1 fits every depth, so a trace that still parses is never too shallow
+            code = main(["replay", "--trace", str(path), "--method", method,
+                         "--fastv-k", "1", "--vtw-k", "1"])
+            assert code in (0, 3), (method, code)
 
 
 class TestReplay:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -47,6 +48,8 @@ _FLAG_EXTRAS = {"segments": {"help": 'layout, e.g. "T:8,I:92,T:4"'},
                 "method": {"choices": ["none", "plphp", "fastv", "vtw"]}}
 
 SWEEP_CSV_VERSION = 1
+# Largest sweep grid: each point is one full run, so a bigger grid is a typo.
+MAX_GRID_POINTS = 10_000
 SWEEP_COLUMNS = [*_METHOD_KEYS, "RR", "KV", "latency_ms", "status"]
 
 
@@ -133,20 +136,29 @@ def method_config(cfg: dict, num_layers: int) -> PruningConfig | FastVConfig | V
 
 
 def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
-    """The model config and prompt ``cfg`` describes, with room for its decode steps."""
+    """The model config and prompt ``cfg`` describes, with room for its decode steps.
+
+    The prompt length is checked from the parsed segments, before the
+    sequence is built, so an oversized layout allocates nothing.
+    """
     segments = parse_segments(cfg["segments"])
+    if cfg["steps"] < 0:
+        raise ConfigError(f"steps must be >= 0, got {cfg['steps']}")
     try:
         model_cfg = ModelConfig(num_layers=cfg["model_layers"], num_heads=cfg["model_heads"],
                                 model_dim=cfg["model_dim"], head_dim=cfg["head_dim"],
                                 vocab_size=cfg["vocab_size"],
                                 max_positions=cfg["max_positions"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    prompt = sum(seg.length for seg in segments)
+    if prompt + cfg["steps"] > model_cfg.max_positions:
+        raise ConfigError(f"{prompt} prompt positions plus {cfg['steps']} steps "
+                          f"exceed max_positions {model_cfg.max_positions}")
+    try:
         seq = build_sequence(segments, seed=cfg["seed"], vocab_size=cfg["vocab_size"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    positions = seq.total_length + max(cfg["steps"], 0)
-    if positions > model_cfg.max_positions:
-        raise ConfigError(f"{seq.total_length} prompt positions plus {cfg['steps']} steps "
-                          f"exceed max_positions {model_cfg.max_positions}")
     return model_cfg, seq
 
 
@@ -199,7 +211,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def parse_grid(spec: str) -> list[dict]:
-    """``r=0.3|0.4|0.5,dr=0.3`` -> one dict per point, cartesian product."""
+    """``r=0.3|0.4|0.5,dr=0.3`` -> one dict per point, cartesian product.
+
+    A grid of more than MAX_GRID_POINTS points is refused before the product
+    is built.
+    """
     keys, value_lists = [], []
     for part in spec.split(","):
         if "=" not in part:
@@ -213,6 +229,9 @@ def parse_grid(spec: str) -> list[dict]:
             value_lists.append([_KEYS[key][0](v) for v in raw.split("|")])
         except ValueError as e:
             raise ConfigError(f"bad grid value for {key}: {e}") from e
+    count = math.prod(len(values) for values in value_lists)
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has {count} points, more than {MAX_GRID_POINTS}")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*value_lists)]
     if not points:
         raise ConfigError("empty parameter grid")

@@ -41,8 +41,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     same products in the same order:
 
     * k-loop, for outputs with long rows (``m <= n`` and ``m * n >=
-      MATMUL_LOOP_MIN_OUTPUT``), with ``K == 0`` or with one output element:
-      ``c += a[:, k] * b[k, :]`` for k = 0, 1, ...
+      MATMUL_LOOP_MIN_OUTPUT``) or with one output element: ``c = a[:, 0] *
+      b[0, :] + 0.0`` (the loop's ``0.0 + p0``, with no zero fill), then ``c
+      += a[:, k] * b[k, :]`` for k = 1, 2, ...; ``K == 0`` gives zeros.
     * chunked reduce, for every other shape: the products of a chunk of k
       fill one buffer, laid out ``(chunk, n, m)`` when ``m > n`` (else
       ``(chunk, m, n)``) so the innermost axis is the long one. The running
@@ -62,10 +63,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
     (m, inner), n = a.shape, b.shape[1]
-    if inner == 0 or m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
-        out = np.zeros((m, n))
+    if inner == 0:
+        return np.zeros((m, n))
+    if m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
+        out = np.empty((m, n))
+        np.multiply(a[:, :1], b[:1, :], out=out)
+        out += 0.0  # the loop's 0.0 + p0: a -0.0 first product ends +0.0
         tmp = np.empty_like(out)
-        for k in range(inner):
+        for k in range(1, inner):
             np.multiply(a[:, k : k + 1], b[k : k + 1, :], out=tmp)
             out += tmp
         return out
@@ -114,7 +119,8 @@ def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int 
     if causal and (n != first_row + m or width < n):
         raise ValueError(f"causal rows {first_row}..{first_row + m - 1} of a width-{width} "
                          f"map need {first_row + m} score columns, got {n}")
-    out = np.zeros((m, width))
+    out = np.empty((m, width))
+    out[:, n:] = 0.0  # the zero padding; every other entry is written below
     exp = out[:, :n]
     exp[...] = scores
     # only the trailing m x m triangle of the block is masked: none of a 1-row block

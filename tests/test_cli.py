@@ -1,8 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
-from plphp import pruning
+from plphp import cli, pruning
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
 
@@ -131,6 +132,32 @@ class TestRun:
     def test_io_error_exit_code(self, tmp_path):
         assert main(["run", *SMALL_MODEL, "--method", "none",
                      "--report-out", str(tmp_path / "no" / "dir" / "r.json")]) == 3
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("extra", [
+        ["--steps", "-5"],
+        ["--segments", "T:1,I:3000000000,T:1"],                  # 22 GiB of positions
+        ["--segments", "T:30,I:28,T:6", "--steps", "1"],          # 64 rows + 1 step
+    ])
+    def test_refused_before_the_prompt_is_built(self, monkeypatch, extra):
+        build = mock.Mock(side_effect=AssertionError("build_sequence reached"))
+        monkeypatch.setattr(cli, "build_sequence", build)
+        assert main(["run", *SMALL_MODEL, *extra]) == 2
+        build.assert_not_called()
+
+    def test_grid_points_capped_before_the_product(self, monkeypatch):
+        def values(n):
+            return "|".join(str(0.3 + i / 1e4) for i in range(n))
+
+        side = int(cli.MAX_GRID_POINTS ** 0.5)
+        assert len(parse_grid(f"r={values(side)},dr={values(cli.MAX_GRID_POINTS // side)}")) \
+            == cli.MAX_GRID_POINTS
+        product = mock.Mock(side_effect=AssertionError("itertools.product reached"))
+        monkeypatch.setattr(cli.itertools, "product", product)
+        grid = f"r={values(side + 1)},dr={values(cli.MAX_GRID_POINTS // side)}"
+        assert main(["sweep", *SMALL_MODEL, "--grid", grid]) == 2
+        product.assert_not_called()
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -16,13 +17,19 @@ from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment
 
 B = model.ATTN_BLOCK_ROWS
 
-# method -> hook factory taking the model depth; None runs unpruned
-HOOKS = {
-    "none": lambda n: None,
-    "plphp": lambda n: make_hook(PruningConfig(), n),
-    "fastv": lambda n: make_fastv_hook(FastVConfig(k_layer=2, prune_ratio=0.5), n),
-    "vtw": lambda n: make_vtw_hook(VTWConfig(k_layer=3), n),
-}
+# method -> its pruning config; None runs unpruned
+METHODS = {"none": None, "plphp": PruningConfig(),
+           "fastv": FastVConfig(k_layer=2, prune_ratio=0.5), "vtw": VTWConfig(k_layer=3)}
+HOOK_FACTORIES = {PruningConfig: make_hook, FastVConfig: make_fastv_hook,
+                  VTWConfig: make_vtw_hook}
+
+
+def method_hook(pruning, num_layers):
+    return None if pruning is None else HOOK_FACTORIES[type(pruning)](pruning, num_layers)
+
+
+# method -> hook factory taking the model depth
+HOOKS = {method: functools.partial(method_hook, pruning) for method, pruning in METHODS.items()}
 
 
 def mixed_seq(vocab=32, seed=0):
@@ -143,19 +150,19 @@ def assert_decodes_like_reference(w, cfg, ref, got, steps):
 def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
     """Row-blocked prefill vs the full-matrix reference, bit for bit: caches,
     last attention rows, and ``steps`` greedy decode steps against the
-    reference decoder."""
-    def hook():
-        return None if pruning is None else make_hook(pruning, cfg.num_layers)
-
-    ref, ref_rows = full_matrix_prefill(w, cfg, seq, hook=hook())
-    got, report = prefill(w, cfg, seq, hook=hook(), record_trace=True)
+    reference decoder. ``pruning`` is any method's config, or None."""
+    ref, ref_rows = full_matrix_prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers))
+    got, report = prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers),
+                          record_trace=True)
     assert same_bits(report.attn_last_rows, ref_rows)
     assert_same_caches(ref, got)
     assert_decodes_like_reference(w, cfg, ref, got, steps)
 
 
 class TestBlockedPrefill:
-    @pytest.mark.parametrize("s", [37, B, B + 1, 2 * B - 1, 2 * B + 1])
+    # exact tiles, 1-row tails (joined to the tile before) and ragged tails, 1 to 8 tiles
+    @pytest.mark.parametrize("s", [37, B, B + 1, 2 * B - 1, 2 * B + 1,
+                                   4 * B, 4 * B + 1, 8 * B - 1, 8 * B + 1])
     def test_block_boundaries_bitwise(self, s):
         cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
                           vocab_size=32, max_positions=s + 8)
@@ -163,6 +170,22 @@ class TestBlockedPrefill:
         seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
                              seed=s, vocab_size=cfg.vocab_size)
         assert_blocked_equals_full(w, cfg, seq, PruningConfig())
+
+    @settings(max_examples=15, deadline=None)
+    @given(s=st.integers(B + 1, 5 * B - 1), seed=st.integers(0, 2**31 - 1),
+           method=st.sampled_from(sorted(METHODS)), head=st.integers(1, 8),
+           tail=st.integers(1, 8))
+    def test_default_tiles_with_ragged_tail_bitwise(self, s, seed, method, head, tail):
+        # 2 to 5 tiles of the default ATTN_BLOCK_ROWS with a ragged last tile,
+        # against full-width softmax rows over the strided k.T
+        rng = make_rng(seed)
+        h, dk = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        cfg = ModelConfig(num_layers=int(rng.integers(4, 6)), num_heads=h, model_dim=h * dk,
+                          head_dim=dk, vocab_size=32, max_positions=s + 8)
+        w = init_model(cfg, seed)
+        seq = build_sequence([Segment(TEXT, head), Segment(IMAGE, s - head - tail),
+                              Segment(TEXT, tail)], seed=seed, vocab_size=cfg.vocab_size)
+        assert_blocked_equals_full(w, cfg, seq, METHODS[method])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
@@ -201,7 +224,8 @@ class TestBlockedPrefill:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < s * s * 8, f"prefill peak {peak / 2**20:.1f} MiB"
+        # tile-sized: a few ATTN_BLOCK_ROWS x S buffers per head, never S x S
+        assert peak < 8 * 2**20, f"prefill peak {peak / 2**20:.1f} MiB"
 
 
 class TestDecode:

@@ -29,6 +29,26 @@ def _operand(rng, shape, mode):
     return x
 
 
+class _DirtyNumpy:
+    """numpy, except that ``empty`` and ``empty_like`` return memory full of
+    garbage (a NaN payload), as a reused heap block may hold."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        out.fill(NAN_A)
+        return out
+
+    @staticmethod
+    def empty_like(*args, **kwargs):
+        out = np.empty_like(*args, **kwargs)
+        out.fill(NAN_A)
+        return out
+
+
 class TestMatmul:
     def test_identity(self, rng):
         m = rng.random((3, 3))
@@ -96,6 +116,43 @@ class TestMatmul:
             got, want = matmul(a, b), loop_matmul(a, b)
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == want.shape and np.array_equal(view(got), view(want))
+
+    @pytest.mark.parametrize("inner", [1, 2, 5])
+    def test_loop_first_step_special_products(self, inner):
+        # the k-loop writes the first product into an output that was never
+        # zeroed and adds +0.0: a -0.0 first product must end +0.0, and NaN and
+        # +-inf must come through as the loop's 0.0 + p0 leaves them
+        rng = make_rng(inner)
+        firsts_a = [-0.0, 2.0, np.inf, NAN_A]
+        firsts_b = [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, NAN_A]
+        # both k-loop shapes: every pair in one long-row output, and one pair
+        # per single-element output
+        cases = [(np.resize(firsts_a, 4), np.resize(firsts_b, 600))]
+        cases += [(np.array([x]), np.array([y])) for x in firsts_a for y in firsts_b]
+        for a0, b0 in cases:
+            a = rng.standard_normal((len(a0), inner))
+            b = rng.standard_normal((inner, len(b0)))
+            a[:, 0], b[0] = a0, b0
+            with patch.object(tensor_core, "np", _DirtyNumpy()), np.errstate(invalid="ignore"):
+                got = matmul(a, b)
+            with np.errstate(invalid="ignore"):
+                want, first = loop_matmul(a, b), a0[:, None] * b0[None, :]
+            assert same_bits(got, want)
+            if inner == 1:  # the first step alone
+                assert same_bits(got, first + 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=DIM, inner=st.integers(1, 8), n=DIM,
+           mode=st.sampled_from(["finite", "inf", "nan_a"]), seed=st.integers(0, 2**32 - 1))
+    def test_transposed_view_equals_contiguous_copy(self, m, inner, n, mode, seed):
+        # prefill scores read a contiguous copy of keys.T: same values, same bits
+        rng = make_rng(seed)
+        a, keys = _operand(rng, (m, inner), mode), _operand(rng, (n, inner), mode)
+        with np.errstate(invalid="ignore"):
+            strided = matmul(a, keys.T)
+            contiguous = matmul(a, np.ascontiguousarray(keys.T))
+            want = loop_matmul(a, keys.T)
+        assert same_bits(strided, contiguous) and same_bits(contiguous, want)
 
     @pytest.mark.parametrize("m,inner,n", [(1, 5000, 1), (1, 5000, 4), (2, 5000, 1),
                                            (1, 8, 64), (1, 4, 2047), (1, 4, 2048),
@@ -178,6 +235,18 @@ class TestMaskedRowSoftmax:
         last = scores[-1:]
         assert same_bits(masked_row_softmax(last, causal=True, first_row=s - 1, width=s),
                          masked_row_softmax(last))
+
+    @pytest.mark.parametrize("s,i0,i1", [(9, 0, 9), (9, 3, 7), (300, 64, 128), (300, 299, 300)])
+    def test_padding_is_positive_zero_in_dirty_memory(self, s, i0, i1):
+        # only the padding is zeroed: every entry must come out as if the
+        # buffer had started at +0.0
+        scores = make_rng(s + i0).standard_normal((s, s))
+        full = masked_row_softmax(scores, causal=True)
+        with patch.object(tensor_core, "np", _DirtyNumpy()):
+            block = masked_row_softmax(scores[i0:i1, :i1], causal=True, first_row=i0,
+                                       width=s)
+        assert same_bits(block, full[i0:i1])
+        assert same_bits(block[:, i1:], np.zeros((i1 - i0, s - i1)))
 
     def test_row_block_arguments_checked(self, rng):
         with pytest.raises(ValueError):  # rows 2..3 need 4 score columns

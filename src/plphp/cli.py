@@ -50,6 +50,9 @@ _FLAG_EXTRAS = {"segments": {"help": 'layout, e.g. "T:8,I:92,T:4"'},
 SWEEP_CSV_VERSION = 1
 # Largest sweep grid: each point is one full run, so a bigger grid is a typo.
 MAX_GRID_POINTS = 10_000
+# Most weight floats a run may draw: 2**27 float64 is 1 GiB. It also bounds
+# max_positions, and with it each head's cache store, to 2**27 / model_dim rows.
+MAX_WEIGHT_FLOATS = 2**27
 SWEEP_COLUMNS = [*_METHOD_KEYS, "RR", "KV", "latency_ms", "status"]
 
 
@@ -138,8 +141,9 @@ def method_config(cfg: dict, num_layers: int) -> PruningConfig | FastVConfig | V
 def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
     """The model config and prompt ``cfg`` describes, with room for its decode steps.
 
-    The prompt length is checked from the parsed segments, before the
-    sequence is built, so an oversized layout allocates nothing.
+    The weight count is checked from the config and the prompt length from
+    the parsed segments, before anything is built, so an oversized model or
+    layout allocates nothing.
     """
     segments = parse_segments(cfg["segments"])
     if cfg["steps"] < 0:
@@ -151,6 +155,13 @@ def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
                                 max_positions=cfg["max_positions"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    n, h, d, dk = (model_cfg.num_layers, model_cfg.num_heads, model_cfg.model_dim,
+                   model_cfg.head_dim)
+    vocab, positions = model_cfg.vocab_size, model_cfg.max_positions
+    # w_q, w_k, w_v, w_o, w_up, w_down; the two embeddings; the unembedding
+    floats = n * (3 * h * d * dk + 9 * d * d) + (vocab + positions) * d + d * vocab
+    if floats > MAX_WEIGHT_FLOATS:
+        raise ConfigError(f"the model has {floats} weight floats, more than {MAX_WEIGHT_FLOATS}")
     prompt = sum(seg.length for seg in segments)
     if prompt + cfg["steps"] > model_cfg.max_positions:
         raise ConfigError(f"{prompt} prompt positions plus {cfg['steps']} steps "

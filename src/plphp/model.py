@@ -8,7 +8,9 @@ input, which makes cache pruning a pure row deletion with no renumbering.
 
 Prefill and decode are one forward pass: each head appends the new rows to
 its cache and attends over it in causal row blocks. Prefill starts from
-empty caches, decode from the rows each head kept. No head holds an S x S
+empty caches, decode from the rows each head kept. A cache keeps its rows in
+a store with room to spare, so a decode step writes one row per head and
+copies none. No head holds an S x S
 map and the masked upper triangle is never multiplied; every output keeps
 the bits of the full-matrix computation (a masked weight is exactly +0.0,
 and adding its +-0 product leaves the sum unchanged).
@@ -83,22 +85,88 @@ class ModelWeights:
     unembedding: np.ndarray         # D x vocab
 
 
-@dataclass
 class HeadKVCache:
-    """Variable-length key/value rows for one head, with original positions."""
+    """Variable-length key/value rows for one head, with original positions.
 
-    keys: np.ndarray       # L x D_k
-    values: np.ndarray     # L x D_k
-    positions: np.ndarray  # L, strictly ascending
+    ``keys`` and ``values`` are L x D_k, ``positions`` is L and strictly
+    ascending. A cache holds the arrays it was built from until its first
+    ``append``, which copies them into a reserved store: keys transposed
+    (D_k x cap), values (cap x D_k) and positions (cap). Every later append
+    writes only the new rows, and the three attributes are L-row views into
+    the store. Assigning one of them hands the cache back to plain arrays.
+    """
 
-    def __post_init__(self):
-        if not (len(self.keys) == len(self.values) == len(self.positions)):
+    def __init__(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray):
+        if not (len(keys) == len(values) == len(positions)):
             raise ValueError("keys, values and positions must have equal length")
-        if len(self.positions) > 1 and not np.all(np.diff(self.positions) > 0):
+        if len(positions) > 1 and not np.all(np.diff(positions) > 0):
             raise ValueError("cache positions must be strictly ascending")
+        self._keys, self._values, self._positions = keys, values, positions
+        self._kt = self._vs = self._ps = None  # the store, once reserved
+        self._len = 0  # rows in the store
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self._positions) if self._kt is None else self._len
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._keys if self._kt is None else self._kt[:, :self._len].T
+
+    @keys.setter
+    def keys(self, keys: np.ndarray) -> None:
+        self._release()
+        self._keys = keys
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values if self._kt is None else self._vs[:self._len]
+
+    @values.setter
+    def values(self, values: np.ndarray) -> None:
+        self._release()
+        self._values = values
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._positions if self._kt is None else self._ps[:self._len]
+
+    @positions.setter
+    def positions(self, positions: np.ndarray) -> None:
+        self._release()
+        self._positions = positions
+
+    def _release(self) -> None:
+        """Back to plain arrays: the current views, with the store left to them."""
+        if self._kt is not None:
+            self._keys, self._values, self._positions = self.keys, self.values, self.positions
+            self._kt = self._vs = self._ps = None
+
+    def append(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray,
+               max_rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Append m rows; returns the store's transposed keys and its values.
+
+        Only their first ``len(self)`` columns (rows) are valid. A store too
+        small for the new rows is replaced by one of twice the new length,
+        but no more than ``max_rows`` rows, so it never holds more than
+        ``len(self)`` rows of slack; the old rows are copied over once.
+        """
+        l0 = len(self)
+        l1 = l0 + len(positions)
+        if self._kt is None or l1 > self._kt.shape[1]:
+            cap = max(l1, min(2 * l1, max_rows))
+            old_k, old_v, old_p = self.keys, self.values, self.positions
+            self._kt = np.empty((keys.shape[1], cap))
+            self._vs = np.empty((cap, values.shape[1]))
+            self._ps = np.empty(cap, positions.dtype)
+            self._kt[:, :l0] = old_k.T
+            self._vs[:l0] = old_v
+            self._ps[:l0] = old_p
+            self._keys = self._values = self._positions = None
+        self._kt[:, l0:l1] = keys.T
+        self._vs[l0:l1] = values
+        self._ps[l0:l1] = positions
+        self._len = l1
+        return self._kt, self._vs
 
     def clone(self) -> "HeadKVCache":
         return HeadKVCache(self.keys.copy(), self.values.copy(), self.positions.copy())
@@ -144,7 +212,8 @@ def init_model(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    # np.mean's own sum and divide, without its Python wrapper
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
 
 
 def attention_row_blocks(m: int) -> list[tuple[int, int]]:
@@ -188,11 +257,10 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
             cache = caches[l][h]
             l0 = len(cache)
             q = matmul(h_in, weights.w_q[l, h])
-            cache.keys = np.concatenate([cache.keys, matmul(h_in, weights.w_k[l, h])])
-            cache.values = np.concatenate([cache.values, matmul(h_in, weights.w_v[l, h])])
-            cache.positions = np.concatenate([cache.positions, positions])
-            # contiguous keys^T: each k-step of the score loop reads one row
-            kt = np.ascontiguousarray(cache.keys.T)
+            # the store keeps keys^T: each k-step of the score loop reads one row
+            kt, values = cache.append(matmul(h_in, weights.w_k[l, h]),
+                                      matmul(h_in, weights.w_v[l, h]), positions,
+                                      config.max_positions)
             out = mixed[:, h * dk:(h + 1) * dk]
             for i0, i1 in blocks:
                 scores = matmul(q[i0:i1], kt[:, :l0 + i1])
@@ -200,7 +268,7 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
                 attn = masked_row_softmax(scores, causal=True, first_row=l0 + i0,
                                           width=l0 + m)
                 del scores  # no block's scores stay alive into the next block
-                out[i0:i1] = matmul(attn[:, :l0 + i1], cache.values[:l0 + i1])
+                out[i0:i1] = matmul(attn[:, :l0 + i1], values[:l0 + i1])
             if after_layer is not None:  # a copy, so the block buffer is freed
                 last_rows.append(attn[-1].copy())
         x = x + matmul(mixed, weights.w_o[l])

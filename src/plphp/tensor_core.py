@@ -3,9 +3,10 @@
 All public operations work on float64 numpy arrays and are deterministic:
 ``matmul`` accumulates over the inner dimension in a fixed sequential order,
 so results are bit-reproducible across runs and match a naive triple-loop
-product exactly. It picks its path from the operand shape: a loop over the
-inner dimension when the output has long rows, else a chunked reduction
-that adds the same products in the same order (see ``matmul``).
+product exactly. It picks its path from the operand shape: one product buffer
+and one in-order reduction for a single row, a loop over the inner dimension
+when the output has long rows, else a chunked reduction that adds the same
+products in the same order (see ``matmul``).
 
 The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so any
 synthetic experiment replays identically on every platform.
@@ -17,11 +18,13 @@ import numpy as np
 
 __all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
 
-# matmul's two paths (see its docstring). The k-loop makes two numpy calls per
+# matmul's three paths (see its docstring). The single-row path makes two
+# numpy calls in all, over a K x n product buffer of at most
+# MATMUL_BUFFER_FLOATS floats (256 KiB). The k-loop makes two numpy calls per
 # k, each over the whole m x n output, so it needs long output rows
 # (m <= n) and at least MATMUL_LOOP_MIN_OUTPUT elements to pay for them.
-# The chunked path fills a product buffer of MATMUL_BUFFER_FLOATS floats
-# (256 KiB) per chunk of k: chunk = MATMUL_BUFFER_FLOATS // (m * n), at least 1.
+# The chunked path fills a product buffer of MATMUL_BUFFER_FLOATS floats per
+# chunk of k: chunk = MATMUL_BUFFER_FLOATS // (m * n), at least 1.
 MATMUL_LOOP_MIN_OUTPUT = 2048
 MATMUL_BUFFER_FLOATS = 2**15
 
@@ -37,9 +40,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every output element is ``((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``,
     added left to right, which is bitwise identical to a naive triple loop.
     BLAS-backed ``a @ b`` reorders the sum and is deliberately not used. The
-    operand shape, (m x K) by (K x n), picks one of two paths that add the
+    operand shape, (m x K) by (K x n), picks one of three paths that add the
     same products in the same order:
 
+    * single row, for ``m == 1 < n`` with ``K * n <= MATMUL_BUFFER_FLOATS``:
+      all K x n products fill one freshly allocated C-ordered buffer, and
+      ``np.add.reduce`` over axis 0 with ``initial=0.0`` (the loop's ``0.0 +
+      p0``) adds its rows in order. C order keeps the reduced axis outer even
+      when ``b`` is a transposed view, so numpy never sums it pairwise.
     * k-loop, for outputs with long rows (``m <= n`` and ``m * n >=
       MATMUL_LOOP_MIN_OUTPUT``) or with one output element: ``c = a[:, 0] *
       b[0, :] + 0.0`` (the loop's ``0.0 + p0``, with no zero fill), then ``c
@@ -65,6 +73,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, inner), n = a.shape, b.shape[1]
     if inner == 0:
         return np.zeros((m, n))
+    if m == 1 and n > 1 and inner * n <= MATMUL_BUFFER_FLOATS:
+        prod = np.empty((inner, n))
+        np.multiply(a.T, b, out=prod)
+        return np.add.reduce(prod, axis=0, initial=0.0, keepdims=True)
     if m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
         out = np.empty((m, n))
         np.multiply(a[:, :1], b[:1, :], out=out)
@@ -129,11 +141,11 @@ def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int 
         tail = exp[:, first_row:]
         masked = np.arange(m) > np.arange(m)[:, None]
         np.copyto(tail, -np.inf, where=masked)
-    exp -= np.max(exp, axis=1, keepdims=True)
+    exp -= exp.max(axis=1, keepdims=True)
     np.exp(exp, out=exp)
     if mask:  # already 0 unless a row's max is -inf or NaN
         np.copyto(tail, 0.0, where=masked)
-    out /= np.sum(out, axis=1, keepdims=True)
+    out /= np.add.reduce(out, axis=1, keepdims=True)  # np.sum without its wrapper
     return out
 
 

@@ -230,7 +230,8 @@ def test_criterion_7_monotone_latency_trend():
     for prev, nxt in zip(medians, medians[1:]):
         assert nxt <= prev * 1.05, f"latency inversion: {medians}"
     done(7, "monotone latency trend, medians ms = "
-            + ", ".join(f"{m:.1f}" for m in medians))
+            + ", ".join(f"{m:.2f}" for m in medians)
+            + f"; r=0.4 -> 0.3 ratio {medians[3] / medians[2]:.3f}")
 
 
 def test_criterion_8_live_replay_equality(tmp_path):

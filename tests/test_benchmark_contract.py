@@ -1,17 +1,65 @@
 """The benchmark's traced run rebinds the plphp names listed in
-``perfbench/tracer.py``; a rename in plphp would break ``--trace 1``."""
+``perfbench/tracer.py``; a rename in plphp would break ``--trace 1``, and so
+would a ``matmul`` operand shape its classifier does not know."""
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import numpy as np
+import pytest
+
+from plphp import model
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    tracer = _load("tracer", monkeypatch)
     missing = [f"{module}.{attr}" for module, attr, _ in tracer.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert tracer.TARGETS and not missing
+
+
+@pytest.mark.parametrize("method", ["none", "plphp", "fastv", "vtw"])
+def test_tracer_classifies_every_matmul(monkeypatch, method):
+    # the benchmark's model dims and method settings over a shorter prompt:
+    # every operand pair of a prefill and 3 decode steps must have a kind
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracer.py beside it;
+    # the undo also drops the src path run.py inserts
+    run = _load("run", monkeypatch)
+    spec = dict(run.LONG_DECODE, segments="T:32,I:96,T:16,I:96,T:16", steps=3)
+    ctx = run.model_setup(spec, seed=0, name="contract")
+    cfg = ctx.cfg
+    shapes = []
+    real = model.matmul
+
+    def recording(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(model, "matmul", recording)
+    state, _ = model.prefill(ctx.weights, cfg, ctx.seq,
+                             hook=run.method_hook(method, cfg.num_layers))
+    decode_from = len(shapes)
+    for token in range(spec["steps"]):
+        model.decode_step(ctx.weights, cfg, state, token)
+
+    tracer = run.tracing.Tracer(cfg.model_dim, cfg.head_dim, cfg.vocab_size)
+    kinds = [tracer.matmul_kind(np.empty(a), np.empty(b)) for a, b in shapes]
+    n, h = cfg.num_layers, cfg.num_heads
+    per_step = Counter(qkv=3 * n * h, scores=n * h, value_mix=n * h, out_proj=n, mlp=2 * n,
+                       unembed=1)
+    assert Counter(kinds[decode_from:]) == Counter({k: spec["steps"] * c
+                                                    for k, c in per_step.items()})
+    assert "unembed" not in kinds[:decode_from]

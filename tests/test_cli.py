@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from unittest import mock
 
 import pytest
 
-from plphp import cli, pruning
+from plphp import cli, init_model, pruning
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
 
@@ -145,6 +146,26 @@ class TestInputBounds:
         monkeypatch.setattr(cli, "build_sequence", build)
         assert main(["run", *SMALL_MODEL, *extra]) == 2
         build.assert_not_called()
+
+    @pytest.mark.parametrize("extra", [["--vocab-size", str(10**12)],      # 233 TiB of weights
+                                       ["--max-positions", str(10**11)]])  # 23 TiB
+    def test_weights_capped_before_init_model(self, monkeypatch, extra):
+        init = mock.Mock(side_effect=AssertionError("init_model reached"))
+        monkeypatch.setattr(cli, "init_model", init)
+        assert main(["run", *SMALL_MODEL, *extra]) == 2
+        init.assert_not_called()
+
+    def test_weight_cap_counts_every_weight(self):
+        cfg = {"segments": "T:4", "steps": 0, "seed": 0, "model_layers": 4, "model_heads": 2,
+               "model_dim": 8, "head_dim": 4, "vocab_size": 16, "max_positions": 8}
+        model_cfg, _ = cli.experiment_inputs(cfg)
+        w = init_model(model_cfg, 0)
+        floats = sum(getattr(w, f.name).size for f in dataclasses.fields(w))
+        # the largest vocabulary that still fits, and one more
+        vocab = (cli.MAX_WEIGHT_FLOATS - (floats - 2 * 16 * 8)) // (2 * 8)
+        assert cli.experiment_inputs({**cfg, "vocab_size": vocab})[0].vocab_size == vocab
+        with pytest.raises(cli.ConfigError):
+            cli.experiment_inputs({**cfg, "vocab_size": vocab + 1})
 
     def test_grid_points_capped_before_the_product(self, monkeypatch):
         def values(n):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import random_segments, small_model
 from helpers import (cache_free_decode_logits, full_matrix_prefill, reference_decode_step,
                      same_bits)
-from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
-                   build_sequence, decode_step, greedy_generate, init_model, make_fastv_hook,
-                   make_hook, make_rng, make_vtw_hook, model, prefill)
+from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, HeadKVCache, ModelConfig,
+                   PruningConfig, Segment, VTWConfig, build_sequence, decode_step,
+                   greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
+                   make_vtw_hook, model, prefill)
 
 B = model.ATTN_BLOCK_ROWS
 
@@ -297,6 +298,91 @@ class TestDecode:
 
         oracle = cache_free_decode_logits(w, cfg, seq, tokens[:-1], retained)
         assert np.max(np.abs(np.stack(live_logits) - oracle)) < 1e-9
+
+
+class TestKVStore:
+    def test_append_reserves_bounded_capacity(self, rng):
+        # twice the new length at most, never past max_rows, and the rows
+        # already held copied over exactly
+        dk, max_rows = 3, 40
+        cache = HeadKVCache(rng.random((5, dk)), rng.random((5, dk)), np.arange(5))
+        keys, values, positions = cache.keys, cache.values, cache.positions
+        for m in (1, 1, 7, 1, 20, 1, 1, 1):
+            k_new, v_new = rng.random((m, dk)), rng.random((m, dk))
+            p_new = np.arange(len(cache), len(cache) + m)
+            kt, vs = cache.append(k_new, v_new, p_new, max_rows)
+            keys, values = np.concatenate([keys, k_new]), np.concatenate([values, v_new])
+            positions = np.concatenate([positions, p_new])
+            n = len(cache)
+            assert n == len(positions) and kt.shape == (dk, vs.shape[0])
+            assert n <= vs.shape[0] <= min(2 * n, max_rows)
+            assert same_bits(kt[:, :n].T, keys) and same_bits(vs[:n], values)
+            assert same_bits(cache.keys, keys) and same_bits(cache.values, values)
+            assert np.array_equal(cache.positions, positions)
+
+    def test_one_row_appends_grow_geometrically(self):
+        cache = HeadKVCache(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        stores = []  # held, so no two stores share an id
+        for i in range(300):
+            kt, _ = cache.append(np.ones((1, 2)), np.ones((1, 2)), np.array([i]), 1000)
+            stores.append(kt)
+            assert kt.shape[1] <= 2 * len(cache)
+        assert len({id(kt) for kt in stores}) <= 10  # capacities 2, 6, 14, ..., 510
+
+    def test_views_keep_their_bits_across_later_steps(self):
+        # appends write only new rows, and a store that grows leaves the old
+        # one to any view still holding it
+        cfg, w = tiny()
+        state, _ = prefill(w, cfg, mixed_seq(), hook=make_hook(PruningConfig(), cfg.num_layers))
+        decode_step(w, cfg, state, 0)  # every cache now lives in its store
+        held = [[(c.keys, c.values, c.positions) for c in layer] for layer in state.caches]
+        frozen = [[tuple(a.copy() for a in views) for views in layer] for layer in held]
+        token = 0
+        for _ in range(30):  # past each store's first capacity
+            logits, state = decode_step(w, cfg, state, token)
+            token = int(np.argmax(logits))
+        for layer, held_l, frozen_l in zip(state.caches, held, frozen, strict=True):
+            for cache, (k, v, p), (k0, v0, p0) in zip(layer, held_l, frozen_l, strict=True):
+                n = len(p)
+                assert same_bits(k, k0) and same_bits(v, v0) and np.array_equal(p, p0)
+                assert same_bits(cache.keys[:n], k0) and same_bits(cache.values[:n], v0)
+                assert np.array_equal(cache.positions[:n], p0)
+
+    @pytest.mark.parametrize("method", sorted(HOOKS))
+    def test_decoding_a_clone_leaves_the_original(self, method):
+        cfg, w = tiny()
+        state, _ = prefill(w, cfg, mixed_seq(), hook=HOOKS[method](cfg.num_layers))
+        decode_step(w, cfg, state, 0)  # every cache now lives in its store
+        before, copy = state.clone(), state.clone()
+        assert_decodes_like_reference(w, cfg, copy.clone(), copy, 6)
+        assert_same_caches(before, state)
+        assert state.next_position == before.next_position
+        # the reference decoder assigns each cache's arrays: the original
+        # leaves its store for them and must still decode bit for bit
+        assert_decodes_like_reference(w, cfg, state, before, 6)
+
+    def test_decode_steps_copy_no_cache(self):
+        # with the store, a step allocates only its temporaries: less than one
+        # head's key rows, where a per-step copy of any cache needs more
+        rows, h, dk = 4096, 2, 16
+        cfg = ModelConfig(num_layers=4, num_heads=h, model_dim=h * dk, head_dim=dk,
+                          vocab_size=32, max_positions=2 * rows + 8)
+        w = init_model(cfg, 0)
+        rng = make_rng(0)
+        caches = [[HeadKVCache(rng.standard_normal((rows, dk)), rng.standard_normal((rows, dk)),
+                               np.arange(rows)) for _ in range(h)]
+                  for _ in range(cfg.num_layers)]
+        state = DecoderState(caches=caches, next_position=rows)
+        decode_step(w, cfg, state, 0)  # the first append copies each cache into its store
+        tracemalloc.start()
+        try:
+            for token in (1, 2, 3):
+                decode_step(w, cfg, state, token)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        key_rows = rows * dk * 8
+        assert peak < key_rows, f"decode step peak {peak} B, one head's keys {key_rows} B"
 
 
 class TestGreedyGenerate:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (bits, canonical_nan_bits, loop_matmul, naive_matmul, naive_softmax,
                      same_bits, sort_topk)
-from plphp import argtopk, make_rng, masked_row_softmax, matmul, tensor_core
+from plphp import argtopk, make_rng, masked_row_softmax, matmul, model, tensor_core
 
 NAN_A = np.uint64(0x7FF8000000000001).view(np.float64)
 NAN_B = np.uint64(0xFFF80000000ABCDE).view(np.float64)
@@ -176,6 +177,51 @@ class TestMatmul:
         with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats):
             assert same_bits(matmul(attn, v), loop_matmul(attn, v))
 
+    @settings(max_examples=150, deadline=None)
+    @given(inner=st.integers(1, 300), n=st.integers(2, 100), transposed=st.booleans(),
+           mode=st.sampled_from(sorted(SPECIALS)), seed=st.integers(0, 2**32 - 1))
+    def test_single_row_path_bitwise(self, inner, n, transposed, mode, seed):
+        # one reduce over a C-ordered K x n buffer, also when b is a transposed
+        # (F-ordered) view: the decode step's q @ keys^T and attn @ values
+        rng = make_rng(seed)
+        a = _operand(rng, (1, inner), mode)
+        b = _operand(rng, (n, inner), mode).T if transposed else _operand(rng, (inner, n), mode)
+        with np.errstate(invalid="ignore"):
+            got, want = matmul(a, b), loop_matmul(a, b)
+        view = canonical_nan_bits if mode == "nan_two" else bits
+        assert got.shape == want.shape and np.array_equal(view(got), view(want))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_single_row_path_buffer_limit(self, rng, n, extra):
+        # K * n at MATMUL_BUFFER_FLOATS takes the single-row path, one more
+        # inner step does not: both must keep the loop's bits
+        inner = tensor_core.MATMUL_BUFFER_FLOATS // n + extra
+        a = rng.standard_normal((1, inner)) * 10.0 ** rng.integers(-8, 9, (1, inner))
+        b = rng.standard_normal((inner, n))
+        assert (inner * n <= tensor_core.MATMUL_BUFFER_FLOATS) == (extra == 0)
+        assert same_bits(matmul(a, b), loop_matmul(a, b))
+        assert same_bits(matmul(a, np.asfortranarray(b)), loop_matmul(a, b))
+
+    @pytest.mark.parametrize("inner", [1, 2, 5])
+    def test_single_row_path_special_first_products(self, inner):
+        # the reduce starts at initial=0.0: a -0.0 first product ends +0.0,
+        # and +-inf and NaN come through as the loop's 0.0 + p0 leaves them
+        rng = make_rng(inner)
+        firsts_b = np.array([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, NAN_A])
+        for a0 in [-0.0, 2.0, np.inf, -np.inf, NAN_A]:
+            a = rng.standard_normal((1, inner))
+            b = rng.standard_normal((inner, len(firsts_b)))
+            a[0, 0], b[0] = a0, firsts_b
+            with patch.object(tensor_core, "np", _DirtyNumpy()), np.errstate(invalid="ignore"):
+                got = matmul(a, b)
+            with np.errstate(invalid="ignore"):
+                want = loop_matmul(a, b)
+            assert same_bits(got, want)
+            if inner == 1:
+                with np.errstate(invalid="ignore"):
+                    assert same_bits(got, a0 * firsts_b[None, :] + 0.0)
+
     def test_chunked_temporaries_bounded(self, rng):
         # a 256 x 4096 attention block times 4096 x 4 values: no m x K temporary
         m, inner = 256, 4096
@@ -267,6 +313,15 @@ class TestMaskedRowSoftmax:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * s * s * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                    elements=st.floats(-1e150, 1e150)))
+def test_rmsnorm_equals_mean_formula_bitwise(x):
+    # model._rmsnorm sums and divides as np.mean does, without its wrapper
+    want = x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
+    assert same_bits(model._rmsnorm(x), want)
 
 
 class TestArgtopk:

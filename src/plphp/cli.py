@@ -225,7 +225,7 @@ def parse_grid(spec: str) -> list[dict]:
     """``r=0.3|0.4|0.5,dr=0.3`` -> one dict per point, cartesian product.
 
     A grid of more than MAX_GRID_POINTS points is refused before the product
-    is built.
+    is built, and so are the output keys, which no sweep point would use.
     """
     keys, value_lists = [], []
     for part in spec.split(","):
@@ -235,6 +235,8 @@ def parse_grid(spec: str) -> list[dict]:
         key = key.strip().replace("-", "_")
         if key not in _KEYS:
             raise ConfigError(f"unknown grid key {key!r}")
+        if key in ("trace_out", "report_out"):
+            raise ConfigError(f"{key} is not a grid key; pass --report-out for the CSV")
         keys.append(key)
         try:
             value_lists.append([_KEYS[key][0](v) for v in raw.split("|")])

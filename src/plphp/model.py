@@ -89,11 +89,11 @@ class HeadKVCache:
     """Variable-length key/value rows for one head, with original positions.
 
     ``keys`` and ``values`` are L x D_k, ``positions`` is L and strictly
-    ascending. A cache holds the arrays it was built from until its first
-    ``append``, which copies them into a reserved store: keys transposed
-    (D_k x cap), values (cap x D_k) and positions (cap). Every later append
-    writes only the new rows, and the three attributes are L-row views into
-    the store. Assigning one of them hands the cache back to plain arrays.
+    ascending. The rows live in a store: keys transposed (D_k x cap), values
+    (cap x D_k) and positions (cap), with cap >= L. The constructor copies
+    its arrays into an exact-size store, so a cache never aliases them; the
+    three attributes are read-only L-row views into the store, and every
+    ``append`` writes only the new rows.
     """
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray):
@@ -101,45 +101,25 @@ class HeadKVCache:
             raise ValueError("keys, values and positions must have equal length")
         if len(positions) > 1 and not np.all(np.diff(positions) > 0):
             raise ValueError("cache positions must be strictly ascending")
-        self._keys, self._values, self._positions = keys, values, positions
-        self._kt = self._vs = self._ps = None  # the store, once reserved
-        self._len = 0  # rows in the store
+        self._kt = np.array(keys.T, order="C")
+        self._vs = np.array(values, order="C")
+        self._ps = np.array(positions)
+        self._len = len(positions)
 
     def __len__(self) -> int:
-        return len(self._positions) if self._kt is None else self._len
+        return self._len
 
     @property
     def keys(self) -> np.ndarray:
-        return self._keys if self._kt is None else self._kt[:, :self._len].T
-
-    @keys.setter
-    def keys(self, keys: np.ndarray) -> None:
-        self._release()
-        self._keys = keys
+        return self._kt[:, :self._len].T
 
     @property
     def values(self) -> np.ndarray:
-        return self._values if self._kt is None else self._vs[:self._len]
-
-    @values.setter
-    def values(self, values: np.ndarray) -> None:
-        self._release()
-        self._values = values
+        return self._vs[:self._len]
 
     @property
     def positions(self) -> np.ndarray:
-        return self._positions if self._kt is None else self._ps[:self._len]
-
-    @positions.setter
-    def positions(self, positions: np.ndarray) -> None:
-        self._release()
-        self._positions = positions
-
-    def _release(self) -> None:
-        """Back to plain arrays: the current views, with the store left to them."""
-        if self._kt is not None:
-            self._keys, self._values, self._positions = self.keys, self.values, self.positions
-            self._kt = self._vs = self._ps = None
+        return self._ps[:self._len]
 
     def append(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray,
                max_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +130,9 @@ class HeadKVCache:
         but no more than ``max_rows`` rows, so it never holds more than
         ``len(self)`` rows of slack; the old rows are copied over once.
         """
-        l0 = len(self)
+        l0 = self._len
         l1 = l0 + len(positions)
-        if self._kt is None or l1 > self._kt.shape[1]:
+        if l1 > self._kt.shape[1]:
             cap = max(l1, min(2 * l1, max_rows))
             old_k, old_v, old_p = self.keys, self.values, self.positions
             self._kt = np.empty((keys.shape[1], cap))
@@ -161,7 +141,6 @@ class HeadKVCache:
             self._kt[:, :l0] = old_k.T
             self._vs[:l0] = old_v
             self._ps[:l0] = old_p
-            self._keys = self._values = self._positions = None
         self._kt[:, l0:l1] = keys.T
         self._vs[l0:l1] = values
         self._ps[l0:l1] = positions
@@ -169,7 +148,7 @@ class HeadKVCache:
         return self._kt, self._vs
 
     def clone(self) -> "HeadKVCache":
-        return HeadKVCache(self.keys.copy(), self.values.copy(), self.positions.copy())
+        return HeadKVCache(self.keys, self.values, self.positions)
 
 
 @dataclass
@@ -265,8 +244,7 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
             for i0, i1 in blocks:
                 scores = matmul(q[i0:i1], kt[:, :l0 + i1])
                 scores *= inv_sqrt_dk
-                attn = masked_row_softmax(scores, causal=True, first_row=l0 + i0,
-                                          width=l0 + m)
+                attn = masked_row_softmax(scores, first_row=l0 + i0, width=l0 + m)
                 del scores  # no block's scores stay alive into the next block
                 out[i0:i1] = matmul(attn[:, :l0 + i1], values[:l0 + i1])
             if after_layer is not None:  # a copy, so the block buffer is freed

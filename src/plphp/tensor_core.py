@@ -56,9 +56,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       fill one buffer, laid out ``(chunk, n, m)`` when ``m > n`` (else
       ``(chunk, m, n)``) so the innermost axis is the long one. The running
       sum is added into slice 0 as the left operand, as in the loop, and
-      ``np.add.reduce`` over axis 0 adds the slices strictly in order: numpy
-      sums pairwise only when the reduced axis is the innermost loop, which
-      happens for a single output element, so that shape takes the k-loop.
+      ``np.add.reduce`` over axis 0 with ``initial=0.0`` adds the slices
+      strictly in order: numpy sums pairwise only when the reduced axis is
+      the innermost loop, which happens for a single output element, so
+      that shape takes the k-loop.
 
     Where two different NaNs meet in one sum or product the result may carry
     either payload, in the loop as well: numpy's vector and tail lanes pick
@@ -97,38 +98,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(np.ascontiguousarray(ak)[:, None, :], bk[:, :, None], out=p)
         else:
             np.multiply(ak[:, :, None], bk[:, None, :], out=p)
-        if acc is None:
-            p[0] += 0.0  # the loop starts at +0.0, so a -0.0 first product ends +0.0
-        else:
+        if acc is not None:
             np.add(acc, p[0], out=p[0])
-        acc = np.add.reduce(p, axis=0, out=acc)
+        # initial=0.0 is the loop's 0.0 + p0 (a -0.0 first product ends +0.0);
+        # a running sum is never -0.0, so later chunks keep their bits
+        acc = np.add.reduce(p, axis=0, initial=0.0, out=acc)
     return acc.T.copy() if wide else acc
 
 
-def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int = 0,
+def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
                        width: int | None = None) -> np.ndarray:
-    """Row-wise softmax with optional causal (lower-triangular) masking.
+    """Row-wise softmax under the causal (lower-triangular) mask.
 
     Each row is normalized over its unmasked prefix using max-subtraction;
-    masked entries come out exactly 0. Under the causal mask row ``i`` may
-    attend to columns ``0..i`` only, so row 0 is always ``[1, 0, ...]``.
+    masked entries come out exactly 0. Row ``i`` may attend to columns
+    ``0..i`` only, so row 0 is always ``[1, 0, ...]``.
 
-    A causal map may be normalised one row block at a time: ``scores`` then
-    holds rows ``first_row .. first_row + m - 1`` of a ``width`` x ``width``
-    score matrix, cut after column ``first_row + m`` (every later column is
-    masked in these rows). The result is zero-padded back to ``width``
-    columns, and each of its rows is bitwise equal to that row of the full
-    matrix's softmax: the row sum runs over the same zero-padded row, so
-    numpy's pairwise summation keeps its tree.
+    The map may be normalised one row block at a time: ``scores`` then holds
+    rows ``first_row .. first_row + m - 1`` of a ``width`` x ``width`` score
+    matrix, cut after column ``first_row + m`` (every later column is masked
+    in these rows). The result is zero-padded back to ``width`` columns, and
+    each of its rows is bitwise equal to that row of the full matrix's
+    softmax: the row sum runs over the same zero-padded row, so numpy's
+    pairwise summation keeps its tree.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"expected a 2-D score matrix, got {scores.ndim}-D")
     m, n = scores.shape
     width = n if width is None else width
-    if not causal and (first_row, width) != (0, n):
-        raise ValueError("first_row and width apply to causal row blocks only")
-    if causal and (n != first_row + m or width < n):
+    if n != first_row + m or width < n:
         raise ValueError(f"causal rows {first_row}..{first_row + m - 1} of a width-{width} "
                          f"map need {first_row + m} score columns, got {n}")
     out = np.empty((m, width))
@@ -136,7 +135,7 @@ def masked_row_softmax(scores: np.ndarray, causal: bool = False, first_row: int 
     exp = out[:, :n]
     exp[...] = scores
     # only the trailing m x m triangle of the block is masked: none of a 1-row block
-    mask = causal and m > 1
+    mask = m > 1
     if mask:
         tail = exp[:, first_row:]
         masked = np.arange(m) > np.arange(m)[:, None]

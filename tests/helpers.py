@@ -75,6 +75,25 @@ def naive_softmax(scores: np.ndarray, causal: bool = False) -> np.ndarray:
     return out
 
 
+def row_softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over every column, with nothing masked.
+
+    The non-causal path ``plphp.masked_row_softmax`` had before it became
+    causal only, with the same numpy calls in the same order: the oracle for
+    a 1-row block, which masks nothing, and the softmax of
+    ``reference_decode_step``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    m, n = scores.shape
+    out = np.empty((m, n))
+    exp = out[:, :n]
+    exp[...] = scores
+    exp -= exp.max(axis=1, keepdims=True)
+    np.exp(exp, out=exp)
+    out /= np.add.reduce(out, axis=1, keepdims=True)  # np.sum without its wrapper
+    return out
+
+
 def sort_topk(values, k: int) -> list[int]:
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     return sorted(order[:k])
@@ -192,7 +211,7 @@ def full_matrix_prefill(weights, config, seq, hook=None):
             q = matmul(h_in, weights.w_q[l, head])
             k = matmul(h_in, weights.w_k[l, head])
             v = matmul(h_in, weights.w_v[l, head])
-            attn = masked_row_softmax(matmul(q, k.T) * scale, causal=True)
+            attn = masked_row_softmax(matmul(q, k.T) * scale)
             outs.append(matmul(attn, v))
             last_rows[l, head] = attn[-1]
             layer_caches.append(HeadKVCache(keys=k, values=v, positions=np.arange(s)))
@@ -208,7 +227,9 @@ def reference_decode_step(weights, config, state, token_id):
     """Decode step with its own layer loop and non-causal softmax over each cache.
 
     The decode path ``plphp.decode_step`` had before prefill and decode shared
-    one forward pass; it must match that pass bit for bit. Mutates ``state``.
+    one forward pass; it must match that pass bit for bit. Mutates ``state``:
+    each head's cache is replaced by a new one, built from the concatenated
+    rows, so the store's append path is not used here.
     """
     pos = state.next_position
     if pos >= config.max_positions:
@@ -224,12 +245,13 @@ def reference_decode_step(weights, config, state, token_id):
             q = matmul(h_in, weights.w_q[l, h])
             k_new = matmul(h_in, weights.w_k[l, h])
             v_new = matmul(h_in, weights.w_v[l, h])
-            cache.keys = np.concatenate([cache.keys, k_new])
-            cache.values = np.concatenate([cache.values, v_new])
-            cache.positions = np.concatenate([cache.positions, [pos]])
-            scores = matmul(q, cache.keys.T) * inv_sqrt_dk
-            attn = masked_row_softmax(scores, causal=False)
-            head_outs.append(matmul(attn, cache.values))
+            keys = np.concatenate([cache.keys, k_new])
+            values = np.concatenate([cache.values, v_new])
+            positions = np.concatenate([cache.positions, [pos]])
+            state.caches[l][h] = HeadKVCache(keys, values, positions)
+            scores = matmul(q, keys.T) * inv_sqrt_dk
+            attn = row_softmax(scores)
+            head_outs.append(matmul(attn, values))
         x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
         m_in = _rms(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])

@@ -1,8 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plphp import cli, init_model, pruning
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
@@ -39,6 +46,10 @@ class TestParsing:
             parse_grid("nope")
         with pytest.raises(ConfigError):
             parse_grid("unknown_key=1")
+        for key in ("trace_out", "report_out", "report-out"):  # no point would use them
+            with pytest.raises(ConfigError):
+                parse_grid(f"r=0.4,{key}=x.csv")
+        assert main(["sweep", *SMALL_MODEL, "--grid", "report_out=/nonexistent/x"]) == 2
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -135,6 +146,16 @@ class TestRun:
                      "--report-out", str(tmp_path / "no" / "dir" / "r.json")]) == 3
 
 
+# fuzzed keys with their small valid values, and the values that try them
+FUZZ_INTS = {"model_layers": [4, 5], "model_heads": [1, 2], "model_dim": [4, 8],
+             "head_dim": [2, 4], "vocab_size": [8, 32], "max_positions": [12, 64],
+             "seed": [3], "steps": [1, 2], "fastv_k": [1, 3], "vtw_k": [2]}
+FUZZ_FLOATS = {"r": [0.5], "dr": [0.2], "alpha": [0.3], "beta": [0.05],
+               "fastv_ratio": [0.25]}
+FUZZ_HUGE = [10**20, -10**20, -1, 0]
+FUZZ_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0]
+
+
 class TestInputBounds:
     @pytest.mark.parametrize("extra", [
         ["--steps", "-5"],
@@ -179,6 +200,54 @@ class TestInputBounds:
         grid = f"r={values(side + 1)},dr={values(cli.MAX_GRID_POINTS // side)}"
         assert main(["sweep", *SMALL_MODEL, "--grid", grid]) == 2
         product.assert_not_called()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_values_exit_0_or_2(self, data):
+        # up to three keys huge, negative or zero (integers) or NaN, +-inf or
+        # -0.0 (floats); every other key absent or small and valid; all given
+        # as flags or all in a config file. No value may be an internal
+        # error, and none may allocate its way to one.
+        values = {flag[2:].replace("-", "_"): value
+                  for flag, value in zip(SMALL_MODEL[::2], SMALL_MODEL[1::2])}
+        values["method"] = data.draw(st.sampled_from(["none", "plphp", "fastv", "vtw"]))
+        bad = data.draw(st.sets(st.sampled_from([*FUZZ_INTS, *FUZZ_FLOATS]), max_size=3))
+        for key, valid in {**FUZZ_INTS, **FUZZ_FLOATS}.items():
+            special = FUZZ_HUGE if key in FUZZ_INTS else FUZZ_SPECIAL_FLOATS
+            value = data.draw(st.sampled_from(special) if key in bad
+                              else st.none() | st.sampled_from(valid), label=key)
+            if value is not None:
+                values[key] = repr(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            if data.draw(st.booleans(), label="config file"):
+                cfg = Path(tmp) / "fuzz.cfg"
+                cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+                argv = ["run", "--config", str(cfg)]
+            else:
+                argv = ["run", *(f"--{key.replace('_', '-')}={value}"
+                                 for key, value in values.items())]
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse refuses a value it cannot convert
+                code = e.code
+        assert code in (0, 2), values
+
+    def test_huge_inputs_refused_under_an_address_space_limit(self):
+        # one child, its address space capped at 1 GiB once plphp is imported:
+        # each case must be refused (exit 2), not run out of memory or be killed
+        cases = [["--vocab-size", str(10**12)], ["--segments", "T:1,I:3000000000,T:1"],
+                 ["--max-positions", str(10**11)]]
+        child = (
+            "import resource\n"
+            "from plphp.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            f"print([main(['run', *{SMALL_MODEL!r}, *extra]) for extra in {cases!r}])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", child],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[2, 2, 2]", done.stdout + done.stderr
 
 
 class TestSweep:

@@ -320,6 +320,19 @@ class TestKVStore:
             assert same_bits(cache.keys, keys) and same_bits(cache.values, values)
             assert np.array_equal(cache.positions, positions)
 
+    def test_cache_never_aliases_its_arrays(self, rng):
+        # the constructor copies into the cache's own store: writing to the
+        # arrays it was built from, or to their clone's, leaves its rows alone
+        keys, values = rng.random((6, 3)), rng.random((6, 3))
+        positions = np.arange(6, dtype=np.int64)
+        cache = HeadKVCache(keys, values, positions)
+        clone = cache.clone()
+        frozen = keys.copy(), values.copy(), positions.copy()
+        keys[:], values[:], positions[:] = np.nan, -1.0, 99
+        clone.keys[0], clone.values[0], clone.positions[0] = np.inf, np.inf, -1
+        assert same_bits(cache.keys, frozen[0]) and same_bits(cache.values, frozen[1])
+        assert np.array_equal(cache.positions, frozen[2]) and len(cache) == 6
+
     def test_one_row_appends_grow_geometrically(self):
         cache = HeadKVCache(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
         stores = []  # held, so no two stores share an id
@@ -357,8 +370,8 @@ class TestKVStore:
         assert_decodes_like_reference(w, cfg, copy.clone(), copy, 6)
         assert_same_caches(before, state)
         assert state.next_position == before.next_position
-        # the reference decoder assigns each cache's arrays: the original
-        # leaves its store for them and must still decode bit for bit
+        # the reference decoder replaces each cache with one built from the
+        # concatenated rows: the original must still decode bit for bit
         assert_decodes_like_reference(w, cfg, state, before, 6)
 
     def test_decode_steps_copy_no_cache(self):

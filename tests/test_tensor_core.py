@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest.mock import patch
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (bits, canonical_nan_bits, loop_matmul, naive_matmul, naive_softmax,
-                     same_bits, sort_topk)
+                     row_softmax, same_bits, sort_topk)
 from plphp import argtopk, make_rng, masked_row_softmax, matmul, model, tensor_core
 
 NAN_A = np.uint64(0x7FF8000000000001).view(np.float64)
@@ -121,8 +122,9 @@ class TestMatmul:
     @pytest.mark.parametrize("inner", [1, 2, 5])
     def test_loop_first_step_special_products(self, inner):
         # the k-loop writes the first product into an output that was never
-        # zeroed and adds +0.0: a -0.0 first product must end +0.0, and NaN and
-        # +-inf must come through as the loop's 0.0 + p0 leaves them
+        # zeroed and adds +0.0, and the chunked reduce starts from
+        # initial=0.0: a -0.0 first product must end +0.0, and NaN and +-inf
+        # must come through as the loop's 0.0 + p0 leaves them
         rng = make_rng(inner)
         firsts_a = [-0.0, 2.0, np.inf, NAN_A]
         firsts_b = [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, NAN_A]
@@ -130,11 +132,18 @@ class TestMatmul:
         # per single-element output
         cases = [(np.resize(firsts_a, 4), np.resize(firsts_b, 600))]
         cases += [(np.array([x]), np.array([y])) for x in firsts_a for y in firsts_b]
-        for a0, b0 in cases:
+        # both chunked layouts, (300, K) x (K, 7) and (4, K) x (K, 300); with a
+        # 1-float buffer every k is its own chunk
+        cases += [(np.resize(firsts_a, 300), np.resize(firsts_b, 7)),
+                  (np.resize(firsts_a, 4), np.resize(firsts_b, 300))]
+        for (a0, b0), buffer_floats in itertools.product(
+                cases, [tensor_core.MATMUL_BUFFER_FLOATS, 1]):
             a = rng.standard_normal((len(a0), inner))
             b = rng.standard_normal((inner, len(b0)))
             a[:, 0], b[0] = a0, b0
-            with patch.object(tensor_core, "np", _DirtyNumpy()), np.errstate(invalid="ignore"):
+            with patch.object(tensor_core, "np", _DirtyNumpy()), \
+                    patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
+                    np.errstate(invalid="ignore"):
                 got = matmul(a, b)
             with np.errstate(invalid="ignore"):
                 want, first = loop_matmul(a, b), a0[:, None] * b0[None, :]
@@ -171,8 +180,8 @@ class TestMatmul:
         rng = make_rng(seed)
         i0 = data.draw(st.integers(0, s - 1))
         i1 = data.draw(st.integers(i0 + 1, s))
-        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), causal=True,
-                                  first_row=i0, width=s)[:, :i1]
+        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), first_row=i0,
+                                  width=s)[:, :i1]
         v = rng.standard_normal((i1, 4))
         with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats):
             assert same_bits(matmul(attn, v), loop_matmul(attn, v))
@@ -239,68 +248,65 @@ class TestMatmul:
 
 class TestMaskedRowSoftmax:
     def test_uniform_row(self):
-        out = masked_row_softmax(np.full((1, 4), 2.5))
+        # the last row of a 4-wide map: nothing masked
+        out = masked_row_softmax(np.full((1, 4), 2.5), first_row=3)
         assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_causal_first_row(self, rng):
-        out = masked_row_softmax(rng.standard_normal((5, 5)), causal=True)
+        out = masked_row_softmax(rng.standard_normal((5, 5)))
         assert out[0, 0] == 1.0
         assert np.all(out[0, 1:] == 0.0)
 
     def test_causal_matches_oracle(self, rng):
         scores = rng.standard_normal((6, 6))
-        out = masked_row_softmax(scores, causal=True)
+        out = masked_row_softmax(scores)
         assert np.max(np.abs(out - naive_softmax(scores, causal=True))) < 1e-12
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
     def test_masked_entries_exactly_zero(self, rng):
-        out = masked_row_softmax(rng.standard_normal((8, 8)), causal=True)
+        out = masked_row_softmax(rng.standard_normal((8, 8)))
         assert np.all(out[np.triu_indices(8, k=1)] == 0.0)
 
     def test_large_scores_stable(self):
-        out = masked_row_softmax(np.array([[1000.0, 1000.0, -1000.0]]))
+        out = masked_row_softmax(np.array([[1000.0, 1000.0, -1000.0]]), first_row=2)
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) < 1e-12
 
     def test_causal_requires_square(self, rng):
         with pytest.raises(ValueError):
-            masked_row_softmax(rng.random((3, 4)), causal=True)
+            masked_row_softmax(rng.random((3, 4)))
 
     @settings(max_examples=80, deadline=None)
     @given(s=st.integers(1, 700), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([1.0, 60.0]), data=st.data())
     def test_row_blocks_equal_full_rows_bitwise(self, s, seed, scale, data):
         scores = make_rng(seed).standard_normal((s, s)) * scale
-        full = masked_row_softmax(scores, causal=True)
+        full = masked_row_softmax(scores)
         cuts = data.draw(st.lists(st.integers(1, s - 1), max_size=6)) if s > 1 else []
         bounds = sorted({0, s, *cuts})
         for i0, i1 in zip(bounds, bounds[1:]):
-            block = masked_row_softmax(scores[i0:i1, :i1], causal=True, first_row=i0, width=s)
+            block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
             assert same_bits(block, full[i0:i1])
         # a decode step's 1-row block masks nothing: it is the plain row softmax
         last = scores[-1:]
-        assert same_bits(masked_row_softmax(last, causal=True, first_row=s - 1, width=s),
-                         masked_row_softmax(last))
+        assert same_bits(masked_row_softmax(last, first_row=s - 1, width=s), row_softmax(last))
 
     @pytest.mark.parametrize("s,i0,i1", [(9, 0, 9), (9, 3, 7), (300, 64, 128), (300, 299, 300)])
     def test_padding_is_positive_zero_in_dirty_memory(self, s, i0, i1):
         # only the padding is zeroed: every entry must come out as if the
         # buffer had started at +0.0
         scores = make_rng(s + i0).standard_normal((s, s))
-        full = masked_row_softmax(scores, causal=True)
+        full = masked_row_softmax(scores)
         with patch.object(tensor_core, "np", _DirtyNumpy()):
-            block = masked_row_softmax(scores[i0:i1, :i1], causal=True, first_row=i0,
-                                       width=s)
+            block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
         assert same_bits(block, full[i0:i1])
         assert same_bits(block[:, i1:], np.zeros((i1 - i0, s - i1)))
 
     def test_row_block_arguments_checked(self, rng):
         with pytest.raises(ValueError):  # rows 2..3 need 4 score columns
-            masked_row_softmax(rng.random((2, 3)), causal=True, first_row=2, width=6)
+            masked_row_softmax(rng.random((2, 3)), first_row=2, width=6)
         with pytest.raises(ValueError):  # narrower than the block
-            masked_row_softmax(rng.random((2, 4)), causal=True, first_row=2, width=3)
-        with pytest.raises(ValueError):  # blocks are causal only
-            masked_row_softmax(rng.random((2, 4)), first_row=2)
+            masked_row_softmax(rng.random((2, 4)), first_row=2, width=3)
 
     def test_causal_temporaries_bounded(self, rng):
         # the result plus boolean masks: no S x S float64 temporaries
@@ -308,7 +314,7 @@ class TestMaskedRowSoftmax:
         scores = rng.standard_normal((s, s))
         tracemalloc.start()
         try:
-            masked_row_softmax(scores, causal=True)
+            masked_row_softmax(scores)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

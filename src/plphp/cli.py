@@ -10,7 +10,10 @@ Subcommands:
 
 Every flag has a config-file equivalent: the file is flat ``key = value``
 text, keys matching the long flag names with underscores (``method = plphp``,
-``model_layers = 12``). Explicit flags override file values.
+``model_layers = 12``). Explicit flags override file values. A subcommand
+offers only the flags it reads: ``replay`` the method keys and
+``--report-out``, ``sweep`` every key but ``--trace-out``. A config file may
+hold any key, so one file serves every subcommand.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal error (printed
 with its traceback).
@@ -46,6 +49,10 @@ _KEYS = {"model_layers": (int, 8), "model_heads": (int, 4), "model_dim": (int, 3
          "steps": (int, 16), "trace_out": (str, None), "report_out": (str, None)}
 _FLAG_EXTRAS = {"segments": {"help": 'layout, e.g. "T:8,I:92,T:4"'},
                 "method": {"choices": ["none", "plphp", "fastv", "vtw"]}}
+# The keys each subcommand reads, and so offers as flags (a config file may
+# hold any key).
+_SUBCOMMAND_KEYS = {"run": [*_KEYS], "sweep": [key for key in _KEYS if key != "trace_out"],
+                    "replay": [*_METHOD_KEYS, "report_out"]}
 
 SWEEP_CSV_VERSION = 1
 # Largest sweep grid: each point is one full run, so a bigger grid is a typo.
@@ -98,10 +105,10 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    for key, (kind, _) in _KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEYS[key][0],
                        **_FLAG_EXTRAS.get(key, {}))
 
 
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [("run", cmd_run), ("sweep", cmd_sweep), ("replay", cmd_replay)]:
         p = sub.add_parser(name)
-        _add_common_flags(p)
+        _add_config_flags(p, _SUBCOMMAND_KEYS[name])
         p.set_defaults(fn=fn)
         if name == "sweep":
             p.add_argument("--grid", required=True,

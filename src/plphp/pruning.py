@@ -75,7 +75,8 @@ class LayerDecision:
     class) is still recorded so per-layer attention reports cover the whole
     model. The baselines have no layer classes and leave ``layer_class`` and
     ``retention`` None. ``per_head_retained[h][j]`` is the ascending set of
-    absolute positions kept for image j by head h.
+    absolute positions kept for image j by head h (for plphp, row h of
+    image j's ``(H, K)`` selection).
     """
 
     layer: int
@@ -127,11 +128,12 @@ def allocate_retention(layer_class: str, cfg: PruningConfig) -> float:
 
 def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
                     retention: float) -> tuple[np.ndarray, int]:
-    """Top-K vision positions of one image for one head.
+    """Top-K vision positions of one image for one head, or for each row of ``(H, S)``.
 
     K = floor(retention * image_length), with a minimum of 1 whenever
     retention > 0 so no image vanishes from context entirely. Returns the
-    retained absolute positions (ascending) and K.
+    retained absolute positions (ascending, one row per head for 2-D input)
+    and K.
     """
     head_row = np.asarray(head_row, dtype=np.float64)
     image_indices = np.asarray(image_indices, dtype=np.int64)
@@ -142,7 +144,7 @@ def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
     k = int(np.floor(retention * image_indices.size))
     if retention > 0.0:
         k = max(1, k)
-    local = argtopk(head_row[image_indices], k)
+    local = argtopk(head_row[..., image_indices], k)
     return image_indices[local], k
 
 
@@ -179,10 +181,8 @@ def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalS
         return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class, exempt=True)
     retention = allocate_retention(layer_class, cfg)
     rows = np.asarray(attn_last_rows, dtype=np.float64)
-    per_head = [
-        [select_retained(rows[h], img, retention)[0] for img in seq.image_indices]
-        for h in range(rows.shape[0])
-    ]
+    per_image = [select_retained(rows, img, retention)[0] for img in seq.image_indices]
+    per_head = [[kept[h] for kept in per_image] for h in range(rows.shape[0])]
     return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class,
                          exempt=False, retention=retention, per_head_retained=per_head)
 

@@ -149,16 +149,48 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
 
 
 def argtopk(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values, ties broken by smaller index.
+    """Indices of the k largest values along the last axis of a 1-D or 2-D array.
 
-    Returned indices are sorted ascending.
+    Each row (pruning passes one per head) keeps its k largest entries;
+    ties go to the smaller index, NaN ranks below every number and +0.0 ties
+    with -0.0. The result has shape ``values.shape[:-1] + (k,)``,
+    each row ascending: the set a stable argsort of ``-values`` puts first.
+
+    One ``np.partition`` finds each row's k-th largest value, its threshold.
+    When exactly k entries of every row reach their threshold (distinct
+    values, the usual case) they are the answer; otherwise ties past k or a
+    NaN threshold take one tie pass (``_tied_topk``).
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got {values.ndim}-D")
-    if not 0 <= k <= values.shape[0]:
-        raise ValueError(f"k={k} out of range for length {values.shape[0]}")
-    # stable sort on negated values keeps original order among ties,
-    # which is exactly smallest-index-first
-    order = np.argsort(-values, kind="stable")[:k]
-    return np.sort(order)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D or 2-D array, got {values.ndim}-D")
+    length = values.shape[-1]
+    if not 0 <= k <= length:
+        raise ValueError(f"k={k} out of range for length {length}")
+    shape = values.shape[:-1] + (k,)
+    if k == 0:
+        return np.empty(shape, dtype=np.intp)
+    neg = -values.reshape(-1, length)  # the k largest are neg's k smallest; NaN partitions last
+    threshold = np.partition(neg, k - 1, axis=-1)[:, k - 1 : k]
+    # a row reaches its threshold at least k times unless the threshold is
+    # NaN, so k per row on average means exactly k in every row
+    kept = np.flatnonzero(neg <= threshold)
+    if kept.size != neg.shape[0] * k or np.isnan(threshold).any():
+        kept = np.flatnonzero(_tied_topk(neg, threshold, k))
+    return (kept.reshape(-1, k) - np.arange(0, neg.size, length)[:, None]).reshape(shape)
+
+
+def _tied_topk(neg: np.ndarray, threshold: np.ndarray, k: int) -> np.ndarray:
+    """``argtopk``'s keep-mask when a row has ties past k or a NaN threshold.
+
+    Every entry strictly below its row's threshold in ``neg`` is kept, and the
+    entries equal to it fill the row up to k, smallest index first. A NaN
+    threshold (fewer than k numbers in the row) keeps every number and its
+    first NaNs.
+    """
+    nan = np.isnan(neg)
+    nan_threshold = np.isnan(threshold)
+    above = np.where(nan_threshold, ~nan, neg < threshold)
+    tie = np.where(nan_threshold, nan, neg == threshold)
+    need = k - np.count_nonzero(above, axis=-1, keepdims=True)
+    return above | (tie & (np.cumsum(tie, axis=-1) <= need))

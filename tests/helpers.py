@@ -99,6 +99,21 @@ def sort_topk(values, k: int) -> list[int]:
     return sorted(order[:k])
 
 
+def stable_argtopk(values, k: int) -> np.ndarray:
+    """``plphp.argtopk``'s former 1-D path: a full stable argsort of ``-values``.
+
+    The stable sort keeps the original order among ties (smallest index
+    first) and sorts NaN last; the first k indices are returned ascending.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence, got {values.ndim}-D")
+    if not 0 <= k <= values.shape[0]:
+        raise ValueError(f"k={k} out of range for length {values.shape[0]}")
+    order = np.argsort(-values, kind="stable")[:k]
+    return np.sort(order)
+
+
 def loop_gamma(rows: np.ndarray, vision: np.ndarray) -> float:
     h = rows.shape[0]
     total = 0.0

@@ -1,9 +1,11 @@
 """The benchmark's traced run rebinds the plphp names listed in
 ``perfbench/tracer.py``; a rename in plphp would break ``--trace 1``, and so
-would a ``matmul`` operand shape its classifier does not know."""
+would a ``matmul`` operand shape its classifier does not know. Its
+replay_grid workload drives the CLI, so a flag it passes must stay."""
 
 import importlib
 import importlib.util
+import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plphp import model
+from plphp import cli, model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +65,28 @@ def test_tracer_classifies_every_matmul(monkeypatch, method):
     assert Counter(kinds[decode_from:]) == Counter({k: spec["steps"] * c
                                                     for k, c in per_step.items()})
     assert "unembed" not in kinds[:decode_from]
+
+
+def test_replay_grid_argv_is_accepted(monkeypatch, tmp_path):
+    # grid_run's own argv for every point of the workload's grid, captured at
+    # cli.main and parsed by the CLI's parser
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run", monkeypatch)
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    grid = run.REPLAY_GRID["grid"]
+    points = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
+    ctx = run.GridCtx([tmp_path / "t.plpt"], points, seq_len=1, rows_per_trace=1)
+    argvs = []
+
+    def capture(argv):
+        argvs.append(argv)
+        return 2
+
+    monkeypatch.setattr(run.cli, "main", capture)
+    for i in range(len(points)):
+        assert run.grid_run(ctx, i).rc == 2
+    assert len(argvs) == len(points)
+    for argv, point in zip(argvs, points):
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == "replay"
+        assert {key: getattr(args, key) for key in point} == point

@@ -51,6 +51,39 @@ class TestParsing:
                 parse_grid(f"r=0.4,{key}=x.csv")
         assert main(["sweep", *SMALL_MODEL, "--grid", "report_out=/nonexistent/x"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["replay", "--trace", "run.plpt", "--seed", "1"],
+        ["replay", "--trace", "run.plpt", "--steps", "-9"],
+        ["sweep", "--grid", "r=0.4", "--trace-out", "t.plpt"],
+    ])
+    def test_flags_a_subcommand_never_reads_are_refused(self, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+
+    def test_subcommand_flags(self):
+        required = {"run": [], "sweep": ["--grid", "r=0.4"], "replay": ["--trace", "t.plpt"]}
+        flags = {name: set(vars(build_parser().parse_args([name, *argv])))
+                 - {"command", "fn", "config", "grid", "trace"}
+                 for name, argv in required.items()}
+        assert flags["run"] == set(cli._KEYS)
+        assert flags["sweep"] == set(cli._KEYS) - {"trace_out"}
+        assert flags["replay"] == set(cli._METHOD_KEYS) | {"report_out"}
+
+    def test_one_config_file_serves_run_and_replay(self, tmp_path):
+        trace, cfg = tmp_path / "run.plpt", tmp_path / "exp.cfg"
+        values = dict(zip(SMALL_MODEL[::2], SMALL_MODEL[1::2]))
+        cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                               for flag, value in values.items())
+                       + f"method = plphp\nr = 0.5\ntrace_out = {trace}\n"
+                       + f"report_out = {tmp_path / 'run.json'}\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["replay", "--config", str(cfg), "--trace", str(trace),
+                     "--report-out", str(tmp_path / "replay.json")]) == 0
+        live = json.loads((tmp_path / "run.json").read_text())
+        assert json.loads((tmp_path / "replay.json").read_text())["per_layer"] == \
+            live["per_layer"]
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("method = plphp\nr = 0.5  # comment\n\nmodel_layers = 6\n")
@@ -154,6 +187,28 @@ FUZZ_FLOATS = {"r": [0.5], "dr": [0.2], "alpha": [0.3], "beta": [0.05],
                "fastv_ratio": [0.25]}
 FUZZ_HUGE = [10**20, -10**20, -1, 0]
 FUZZ_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0]
+# method values for replay and sweep: the specials above, boundaries and the
+# extremes of the float range
+METHOD_FUZZ_FLOATS = [*FUZZ_SPECIAL_FLOATS, 0.0, 1e308, -1.0, 1e-320]
+METHOD_FUZZ_INTS = [0, -1, 10**20]
+METHOD_FUZZ = {key: ((METHOD_FUZZ_INTS if key in FUZZ_INTS else METHOD_FUZZ_FLOATS)
+                     + (FUZZ_INTS | FUZZ_FLOATS)[key])
+               for key in cli._METHOD_KEYS if key != "method"}
+METHODS = ["none", "plphp", "fastv", "vtw"]
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("replay") / "run.plpt"
+    assert main(["run", *SMALL_MODEL, "--method", "plphp", "--trace-out", str(trace)]) == 0
+    return trace
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse refuses a value it cannot convert
+        return e.code
 
 
 class TestInputBounds:
@@ -226,11 +281,32 @@ class TestInputBounds:
             else:
                 argv = ["run", *(f"--{key.replace('_', '-')}={value}"
                                  for key, value in values.items())]
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse refuses a value it cannot convert
-                code = e.code
+            code = exit_code(argv)
         assert code in (0, 2), values
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_replay_values_exit_0_or_2(self, small_trace, data):
+        # every method over a recorded trace, each method key absent, valid
+        # or special; values as --key=value, so argparse reads -inf as a value
+        argv = ["replay", "--trace", str(small_trace),
+                f"--method={data.draw(st.sampled_from(METHODS), label='method')}"]
+        for key, values in METHOD_FUZZ.items():
+            value = data.draw(st.none() | st.sampled_from(values), label=key)
+            if value is not None:
+                argv.append(f"--{key.replace('_', '-')}={value!r}")
+        assert exit_code(argv) in (0, 2), argv
+
+    @settings(max_examples=30, deadline=None)
+    @given(method=st.sampled_from(METHODS),
+           point=st.sampled_from(list(METHOD_FUZZ)).flatmap(
+               lambda key: st.tuples(st.just(key), st.sampled_from(METHOD_FUZZ[key]))))
+    def test_fuzzed_sweep_point_exits_0_or_2(self, method, point):
+        key, value = point
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["sweep", *SMALL_MODEL, f"--method={method}", f"--grid={key}={value!r}",
+                    f"--report-out={Path(tmp) / 'sweep.csv'}"]
+            assert exit_code(argv) in (0, 2), argv
 
     def test_huge_inputs_refused_under_an_address_space_limit(self):
         # one child, its address space capped at 1 GiB once plphp is imported:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_softmax_rows
-from helpers import loop_gamma, set_keep, sort_select
+from helpers import loop_gamma, set_keep, sort_select, stable_argtopk
 from plphp import (IMAGE, TEXT, HeadKVCache, PruningConfig, Segment, build_sequence,
                    make_rng, vision_index_union)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
@@ -108,6 +108,17 @@ class TestSelectRetained:
     def test_zero_retention_allowed(self, rng):
         got, k = select_retained(rng.random(8), np.arange(5), 0.0)
         assert k == 0 and got.size == 0
+
+    @pytest.mark.parametrize("retention", [0.0, 0.1, 0.4, 1.0])
+    def test_head_rows_equal_per_head_calls(self, rng, retention):
+        # coarse values tie within and across heads
+        rows = np.round(rng.random((4, 16)) * 3) / 3
+        image = np.arange(3, 13)
+        got, k = select_retained(rows, image, retention)
+        assert got.shape == (4, k)
+        for h in range(4):
+            want, k_h = select_retained(rows[h], image, retention)
+            assert got[h].tolist() == want.tolist() and k_h == k
 
     def test_empty_image_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -226,3 +237,18 @@ def test_decide_layer_per_image_budget(rng):
         assert len(decision.per_head_retained[h][1]) == 3
         for j, image in enumerate(seq.image_indices):
             assert set(decision.per_head_retained[h][j]) <= set(image.tolist())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_decide_layer_equals_per_head_stable_argsort(seed):
+    # per_head_retained[h][j] is head h's stable-argsort top-K of image j
+    rng = make_rng(seed)
+    seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
+                          Segment(IMAGE, 12), Segment(TEXT, 2)], seed=seed)
+    rows = np.round(random_softmax_rows(rng, 3, seq.total_length) * 40) / 40
+    decision = decide_layer(rows, seq, DEFAULT, layer=3, num_layers=5)
+    for j, image in enumerate(seq.image_indices):
+        k = max(1, int(np.floor(decision.retention * image.size)))
+        for h in range(3):
+            want = image[stable_argtopk(rows[h, image], k)]
+            assert decision.per_head_retained[h][j].tolist() == want.tolist()

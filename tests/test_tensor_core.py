@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (bits, canonical_nan_bits, loop_matmul, naive_matmul, naive_softmax,
-                     row_softmax, same_bits, sort_topk)
+                     row_softmax, same_bits, sort_topk, stable_argtopk)
 from plphp import argtopk, make_rng, masked_row_softmax, matmul, model, tensor_core
 
 NAN_A = np.uint64(0x7FF8000000000001).view(np.float64)
@@ -356,6 +357,72 @@ class TestArgtopk:
             v = np.round(rng.random(n) * 4) / 4
             k = int(rng.integers(0, n + 1))
             assert argtopk(v, k).tolist() == sort_topk(v, k)
+
+    def test_rows_select_independently(self):
+        v = np.array([[0.5, 0.5, 0.2], [0.1, 0.9, 0.9], [np.nan, 1.0, np.nan]])
+        assert argtopk(v, 1).tolist() == [[0], [1], [1]]
+        assert argtopk(v, 2).tolist() == [[0, 1], [1, 2], [0, 1]]
+        assert argtopk(v, 0).shape == (3, 0)
+        # a NaN threshold keeps none of its row at the threshold, and another
+        # row's extra ties must not make up the count
+        nan_row_and_ties = np.array([[np.nan, np.nan, np.nan], [1.0, 1.0, 0.0]])
+        assert argtopk(nan_row_and_ties, 1).tolist() == [[0], [0]]
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            argtopk(np.zeros((2, 2, 2)), 1)
+        with pytest.raises(ValueError):
+            argtopk(np.zeros((2, 3)), 4)
+
+
+# ties, NaN, signed zeros, infinities and subnormals
+TOPK_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def topk_cases(draw):
+    """A 1-D or (H, L) array of special values or of distinct numbers, and a k in 0..L."""
+    heads = draw(st.none() | st.integers(1, 5), label="heads (None: 1-D)")
+    length = draw(st.integers(1, 49), label="L")
+    shape = (length,) if heads is None else (heads, length)
+    if draw(st.booleans(), label="special values"):
+        values = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(TOPK_SPECIALS)))
+    else:  # distinct in every row: the exactly-k path
+        rows = [draw(hnp.arrays(np.float64, length, unique=True,
+                                elements=st.floats(0.0, 1.0, exclude_min=True)))
+                for _ in range(heads or 1)]
+        values = np.stack(rows).reshape(shape)
+    k = draw(st.sampled_from([0, length]) | st.integers(0, length), label="k")
+    return values, k
+
+
+def test_argtopk_equals_stable_argsort(monkeypatch):
+    # differential test against the stable argsort argtopk replaced; both the
+    # exactly-k path and the tie pass must be reached, and agree with it
+    paths = Counter()
+    tied = tensor_core._tied_topk
+
+    def counting_tied(*args):
+        paths["tie pass"] += 1
+        return tied(*args)
+
+    monkeypatch.setattr(tensor_core, "_tied_topk", counting_tied)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=topk_cases())
+    def check(case):
+        values, k = case
+        ties = paths["tie pass"]
+        got = argtopk(values, k)
+        if k > 0 and paths["tie pass"] == ties:
+            paths["exactly k"] += 1
+        assert got.shape == values.shape[:-1] + (k,)
+        rows = values.reshape(-1, values.shape[-1])
+        assert [row.tolist() for row in got.reshape(len(rows), k)] == \
+            [stable_argtopk(row, k).tolist() for row in rows]
+
+    check()
+    assert paths["exactly k"] > 0 and paths["tie pass"] > 0, paths
 
 
 def test_make_rng_deterministic():

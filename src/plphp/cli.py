@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -299,6 +300,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves a parser unchanged, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plphp",
                                      description="vision-token KV-cache pruning experiments")

@@ -13,7 +13,10 @@ a store with room to spare, so a decode step writes one row per head and
 copies none. No head holds an S x S
 map and the masked upper triangle is never multiplied; every output keeps
 the bits of the full-matrix computation (a masked weight is exactly +0.0,
-and adding its +-0 product leaves the sum unchanged).
+and adding its +-0 product leaves the sum unchanged). The pass returns only
+the last row's output, which decode unembeds and prefill drops, so the
+final layer appends every row to the caches but runs the rest of the layer
+for its last row block alone.
 
 After each layer finishes its prefill forward pass an optional pruning hook
 may shrink that layer's caches; the hook never affects prefill values, only
@@ -210,13 +213,17 @@ def attention_row_blocks(m: int) -> list[tuple[int, int]]:
 def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadKVCache]],
              token_ids: np.ndarray, first_position: int,
              after_layer: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
-    """Run m new rows from ``first_position`` through every layer; returns m x D.
+    """Run m new rows from ``first_position`` through every layer; returns the last row, 1 x D.
 
     Each head appends the rows' keys, values and positions to its cache and
     attends over it: with l0 rows cached before, row block ``[i0, i1)`` is
     rows ``l0 + i0..`` of a causal map ``l0 + m`` wide. ``after_layer(l,
     last_rows[H, l0 + m])`` runs after each layer (every head must then hold
     l0 rows) and may replace ``caches[l]``.
+
+    Only the last row leaves the final layer, so that layer appends all m
+    rows to the caches but runs the rest (queries, scores, softmax, value
+    mix, out-projection and MLP) for its last row block alone.
     """
     m = len(token_ids)
     if first_position + m > config.max_positions:
@@ -227,26 +234,31 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
     dk = config.head_dim
     inv_sqrt_dk = 1.0 / np.sqrt(dk)
     blocks = attention_row_blocks(m)
+    r0 = 0  # first row a layer computes beyond its K/V: 0 before the final layer
 
     for l in range(config.num_layers):
         h_in = _rmsnorm(x)
-        mixed = np.empty((m, config.model_dim))
+        if l == config.num_layers - 1:
+            blocks = blocks[-1:]
+            r0 = blocks[0][0]
+            x = x[r0:]
+        mixed = np.empty((m - r0, config.model_dim))
         last_rows = []
         for h in range(config.num_heads):
             cache = caches[l][h]
             l0 = len(cache)
-            q = matmul(h_in, weights.w_q[l, h])
+            q = matmul(h_in[r0:], weights.w_q[l, h])
             # the store keeps keys^T: each k-step of the score loop reads one row
             kt, values = cache.append(matmul(h_in, weights.w_k[l, h]),
                                       matmul(h_in, weights.w_v[l, h]), positions,
                                       config.max_positions)
             out = mixed[:, h * dk:(h + 1) * dk]
             for i0, i1 in blocks:
-                scores = matmul(q[i0:i1], kt[:, :l0 + i1])
+                scores = matmul(q[i0 - r0:i1 - r0], kt[:, :l0 + i1])
                 scores *= inv_sqrt_dk
                 attn = masked_row_softmax(scores, first_row=l0 + i0, width=l0 + m)
                 del scores  # no block's scores stay alive into the next block
-                out[i0:i1] = matmul(attn[:, :l0 + i1], values[:l0 + i1])
+                out[i0 - r0:i1 - r0] = matmul(attn[:, :l0 + i1], values[:l0 + i1])
             if after_layer is not None:  # a copy, so the block buffer is freed
                 last_rows.append(attn[-1].copy())
         x = x + matmul(mixed, weights.w_o[l])
@@ -254,7 +266,7 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
         if after_layer is not None:
             after_layer(l, np.stack(last_rows))
-    return x
+    return x[-1:]
 
 
 def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,

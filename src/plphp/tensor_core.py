@@ -118,9 +118,11 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
     rows ``first_row .. first_row + m - 1`` of a ``width`` x ``width`` score
     matrix, cut after column ``first_row + m`` (every later column is masked
     in these rows). The result is zero-padded back to ``width`` columns, and
-    each of its rows is bitwise equal to that row of the full matrix's
-    softmax: the row sum runs over the same zero-padded row, so numpy's
-    pairwise summation keeps its tree.
+    its first ``first_row + m`` columns are bitwise equal to those of the
+    full matrix's softmax rows: the row sum runs over the same zero-padded
+    row, so numpy's pairwise summation keeps its tree. Only those columns are
+    divided by the sum, so the padding stays exactly +0.0 even in a row whose
+    sum is NaN or infinite, where the full matrix's row holds NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -144,7 +146,7 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
     np.exp(exp, out=exp)
     if mask:  # already 0 unless a row's max is -inf or NaN
         np.copyto(tail, 0.0, where=masked)
-    out /= np.add.reduce(out, axis=1, keepdims=True)  # np.sum without its wrapper
+    exp /= np.add.reduce(out, axis=1, keepdims=True)  # np.sum without its wrapper
     return out
 
 

@@ -104,8 +104,11 @@ def read_trace(path) -> AttentionTrace:
             if kind_code not in _CODE_KIND or length < 1:
                 raise TraceFormatError(f"bad segment: kind code {kind_code}, length {length}")
             segments.append(Segment(_CODE_KIND[kind_code], length))
-        raw = _read_exact(f, n * h * s * 8)
-    rows = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, h, s)
+        rows = np.empty(n * h * s, dtype="<f8")
+        got = f.readinto(rows)
+        if got != rows.nbytes:
+            raise TraceFormatError(f"truncated trace file: wanted {rows.nbytes} bytes, got {got}")
+    rows = rows.reshape(n, h, s)
     trace = AttentionTrace(num_layers=n, num_heads=h, seq_len=s,
                            segments=tuple(segments), rows=rows)
     trace.validate()

@@ -208,10 +208,11 @@ def cache_free_decode_logits(weights, config, seq, decode_tokens,
 def full_matrix_prefill(weights, config, seq, hook=None):
     """Prefill with each head's full S x S causal attention map.
 
-    Returns ``(state, last_rows[N, H, S])``. Same kernels
-    (``matmul``, ``masked_row_softmax``) and summation order as
-    ``plphp.prefill``, so its outputs must match the row-blocked prefill
-    bit for bit.
+    Returns ``(state, last_rows[N, H, S], hidden[S, D])``, ``hidden`` being
+    every row's output of the final layer. Same kernels (``matmul``,
+    ``masked_row_softmax``) and summation order as ``plphp.prefill``, so its
+    outputs must match the row-blocked prefill bit for bit, and the last row
+    of ``hidden`` the row its forward pass returns.
     """
     s = seq.total_length
     x = weights.token_embedding[seq.token_ids] + weights.position_embedding[:s]
@@ -235,7 +236,7 @@ def full_matrix_prefill(weights, config, seq, hook=None):
         if hook is not None:
             layer_caches, _ = hook(l + 1, last_rows[l], layer_caches, seq)
         caches.append(layer_caches)
-    return DecoderState(caches=caches, next_position=s), last_rows
+    return DecoderState(caches=caches, next_position=s), last_rows, x
 
 
 def reference_decode_step(weights, config, state, token_id):

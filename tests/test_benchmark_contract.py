@@ -65,6 +65,8 @@ def test_tracer_classifies_every_matmul(monkeypatch, method):
     assert Counter(kinds[decode_from:]) == Counter({k: spec["steps"] * c
                                                     for k, c in per_step.items()})
     assert "unembed" not in kinds[:decode_from]
+    # the tracer labels any 1-row left operand a decode step
+    assert ctx.seq.total_length > 1 and min(a[0] for a, _ in shapes[:decode_from]) > 1
 
 
 def test_replay_grid_argv_is_accepted(monkeypatch, tmp_path):

@@ -84,6 +84,24 @@ class TestParsing:
         assert json.loads((tmp_path / "replay.json").read_text())["per_layer"] == \
             live["per_layer"]
 
+    def test_one_parser_serves_every_main_call(self, tmp_path):
+        # main() parses each argv with the same parser: built on the first
+        # call, then reused across subcommands with the same exit codes
+        trace = tmp_path / "run.plpt"
+        build_parser.cache_clear()
+        with mock.patch.object(cli, "_add_config_flags", wraps=cli._add_config_flags) as flags:
+            assert main(["run", *SMALL_MODEL, "--method", "plphp", "--trace-out", str(trace),
+                         "--report-out", str(tmp_path / "run.json")]) == 0
+            assert main(["replay", "--trace", str(trace),
+                         "--report-out", str(tmp_path / "replay.json")]) == 0
+            with pytest.raises(SystemExit) as e:
+                main(["replay", "--trace", str(trace), "--seed", "1"])
+            assert e.value.code == 2
+            assert main(["replay", "--trace", str(tmp_path / "missing.plpt")]) == 3
+        assert flags.call_count == len(cli._SUBCOMMAND_KEYS)  # once per subcommand: one build
+        assert json.loads((tmp_path / "replay.json").read_text())["per_layer"] == \
+            json.loads((tmp_path / "run.json").read_text())["per_layer"]
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("method = plphp\nr = 0.5  # comment\n\nmodel_layers = 6\n")

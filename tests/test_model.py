@@ -149,12 +149,23 @@ def assert_decodes_like_reference(w, cfg, ref, got, steps):
 
 
 def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
-    """Row-blocked prefill vs the full-matrix reference, bit for bit: caches,
-    last attention rows, and ``steps`` greedy decode steps against the
-    reference decoder. ``pruning`` is any method's config, or None."""
-    ref, ref_rows = full_matrix_prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers))
-    got, report = prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers),
-                          record_trace=True)
+    """Row-blocked prefill vs the full-matrix reference, bit for bit: the last
+    row its forward pass returns, caches, last attention rows, and ``steps``
+    greedy decode steps against the reference decoder. ``pruning`` is any
+    method's config, or None."""
+    ref, ref_rows, ref_hidden = full_matrix_prefill(w, cfg, seq,
+                                                    hook=method_hook(pruning, cfg.num_layers))
+    returned = []
+    forward = model._forward
+
+    def recording_forward(*args):
+        returned.append(forward(*args))
+        return returned[-1]
+
+    with mock.patch.object(model, "_forward", recording_forward):
+        got, report = prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers),
+                              record_trace=True)
+    assert len(returned) == 1 and same_bits(returned[0], ref_hidden[-1:])
     assert same_bits(report.attn_last_rows, ref_rows)
     assert_same_caches(ref, got)
     assert_decodes_like_reference(w, cfg, ref, got, steps)
@@ -190,15 +201,62 @@ class TestBlockedPrefill:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
-           prune=st.booleans())
-    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, prune):
+           method=st.sampled_from(sorted(METHODS)))
+    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, method):
         # small blocks put many boundaries (and 1-row blocks) inside short prompts
         rng = make_rng(seed)
         cfg, w = small_model(rng, max_layers=5)
         seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
                              seed=seed, vocab_size=cfg.vocab_size)
         with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
-            assert_blocked_equals_full(w, cfg, seq, PruningConfig() if prune else None)
+            assert_blocked_equals_full(w, cfg, seq, METHODS[method])
+
+    # one tile, exact tiles, a 1-row tail (joined to the tile before) and a ragged tail
+    @pytest.mark.parametrize("s", [B, 2 * B, 2 * B + 1, 3 * B - 5])
+    def test_final_layer_attends_for_its_last_block_alone(self, s):
+        # every earlier layer runs all blocks; the final one projects keys
+        # and values for all s rows but queries, normalises, mixes and runs
+        # the rest of the layer for the last block's rows only
+        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
+                          vocab_size=32, max_positions=s)
+        w = init_model(cfg, s)
+        seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
+                             seed=s, vocab_size=cfg.vocab_size)
+        blocks = model.attention_row_blocks(s)
+        i0 = blocks[-1][0]
+        rows = s - i0
+        h, d, dk = cfg.num_heads, cfg.model_dim, cfg.head_dim
+        calls = []  # per layer: ("matmul", a.shape, b.shape) and ("softmax", shape, first_row)
+        matmul, softmax = model.matmul, model.masked_row_softmax
+
+        def recording_matmul(a, b):
+            calls[-1].append(("matmul", a.shape, b.shape))
+            return matmul(a, b)
+
+        def recording_softmax(scores, first_row, width):
+            calls[-1].append(("softmax", scores.shape, first_row))
+            return softmax(scores, first_row=first_row, width=width)
+
+        def next_layer(layer, last_rows, caches, seq):
+            calls.append([])
+            return caches, None
+
+        calls.append([])
+        with mock.patch.object(model, "matmul", recording_matmul), \
+                mock.patch.object(model, "masked_row_softmax", recording_softmax):
+            prefill(w, cfg, seq, hook=next_layer)
+        *earlier, final, after_final = calls
+        assert after_final == [] and len(earlier) == cfg.num_layers - 1
+        for layer in earlier:
+            assert sum(kind == "softmax" for kind, _, _ in layer) == h * len(blocks)
+        projections = [a[0] for kind, a, b in final if b == (d, dk)]
+        assert projections == [rows, s, s] * h  # q, k, v per head
+        assert [c for c in final if c[0] == "softmax"] == [("softmax", (rows, s), i0)] * h
+        assert [a for kind, a, b in final if b == (s, dk)] == [(rows, s)] * h  # value mix
+        assert [a[0] for kind, a, b in final
+                if b in ((d, d), (d, 4 * d), (4 * d, d))] == [rows] * 3  # out-proj, MLP
+        # a 1-row operand would be labelled a decode step
+        assert min(a[0] for kind, a, b in final if kind == "matmul") > 1
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.integers(1, 2000), block_rows=st.integers(1, 300))

@@ -303,6 +303,25 @@ class TestMaskedRowSoftmax:
         assert same_bits(block, full[i0:i1])
         assert same_bits(block[:, i1:], np.zeros((i1 - i0, s - i1)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["finite", "inf", "nan_a"]), data=st.data())
+    def test_block_columns_equal_full_rows_and_padding_is_zero(self, s, seed, mode, data):
+        # a block divides only the columns it computed: those match the full
+        # map's rows, NaN and inf rows too, and the padding stays +0.0 in
+        # dirty memory, where the full map's masked columns of such a row are NaN
+        scores = _operand(make_rng(seed), (s, s), mode)
+        i0 = data.draw(st.integers(0, s - 1))
+        i1 = data.draw(st.integers(i0 + 1, s))
+        with np.errstate(invalid="ignore"):
+            full = masked_row_softmax(scores)
+            with patch.object(tensor_core, "np", _DirtyNumpy()):
+                block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
+        # NaN payloads may differ where two NaNs meet, as in matmul
+        compare = bits if mode == "finite" else canonical_nan_bits
+        assert np.array_equal(compare(block[:, :i1]), compare(full[i0:i1, :i1]))
+        assert same_bits(block[:, i1:], np.zeros((i1 - i0, s - i1)))
+
     def test_row_block_arguments_checked(self, rng):
         with pytest.raises(ValueError):  # rows 2..3 need 4 score columns
             masked_row_softmax(rng.random((2, 3)), first_row=2, width=6)

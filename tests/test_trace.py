@@ -1,6 +1,8 @@
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from conftest import random_softmax_rows
 from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, init_model, make_fastv_hook, make_hook,
                    make_vtw_hook, prefill)
+from plphp import trace as trace_module
 from plphp.cli import main
 from plphp.model import DecoderState, ModelConfig
 from plphp.trace import (AttentionTrace, TraceFormatError, read_trace, replay,
@@ -56,6 +59,20 @@ class TestRoundTrip:
         path.write_bytes(data[:-9])
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    def test_truncated_body_rejected(self, rng, tmp_path):
+        # a body that ends early although the size check passed (the file
+        # shrank after it): the short read is a trace error, exit 3
+        trace = make_trace(rng)
+        path = tmp_path / "t.plpt"
+        write_trace(path, trace)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-9])
+        stale = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size))
+        with mock.patch.object(trace_module, "os", stale):
+            with pytest.raises(TraceFormatError, match="truncated trace file"):
+                read_trace(path)
+            assert main(["replay", "--trace", str(path)]) == 3
 
     def test_bad_magic_rejected(self, rng, tmp_path):
         path = tmp_path / "t.plpt"

@@ -41,10 +41,10 @@ PruningHook = Callable[
     tuple[list["HeadKVCache"], Any],
 ]
 
-# Rows of one prefill attention block: each head's scores and weights take
-# ATTN_BLOCK_ROWS x S floats at a time instead of S x S. 64 rows keep a block's
-# buffers (1 MiB each at S=2048) within a 2 MiB L2; measured against 32 and
-# 128 at S=1024 and S=4096 (table in README.md).
+# Rows of one prefill attention block: each head's scores, normalised in
+# place, take ATTN_BLOCK_ROWS x S floats at a time instead of S x S. 64 rows
+# keep a block's buffers (1 MiB each at S=2048) within a 2 MiB L2; measured
+# against 32 and 128 at S=1024 and S=4096 (table in README.md).
 ATTN_BLOCK_ROWS = 64
 
 __all__ = [
@@ -253,14 +253,18 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
                                       matmul(h_in, weights.w_v[l, h]), positions,
                                       config.max_positions)
             out = mixed[:, h * dk:(h + 1) * dk]
+            work = None  # a 1-row pass (decode) scores into a fresh row
+            if m > 1:  # one score workspace per pass, sized for its largest block
+                work = np.empty(max((i1 - i0) * (l0 + i1) for i0, i1 in blocks))
             for i0, i1 in blocks:
-                scores = matmul(q[i0 - r0:i1 - r0], kt[:, :l0 + i1])
+                n = l0 + i1
+                scores = None if work is None else work[:(i1 - i0) * n].reshape(i1 - i0, n)
+                scores = matmul(q[i0 - r0:i1 - r0], kt[:, :n], out=scores)
                 scores *= inv_sqrt_dk
-                attn = masked_row_softmax(scores, first_row=l0 + i0, width=l0 + m)
-                del scores  # no block's scores stay alive into the next block
-                out[i0 - r0:i1 - r0] = matmul(attn[:, :l0 + i1], values[:l0 + i1])
-            if after_layer is not None:  # a copy, so the block buffer is freed
-                last_rows.append(attn[-1].copy())
+                masked_row_softmax(scores, first_row=l0 + i0, width=l0 + m, out=scores)
+                out[i0 - r0:i1 - r0] = matmul(scores, values[:n])
+            if after_layer is not None:  # a copy, so the workspace is freed
+                last_rows.append(scores[-1].copy())
         x = x + matmul(mixed, weights.w_o[l])
         m_in = _rmsnorm(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])

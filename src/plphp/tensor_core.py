@@ -34,7 +34,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with a mandated summation order.
 
     Every output element is ``((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``,
@@ -64,6 +64,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Where two different NaNs meet in one sum or product the result may carry
     either payload, in the loop as well: numpy's vector and tail lanes pick
     different operands.
+
+    ``out``, if given, is a C-contiguous float64 m x n array that receives
+    the product and is returned; it must not overlap ``a`` or ``b``. Every
+    path writes all of it before reading any of it, so its old contents
+    never matter.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -72,14 +77,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
     (m, inner), n = a.shape, b.shape[1]
+    if out is not None and (out.shape != (m, n) or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, "
+                         f"got {out.dtype} {out.shape}")
     if inner == 0:
-        return np.zeros((m, n))
+        if out is None:
+            return np.zeros((m, n))
+        out.fill(0.0)
+        return out
     if m == 1 and n > 1 and inner * n <= MATMUL_BUFFER_FLOATS:
         prod = np.empty((inner, n))
         np.multiply(a.T, b, out=prod)
-        return np.add.reduce(prod, axis=0, initial=0.0, keepdims=True)
+        return np.add.reduce(prod, axis=0, initial=0.0, keepdims=True, out=out)
     if m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
-        out = np.empty((m, n))
+        if out is None:
+            out = np.empty((m, n))
         np.multiply(a[:, :1], b[:1, :], out=out)
         out += 0.0  # the loop's 0.0 + p0: a -0.0 first product ends +0.0
         tmp = np.empty_like(out)
@@ -90,7 +103,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wide = m > n
     chunk = min(inner, max(1, MATMUL_BUFFER_FLOATS // (m * n)))
     prod = np.empty((chunk, n, m) if wide else (chunk, m, n))
-    acc = None
+    if wide:  # summed as (n, m), copied out transposed
+        acc = np.empty((n, m))
+    else:
+        acc = np.empty((m, n)) if out is None else out
     for k0 in range(0, inner, chunk):
         p = prod[: inner - k0]
         ak, bk = a[:, k0 : k0 + len(p)].T, b[k0 : k0 + len(p)]
@@ -98,16 +114,21 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(np.ascontiguousarray(ak)[:, None, :], bk[:, :, None], out=p)
         else:
             np.multiply(ak[:, :, None], bk[:, None, :], out=p)
-        if acc is not None:
+        if k0:
             np.add(acc, p[0], out=p[0])
         # initial=0.0 is the loop's 0.0 + p0 (a -0.0 first product ends +0.0);
         # a running sum is never -0.0, so later chunks keep their bits
-        acc = np.add.reduce(p, axis=0, initial=0.0, out=acc)
-    return acc.T.copy() if wide else acc
+        np.add.reduce(p, axis=0, initial=0.0, out=acc)
+    if not wide:
+        return acc
+    if out is None:
+        out = np.empty((m, n))
+    out[...] = acc.T
+    return out
 
 
-def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
-                       width: int | None = None) -> np.ndarray:
+def masked_row_softmax(scores: np.ndarray, first_row: int = 0, width: int | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax under the causal (lower-triangular) mask.
 
     Each row is normalized over its unmasked prefix using max-subtraction;
@@ -116,13 +137,16 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
 
     The map may be normalised one row block at a time: ``scores`` then holds
     rows ``first_row .. first_row + m - 1`` of a ``width`` x ``width`` score
-    matrix, cut after column ``first_row + m`` (every later column is masked
-    in these rows). The result is zero-padded back to ``width`` columns, and
-    its first ``first_row + m`` columns are bitwise equal to those of the
-    full matrix's softmax rows: the row sum runs over the same zero-padded
-    row, so numpy's pairwise summation keeps its tree. Only those columns are
-    divided by the sum, so the padding stays exactly +0.0 even in a row whose
-    sum is NaN or infinite, where the full matrix's row holds NaN.
+    matrix, cut after column ``n = first_row + m`` (every later column is
+    masked in these rows). The result has the m x n shape of ``scores`` and
+    is bitwise equal to those rows and columns of the full matrix's softmax:
+    ``width`` only picks the row sum's tree. Each row sum equals
+    ``np.add.reduce`` over the row zero-padded to ``width`` columns, which
+    ``_padded_row_sum`` computes without the padding.
+
+    ``out``, if given, is a C-contiguous float64 m x n array that receives
+    the result and is returned; ``out=scores`` normalises the scores in
+    place. C order keeps each row sum a pairwise sum along the row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -132,22 +156,72 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0,
     if n != first_row + m or width < n:
         raise ValueError(f"causal rows {first_row}..{first_row + m - 1} of a width-{width} "
                          f"map need {first_row + m} score columns, got {n}")
-    out = np.empty((m, width))
-    out[:, n:] = 0.0  # the zero padding; every other entry is written below
-    exp = out[:, :n]
-    exp[...] = scores
+    if out is None:
+        out = scores.copy()
+    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, "
+                         f"got {out.dtype} {out.shape}")
+    elif out is not scores:
+        out[...] = scores
     # only the trailing m x m triangle of the block is masked: none of a 1-row block
     mask = m > 1
     if mask:
-        tail = exp[:, first_row:]
+        tail = out[:, first_row:]
         masked = np.arange(m) > np.arange(m)[:, None]
         np.copyto(tail, -np.inf, where=masked)
-    exp -= exp.max(axis=1, keepdims=True)
-    np.exp(exp, out=exp)
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
     if mask:  # already 0 unless a row's max is -inf or NaN
         np.copyto(tail, 0.0, where=masked)
-    exp /= np.add.reduce(out, axis=1, keepdims=True)  # np.sum without its wrapper
+    out /= _padded_row_sum(out, width)
     return out
+
+
+# numpy's pairwise summation (``np.add.reduce`` along a contiguous row):
+# a row longer than _PAIRWISE_LEAF splits at half its length rounded down
+# to a multiple of _PAIRWISE_UNROLL; a leaf of at most _PAIRWISE_LEAF
+# values is added with _PAIRWISE_UNROLL accumulators. Private to numpy:
+# tests/test_tensor_core.py checks ``_padded_row_sum`` against the padded
+# reduce bit for bit, so a change there fails a test.
+_PAIRWISE_LEAF = 128
+_PAIRWISE_UNROLL = 8
+
+
+def _padded_row_sum(x: np.ndarray, width: int) -> np.ndarray:
+    """``np.add.reduce(padded, axis=1, keepdims=True)``, where ``padded`` is
+    m x n ``x`` with ``width - n`` zero columns appended, without the padding.
+
+    A subtree of padding alone sums to +0.0 and one of computed columns
+    alone is one reduce of them, so only the path to column n needs work:
+    each level on it reduces its computed left half, or skips a right half
+    of padding, and the walk ends at a computed subtree or at a leaf of at
+    most _PAIRWISE_LEAF columns, zero-padded and reduced. Each reduce starts
+    from +0.0, as the padded reduce does, so it turns a -0.0 subtree sum into
+    +0.0; the sign of a zero changes only the sign of a zero sum above it,
+    and the padded reduce's own +0.0 start clears that too.
+    """
+    m, n = x.shape
+    if n == width:
+        return np.add.reduce(x, axis=1, keepdims=True)
+    lo, length = 0, width  # the subtree over columns [lo, lo + length) straddles column n
+    lefts = []  # the sums of the computed left halves on the path
+    while lo + length > n and length > _PAIRWISE_LEAF:
+        half = length // 2
+        half -= half % _PAIRWISE_UNROLL
+        if lo + half < n:
+            lefts.append(np.add.reduce(x[:, lo:lo + half], axis=1, keepdims=True))
+            lo, length = lo + half, length - half
+        else:  # the right half is padding: the left half's sum + 0.0 is that sum
+            length = half
+    if lo + length <= n:
+        total = np.add.reduce(x[:, lo:lo + length], axis=1, keepdims=True)
+    else:
+        leaf = np.zeros((m, length))
+        leaf[:, :n - lo] = x[:, lo:]
+        total = np.add.reduce(leaf, axis=1, keepdims=True)
+    for left in reversed(lefts):
+        total = left + total
+    return total
 
 
 def argtopk(values: np.ndarray, k: int) -> np.ndarray:

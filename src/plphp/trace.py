@@ -136,11 +136,12 @@ def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig |
            ) -> tuple[list[LayerDecision] | None, MetricsReport]:
     """Recompute every pruning decision offline, plus RR/KV accounting.
 
-    ``cfg`` names the method (None: no pruning). Its rule is the one the
-    live hook runs, so replaying a recorded run reproduces its decisions
-    exactly; RR/KV are counted from the decisions. No model execution.
+    ``trace`` must be valid (``AttentionTrace.validate``): ``read_trace``,
+    the gate for trace files, returns only validated traces. ``cfg`` names
+    the method (None: no pruning). Its rule is the one the live hook runs,
+    so replaying a recorded run reproduces its decisions exactly; RR/KV are
+    counted from the decisions. No model execution.
     """
-    trace.validate()
     seq = build_sequence(trace.segments, seed=0)
     n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
     v = vision_index_union(seq).size

@@ -16,6 +16,36 @@ import numpy as np
 from plphp import DecoderState, HeadKVCache, masked_row_softmax, matmul
 
 
+# a quiet NaN with a payload no computation here produces
+DIRTY_NAN = np.uint64(0x7FF8000000000001).view(np.float64)
+
+
+def _dirty(out: np.ndarray) -> np.ndarray:
+    if out.dtype == np.float64:
+        out.fill(DIRTY_NAN)
+    else:
+        out.view(np.uint8).fill(0xA5)
+    return out
+
+
+class DirtyNumpy:
+    """numpy, except that ``empty`` and ``empty_like`` return memory full of
+    garbage (DIRTY_NAN in float64 arrays), as a reused heap block may hold.
+    Patched in as a module's ``np``, it shows that the module reads no byte
+    of a buffer it allocated before writing it."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        return _dirty(np.empty(*args, **kwargs))
+
+    @staticmethod
+    def empty_like(*args, **kwargs):
+        return _dirty(np.empty_like(*args, **kwargs))
+
+
 def bits(x: np.ndarray) -> np.ndarray:
     """Bit patterns of a float64 array: unlike ==, tells -0.0 from +0.0."""
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)

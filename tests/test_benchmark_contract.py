@@ -46,9 +46,12 @@ def test_tracer_classifies_every_matmul(monkeypatch, method):
     shapes = []
     real = model.matmul
 
-    def recording(a, b):
+    def recording(*args, **kwargs):
+        # the tracer reads both operands from its positional arguments
+        assert len(args) == 2 and set(kwargs) <= {"out"}, (len(args), sorted(kwargs))
+        a, b = args
         shapes.append((a.shape, b.shape))
-        return real(a, b)
+        return real(a, b, **kwargs)
 
     monkeypatch.setattr(model, "matmul", recording)
     state, _ = model.prefill(ctx.weights, cfg, ctx.seq,

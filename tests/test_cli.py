@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plphp import cli, init_model, pruning
+from plphp.trace import AttentionTrace
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
 
@@ -396,6 +397,16 @@ class TestReplay:
         offline = json.loads(replay_out.read_text())
         assert live["retention_rate"] == offline["retention_rate"]
         assert live["kv_fraction"] == offline["kv_fraction"]
+
+    def test_replay_validates_the_trace_once(self, tmp_path):
+        # read_trace is the one gate: the replay itself does not validate again
+        trace = tmp_path / "run.plpt"
+        assert main(["run", *SMALL_MODEL, "--method", "plphp", "--trace-out", str(trace)]) == 0
+        with mock.patch.object(AttentionTrace, "validate", autospec=True,
+                               side_effect=AttentionTrace.validate) as validate:
+            assert main(["replay", "--trace", str(trace),
+                         "--report-out", str(tmp_path / "replay.json")]) == 0
+        assert validate.call_count == 1
 
     @pytest.mark.parametrize("method", ["none", "plphp", "fastv", "vtw"])
     def test_replay_method_matches_run(self, tmp_path, method):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segments, small_model
-from helpers import (cache_free_decode_logits, full_matrix_prefill, reference_decode_step,
-                     same_bits)
+from helpers import (DirtyNumpy, cache_free_decode_logits, full_matrix_prefill,
+                     reference_decode_step, same_bits)
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, HeadKVCache, ModelConfig,
                    PruningConfig, Segment, VTWConfig, build_sequence, decode_step,
                    greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
-                   make_vtw_hook, model, prefill)
+                   make_vtw_hook, model, prefill, tensor_core)
 
 B = model.ATTN_BLOCK_ROWS
 
@@ -229,13 +229,13 @@ class TestBlockedPrefill:
         calls = []  # per layer: ("matmul", a.shape, b.shape) and ("softmax", shape, first_row)
         matmul, softmax = model.matmul, model.masked_row_softmax
 
-        def recording_matmul(a, b):
+        def recording_matmul(a, b, **kwargs):
             calls[-1].append(("matmul", a.shape, b.shape))
-            return matmul(a, b)
+            return matmul(a, b, **kwargs)
 
-        def recording_softmax(scores, first_row, width):
+        def recording_softmax(scores, first_row, width, **kwargs):
             calls[-1].append(("softmax", scores.shape, first_row))
-            return softmax(scores, first_row=first_row, width=width)
+            return softmax(scores, first_row=first_row, width=width, **kwargs)
 
         def next_layer(layer, last_rows, caches, seq):
             calls.append([])
@@ -257,6 +257,25 @@ class TestBlockedPrefill:
                 if b in ((d, d), (d, 4 * d), (4 * d, d))] == [rows] * 3  # out-proj, MLP
         # a 1-row operand would be labelled a decode step
         assert min(a[0] for kind, a, b in final if kind == "matmul") > 1
+
+    # one tile, a 1-row tail (joined to the tile before) and a ragged tail
+    @pytest.mark.parametrize("s", [B, 2 * B + 1, 3 * B - 5])
+    def test_workspace_is_written_before_it_is_read(self, s):
+        # np.empty in tensor_core and model returns DIRTY_NAN memory: a score
+        # workspace byte read before it is written would change a bit
+        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
+                          vocab_size=32, max_positions=s + 8)
+        w = init_model(cfg, s)
+        seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
+                             seed=s, vocab_size=cfg.vocab_size)
+        hook = make_hook(PruningConfig(), cfg.num_layers)
+        ref, ref_report = prefill(w, cfg, seq, hook=hook, record_trace=True)
+        with mock.patch.object(tensor_core, "np", DirtyNumpy()), \
+                mock.patch.object(model, "np", DirtyNumpy()):
+            got, report = prefill(w, cfg, seq, hook=hook, record_trace=True)
+        assert same_bits(report.attn_last_rows, ref_report.attn_last_rows)
+        assert_same_caches(ref, got)
+        assert_decodes_like_reference(w, cfg, ref, got, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.integers(1, 2000), block_rows=st.integers(1, 300))

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import (bits, canonical_nan_bits, loop_matmul, naive_matmul, naive_softmax,
-                     row_softmax, same_bits, sort_topk, stable_argtopk)
+from helpers import (DIRTY_NAN, DirtyNumpy, bits, canonical_nan_bits, loop_matmul,
+                     naive_matmul, naive_softmax, row_softmax, same_bits, sort_topk,
+                     stable_argtopk)
 from plphp import argtopk, make_rng, masked_row_softmax, matmul, model, tensor_core
 
-NAN_A = np.uint64(0x7FF8000000000001).view(np.float64)
+NAN_A = DIRTY_NAN
 NAN_B = np.uint64(0xFFF80000000ABCDE).view(np.float64)
 # product-buffer sizes: tiny ones put chunk boundaries inside small K
 BUFFER_FLOATS = st.sampled_from([1, 2, 3, 5, 16, 64, 200, tensor_core.MATMUL_BUFFER_FLOATS])
@@ -30,26 +31,6 @@ def _operand(rng, shape, mode):
     pick = rng.random(shape) < 0.3
     x[pick] = rng.choice(SPECIALS[mode], size=int(pick.sum()))
     return x
-
-
-class _DirtyNumpy:
-    """numpy, except that ``empty`` and ``empty_like`` return memory full of
-    garbage (a NaN payload), as a reused heap block may hold."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def empty(*args, **kwargs):
-        out = np.empty(*args, **kwargs)
-        out.fill(NAN_A)
-        return out
-
-    @staticmethod
-    def empty_like(*args, **kwargs):
-        out = np.empty_like(*args, **kwargs)
-        out.fill(NAN_A)
-        return out
 
 
 class TestMatmul:
@@ -142,7 +123,7 @@ class TestMatmul:
             a = rng.standard_normal((len(a0), inner))
             b = rng.standard_normal((inner, len(b0)))
             a[:, 0], b[0] = a0, b0
-            with patch.object(tensor_core, "np", _DirtyNumpy()), \
+            with patch.object(tensor_core, "np", DirtyNumpy()), \
                     patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
                     np.errstate(invalid="ignore"):
                 got = matmul(a, b)
@@ -181,8 +162,7 @@ class TestMatmul:
         rng = make_rng(seed)
         i0 = data.draw(st.integers(0, s - 1))
         i1 = data.draw(st.integers(i0 + 1, s))
-        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), first_row=i0,
-                                  width=s)[:, :i1]
+        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), first_row=i0, width=s)
         v = rng.standard_normal((i1, 4))
         with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats):
             assert same_bits(matmul(attn, v), loop_matmul(attn, v))
@@ -223,7 +203,7 @@ class TestMatmul:
             a = rng.standard_normal((1, inner))
             b = rng.standard_normal((inner, len(firsts_b)))
             a[0, 0], b[0] = a0, firsts_b
-            with patch.object(tensor_core, "np", _DirtyNumpy()), np.errstate(invalid="ignore"):
+            with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
                 got = matmul(a, b)
             with np.errstate(invalid="ignore"):
                 want = loop_matmul(a, b)
@@ -245,6 +225,38 @@ class TestMatmul:
             tracemalloc.stop()
         # below an eighth of one m x K float64 matrix
         assert peak < m * inner * 8 / 8, f"peak {peak / 2**20:.2f} MiB"
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=DIM, inner=st.one_of(st.just(0), st.integers(1, 70)), n=DIM,
+           mode=st.sampled_from(sorted(SPECIALS)),
+           buffer_floats=BUFFER_FLOATS, seed=st.integers(0, 2**32 - 1))
+    def test_out_buffer_bitwise_equals_fresh_result(self, m, inner, n, mode, buffer_floats,
+                                                    seed):
+        # every path (single row, k-loop, chunked either way round, K == 0)
+        # writes the bits it would return into a caller's dirty buffer
+        rng = make_rng(seed)
+        a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
+        buf = np.full((m, n), NAN_A)
+        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
+                np.errstate(invalid="ignore"):
+            want = matmul(a, b)
+            got = matmul(a, b, out=buf)
+        view = canonical_nan_bits if mode == "nan_two" else bits
+        assert got is buf and np.array_equal(view(buf), view(want))
+
+    @pytest.mark.parametrize("m,inner,n", [(1, 70, 300),   # single row
+                                           (64, 4, 300),   # k-loop
+                                           (300, 70, 4),   # chunked, m > n
+                                           (24, 8, 24)])   # chunked, m <= n
+    def test_out_buffer_paths_and_shape_check(self, rng, m, inner, n):
+        a = rng.standard_normal((m, inner))
+        b = rng.standard_normal((inner, n))
+        buf = np.full((m, n), NAN_A)
+        assert matmul(a, b, out=buf) is buf and same_bits(buf, loop_matmul(a, b))
+        for bad in (np.empty((m, n + 1)), np.empty((n + 1, m)), np.empty((m, n), np.float32),
+                    np.empty((m, 2 * n))[:, ::2]):
+            with pytest.raises(ValueError):
+                matmul(a, b, out=bad)
 
 
 class TestMaskedRowSoftmax:
@@ -287,40 +299,62 @@ class TestMaskedRowSoftmax:
         bounds = sorted({0, s, *cuts})
         for i0, i1 in zip(bounds, bounds[1:]):
             block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
-            assert same_bits(block, full[i0:i1])
+            assert same_bits(block, full[i0:i1, :i1])
         # a decode step's 1-row block masks nothing: it is the plain row softmax
         last = scores[-1:]
         assert same_bits(masked_row_softmax(last, first_row=s - 1, width=s), row_softmax(last))
 
     @pytest.mark.parametrize("s,i0,i1", [(9, 0, 9), (9, 3, 7), (300, 64, 128), (300, 299, 300)])
     def test_padding_is_positive_zero_in_dirty_memory(self, s, i0, i1):
-        # only the padding is zeroed: every entry must come out as if the
-        # buffer had started at +0.0
+        # the row sum's zero-padded leaf is the only padding: every entry must
+        # come out as if every buffer had started at +0.0
         scores = make_rng(s + i0).standard_normal((s, s))
         full = masked_row_softmax(scores)
-        with patch.object(tensor_core, "np", _DirtyNumpy()):
+        with patch.object(tensor_core, "np", DirtyNumpy()):
             block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
-        assert same_bits(block, full[i0:i1])
-        assert same_bits(block[:, i1:], np.zeros((i1 - i0, s - i1)))
+        assert same_bits(block, full[i0:i1, :i1])
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            mode=st.sampled_from(["finite", "inf", "nan_a"]), data=st.data())
     def test_block_columns_equal_full_rows_and_padding_is_zero(self, s, seed, mode, data):
-        # a block divides only the columns it computed: those match the full
-        # map's rows, NaN and inf rows too, and the padding stays +0.0 in
-        # dirty memory, where the full map's masked columns of such a row are NaN
+        # a block returns only the columns it computed: those match the full
+        # map's rows, NaN and inf rows too, in dirty memory
         scores = _operand(make_rng(seed), (s, s), mode)
         i0 = data.draw(st.integers(0, s - 1))
         i1 = data.draw(st.integers(i0 + 1, s))
         with np.errstate(invalid="ignore"):
             full = masked_row_softmax(scores)
-            with patch.object(tensor_core, "np", _DirtyNumpy()):
+            with patch.object(tensor_core, "np", DirtyNumpy()):
                 block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
         # NaN payloads may differ where two NaNs meet, as in matmul
         compare = bits if mode == "finite" else canonical_nan_bits
-        assert np.array_equal(compare(block[:, :i1]), compare(full[i0:i1, :i1]))
-        assert same_bits(block[:, i1:], np.zeros((i1 - i0, s - i1)))
+        assert np.array_equal(compare(block), compare(full[i0:i1, :i1]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(s=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["finite", "inf", "nan_a"]), data=st.data())
+    def test_out_equals_fresh_result(self, s, seed, mode, data):
+        # out=scores normalises in place, and a separate dirty buffer takes
+        # the same bits
+        scores = _operand(make_rng(seed), (s, s), mode)
+        i0 = data.draw(st.integers(0, s - 1))
+        i1 = data.draw(st.integers(i0 + 1, s))
+        block = scores[i0:i1, :i1]
+        with np.errstate(invalid="ignore"):
+            want = masked_row_softmax(block, first_row=i0, width=s)
+            in_place = block.copy()
+            got = masked_row_softmax(in_place, first_row=i0, width=s, out=in_place)
+            other = masked_row_softmax(block, first_row=i0, width=s,
+                                       out=np.full(block.shape, NAN_A))
+        assert got is in_place and same_bits(got, want) and same_bits(other, want)
+        assert same_bits(block, scores[i0:i1, :i1])  # the input was not written
+        bad_out = [np.empty((i1 - i0, i1 + 1))]
+        if i1 > 1:  # strided columns: not C-contiguous
+            bad_out.append(np.empty((i1 - i0, 2 * i1))[:, ::2])
+        for bad in bad_out:
+            with pytest.raises(ValueError):
+                masked_row_softmax(block, first_row=i0, width=s, out=bad)
 
     def test_row_block_arguments_checked(self, rng):
         with pytest.raises(ValueError):  # rows 2..3 need 4 score columns
@@ -339,6 +373,41 @@ class TestMaskedRowSoftmax:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * s * s * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _sum_operand(draw, rows, n):
+    """rows x n softmax-like values (or values of both signs), with +0.0,
+    -0.0, inf and NaN mixed in."""
+    x = make_rng(draw(st.integers(0, 2**32 - 1))).random((rows, n))
+    x -= draw(st.sampled_from([0.0, 0.5]))
+    x *= 10.0 ** draw(st.integers(-300, 300))
+    specials = draw(st.lists(st.sampled_from([0.0, -0.0, np.inf, np.nan]), max_size=3))
+    for value in specials:
+        x[draw(st.integers(0, rows - 1)), draw(st.integers(0, n - 1))] = value
+    zeros = draw(st.sampled_from([None, 0.0, -0.0]))
+    if zeros is not None:  # signed zeros up to the last column, or in every column
+        x[0, :-1 if draw(st.booleans()) else n] = zeros
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(width=st.one_of(st.integers(1, 300), st.integers(1, 9300)), rows=st.integers(1, 8),
+       data=st.data())
+def test_padded_row_sum_equals_padded_reduce(width, rows, data):
+    # the row sum of a softmax block equals np.add.reduce over its rows
+    # zero-padded to the map's width, for computed widths n on both sides
+    # of the pairwise leaf (128) and unroll (8) boundaries, n == width, and
+    # widths past numpy's 8192-element buffer
+    unit = data.draw(st.sampled_from([1, 8, 128, width]))
+    n = unit * data.draw(st.integers(0, width // unit)) + data.draw(st.integers(-1, 1))
+    n = min(max(n, 1), width)
+    x = _sum_operand(data.draw, rows, n)
+    padded = np.zeros((rows, width))
+    padded[:, :n] = x
+    with np.errstate(invalid="ignore"):
+        got = tensor_core._padded_row_sum(x, width)
+        want = np.add.reduce(padded, axis=1, keepdims=True)
+    assert np.array_equal(canonical_nan_bits(got), canonical_nan_bits(want))
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,6 +18,17 @@ the last row's output, which decode unembeds and prefill drops, so the
 final layer appends every row to the caches but runs the rest of the layer
 for its last row block alone.
 
+Within a layer no head reads another head's state, so a multi-row pass
+(prefill) runs the heads on min(H, usable CPUs) threads: the calling thread
+and a worker pool made on the first pass that needs one. The bits cannot
+change: each head keeps its own summation order, writes only its own cache,
+its own D_k columns of the layer's output and its own last row, and the
+layer waits for every head before its out-projection. A decode step runs
+its heads in order on the calling thread: a 1-row head is tens of
+microseconds of mostly interpreter-bound work, which holds the interpreter
+lock, so another thread could not overlap it, and a handoff to a worker
+alone costs about 24 us (one submit and result, 2-vCPU Xeon host).
+
 After each layer finishes its prefill forward pass an optional pruning hook
 may shrink that layer's caches; the hook never affects prefill values, only
 decode-time attention. The hook sees only the last prompt row of each head's
@@ -26,6 +37,8 @@ attention map, the one row every pruning rule reads.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -210,6 +223,73 @@ def attention_row_blocks(m: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Worker threads for the heads of a multi-row pass, made on the first pass
+# that needs one (with up to usable CPUs - 1 threads), so a process that
+# only decodes or replays starts no thread and imports no concurrent.futures.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="plphp-head")
+        return _pool
+
+
+def _drop_pool_in_child() -> None:
+    global _pool  # a forked child has none of the parent's threads
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
+def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
+               works: list[np.ndarray | None]) -> None:
+    """``attend(h, works[t])`` for every head h, thread t taking heads t, t + T, ...
+
+    T = ``len(works)``: the calling thread is t = 0 and T - 1 pool workers
+    take the rest. Returns once every head has finished; a head that raised
+    does not stop the others, and the lowest-index head's exception is then
+    re-raised. With T = 1 the heads run in order on the calling thread.
+    """
+    threads = len(works)
+    if threads == 1:
+        for h in range(num_heads):
+            attend(h, works[0])
+        return
+    errors: list[BaseException | None] = [None] * num_heads
+
+    def share(t: int) -> None:
+        for h in range(t, num_heads, threads):
+            try:
+                attend(h, works[t])
+            except BaseException as exc:  # re-raised below, once every head has finished
+                errors[h] = exc
+
+    pool = _worker_pool()
+    futures = [pool.submit(share, t) for t in range(1, threads)]
+    share(0)
+    for future in futures:
+        future.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadKVCache]],
              token_ids: np.ndarray, first_position: int,
              after_layer: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
@@ -224,6 +304,11 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
     Only the last row leaves the final layer, so that layer appends all m
     rows to the caches but runs the rest (queries, scores, softmax, value
     mix, out-projection and MLP) for its last row block alone.
+
+    A multi-row pass runs each layer's heads on min(H, usable CPUs) threads
+    (``_run_heads``), each thread with one score workspace for the whole
+    pass; a 1-row pass runs them in order on the calling thread and scores
+    into fresh rows.
     """
     m = len(token_ids)
     if first_position + m > config.max_positions:
@@ -235,6 +320,11 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
     inv_sqrt_dk = 1.0 / np.sqrt(dk)
     blocks = attention_row_blocks(m)
     r0 = 0  # first row a layer computes beyond its K/V: 0 before the final layer
+    works: list[np.ndarray | None] = [None]
+    if m > 1:  # per thread, sized for the largest block of any head and layer
+        l0_max = max(len(cache) for layer in caches for cache in layer)
+        size = max((i1 - i0) * (l0_max + i1) for i0, i1 in blocks)
+        works = [np.empty(size) for _ in range(min(config.num_heads, _usable_cpus()))]
 
     for l in range(config.num_layers):
         h_in = _rmsnorm(x)
@@ -243,8 +333,11 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
             r0 = blocks[0][0]
             x = x[r0:]
         mixed = np.empty((m - r0, config.model_dim))
-        last_rows = []
-        for h in range(config.num_heads):
+        last_rows: list[np.ndarray | None] = [None] * config.num_heads
+
+        def attend(h: int, work: np.ndarray | None) -> None:
+            # reads only shared inputs; writes only head h's cache, columns
+            # of mixed and last row, so the order of heads changes no bit
             cache = caches[l][h]
             l0 = len(cache)
             q = matmul(h_in[r0:], weights.w_q[l, h])
@@ -253,9 +346,6 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
                                       matmul(h_in, weights.w_v[l, h]), positions,
                                       config.max_positions)
             out = mixed[:, h * dk:(h + 1) * dk]
-            work = None  # a 1-row pass (decode) scores into a fresh row
-            if m > 1:  # one score workspace per pass, sized for its largest block
-                work = np.empty(max((i1 - i0) * (l0 + i1) for i0, i1 in blocks))
             for i0, i1 in blocks:
                 n = l0 + i1
                 scores = None if work is None else work[:(i1 - i0) * n].reshape(i1 - i0, n)
@@ -263,8 +353,10 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
                 scores *= inv_sqrt_dk
                 masked_row_softmax(scores, first_row=l0 + i0, width=l0 + m, out=scores)
                 out[i0 - r0:i1 - r0] = matmul(scores, values[:n])
-            if after_layer is not None:  # a copy, so the workspace is freed
-                last_rows.append(scores[-1].copy())
+            if after_layer is not None:  # a copy: the next head reuses the workspace
+                last_rows[h] = scores[-1].copy()
+
+        _run_heads(attend, config.num_heads, works)
         x = x + matmul(mixed, weights.w_o[l])
         m_in = _rmsnorm(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])

@@ -21,8 +21,9 @@ __all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
 # matmul's three paths (see its docstring). The single-row path makes two
 # numpy calls in all, over a K x n product buffer of at most
 # MATMUL_BUFFER_FLOATS floats (256 KiB). The k-loop makes two numpy calls per
-# k, each over the whole m x n output, so it needs long output rows
-# (m <= n) and at least MATMUL_LOOP_MIN_OUTPUT elements to pay for them.
+# k and chunk of max(1, MATMUL_BUFFER_FLOATS // n) output rows, so it needs
+# long output rows (m <= n) and at least MATMUL_LOOP_MIN_OUTPUT elements to
+# pay for them; its product temporary is one chunk.
 # The chunked path fills a product buffer of MATMUL_BUFFER_FLOATS floats per
 # chunk of k: chunk = MATMUL_BUFFER_FLOATS // (m * n), at least 1.
 MATMUL_LOOP_MIN_OUTPUT = 2048
@@ -51,7 +52,11 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     * k-loop, for outputs with long rows (``m <= n`` and ``m * n >=
       MATMUL_LOOP_MIN_OUTPUT``) or with one output element: ``c = a[:, 0] *
       b[0, :] + 0.0`` (the loop's ``0.0 + p0``, with no zero fill), then ``c
-      += a[:, k] * b[k, :]`` for k = 1, 2, ...; ``K == 0`` gives zeros.
+      += a[:, k] * b[k, :]`` for k = 1, 2, ...; ``K == 0`` gives zeros. It
+      runs over contiguous chunks of ``max(1, MATMUL_BUFFER_FLOATS // n)``
+      output rows, one after another, so its product temporary holds at most
+      MATMUL_BUFFER_FLOATS floats (or one row); each element still takes
+      the same steps.
     * chunked reduce, for every other shape: the products of a chunk of k
       fill one buffer, laid out ``(chunk, n, m)`` when ``m > n`` (else
       ``(chunk, m, n)``) so the innermost axis is the long one. The running
@@ -93,12 +98,16 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     if m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
         if out is None:
             out = np.empty((m, n))
-        np.multiply(a[:, :1], b[:1, :], out=out)
-        out += 0.0  # the loop's 0.0 + p0: a -0.0 first product ends +0.0
-        tmp = np.empty_like(out)
-        for k in range(1, inner):
-            np.multiply(a[:, k : k + 1], b[k : k + 1, :], out=tmp)
-            out += tmp
+        rows = max(1, MATMUL_BUFFER_FLOATS // n)
+        tmp = np.empty((min(m, rows), n))
+        for i0 in range(0, m, rows):
+            ai, ci = a[i0 : i0 + rows], out[i0 : i0 + rows]
+            np.multiply(ai[:, :1], b[:1, :], out=ci)
+            ci += 0.0  # the loop's 0.0 + p0: a -0.0 first product ends +0.0
+            ti = tmp[: len(ci)]
+            for k in range(1, inner):
+                np.multiply(ai[:, k : k + 1], b[k : k + 1, :], out=ti)
+                ci += ti
         return out
     wide = m > n
     chunk = min(inner, max(1, MATMUL_BUFFER_FLOATS // (m * n)))

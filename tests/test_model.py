@@ -1,5 +1,14 @@
+import collections
+import contextlib
 import dataclasses
 import functools
+import hashlib
+import itertools
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -31,6 +40,20 @@ def method_hook(pruning, num_layers):
 
 # method -> hook factory taking the model depth
 HOOKS = {method: functools.partial(method_hook, pruning) for method, pruning in METHODS.items()}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the usable CPU count ``_forward`` sees. The worker pool starts
+    afresh, so a pool made under the patched count is shut down afterwards."""
+    monkeypatch.setattr(model, "_pool", None)
+
+    def set_cpus(n):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: n)
+
+    yield set_cpus
+    if model._pool is not None:
+        model._pool.shutdown()
 
 
 def mixed_seq(vocab=32, seed=0):
@@ -226,15 +249,18 @@ class TestBlockedPrefill:
         i0 = blocks[-1][0]
         rows = s - i0
         h, d, dk = cfg.num_heads, cfg.model_dim, cfg.head_dim
-        calls = []  # per layer: ("matmul", a.shape, b.shape) and ("softmax", shape, first_row)
+        # per layer, (thread, call): ("matmul", a.shape, b.shape) and
+        # ("softmax", shape, first_row); heads on other threads interleave
+        # their calls, so each thread's calls are checked on their own
+        calls = []
         matmul, softmax = model.matmul, model.masked_row_softmax
 
         def recording_matmul(a, b, **kwargs):
-            calls[-1].append(("matmul", a.shape, b.shape))
+            calls[-1].append((threading.get_ident(), ("matmul", a.shape, b.shape)))
             return matmul(a, b, **kwargs)
 
         def recording_softmax(scores, first_row, width, **kwargs):
-            calls[-1].append(("softmax", scores.shape, first_row))
+            calls[-1].append((threading.get_ident(), ("softmax", scores.shape, first_row)))
             return softmax(scores, first_row=first_row, width=width, **kwargs)
 
         def next_layer(layer, last_rows, caches, seq):
@@ -248,15 +274,23 @@ class TestBlockedPrefill:
         *earlier, final, after_final = calls
         assert after_final == [] and len(earlier) == cfg.num_layers - 1
         for layer in earlier:
-            assert sum(kind == "softmax" for kind, _, _ in layer) == h * len(blocks)
-        projections = [a[0] for kind, a, b in final if b == (d, dk)]
-        assert projections == [rows, s, s] * h  # q, k, v per head
-        assert [c for c in final if c[0] == "softmax"] == [("softmax", (rows, s), i0)] * h
-        assert [a for kind, a, b in final if b == (s, dk)] == [(rows, s)] * h  # value mix
-        assert [a[0] for kind, a, b in final
+            assert sum(call[0] == "softmax" for _, call in layer) == h * len(blocks)
+        by_thread = collections.defaultdict(list)
+        for thread, call in final:
+            by_thread[thread].append(call)
+        heads = 0
+        for own in by_thread.values():
+            n_heads = sum(kind == "softmax" for kind, _, _ in own)  # one block per head
+            heads += n_heads
+            projections = [a[0] for kind, a, b in own if b == (d, dk)]
+            assert projections == [rows, s, s] * n_heads  # q, k, v per head
+            assert [c for c in own if c[0] == "softmax"] == [("softmax", (rows, s), i0)] * n_heads
+            assert [a for kind, a, b in own if b == (s, dk)] == [(rows, s)] * n_heads  # value mix
+            # a 1-row operand would be labelled a decode step
+            assert min(a[0] for kind, a, b in own if kind == "matmul") > 1
+        assert heads == h
+        assert [a[0] for _, (kind, a, b) in final
                 if b in ((d, d), (d, 4 * d), (4 * d, d))] == [rows] * 3  # out-proj, MLP
-        # a 1-row operand would be labelled a decode step
-        assert min(a[0] for kind, a, b in final if kind == "matmul") > 1
 
     # one tile, a 1-row tail (joined to the tile before) and a ragged tail
     @pytest.mark.parametrize("s", [B, 2 * B + 1, 3 * B - 5])
@@ -289,21 +323,147 @@ class TestBlockedPrefill:
         if s > 1 and block_rows > 1:  # a 1-row block would look like a decode step
             assert min(sizes) > 1
 
-    def test_peak_memory_below_one_score_matrix(self):
+    def test_peak_memory_below_one_score_matrix(self, cpus):
+        # two heads, then four on the same two threads: the score workspaces
+        # and temporaries are per thread, so the heads add only their caches
+        cpus(2)
         s = 2048
-        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
-                          vocab_size=32, max_positions=s)
-        w = init_model(cfg, 0)
-        seq = build_sequence([Segment(TEXT, 16), Segment(IMAGE, s - 32), Segment(TEXT, 16)],
-                             seed=0, vocab_size=cfg.vocab_size)
-        tracemalloc.start()
-        try:
-            prefill(w, cfg, seq, hook=make_hook(PruningConfig(), cfg.num_layers))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # tile-sized: a few ATTN_BLOCK_ROWS x S buffers per head, never S x S
-        assert peak < 8 * 2**20, f"prefill peak {peak / 2**20:.1f} MiB"
+        for h in (2, 4):
+            cfg = ModelConfig(num_layers=4, num_heads=h, model_dim=4 * h, head_dim=4,
+                              vocab_size=32, max_positions=s)
+            w = init_model(cfg, 0)
+            seq = build_sequence([Segment(TEXT, 16), Segment(IMAGE, s - 32), Segment(TEXT, 16)],
+                                 seed=0, vocab_size=cfg.vocab_size)
+            tracemalloc.start()
+            try:
+                prefill(w, cfg, seq, hook=make_hook(PruningConfig(), cfg.num_layers))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # tile-sized: a few ATTN_BLOCK_ROWS x S buffers per thread, never S x S
+            assert peak < 8 * 2**20, f"H={h} prefill peak {peak / 2**20:.1f} MiB"
+
+
+def prefill_and_decode_digest(w, cfg, seq, pruning, steps=5):
+    """SHA-256 over the last rows, every cache and ``steps`` greedy decode logits."""
+    state, report = prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers),
+                            record_trace=True)
+    digest = hashlib.sha256(report.attn_last_rows.tobytes())
+    token = 0
+    for _ in range(steps):
+        logits, state = decode_step(w, cfg, state, token)
+        digest.update(logits.tobytes())
+        token = int(np.argmax(logits))
+    for layer in state.caches:
+        for cache in layer:
+            for array in (cache.keys, cache.values, cache.positions):
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestParallelHeads:
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_worker_count_changes_no_bit(self, cpus, h, method):
+        # one thread against up to four (more threads than this host may
+        # have cores, switching every microsecond), in clean and in dirty
+        # memory, over prompts that end inside, at and one row past a block
+        # boundary
+        ran_on = set()
+        real = model.matmul
+
+        def recording(a, b, **kwargs):
+            ran_on.add(threading.get_ident())
+            return real(a, b, **kwargs)
+
+        for s, dirty in itertools.product((B - 3, 2 * B, 2 * B + 2), (False, True)):
+            cfg = ModelConfig(num_layers=4, num_heads=h, model_dim=3 * h, head_dim=3,
+                              vocab_size=32, max_positions=s + 8)
+            w = init_model(cfg, s + h)
+            seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
+                                 seed=s, vocab_size=cfg.vocab_size)
+            digests = []
+            for n_cpus in (1, 4):
+                cpus(n_cpus)
+                ran_on.clear()
+                with contextlib.ExitStack() as stack:
+                    stack.callback(sys.setswitchinterval, sys.getswitchinterval())
+                    sys.setswitchinterval(1e-6)
+                    stack.enter_context(mock.patch.object(model, "matmul", recording))
+                    if dirty:
+                        stack.enter_context(mock.patch.object(tensor_core, "np", DirtyNumpy()))
+                        stack.enter_context(mock.patch.object(model, "np", DirtyNumpy()))
+                    digests.append(prefill_and_decode_digest(w, cfg, seq, METHODS[method]))
+                # the caller runs head 0, and a worker at least one other head
+                assert (len(ran_on) > 1) == (min(h, n_cpus) > 1)
+            assert digests[0] == digests[1]
+
+    def test_lowest_head_error_raised_after_every_head_finished(self, cpus):
+        # head 2 fails first and head 1 later, while head 3 is still working:
+        # the caller sees head 1's error, and only once head 3 is done
+        cpus(4)
+        cfg, w = tiny(n=4, h=4, dk=2)
+        seq = mixed_seq()
+        real = model.matmul
+        current = threading.local()  # the head this thread runs: its q projection comes first
+        w_q = [w.w_q[0, h].ctypes.data for h in range(cfg.num_heads)]
+        calls = collections.Counter()
+
+        def failing(a, b, **kwargs):
+            if b.ctypes.data in w_q:
+                current.head = w_q.index(b.ctypes.data)
+                if current.head == 1:
+                    time.sleep(0.05)
+                    raise RuntimeError("head 1")
+                if current.head == 2:
+                    raise RuntimeError("head 2")
+            if current.head == 3:
+                time.sleep(0.01)
+            calls[current.head] += 1
+            return real(a, b, **kwargs)
+
+        with mock.patch.object(model, "matmul", failing), \
+                pytest.raises(RuntimeError, match="head 1"):
+            prefill(w, cfg, seq)
+        per_head = 3 + 2 * len(model.attention_row_blocks(seq.total_length))
+        assert calls == {0: per_head, 3: per_head}
+        time.sleep(0.05)
+        assert calls == {0: per_head, 3: per_head}  # nothing still running
+
+    def test_decode_and_one_cpu_make_no_pool(self, cpus):
+        # a one-CPU host runs prefill on the calling thread, and decode never
+        # hands a head to a worker
+        cfg, w = tiny()
+        threads = threading.active_count()
+        cpus(1)
+        state, _ = prefill(w, cfg, mixed_seq())
+        cpus(4)
+        for token in range(3):
+            decode_step(w, cfg, state, token)
+        assert model._pool is None and threading.active_count() == threads
+
+    def test_forked_child_makes_its_own_pool(self, cpus):
+        # a child forked after the pool has started has none of its threads
+        cpus(2)
+        cfg, w = tiny()
+        seq = mixed_seq()
+        want, _ = prefill(w, cfg, seq)
+        assert model._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child
+            code = 1
+            try:
+                got, _ = prefill(w, cfg, seq)
+                code = 0 if same_bits(got.caches[-1][-1].keys, want.caches[-1][-1].keys) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestDecode:

@@ -226,6 +226,47 @@ class TestMatmul:
         # below an eighth of one m x K float64 matrix
         assert peak < m * inner * 8 / 8, f"peak {peak / 2**20:.2f} MiB"
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), inner=st.integers(1, 6), mode=st.sampled_from(sorted(SPECIALS)),
+           buffer_floats=st.sampled_from([1, 100, 1000, 5000, tensor_core.MATMUL_BUFFER_FLOATS]),
+           out=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_loop_row_chunks_bitwise(self, data, inner, mode, buffer_floats, out, seed):
+        # k-loop shapes (m <= n, m * n >= MATMUL_LOOP_MIN_OUTPUT) in chunks of
+        # buffer_floats // n rows: one row per chunk when n exceeds the
+        # buffer, a ragged last chunk when the rows do not divide m, all in
+        # memory that np.empty returns dirty
+        m = data.draw(st.integers(1, 40), label="m")
+        n = data.draw(st.integers(max(m, -(-tensor_core.MATMUL_LOOP_MIN_OUTPUT // m)), 6000),
+                      label="n")
+        rng = make_rng(seed)
+        a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
+        buf = np.full((m, n), NAN_A) if out else None
+        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
+                patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
+            got = matmul(a, b, out=buf)
+        with np.errstate(invalid="ignore"):
+            want = loop_matmul(a, b)
+        view = canonical_nan_bits if mode == "nan_two" else bits
+        assert got.shape == want.shape and np.array_equal(view(got), view(want))
+
+    @pytest.mark.parametrize("m,n", [(3, tensor_core.MATMUL_BUFFER_FLOATS + 1),  # a row a chunk
+                                     (13, 4096)])  # chunks of 8 rows and a ragged 5
+    def test_loop_row_chunks_at_the_real_buffer(self, rng, m, n):
+        # the k-loop's temporary is one chunk: below MATMUL_BUFFER_FLOATS
+        # floats, or one row, where the m x n output needs more
+        a, b = rng.standard_normal((m, 4)), rng.standard_normal((4, n))
+        buf = np.full((m, n), NAN_A)
+        tracemalloc.start()
+        try:
+            with patch.object(tensor_core, "np", DirtyNumpy()):
+                matmul(a, b, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_bits(buf, loop_matmul(a, b))
+        rows = max(1, tensor_core.MATMUL_BUFFER_FLOATS // n)
+        assert rows * n * 8 <= peak < rows * n * 8 + 2**12 < m * n * 8
+
     @settings(max_examples=200, deadline=None)
     @given(m=DIM, inner=st.one_of(st.just(0), st.integers(1, 70)), n=DIM,
            mode=st.sampled_from(sorted(SPECIALS)),

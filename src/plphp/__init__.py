@@ -9,7 +9,7 @@ from .baselines import FastVConfig, VTWConfig, make_fastv_hook, make_vtw_hook
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
 from .metrics import MetricsReport, account, latency_probe
 from .model import (DecoderState, HeadKVCache, ModelConfig, ModelWeights,
-                    decode_step, greedy_generate, init_model, prefill)
+                    decode_step, greedy_generate, init_model, prefill, weight_shapes)
 from .pruning import (LayerDecision, PruningConfig, allocate_retention, classify_layer,
                       make_hook, plphp_hook, prune_head_cache, select_retained,
                       vision_attention_score)

@@ -29,8 +29,8 @@ __all__ = ["FastVConfig", "VTWConfig", "FastVRule", "fastv_surviving_set", "vtw_
 
 @dataclass(frozen=True)
 class FastVConfig:
-    k_layer: int
-    prune_ratio: float
+    k_layer: int = 3
+    prune_ratio: float = 0.5
 
     def __post_init__(self):
         if self.k_layer < 1:
@@ -41,7 +41,7 @@ class FastVConfig:
 
 @dataclass(frozen=True)
 class VTWConfig:
-    k_layer: int
+    k_layer: int = 4
 
     def __post_init__(self):
         if self.k_layer < 1:

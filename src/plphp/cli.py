@@ -16,7 +16,9 @@ offers only the flags it reads: ``replay`` the method keys and
 hold any key, so one file serves every subcommand.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal error (printed
-with its traceback).
+with its traceback). ``run`` and ``replay`` exit 2 before any work when two of
+their files (the input trace, ``--trace-out``, the report JSON and its CSV)
+are one file.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import csv
 import functools
 import itertools
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -35,15 +38,17 @@ import numpy as np
 from .baselines import FastVConfig, VTWConfig, check_depth, make_fastv_hook, make_vtw_hook
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, account, latency_probe, report_to_json, write_report_csv
-from .model import ModelConfig, decode_step, init_model, prefill
+from .model import ModelConfig, decode_step, init_model, prefill, weight_shapes
 from .pruning import PruningConfig, make_hook
 from .trace import TraceFormatError, read_trace, replay, trace_from_run, write_trace
 
 # Every config key once, as key: (type, default). Each key is also the flag
 # --key-with-dashes and a config-file key; the sweep CSV records the method keys.
-_METHOD_KEYS = {"method": (str, "none"), "r": (float, 0.4), "dr": (float, 0.3),
-                "alpha": (float, 0.25), "beta": (float, 0.1), "fastv_k": (int, 3),
-                "fastv_ratio": (float, 0.5), "vtw_k": (int, 4)}
+_PLPHP, _FASTV, _VTW = PruningConfig(), FastVConfig(), VTWConfig()
+_METHOD_KEYS = {"method": (str, "none"), "r": (float, _PLPHP.r),
+                "dr": (float, _PLPHP.delta_r), "alpha": (float, _PLPHP.alpha),
+                "beta": (float, _PLPHP.beta), "fastv_k": (int, _FASTV.k_layer),
+                "fastv_ratio": (float, _FASTV.prune_ratio), "vtw_k": (int, _VTW.k_layer)}
 _KEYS = {"model_layers": (int, 8), "model_heads": (int, 4), "model_dim": (int, 32),
          "head_dim": (int, 8), "vocab_size": (int, 256), "max_positions": (int, 4608),
          "segments": (str, "T:8,I:92,T:4"), **_METHOD_KEYS, "seed": (int, 0),
@@ -163,11 +168,7 @@ def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
                                 max_positions=cfg["max_positions"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    n, h, d, dk = (model_cfg.num_layers, model_cfg.num_heads, model_cfg.model_dim,
-                   model_cfg.head_dim)
-    vocab, positions = model_cfg.vocab_size, model_cfg.max_positions
-    # w_q, w_k, w_v, w_o, w_up, w_down; the two embeddings; the unembedding
-    floats = n * (3 * h * d * dk + 9 * d * d) + (vocab + positions) * d + d * vocab
+    floats = sum(math.prod(shape) for shape in weight_shapes(model_cfg).values())
     if floats > MAX_WEIGHT_FLOATS:
         raise ConfigError(f"the model has {floats} weight floats, more than {MAX_WEIGHT_FLOATS}")
     prompt = sum(seg.length for seg in segments)
@@ -203,23 +204,48 @@ def execute_experiment(cfg: dict) -> tuple[MetricsReport, "np.ndarray | None", o
         logits, _ = decode_step(weights, model_cfg, state, token)
         token = int(np.argmax(logits))
 
-    if cfg["steps"] >= 16:
-        report.decode_latency_ms = latency_probe(step, cfg["steps"])
-    else:
-        for _ in range(cfg["steps"]):
-            step()
+    report.decode_latency_ms = latency_probe(step, cfg["steps"])
     return report, prefill_report.attn_last_rows, seq
 
 
+def _report_files(cfg: dict) -> dict[str, Path]:
+    """The report JSON and its per-layer CSV, by name; none without ``report_out``."""
+    if not cfg["report_out"]:
+        return {}
+    out = Path(cfg["report_out"])
+    return {"--report-out": out, "its CSV": out.with_suffix(".csv")}
+
+
+def _check_distinct_files(files: dict[str, str | Path | None]) -> None:
+    """Refuse, before any work, two of the named paths that are one file.
+
+    An existing file is known by its device and inode, so links to it count
+    as it; a path with no file yet, by its absolute form.
+    """
+    seen: dict[tuple, str] = {}
+    for name, path in files.items():
+        if not path:
+            continue
+        try:
+            st = os.stat(path)
+            key: tuple = (st.st_dev, st.st_ino)
+        except OSError:
+            key = (os.path.abspath(path),)
+        if key in seen:
+            raise ConfigError(f"{seen[key]} and {name} are one file: {path}")
+        seen[key] = name
+
+
 def _write_reports(cfg: dict, report: MetricsReport) -> None:
-    if cfg["report_out"]:
-        out = Path(cfg["report_out"])
-        out.write_text(report_to_json(report))
-        write_report_csv(out.with_suffix(".csv"), report)
+    files = _report_files(cfg)
+    if files:
+        files["--report-out"].write_text(report_to_json(report))
+        write_report_csv(files["its CSV"], report)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _check_distinct_files({"--trace-out": cfg["trace_out"], **_report_files(cfg)})
     report, trace_rows, seq = execute_experiment(cfg)
     if cfg["trace_out"]:
         write_trace(cfg["trace_out"], trace_from_run(trace_rows, seq))
@@ -292,6 +318,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, method="plphp")
+    _check_distinct_files({"--trace": args.trace, **_report_files(cfg)})
     trace = read_trace(args.trace)
     _, report = replay(trace, method_config(cfg, trace.num_layers))
     _write_reports(cfg, report)

@@ -13,7 +13,9 @@ a store with room to spare, so a decode step writes one row per head and
 copies none. No head holds an S x S
 map and the masked upper triangle is never multiplied; every output keeps
 the bits of the full-matrix computation (a masked weight is exactly +0.0,
-and adding its +-0 product leaves the sum unchanged). The pass returns only
+and adding its +-0 product leaves the sum unchanged). On another CPU the
+softmax's ``np.exp`` may move by 1 ULP, so logits there agree within 1e-9
+rather than bit for bit (``tests/test_cpu_dispatch.py``). The pass returns only
 the last row's output, which decode unembeds and prefill drops, so the
 final layer appends every row to the caches but runs the rest of the layer
 for its last row block alone.
@@ -48,7 +50,7 @@ from .layout import MultimodalSequence
 from .tensor_core import make_rng, masked_row_softmax, matmul
 
 # hook(layer_1based, last_rows[H, S], caches_for_layer, seq) -> (caches, LayerDecision);
-# last_rows[h] is the last prompt row of head h's causal attention map
+# last_rows[h] is the last prompt row of head h's causal attention map, read-only
 PruningHook = Callable[
     [int, np.ndarray, list["HeadKVCache"], MultimodalSequence],
     tuple[list["HeadKVCache"], Any],
@@ -63,7 +65,7 @@ ATTN_BLOCK_ROWS = 64
 __all__ = [
     "ModelConfig", "ModelWeights", "HeadKVCache", "DecoderState",
     "PrefillReport", "PruningHook",
-    "init_model", "prefill", "decode_step", "greedy_generate",
+    "weight_shapes", "init_model", "prefill", "decode_step", "greedy_generate",
 ]
 
 
@@ -90,15 +92,17 @@ class ModelConfig:
 
 @dataclass
 class ModelWeights:
-    token_embedding: np.ndarray     # vocab x D
-    position_embedding: np.ndarray  # max_positions x D
-    w_q: np.ndarray                 # N x H x D x D_k
+    """One array per field, shaped as ``weight_shapes`` lists it."""
+
+    token_embedding: np.ndarray
+    position_embedding: np.ndarray
+    w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
-    w_o: np.ndarray                 # N x D x D
-    w_up: np.ndarray                # N x D x 4D
-    w_down: np.ndarray              # N x 4D x D
-    unembedding: np.ndarray         # D x vocab
+    w_o: np.ndarray
+    w_up: np.ndarray
+    w_down: np.ndarray
+    unembedding: np.ndarray
 
 
 class HeadKVCache:
@@ -184,26 +188,22 @@ class PrefillReport:
     attn_last_rows: np.ndarray | None = None # N x H x S when tracing was requested
 
 
+def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every ``ModelWeights`` field, in field (and draw) order."""
+    d, dk, n, h = config.model_dim, config.head_dim, config.num_layers, config.num_heads
+    return {"token_embedding": (config.vocab_size, d),
+            "position_embedding": (config.max_positions, d),
+            "w_q": (n, h, d, dk), "w_k": (n, h, d, dk), "w_v": (n, h, d, dk),
+            "w_o": (n, d, d), "w_up": (n, d, 4 * d), "w_down": (n, 4 * d, d),
+            "unembedding": (d, config.vocab_size)}
+
+
 def init_model(config: ModelConfig, seed: int) -> ModelWeights:
     """Draw all weights from one seeded PCG64 stream, scaled by 1/sqrt(D)."""
     rng = make_rng(seed)
-    d, dk, n, h = config.model_dim, config.head_dim, config.num_layers, config.num_heads
-    scale = 1.0 / np.sqrt(d)
-
-    def draw(*shape):
-        return rng.standard_normal(shape) * scale
-
-    return ModelWeights(
-        token_embedding=draw(config.vocab_size, d),
-        position_embedding=draw(config.max_positions, d),
-        w_q=draw(n, h, d, dk),
-        w_k=draw(n, h, d, dk),
-        w_v=draw(n, h, d, dk),
-        w_o=draw(n, d, d),
-        w_up=draw(n, d, 4 * d),
-        w_down=draw(n, 4 * d, d),
-        unembedding=draw(d, config.vocab_size),
-    )
+    scale = 1.0 / np.sqrt(config.model_dim)
+    return ModelWeights(**{name: rng.standard_normal(shape) * scale
+                           for name, shape in weight_shapes(config).items()})
 
 
 def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -291,15 +291,16 @@ def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
 
 
 def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadKVCache]],
-             token_ids: np.ndarray, first_position: int,
-             after_layer: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+             token_ids: np.ndarray, first_position: int, last_rows: np.ndarray | None = None,
+             after_layer: Callable[[int], None] | None = None) -> np.ndarray:
     """Run m new rows from ``first_position`` through every layer; returns the last row, 1 x D.
 
     Each head appends the rows' keys, values and positions to its cache and
     attends over it: with l0 rows cached before, row block ``[i0, i1)`` is
-    rows ``l0 + i0..`` of a causal map ``l0 + m`` wide. ``after_layer(l,
-    last_rows[H, l0 + m])`` runs after each layer (every head must then hold
-    l0 rows) and may replace ``caches[l]``.
+    rows ``l0 + i0..`` of a causal map ``l0 + m`` wide. Head h of layer l
+    writes its map's last row into ``last_rows[l, h]`` (N x H x (l0 + m)),
+    if given. ``after_layer(l)`` runs after each layer (every head must then
+    hold l0 rows) and may replace ``caches[l]``.
 
     Only the last row leaves the final layer, so that layer appends all m
     rows to the caches but runs the rest (queries, scores, softmax, value
@@ -333,7 +334,6 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
             r0 = blocks[0][0]
             x = x[r0:]
         mixed = np.empty((m - r0, config.model_dim))
-        last_rows: list[np.ndarray | None] = [None] * config.num_heads
 
         def attend(h: int, work: np.ndarray | None) -> None:
             # reads only shared inputs; writes only head h's cache, columns
@@ -351,17 +351,17 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
                 scores = None if work is None else work[:(i1 - i0) * n].reshape(i1 - i0, n)
                 scores = matmul(q[i0 - r0:i1 - r0], kt[:, :n], out=scores)
                 scores *= inv_sqrt_dk
-                masked_row_softmax(scores, first_row=l0 + i0, width=l0 + m, out=scores)
+                masked_row_softmax(scores, width=l0 + m, out=scores)
                 out[i0 - r0:i1 - r0] = matmul(scores, values[:n])
-            if after_layer is not None:  # a copy: the next head reuses the workspace
-                last_rows[h] = scores[-1].copy()
+            if last_rows is not None:  # before the next head reuses the workspace
+                last_rows[l, h] = scores[-1]
 
         _run_heads(attend, config.num_heads, works)
         x = x + matmul(mixed, weights.w_o[l])
         m_in = _rmsnorm(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
         if after_layer is not None:
-            after_layer(l, np.stack(last_rows))
+            after_layer(l)
     return x[-1:]
 
 
@@ -371,28 +371,31 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     """Run the full prompt through all layers, populating per-head caches.
 
     The hook, when given, fires after each layer's own forward pass has
-    consumed the full cache, receives that layer's H x S block of last
-    attention rows, and may replace the layer's caches with pruned ones.
+    consumed the full cache, receives a read-only view of that layer's H x S
+    block of one N x H x S array of last attention rows (the report's
+    ``attn_last_rows`` when ``record_trace`` is set), and may replace the
+    layer's caches with pruned ones.
     """
     s = seq.total_length
     empty = np.empty((0, config.head_dim))
     caches = [[HeadKVCache(empty, empty, np.empty(0, dtype=np.int64))
                for _ in range(config.num_heads)] for _ in range(config.num_layers)]
     decisions: list[Any] = []
-    trace_rows = np.empty((config.num_layers, config.num_heads, s)) if record_trace else None
+    last_rows = np.empty((config.num_layers, config.num_heads, s))
+    read_only = last_rows.view()
+    read_only.flags.writeable = False
 
-    def after_layer(l: int, last_rows: np.ndarray) -> None:
-        if record_trace:
-            trace_rows[l] = last_rows
-        if hook is not None:
-            caches[l], decision = hook(l + 1, last_rows, caches[l], seq)
-            decisions.append(decision)
+    def after_layer(l: int) -> None:
+        caches[l], decision = hook(l + 1, read_only[l], caches[l], seq)
+        decisions.append(decision)
 
-    _forward(weights, config, caches, seq.token_ids, 0, after_layer)
+    _forward(weights, config, caches, seq.token_ids, 0, last_rows,
+             None if hook is None else after_layer)
     state = DecoderState(caches=caches, next_position=s)
     lengths = np.array([[len(c) for c in layer] for layer in caches])
     report = PrefillReport(decisions=decisions if hook is not None else None,
-                           head_cache_lengths=lengths, attn_last_rows=trace_rows)
+                           head_cache_lengths=lengths,
+                           attn_last_rows=last_rows if record_trace else None)
     return state, report
 
 

@@ -3,13 +3,17 @@
 All public operations work on float64 numpy arrays and are deterministic:
 ``matmul`` accumulates over the inner dimension in a fixed sequential order,
 so results are bit-reproducible across runs and match a naive triple-loop
-product exactly. It picks its path from the operand shape: one product buffer
-and one in-order reduction for a single row, a loop over the inner dimension
-when the output has long rows, else a chunked reduction that adds the same
-products in the same order (see ``matmul``).
+product exactly. It picks its path from the operand shape: one running sum
+for a single output element, one product buffer and one in-order reduction
+for a single row, a loop over the inner dimension when the output has long
+rows, else a chunked reduction that adds the same products in the same order
+(see ``matmul``).
 
-The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so any
-synthetic experiment replays identically on every platform.
+The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so the
+values it draws are the same on every platform. ``matmul`` and ``argtopk``
+keep their bits on every CPU too, but numpy picks ``np.exp``'s kernel at run
+time from the CPU's features, so a ``masked_row_softmax`` result may move by
+1 ULP on another CPU (``tests/test_cpu_dispatch.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 __all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
 
-# matmul's three paths (see its docstring). The single-row path makes two
+# matmul's paths (see its docstring). The single-row path makes two
 # numpy calls in all, over a K x n product buffer of at most
 # MATMUL_BUFFER_FLOATS floats (256 KiB). The k-loop makes two numpy calls per
 # k and chunk of max(1, MATMUL_BUFFER_FLOATS // n) output rows, so it needs
@@ -41,22 +45,25 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     Every output element is ``((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``,
     added left to right, which is bitwise identical to a naive triple loop.
     BLAS-backed ``a @ b`` reorders the sum and is deliberately not used. The
-    operand shape, (m x K) by (K x n), picks one of three paths that add the
+    operand shape, (m x K) by (K x n), picks one of four paths that add the
     same products in the same order:
 
+    * single element, for ``m == n == 1``: the K products in one row, then
+      ``np.add.accumulate`` along it, which adds left to right by
+      construction, and its last sum ``+ 0.0`` (the loop's ``0.0 + p0``: a
+      running sum is -0.0 only while every product so far is).
     * single row, for ``m == 1 < n`` with ``K * n <= MATMUL_BUFFER_FLOATS``:
       all K x n products fill one freshly allocated C-ordered buffer, and
       ``np.add.reduce`` over axis 0 with ``initial=0.0`` (the loop's ``0.0 +
       p0``) adds its rows in order. C order keeps the reduced axis outer even
       when ``b`` is a transposed view, so numpy never sums it pairwise.
     * k-loop, for outputs with long rows (``m <= n`` and ``m * n >=
-      MATMUL_LOOP_MIN_OUTPUT``) or with one output element: ``c = a[:, 0] *
-      b[0, :] + 0.0`` (the loop's ``0.0 + p0``, with no zero fill), then ``c
-      += a[:, k] * b[k, :]`` for k = 1, 2, ...; ``K == 0`` gives zeros. It
-      runs over contiguous chunks of ``max(1, MATMUL_BUFFER_FLOATS // n)``
-      output rows, one after another, so its product temporary holds at most
-      MATMUL_BUFFER_FLOATS floats (or one row); each element still takes
-      the same steps.
+      MATMUL_LOOP_MIN_OUTPUT``): ``c = a[:, 0] * b[0, :] + 0.0`` (the loop's
+      ``0.0 + p0``, with no zero fill), then ``c += a[:, k] * b[k, :]`` for
+      k = 1, 2, ... It runs over contiguous chunks of ``max(1,
+      MATMUL_BUFFER_FLOATS // n)`` output rows, one after another, so its
+      product temporary holds at most MATMUL_BUFFER_FLOATS floats (or one
+      row); each element still takes the same steps.
     * chunked reduce, for every other shape: the products of a chunk of k
       fill one buffer, laid out ``(chunk, n, m)`` when ``m > n`` (else
       ``(chunk, m, n)``) so the innermost axis is the long one. The running
@@ -64,7 +71,10 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
       ``np.add.reduce`` over axis 0 with ``initial=0.0`` adds the slices
       strictly in order: numpy sums pairwise only when the reduced axis is
       the innermost loop, which happens for a single output element, so
-      that shape takes the k-loop.
+      that shape takes its own path.
+
+    ``K == 0`` gives zeros, and an empty output (``m == 0`` or ``n == 0``)
+    is returned at once.
 
     Where two different NaNs meet in one sum or product the result may carry
     either payload, in the loop as well: numpy's vector and tail lanes pick
@@ -86,16 +96,19 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
                             or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, "
                          f"got {out.dtype} {out.shape}")
-    if inner == 0:
+    if inner == 0 or m * n == 0:
         if out is None:
             return np.zeros((m, n))
         out.fill(0.0)
         return out
-    if m == 1 and n > 1 and inner * n <= MATMUL_BUFFER_FLOATS:
+    if m == n == 1:
+        sums = np.add.accumulate(np.multiply(a, b.T), axis=1)
+        return np.add(sums[:, -1:], 0.0, out=out)
+    if m == 1 and inner * n <= MATMUL_BUFFER_FLOATS:
         prod = np.empty((inner, n))
         np.multiply(a.T, b, out=prod)
         return np.add.reduce(prod, axis=0, initial=0.0, keepdims=True, out=out)
-    if m * n <= 1 or (m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT):
+    if m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT:
         if out is None:
             out = np.empty((m, n))
         rows = max(1, MATMUL_BUFFER_FLOATS // n)
@@ -136,7 +149,7 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def masked_row_softmax(scores: np.ndarray, first_row: int = 0, width: int | None = None,
+def masked_row_softmax(scores: np.ndarray, width: int | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax under the causal (lower-triangular) mask.
 
@@ -144,10 +157,10 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0, width: int | None
     masked entries come out exactly 0. Row ``i`` may attend to columns
     ``0..i`` only, so row 0 is always ``[1, 0, ...]``.
 
-    The map may be normalised one row block at a time: ``scores`` then holds
-    rows ``first_row .. first_row + m - 1`` of a ``width`` x ``width`` score
-    matrix, cut after column ``n = first_row + m`` (every later column is
-    masked in these rows). The result has the m x n shape of ``scores`` and
+    The map may be normalised one row block at a time: an m x n ``scores``
+    then holds rows ``n - m .. n - 1`` of a ``width`` x ``width`` score
+    matrix, cut after column n (every later column is masked in these rows),
+    so ``m <= n <= width``. The result has the m x n shape of ``scores`` and
     is bitwise equal to those rows and columns of the full matrix's softmax:
     ``width`` only picks the row sum's tree. Each row sum equals
     ``np.add.reduce`` over the row zero-padded to ``width`` columns, which
@@ -162,9 +175,9 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0, width: int | None
         raise ValueError(f"expected a 2-D score matrix, got {scores.ndim}-D")
     m, n = scores.shape
     width = n if width is None else width
-    if n != first_row + m or width < n:
-        raise ValueError(f"causal rows {first_row}..{first_row + m - 1} of a width-{width} "
-                         f"map need {first_row + m} score columns, got {n}")
+    if not m <= n <= width:
+        raise ValueError(f"an m x n block of a width-{width} causal map needs "
+                         f"m <= n <= {width}, got {m} x {n}")
     if out is None:
         out = scores.copy()
     elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -175,7 +188,7 @@ def masked_row_softmax(scores: np.ndarray, first_row: int = 0, width: int | None
     # only the trailing m x m triangle of the block is masked: none of a 1-row block
     mask = m > 1
     if mask:
-        tail = out[:, first_row:]
+        tail = out[:, n - m:]
         masked = np.arange(m) > np.arange(m)[:, None]
         np.copyto(tail, -np.inf, where=masked)
     out -= out.max(axis=1, keepdims=True)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plphp import cli, init_model, pruning
+from plphp import FastVConfig, PruningConfig, VTWConfig, cli, init_model, pruning
 from plphp.trace import AttentionTrace
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
@@ -196,6 +196,36 @@ class TestRun:
     def test_io_error_exit_code(self, tmp_path):
         assert main(["run", *SMALL_MODEL, "--method", "none",
                      "--report-out", str(tmp_path / "no" / "dir" / "r.json")]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--report-out", "r.csv"],                         # the JSON is its own CSV
+        ["run", "--trace-out", "x.json", "--report-out", "x.json"],
+        ["run", "--trace-out", "r.csv", "--report-out", "r.json"],
+        ["run", "--trace-out", "x.json", "--report-out", "sub/../x.json"],
+        ["replay", "--trace", "t.plpt", "--report-out", "t.plpt"],
+        ["replay", "--trace", "t.csv", "--report-out", "./t.json"],
+        ["replay", "--trace", "t.plpt", "--report-out", "link.plpt"],  # a symlink to it
+    ])
+    def test_outputs_that_are_one_file_exit_2(self, small_trace, tmp_path, monkeypatch, argv):
+        # refused before any work: every file, the input trace too, is left as it was
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for name in ("t.plpt", "t.csv"):
+            (tmp_path / name).write_bytes(small_trace.read_bytes())
+        for name in ("r.csv", "r.json", "x.json"):
+            (tmp_path / name).write_text("untouched\n")
+        (tmp_path / "link.plpt").symlink_to("t.plpt")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        model_flags = SMALL_MODEL if argv[0] == "run" else []
+        assert main([argv[0], *model_flags, *argv[1:]]) == 2
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()
+                if path.is_file()} == before
+
+    def test_method_defaults_are_the_configs_defaults(self):
+        cfg = resolve_config(build_parser().parse_args(["run"]))
+        for method, want in (("plphp", PruningConfig()), ("fastv", FastVConfig()),
+                             ("vtw", VTWConfig())):
+            assert cli.method_config({**cfg, "method": method}, 8) == want
 
 
 # fuzzed keys with their small valid values, and the values that try them

@@ -100,10 +100,11 @@ def test_kv_monotone_in_r():
 
 class TestLatencyProbe:
     def test_rejects_few_steps(self):
-        with pytest.raises(ValueError):
-            latency_probe(lambda: None, 0)
-        with pytest.raises(ValueError):
-            latency_probe(lambda: None, 15)
+        # below 16 steps every step still runs, but there is no median
+        for steps in (0, 15):
+            calls = []
+            assert latency_probe(lambda: calls.append(1), steps) is None
+            assert len(calls) == steps
 
     def test_returns_positive_median(self):
         assert latency_probe(lambda: sum(range(1000)), 16) > 0.0

@@ -23,7 +23,7 @@ from helpers import (DirtyNumpy, cache_free_decode_logits, full_matrix_prefill,
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, HeadKVCache, ModelConfig,
                    PruningConfig, Segment, VTWConfig, build_sequence, decode_step,
                    greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
-                   make_vtw_hook, model, prefill, tensor_core)
+                   make_vtw_hook, model, prefill, tensor_core, weight_shapes)
 
 B = model.ATTN_BLOCK_ROWS
 
@@ -79,6 +79,12 @@ class TestInitModel:
         _, w2 = tiny(seed=4)
         assert not np.array_equal(w1.w_q, w2.w_q)
 
+    def test_weight_shapes_list_every_field_in_order(self):
+        cfg, w = tiny()
+        shapes = weight_shapes(cfg)
+        assert list(shapes) == [field.name for field in dataclasses.fields(w)]
+        assert all(getattr(w, name).shape == shape for name, shape in shapes.items())
+
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(num_layers=4, num_heads=2, model_dim=9, head_dim=4,
@@ -98,6 +104,22 @@ class TestPrefill:
                 assert len(cache) == seq.total_length
                 assert cache.positions.tolist() == list(range(seq.total_length))
         assert report.decisions is None
+
+    def test_hook_reads_the_recorded_rows_read_only(self):
+        cfg, w = tiny()
+        seen = []
+
+        def hook(layer, last_rows, caches, seq):
+            with pytest.raises(ValueError):
+                last_rows[0, 0] = 1.0
+            seen.append(last_rows)
+            return caches, None
+
+        _, report = prefill(w, cfg, mixed_seq(), hook=hook, record_trace=True)
+        assert len(seen) == cfg.num_layers
+        for l, rows in enumerate(seen):  # views of the one array the report returns
+            assert np.shares_memory(rows, report.attn_last_rows)
+            assert same_bits(rows, report.attn_last_rows[l])
 
     def test_noop_pruning_identical_caches(self):
         cfg, w = tiny()
@@ -250,7 +272,7 @@ class TestBlockedPrefill:
         rows = s - i0
         h, d, dk = cfg.num_heads, cfg.model_dim, cfg.head_dim
         # per layer, (thread, call): ("matmul", a.shape, b.shape) and
-        # ("softmax", shape, first_row); heads on other threads interleave
+        # ("softmax", shape, width); heads on other threads interleave
         # their calls, so each thread's calls are checked on their own
         calls = []
         matmul, softmax = model.matmul, model.masked_row_softmax
@@ -259,9 +281,9 @@ class TestBlockedPrefill:
             calls[-1].append((threading.get_ident(), ("matmul", a.shape, b.shape)))
             return matmul(a, b, **kwargs)
 
-        def recording_softmax(scores, first_row, width, **kwargs):
-            calls[-1].append((threading.get_ident(), ("softmax", scores.shape, first_row)))
-            return softmax(scores, first_row=first_row, width=width, **kwargs)
+        def recording_softmax(scores, width, **kwargs):
+            calls[-1].append((threading.get_ident(), ("softmax", scores.shape, width)))
+            return softmax(scores, width=width, **kwargs)
 
         def next_layer(layer, last_rows, caches, seq):
             calls.append([])
@@ -284,7 +306,8 @@ class TestBlockedPrefill:
             heads += n_heads
             projections = [a[0] for kind, a, b in own if b == (d, dk)]
             assert projections == [rows, s, s] * n_heads  # q, k, v per head
-            assert [c for c in own if c[0] == "softmax"] == [("softmax", (rows, s), i0)] * n_heads
+            # rows i0 .. s - 1 of the s-wide map
+            assert [c for c in own if c[0] == "softmax"] == [("softmax", (rows, s), s)] * n_heads
             assert [a for kind, a, b in own if b == (s, dk)] == [(rows, s)] * n_heads  # value mix
             # a 1-row operand would be labelled a decode step
             assert min(a[0] for kind, a, b in own if kind == "matmul") > 1

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -86,13 +86,16 @@ class TestMatmul:
             matmul(rng.random((2, 3)), rng.random((4, 2)))
 
     @settings(max_examples=300, deadline=None)
-    @given(m=DIM, inner=st.one_of(st.just(0), st.integers(1, 70)), n=DIM,
-           mode=st.sampled_from(sorted(SPECIALS)),
+    @given(m=st.one_of(st.just(0), DIM), inner=st.one_of(st.just(0), st.integers(1, 70)),
+           n=st.one_of(st.just(0), DIM), mode=st.sampled_from(sorted(SPECIALS)),
            buffer_floats=BUFFER_FLOATS, seed=st.integers(0, 2**32 - 1))
+    @example(m=3, inner=5, n=0, mode="finite", buffer_floats=64, seed=0)
+    @example(m=1, inner=4096, n=1, mode="nan_two", buffer_floats=64, seed=0)
     def test_shape_rule_bitwise_equals_loop(self, m, inner, n, mode, buffer_floats, seed):
-        # both paths, m = 1, n = 1 and chunk boundaries inside K. One NaN
-        # payload must come through bit for bit; where two different NaNs meet
-        # (nan_two: two payloads and inf * 0), numpy defines no payload
+        # every path, empty outputs, m = 1, n = 1, one output element and
+        # chunk boundaries inside K. One NaN payload must come through bit
+        # for bit; where two different NaNs meet (nan_two: two payloads and
+        # inf * 0), numpy defines no payload
         rng = make_rng(seed)
         a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
         with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
@@ -162,7 +165,7 @@ class TestMatmul:
         rng = make_rng(seed)
         i0 = data.draw(st.integers(0, s - 1))
         i1 = data.draw(st.integers(i0 + 1, s))
-        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), first_row=i0, width=s)
+        attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), width=s)
         v = rng.standard_normal((i1, 4))
         with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats):
             assert same_bits(matmul(attn, v), loop_matmul(attn, v))
@@ -303,7 +306,7 @@ class TestMatmul:
 class TestMaskedRowSoftmax:
     def test_uniform_row(self):
         # the last row of a 4-wide map: nothing masked
-        out = masked_row_softmax(np.full((1, 4), 2.5), first_row=3)
+        out = masked_row_softmax(np.full((1, 4), 2.5))
         assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_causal_first_row(self, rng):
@@ -322,13 +325,13 @@ class TestMaskedRowSoftmax:
         assert np.all(out[np.triu_indices(8, k=1)] == 0.0)
 
     def test_large_scores_stable(self):
-        out = masked_row_softmax(np.array([[1000.0, 1000.0, -1000.0]]), first_row=2)
+        out = masked_row_softmax(np.array([[1000.0, 1000.0, -1000.0]]))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) < 1e-12
 
     def test_causal_requires_square(self, rng):
-        with pytest.raises(ValueError):
-            masked_row_softmax(rng.random((3, 4)))
+        with pytest.raises(ValueError):  # more rows than columns: not a causal block
+            masked_row_softmax(rng.random((4, 3)))
 
     @settings(max_examples=80, deadline=None)
     @given(s=st.integers(1, 700), seed=st.integers(0, 2**32 - 1),
@@ -339,11 +342,11 @@ class TestMaskedRowSoftmax:
         cuts = data.draw(st.lists(st.integers(1, s - 1), max_size=6)) if s > 1 else []
         bounds = sorted({0, s, *cuts})
         for i0, i1 in zip(bounds, bounds[1:]):
-            block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
+            block = masked_row_softmax(scores[i0:i1, :i1], width=s)
             assert same_bits(block, full[i0:i1, :i1])
         # a decode step's 1-row block masks nothing: it is the plain row softmax
         last = scores[-1:]
-        assert same_bits(masked_row_softmax(last, first_row=s - 1, width=s), row_softmax(last))
+        assert same_bits(masked_row_softmax(last, width=s), row_softmax(last))
 
     @pytest.mark.parametrize("s,i0,i1", [(9, 0, 9), (9, 3, 7), (300, 64, 128), (300, 299, 300)])
     def test_padding_is_positive_zero_in_dirty_memory(self, s, i0, i1):
@@ -352,7 +355,7 @@ class TestMaskedRowSoftmax:
         scores = make_rng(s + i0).standard_normal((s, s))
         full = masked_row_softmax(scores)
         with patch.object(tensor_core, "np", DirtyNumpy()):
-            block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
+            block = masked_row_softmax(scores[i0:i1, :i1], width=s)
         assert same_bits(block, full[i0:i1, :i1])
 
     @settings(max_examples=60, deadline=None)
@@ -367,7 +370,7 @@ class TestMaskedRowSoftmax:
         with np.errstate(invalid="ignore"):
             full = masked_row_softmax(scores)
             with patch.object(tensor_core, "np", DirtyNumpy()):
-                block = masked_row_softmax(scores[i0:i1, :i1], first_row=i0, width=s)
+                block = masked_row_softmax(scores[i0:i1, :i1], width=s)
         # NaN payloads may differ where two NaNs meet, as in matmul
         compare = bits if mode == "finite" else canonical_nan_bits
         assert np.array_equal(compare(block), compare(full[i0:i1, :i1]))
@@ -383,10 +386,10 @@ class TestMaskedRowSoftmax:
         i1 = data.draw(st.integers(i0 + 1, s))
         block = scores[i0:i1, :i1]
         with np.errstate(invalid="ignore"):
-            want = masked_row_softmax(block, first_row=i0, width=s)
+            want = masked_row_softmax(block, width=s)
             in_place = block.copy()
-            got = masked_row_softmax(in_place, first_row=i0, width=s, out=in_place)
-            other = masked_row_softmax(block, first_row=i0, width=s,
+            got = masked_row_softmax(in_place, width=s, out=in_place)
+            other = masked_row_softmax(block, width=s,
                                        out=np.full(block.shape, NAN_A))
         assert got is in_place and same_bits(got, want) and same_bits(other, want)
         assert same_bits(block, scores[i0:i1, :i1])  # the input was not written
@@ -395,13 +398,13 @@ class TestMaskedRowSoftmax:
             bad_out.append(np.empty((i1 - i0, 2 * i1))[:, ::2])
         for bad in bad_out:
             with pytest.raises(ValueError):
-                masked_row_softmax(block, first_row=i0, width=s, out=bad)
+                masked_row_softmax(block, width=s, out=bad)
 
     def test_row_block_arguments_checked(self, rng):
-        with pytest.raises(ValueError):  # rows 2..3 need 4 score columns
-            masked_row_softmax(rng.random((2, 3)), first_row=2, width=6)
+        with pytest.raises(ValueError):  # 3 rows need at least 3 score columns
+            masked_row_softmax(rng.random((3, 2)), width=6)
         with pytest.raises(ValueError):  # narrower than the block
-            masked_row_softmax(rng.random((2, 4)), first_row=2, width=3)
+            masked_row_softmax(rng.random((2, 4)), width=3)
 
     def test_causal_temporaries_bounded(self, rng):
         # the result plus boolean masks: no S x S float64 temporaries

@@ -16,9 +16,10 @@ offers only the flags it reads: ``replay`` the method keys and
 hold any key, so one file serves every subcommand.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal error (printed
-with its traceback). ``run`` and ``replay`` exit 2 before any work when two of
-their files (the input trace, ``--trace-out``, the report JSON and its CSV)
-are one file.
+with its traceback). A config file is read as UTF-8, at most MAX_CONFIG_BYTES
+of it; a larger or undecodable file exits 2. Every subcommand exits 2 before
+any work when two of its files (``--config``, the input trace,
+``--trace-out``, the report JSON and its CSV, the sweep CSV) are one file.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ _SUBCOMMAND_KEYS = {"run": [*_KEYS], "sweep": [key for key in _KEYS if key != "t
                     "replay": [*_METHOD_KEYS, "report_out"]}
 
 SWEEP_CSV_VERSION = 1
+# Largest config file: 19 key = value lines take well under 1 KiB, so the
+# rest is room for comments.
+MAX_CONFIG_BYTES = 64 * 1024
 # Largest sweep grid: each point is one full run, so a bigger grid is a typo.
 MAX_GRID_POINTS = 10_000
 # Most weight floats a run may draw: 2**27 float64 is 1 GiB. It also bounds
@@ -92,9 +96,21 @@ def parse_segments(spec: str) -> list[Segment]:
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value lines; blank lines and # comments ignored."""
+    """Flat key = value lines of UTF-8; blank lines and # comments ignored.
+
+    At most MAX_CONFIG_BYTES + 1 bytes are read, so an endless file is
+    refused without being read to its end.
+    """
+    with open(path, "rb") as f:
+        data = f.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: config file is larger than {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: config file is not UTF-8: {e}") from e
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -245,7 +261,8 @@ def _write_reports(cfg: dict, report: MetricsReport) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _check_distinct_files({"--trace-out": cfg["trace_out"], **_report_files(cfg)})
+    _check_distinct_files({"--config": args.config, "--trace-out": cfg["trace_out"],
+                           **_report_files(cfg)})
     report, trace_rows, seq = execute_experiment(cfg)
     if cfg["trace_out"]:
         write_trace(cfg["trace_out"], trace_from_run(trace_rows, seq))
@@ -259,7 +276,8 @@ def parse_grid(spec: str) -> list[dict]:
     """``r=0.3|0.4|0.5,dr=0.3`` -> one dict per point, cartesian product.
 
     A grid of more than MAX_GRID_POINTS points is refused before the product
-    is built, and so are the output keys, which no sweep point would use.
+    is built, and so are a key given twice and the output keys, which no
+    sweep point would use.
     """
     keys, value_lists = [], []
     for part in spec.split(","):
@@ -271,6 +289,8 @@ def parse_grid(spec: str) -> list[dict]:
             raise ConfigError(f"unknown grid key {key!r}")
         if key in ("trace_out", "report_out"):
             raise ConfigError(f"{key} is not a grid key; pass --report-out for the CSV")
+        if key in keys:
+            raise ConfigError(f"grid key {key!r} is given twice")
         keys.append(key)
         try:
             value_lists.append([_KEYS[key][0](v) for v in raw.split("|")])
@@ -305,8 +325,9 @@ def _sweep_point(cfg: dict, point: dict) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    rows = [_sweep_point(cfg, p) for p in parse_grid(args.grid)]
     out = cfg["report_out"] or "sweep.csv"
+    _check_distinct_files({"--config": args.config, "the sweep CSV": out})
+    rows = [_sweep_point(cfg, p) for p in parse_grid(args.grid)]
     with open(out, "w", newline="") as f:
         f.write(f"# sweep csv v{SWEEP_CSV_VERSION}\n")
         writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
@@ -318,7 +339,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, method="plphp")
-    _check_distinct_files({"--trace": args.trace, **_report_files(cfg)})
+    _check_distinct_files({"--config": args.config, "--trace": args.trace,
+                           **_report_files(cfg)})
     trace = read_trace(args.trace)
     _, report = replay(trace, method_config(cfg, trace.num_layers))
     _write_reports(cfg, report)

@@ -22,19 +22,21 @@ for its last row block alone.
 
 Within a layer no head reads another head's state, so a multi-row pass
 (prefill) runs the heads on min(H, usable CPUs) threads: the calling thread
-and a worker pool made on the first pass that needs one. The bits cannot
-change: each head keeps its own summation order, writes only its own cache,
-its own D_k columns of the layer's output and its own last row, and the
-layer waits for every head before its out-projection. A decode step runs
-its heads in order on the calling thread: a 1-row head is tens of
-microseconds of mostly interpreter-bound work, which holds the interpreter
-lock, so another thread could not overlap it, and a handoff to a worker
-alone costs about 24 us (one submit and result, 2-vCPU Xeon host).
+and threads started for that layer and joined before it ends, so no thread
+outlives a pass. The bits cannot change: each head keeps its own summation
+order, writes only its own cache, its own D_k columns of the layer's output
+and its own last row, and the layer waits for every head before its
+out-projection. A decode step runs its heads in order on the calling
+thread: a 1-row head is tens of microseconds of mostly interpreter-bound
+work, which holds the interpreter lock, so another thread could not overlap
+it, and starting and joining one thread alone costs about 140 us (2-vCPU
+Xeon host).
 
-After each layer finishes its prefill forward pass an optional pruning hook
-may shrink that layer's caches; the hook never affects prefill values, only
-decode-time attention. The hook sees only the last prompt row of each head's
-attention map, the one row every pruning rule reads.
+After the prefill pass an optional pruning hook runs for each layer in
+order and may shrink that layer's caches. No layer reads another layer's
+cache, so the hook never affects prefill values, only decode-time
+attention. The hook sees only the last prompt row of each head's attention
+map, the one row every pruning rule reads.
 """
 
 from __future__ import annotations
@@ -231,40 +233,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Worker threads for the heads of a multi-row pass, made on the first pass
-# that needs one (with up to usable CPUs - 1 threads), so a process that
-# only decodes or replays starts no thread and imports no concurrent.futures.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _worker_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="plphp-head")
-        return _pool
-
-
-def _drop_pool_in_child() -> None:
-    global _pool  # a forked child has none of the parent's threads
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
-    os.register_at_fork(after_in_child=_drop_pool_in_child)
-
-
 def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
                works: list[np.ndarray | None]) -> None:
     """``attend(h, works[t])`` for every head h, thread t taking heads t, t + T, ...
 
-    T = ``len(works)``: the calling thread is t = 0 and T - 1 pool workers
-    take the rest. Returns once every head has finished; a head that raised
-    does not stop the others, and the lowest-index head's exception is then
-    re-raised. With T = 1 the heads run in order on the calling thread.
+    T = ``len(works)``: the calling thread is t = 0 and T - 1 threads started
+    for this call take the rest. Returns once every head has finished and
+    every started thread has been joined; a head that raised does not stop
+    the others, and the lowest-index head's exception is then re-raised.
+    With T = 1 the heads run in order on the calling thread.
     """
     threads = len(works)
     if threads == 1:
@@ -280,27 +257,28 @@ def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
             except BaseException as exc:  # re-raised below, once every head has finished
                 errors[h] = exc
 
-    pool = _worker_pool()
-    futures = [pool.submit(share, t) for t in range(1, threads)]
+    workers = [threading.Thread(target=share, args=(t,), name=f"plphp-head-{t}")
+               for t in range(1, threads)]
+    for worker in workers:
+        worker.start()
     share(0)
-    for future in futures:
-        future.result()
+    for worker in workers:
+        worker.join()
     for exc in errors:
         if exc is not None:
             raise exc
 
 
 def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadKVCache]],
-             token_ids: np.ndarray, first_position: int, last_rows: np.ndarray | None = None,
-             after_layer: Callable[[int], None] | None = None) -> np.ndarray:
+             token_ids: np.ndarray, first_position: int,
+             last_rows: np.ndarray | None = None) -> np.ndarray:
     """Run m new rows from ``first_position`` through every layer; returns the last row, 1 x D.
 
     Each head appends the rows' keys, values and positions to its cache and
     attends over it: with l0 rows cached before, row block ``[i0, i1)`` is
     rows ``l0 + i0..`` of a causal map ``l0 + m`` wide. Head h of layer l
     writes its map's last row into ``last_rows[l, h]`` (N x H x (l0 + m)),
-    if given. ``after_layer(l)`` runs after each layer (every head must then
-    hold l0 rows) and may replace ``caches[l]``.
+    if given.
 
     Only the last row leaves the final layer, so that layer appends all m
     rows to the caches but runs the rest (queries, scores, softmax, value
@@ -360,8 +338,6 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
         x = x + matmul(mixed, weights.w_o[l])
         m_in = _rmsnorm(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
-        if after_layer is not None:
-            after_layer(l)
     return x[-1:]
 
 
@@ -370,30 +346,30 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
             record_trace: bool = False) -> tuple[DecoderState, PrefillReport]:
     """Run the full prompt through all layers, populating per-head caches.
 
-    The hook, when given, fires after each layer's own forward pass has
-    consumed the full cache, receives a read-only view of that layer's H x S
-    block of one N x H x S array of last attention rows (the report's
-    ``attn_last_rows`` when ``record_trace`` is set), and may replace the
-    layer's caches with pruned ones.
+    The hook, when given, then runs for layers 1..N in order. Each call
+    receives a read-only view of that layer's H x S block of one N x H x S
+    array of last attention rows (the report's ``attn_last_rows`` when
+    ``record_trace`` is set) and may replace the layer's caches with pruned
+    ones. No layer reads another layer's cache, so pruning after the pass
+    leaves the caches the hook would leave between layers.
     """
     s = seq.total_length
     empty = np.empty((0, config.head_dim))
     caches = [[HeadKVCache(empty, empty, np.empty(0, dtype=np.int64))
                for _ in range(config.num_heads)] for _ in range(config.num_layers)]
-    decisions: list[Any] = []
     last_rows = np.empty((config.num_layers, config.num_heads, s))
-    read_only = last_rows.view()
-    read_only.flags.writeable = False
-
-    def after_layer(l: int) -> None:
-        caches[l], decision = hook(l + 1, read_only[l], caches[l], seq)
-        decisions.append(decision)
-
-    _forward(weights, config, caches, seq.token_ids, 0, last_rows,
-             None if hook is None else after_layer)
+    _forward(weights, config, caches, seq.token_ids, 0, last_rows)
+    decisions: list[Any] | None = None
+    if hook is not None:
+        read_only = last_rows.view()
+        read_only.flags.writeable = False
+        decisions = []
+        for l in range(config.num_layers):
+            caches[l], decision = hook(l + 1, read_only[l], caches[l], seq)
+            decisions.append(decision)
     state = DecoderState(caches=caches, next_position=s)
     lengths = np.array([[len(c) for c in layer] for layer in caches])
-    report = PrefillReport(decisions=decisions if hook is not None else None,
+    report = PrefillReport(decisions=decisions,
                            head_cache_lengths=lengths,
                            attn_last_rows=last_rows if record_trace else None)
     return state, report

@@ -50,7 +50,12 @@ class TestParsing:
         for key in ("trace_out", "report_out", "report-out"):  # no point would use them
             with pytest.raises(ConfigError):
                 parse_grid(f"r=0.4,{key}=x.csv")
+        for spec in ("r=0.3,r=0.5", "fastv_k=1,r=0.4,fastv-k=2"):  # a key given twice
+            with pytest.raises(ConfigError, match="twice"):
+                parse_grid(spec)
         assert main(["sweep", *SMALL_MODEL, "--grid", "report_out=/nonexistent/x"]) == 2
+        assert main(["sweep", *SMALL_MODEL, "--grid", "r=0.3,r=0.5",
+                     "--report-out", "/nonexistent/x"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["replay", "--trace", "run.plpt", "--seed", "1"],
@@ -205,18 +210,29 @@ class TestRun:
         ["replay", "--trace", "t.plpt", "--report-out", "t.plpt"],
         ["replay", "--trace", "t.csv", "--report-out", "./t.json"],
         ["replay", "--trace", "t.plpt", "--report-out", "link.plpt"],  # a symlink to it
+        # the outputs never overwrite the config file
+        ["run", "--config", "x.cfg", "--report-out", "x.cfg"],
+        ["run", "--config", "x.cfg", "--trace-out", "x.cfg"],
+        ["run", "--config", "self.cfg"],                           # it names itself
+        ["replay", "--trace", "t.plpt", "--config", "x.cfg", "--report-out", "x.cfg"],
+        ["sweep", "--grid", "r=0.4", "--config", "x.cfg", "--report-out", "x.cfg"],
+        ["sweep", "--grid", "r=0.4", "--config", "sweep.csv"],     # the default CSV
     ])
     def test_outputs_that_are_one_file_exit_2(self, small_trace, tmp_path, monkeypatch, argv):
-        # refused before any work: every file, the input trace too, is left as it was
+        # refused before any work: every file, the input trace and config too,
+        # is left as it was
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         for name in ("t.plpt", "t.csv"):
             (tmp_path / name).write_bytes(small_trace.read_bytes())
         for name in ("r.csv", "r.json", "x.json"):
             (tmp_path / name).write_text("untouched\n")
+        for name in ("x.cfg", "sweep.csv"):
+            (tmp_path / name).write_text("method = plphp\n")
+        (tmp_path / "self.cfg").write_text("report_out = self.cfg\n")
         (tmp_path / "link.plpt").symlink_to("t.plpt")
         before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
-        model_flags = SMALL_MODEL if argv[0] == "run" else []
+        model_flags = SMALL_MODEL if argv[0] in ("run", "sweep") else []
         assert main([argv[0], *model_flags, *argv[1:]]) == 2
         assert {path: path.read_bytes() for path in tmp_path.iterdir()
                 if path.is_file()} == before
@@ -291,6 +307,19 @@ class TestInputBounds:
         assert cli.experiment_inputs({**cfg, "vocab_size": vocab})[0].vocab_size == vocab
         with pytest.raises(cli.ConfigError):
             cli.experiment_inputs({**cfg, "vocab_size": vocab + 1})
+
+    def test_config_file_bounded_and_utf8(self, tmp_path):
+        # a file of MAX_CONFIG_BYTES loads; one byte more, or a byte that is
+        # not UTF-8, is a config error (exit 2), not an internal one
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"method = plphp\n#" + b"x" * (cli.MAX_CONFIG_BYTES - 17) + b"\n")
+        assert load_config_file(cfg) == {"method": "plphp"}
+        bad = {"large.cfg": cfg.read_bytes() + b"\n", "latin1.cfg": b"method = plphp # \xff\n"}
+        for name, data in bad.items():
+            (tmp_path / name).write_bytes(data)
+            with pytest.raises(ConfigError):
+                load_config_file(tmp_path / name)
+            assert main(["run", *SMALL_MODEL, "--config", str(tmp_path / name)]) == 2
 
     def test_grid_points_capped_before_the_product(self, monkeypatch):
         def values(n):

@@ -44,16 +44,12 @@ HOOKS = {method: functools.partial(method_hook, pruning) for method, pruning in 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the usable CPU count ``_forward`` sees. The worker pool starts
-    afresh, so a pool made under the patched count is shut down afterwards."""
-    monkeypatch.setattr(model, "_pool", None)
+    """Sets the usable CPU count ``_forward`` sees."""
 
     def set_cpus(n):
         monkeypatch.setattr(model, "_usable_cpus", lambda: n)
 
-    yield set_cpus
-    if model._pool is not None:
-        model._pool.shutdown()
+    return set_cpus
 
 
 def mixed_seq(vocab=32, seed=0):
@@ -277,22 +273,21 @@ class TestBlockedPrefill:
         calls = []
         matmul, softmax = model.matmul, model.masked_row_softmax
 
-        def recording_matmul(a, b, **kwargs):
-            calls[-1].append((threading.get_ident(), ("matmul", a.shape, b.shape)))
-            return matmul(a, b, **kwargs)
-
         def recording_softmax(scores, width, **kwargs):
             calls[-1].append((threading.get_ident(), ("softmax", scores.shape, width)))
             return softmax(scores, width=width, **kwargs)
 
-        def next_layer(layer, last_rows, caches, seq):
-            calls.append([])
-            return caches, None
+        def recording_matmul(a, b, **kwargs):
+            calls[-1].append((threading.get_ident(), ("matmul", a.shape, b.shape)))
+            out = matmul(a, b, **kwargs)
+            if b.shape == (4 * d, d):  # the MLP down-projection ends a layer
+                calls.append([])
+            return out
 
         calls.append([])
         with mock.patch.object(model, "matmul", recording_matmul), \
                 mock.patch.object(model, "masked_row_softmax", recording_softmax):
-            prefill(w, cfg, seq, hook=next_layer)
+            prefill(w, cfg, seq)
         *earlier, final, after_final = calls
         assert after_final == [] and len(earlier) == cfg.num_layers - 1
         for layer in earlier:
@@ -458,20 +453,51 @@ class TestParallelHeads:
         # hands a head to a worker
         cfg, w = tiny()
         threads = threading.active_count()
-        cpus(1)
-        state, _ = prefill(w, cfg, mixed_seq())
-        cpus(4)
-        for token in range(3):
-            decode_step(w, cfg, state, token)
-        assert model._pool is None and threading.active_count() == threads
+        ran_on = set()
+        real = model.matmul
+
+        def recording(a, b, **kwargs):
+            ran_on.add(threading.get_ident())
+            return real(a, b, **kwargs)
+
+        with mock.patch.object(model, "matmul", recording):
+            cpus(1)
+            state, _ = prefill(w, cfg, mixed_seq())
+            cpus(4)
+            for token in range(3):
+                decode_step(w, cfg, state, token)
+        assert ran_on == {threading.get_ident()} and threading.active_count() == threads
+
+    @pytest.mark.parametrize("n_cpus", [2, 4])
+    def test_no_thread_outlives_a_prefill(self, cpus, n_cpus):
+        # every head thread is joined before its layer ends; started threads
+        # lag behind the caller, so one left running would outlive the prefill
+        cfg, w = tiny(h=4)
+        threads = threading.active_count()
+        caller = threading.get_ident()
+        ran_on = set()
+        real = model.matmul
+
+        def recording(a, b, **kwargs):
+            ran_on.add(threading.get_ident())
+            if threading.get_ident() != caller:
+                time.sleep(0.005)
+            return real(a, b, **kwargs)
+
+        cpus(n_cpus)
+        with mock.patch.object(model, "matmul", recording):
+            _, report = prefill(w, cfg, mixed_seq(),
+                                hook=make_hook(PruningConfig(), cfg.num_layers))
+        # the caller ran head 0, and threads started for each layer the rest
+        assert len(ran_on) > 1 and len(report.decisions) == cfg.num_layers
+        assert threading.active_count() == threads
 
     def test_forked_child_makes_its_own_pool(self, cpus):
-        # a child forked after the pool has started has none of its threads
+        # a child forked after a multi-thread prefill prefills to the same bits
         cpus(2)
         cfg, w = tiny()
         seq = mixed_seq()
         want, _ = prefill(w, cfg, seq)
-        assert model._pool is not None
         pid = os.fork()
         if pid == 0:  # the child
             code = 1

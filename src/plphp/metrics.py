@@ -63,14 +63,15 @@ def report_from_counts(kept_rows: np.ndarray, kept_vision: np.ndarray, seq_len: 
     replay (counting decisions) go through.
     """
     n, h = kept_rows.shape
-    per_layer = [{
-        "layer": l + 1,
-        "gamma": getattr(dec, "gamma", None),
-        "class": getattr(dec, "layer_class", None),
-        "retention": getattr(dec, "retention", None),
-        "head": head + 1,
-        "kept_rows": int(kept_rows[l, head]),
-    } for l, dec in enumerate(decisions or [None] * n) for head in range(h)]
+    per_layer = []
+    for layer, (dec, kept) in enumerate(zip(decisions or [None] * n, kept_rows.tolist(),
+                                            strict=True), start=1):
+        gamma, layer_class, retention = (getattr(dec, "gamma", None),
+                                         getattr(dec, "layer_class", None),
+                                         getattr(dec, "retention", None))
+        per_layer += [{"layer": layer, "gamma": gamma, "class": layer_class,
+                       "retention": retention, "head": head, "kept_rows": rows}
+                      for head, rows in enumerate(kept, start=1)]
     rr = int(kept_vision.sum()) / (n * h * num_vision) if num_vision > 0 else 1.0
     kv = int(kept_rows.sum()) / (n * h * seq_len)
     return MetricsReport(retention_rate=rr, kv_fraction=kv,
@@ -104,8 +105,8 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def write_report_csv(path, report: MetricsReport) -> None:
+    """One line per (layer, head) in ``CSV_COLUMNS`` order; None is an empty cell."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in report.per_layer:
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in CSV_COLUMNS})
+        writer = csv.writer(f)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row[k] for k in CSV_COLUMNS] for row in report.per_layer)

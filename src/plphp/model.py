@@ -280,6 +280,9 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
     writes its map's last row into ``last_rows[l, h]`` (N x H x (l0 + m)),
     if given.
 
+    A token id outside [0, vocab_size) raises ``ValueError`` before any
+    cache changes.
+
     Only the last row leaves the final layer, so that layer appends all m
     rows to the caches but runs the rest (queries, scores, softmax, value
     mix, out-projection and MLP) for its last row block alone.
@@ -290,6 +293,9 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
     into fresh rows.
     """
     m = len(token_ids)
+    if m and not 0 <= token_ids.min() <= token_ids.max() < config.vocab_size:
+        bad = token_ids[(token_ids < 0) | (token_ids >= config.vocab_size)][0]
+        raise ValueError(f"token id {bad} is outside the vocabulary [0, {config.vocab_size})")
     if first_position + m > config.max_positions:
         raise ValueError(f"positions up to {first_position + m - 1} exceed "
                          f"max_positions {config.max_positions}")

@@ -29,7 +29,8 @@ __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
     "PruningConfig", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
-    "select_retained", "prune_head_cache", "prune_layer", "decide_layer", "plphp_hook",
+    "select_retained", "prune_head_cache", "prune_layer", "decide_layer", "decide_layers",
+    "plphp_hook",
     "make_hook",
 ]
 
@@ -94,19 +95,29 @@ class LayerDecision:
 
 
 def vision_attention_score(attn_last_rows: list[np.ndarray] | np.ndarray,
-                           vision_union: np.ndarray) -> float:
+                           vision_union: np.ndarray) -> float | np.ndarray:
     """Head-averaged attention mass on vision positions, in [0, 1].
 
     ``attn_last_rows`` holds the last attention row of each head (softmax
-    output over the full sequence).
+    output over the full sequence), ``(H, S)`` for one layer or ``(L, H, S)``
+    for L layers; the result is a float or one gamma per layer. The heads
+    are added in turn and divided by H, as ``np.mean`` does, and the vision
+    columns are gathered C-ordered, so each layer's row sum is numpy's
+    pairwise sum over its own vision mass: the same bits for every L.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
+    if rows.ndim not in (2, 3):
+        raise ValueError(f"expected (H, S) or (L, H, S) rows, got {rows.ndim}-D")
     vision_union = np.asarray(vision_union, dtype=np.int64)
     if vision_union.size == 0:
-        return 0.0
-    if vision_union.max() >= rows.shape[1] or vision_union.min() < 0:
+        return 0.0 if rows.ndim == 2 else np.zeros(rows.shape[0])
+    if vision_union.max() >= rows.shape[-1] or vision_union.min() < 0:
         raise ValueError("vision index out of range for attention rows")
-    return float(np.sum(np.mean(rows, axis=0)[vision_union]))
+    means = rows.sum(axis=-2) / rows.shape[-2]
+    # np.take returns C order; means[:, vision] would come back Fortran-ordered,
+    # and a row sum over that is not pairwise
+    gamma = np.take(means, vision_union, axis=-1).sum(axis=-1)
+    return float(gamma) if rows.ndim == 2 else gamma
 
 
 def classify_layer(gamma: float, cfg: PruningConfig) -> str:
@@ -144,7 +155,9 @@ def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
     k = int(np.floor(retention * image_indices.size))
     if retention > 0.0:
         k = max(1, k)
-    local = argtopk(head_row[..., image_indices], k)
+    # np.take gathers C-ordered; head_row[..., image_indices] would come back
+    # Fortran-ordered for 2-D rows, and argtopk runs slower across rows
+    local = argtopk(np.take(head_row, image_indices, axis=-1), k)
     return image_indices[local], k
 
 
@@ -165,26 +178,51 @@ def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
     )
 
 
+def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
+                  first_layer: int, num_layers: int) -> list[LayerDecision]:
+    """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
+
+    Pure function of the rows, the layout and the config. Gamma takes one
+    reduction for all L layers, and each image takes one top-K per
+    retention value over the ``(layers * H, image)`` rows of the layers
+    allotted it; ``per_head_retained[h][j]`` are row views into that
+    selection. Every row stands alone in both, so a layer's decision has the
+    same bits whichever layers share the call.
+    """
+    rows = np.asarray(attn_last_rows, dtype=np.float64)
+    if rows.ndim != 3:
+        raise ValueError(f"expected (L, H, S) rows, got {rows.ndim}-D")
+    gammas = vision_attention_score(rows, vision_index_union(seq))
+    first, last = cfg.pruned_range(num_layers)
+    decisions = []
+    for layer, gamma in enumerate(gammas.tolist(), start=first_layer):
+        layer_class = classify_layer(gamma, cfg)
+        exempt = not first <= layer <= last
+        decisions.append(LayerDecision(
+            layer=layer, gamma=gamma, layer_class=layer_class, exempt=exempt,
+            retention=None if exempt else allocate_retention(layer_class, cfg)))
+    num_heads, s = rows.shape[1:]
+    for retention in dict.fromkeys(d.retention for d in decisions if not d.exempt):
+        group = [d for d in decisions if d.retention == retention]
+        head_rows = rows[[d.layer - first_layer for d in group]].reshape(-1, s)
+        kept = []
+        for img in seq.image_indices:
+            selected, k = select_retained(head_rows, img, retention)
+            kept.append(selected.reshape(len(group), num_heads, k))
+        for g, decision in enumerate(group):
+            decision.per_head_retained = [[k[g, h] for k in kept] for h in range(num_heads)]
+    return decisions
+
+
 def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalSequence,
                  cfg: PruningConfig, layer: int, num_layers: int) -> LayerDecision:
-    """Full layer-level decision from the heads' last attention rows.
+    """Full layer-level decision from one layer's ``(H, S)`` last attention rows.
 
-    Pure function of the rows, the layout and the config; the live hook and
-    offline trace replay both run through here, so their decisions agree
-    exactly.
+    ``decide_layers`` for one layer: the live hook and offline trace replay
+    run one code path, so their decisions agree exactly.
     """
-    vision = vision_index_union(seq)
-    gamma = vision_attention_score(attn_last_rows, vision)
-    layer_class = classify_layer(gamma, cfg)
-    first, last = cfg.pruned_range(num_layers)
-    if not first <= layer <= last:
-        return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class, exempt=True)
-    retention = allocate_retention(layer_class, cfg)
-    rows = np.asarray(attn_last_rows, dtype=np.float64)
-    per_image = [select_retained(rows, img, retention)[0] for img in seq.image_indices]
-    per_head = [[kept[h] for kept in per_image] for h in range(rows.shape[0])]
-    return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class,
-                         exempt=False, retention=retention, per_head_retained=per_head)
+    rows = np.asarray(attn_last_rows, dtype=np.float64)[None]
+    return decide_layers(rows, seq, cfg, layer, num_layers)[0]
 
 
 def prune_layer(caches: list[HeadKVCache], seq: MultimodalSequence,

@@ -25,7 +25,9 @@ import numpy as np
 from .baselines import FastVConfig, FastVRule, VTWConfig, check_depth, vtw_decide
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
 from .metrics import MetricsReport, report_from_counts
-from .pruning import LayerDecision, PruningConfig, decide_layer
+# decide_layer stays bound here for perfbench/tracer.py, which rebinds it
+# under this module's name; replay decides every layer at once.
+from .pruning import LayerDecision, PruningConfig, decide_layer, decide_layers  # noqa: F401
 
 MAGIC = b"PLPT"
 VERSION = 1
@@ -58,14 +60,17 @@ class AttentionTrace:
             raise TraceFormatError("segment lengths do not sum to the sequence length")
         if not self.segments or self.segments[-1].kind != TEXT:
             raise TraceFormatError("final segment must be text (the last row is a text query)")
-        if not np.all(np.isfinite(self.rows)):
-            raise TraceFormatError("trace contains non-finite values")
-        sums = self.rows.sum(axis=2)
-        bad = np.abs(sums - 1.0) > 1e-6
+        # a NaN or infinite entry makes its row's sum NaN or infinite, so one
+        # pass over the rows refuses non-finite values too
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = self.rows.sum(axis=2)
+        bad = ~(np.abs(sums - 1.0) <= 1e-6)
         if bad.any():
             l, h_idx = np.argwhere(bad)[0]
-            raise TraceFormatError(
-                f"attention row (layer {l + 1}, head {h_idx + 1}) sums to {sums[l, h_idx]}, not 1")
+            where = f"attention row (layer {l + 1}, head {h_idx + 1})"
+            if not np.all(np.isfinite(self.rows[l, h_idx])):
+                raise TraceFormatError(f"{where} contains non-finite values")
+            raise TraceFormatError(f"{where} sums to {sums[l, h_idx]}, not 1")
 
 
 def write_trace(path, trace: AttentionTrace) -> None:
@@ -122,10 +127,8 @@ def trace_from_run(attn_last_rows: np.ndarray, seq: MultimodalSequence) -> Atten
                           segments=seq.segments, rows=np.asarray(attn_last_rows, dtype=np.float64))
 
 
-def _method_rule(cfg: PruningConfig | FastVConfig | VTWConfig, num_layers: int):
-    """The method's rule ``(layer, last_rows, seq) -> LayerDecision``, as its hook runs it."""
-    if isinstance(cfg, PruningConfig):
-        return lambda layer, rows, seq: decide_layer(rows, seq, cfg, layer, num_layers)
+def _method_rule(cfg: FastVConfig | VTWConfig, num_layers: int):
+    """The baseline's rule ``(layer, last_rows, seq) -> LayerDecision``, as its hook runs it."""
     check_depth(cfg, num_layers)
     if isinstance(cfg, FastVConfig):
         return FastVRule(cfg)
@@ -138,19 +141,22 @@ def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig |
 
     ``trace`` must be valid (``AttentionTrace.validate``): ``read_trace``,
     the gate for trace files, returns only validated traces. ``cfg`` names
-    the method (None: no pruning). Its rule is the one the live hook runs,
-    so replaying a recorded run reproduces its decisions exactly; RR/KV are
-    counted from the decisions. No model execution.
+    the method (None: no pruning). plphp decides all N layers in one
+    ``decide_layers`` call, the baselines layer by layer through their
+    rules; either way the decisions are the live hook's, bit for bit. RR/KV
+    are counted from the decisions. No model execution.
     """
     seq = build_sequence(trace.segments, seed=0)
     n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
     v = vision_index_union(seq).size
     kept_vision = np.full((n, h), v)
     decisions = None
-    if cfg is not None:
+    if isinstance(cfg, PruningConfig):
+        decisions = decide_layers(trace.rows, seq, cfg, 1, n)
+    elif cfg is not None:
         rule = _method_rule(cfg, n)
         decisions = [rule(l + 1, trace.rows[l], seq) for l in range(n)]
-        for l, dec in enumerate(decisions):
-            if not dec.exempt:
-                kept_vision[l] = [dec.head_kept_vision(head) for head in range(h)]
+    for l, dec in enumerate(decisions or ()):
+        if not dec.exempt:  # every head of a layer keeps equally many rows per image
+            kept_vision[l] = dec.head_kept_vision(0)
     return decisions, report_from_counts(kept_vision + (s - v), kept_vision, s, v, decisions)

@@ -6,14 +6,18 @@ it checks. The exceptions are ``full_matrix_prefill`` and
 ``reference_decode_step``: the unblocked prefill and the decode step with its
 own attention path, kept as bitwise references for the one forward pass that
 ``plphp.prefill`` and ``plphp.decode_step`` share, so they share the kernels
-and check only the blocking and the cache handling.
+and check only the blocking and the cache handling. Likewise
+``per_layer_decision`` is the one-layer pruning decision that
+``plphp.pruning.decide_layers`` batches: it shares the class, retention and
+top-K rules, and checks only the batching.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from plphp import DecoderState, HeadKVCache, masked_row_softmax, matmul
+from plphp import (DecoderState, HeadKVCache, LayerDecision, allocate_retention, classify_layer,
+                   masked_row_softmax, matmul, select_retained, vision_index_union)
 
 
 # a quiet NaN with a payload no computation here produces
@@ -151,6 +155,26 @@ def loop_gamma(rows: np.ndarray, vision: np.ndarray) -> float:
         for head in range(h):
             total += rows[head, k] / h
     return total
+
+
+def per_layer_decision(rows: np.ndarray, seq, cfg, layer: int, num_layers: int) -> LayerDecision:
+    """``plphp.pruning.decide_layer`` as it was before decisions were batched.
+
+    One layer's ``(H, S)`` rows: gamma by ``np.mean``, a 1-D gather and
+    ``np.sum``, then one ``select_retained`` per image over the H rows.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    vision = vision_index_union(seq)
+    gamma = float(np.sum(np.mean(rows, axis=0)[vision])) if vision.size else 0.0
+    layer_class = classify_layer(gamma, cfg)
+    first, last = cfg.pruned_range(num_layers)
+    if not first <= layer <= last:
+        return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class, exempt=True)
+    retention = allocate_retention(layer_class, cfg)
+    per_image = [select_retained(rows, img, retention)[0] for img in seq.image_indices]
+    per_head = [[kept[h] for kept in per_image] for h in range(rows.shape[0])]
+    return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class,
+                         exempt=False, retention=retention, per_head_retained=per_head)
 
 
 def sort_select(head_row: np.ndarray, image_indices: np.ndarray,

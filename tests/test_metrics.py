@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -127,3 +129,32 @@ def test_serialization(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + cfg.num_layers * cfg.num_heads
+
+
+def dict_writer_csv(report) -> bytes:
+    """The report CSV as ``csv.DictWriter`` writes it, None as an empty cell."""
+    f = io.StringIO(newline="")
+    writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in report.per_layer:
+        writer.writerow({k: ("" if row[k] is None else row[k]) for k in CSV_COLUMNS})
+    return f.getvalue().encode()
+
+
+@pytest.mark.parametrize("method", ["plphp", "none"])
+def test_csv_bytes_equal_dict_writer(tmp_path, method):
+    cfg = ModelConfig(num_layers=5, num_heads=3, model_dim=12, head_dim=4,
+                      vocab_size=32, max_positions=64)
+    seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
+                          Segment(IMAGE, 4), Segment(TEXT, 2)], seed=1, vocab_size=32)
+    hook = make_hook(PruningConfig(), cfg.num_layers) if method == "plphp" else None
+    state, prefill_report = prefill(init_model(cfg, 1), cfg, seq, hook=hook)
+    report = account(state, seq, prefill_report.decisions)
+    out = tmp_path / "report.csv"
+    write_report_csv(out, report)
+    assert out.read_bytes() == dict_writer_csv(report)
+    lines = out.read_bytes().split(b"\r\n")
+    if method == "none":  # no decisions: gamma, class and retention are empty
+        assert lines[1].startswith(b"1,,,,1,")
+    else:  # exempt layer 1 has a gamma and a class but no retention
+        assert lines[1].split(b",")[3] == b"" and lines[1].split(b",")[1] != b""

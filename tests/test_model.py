@@ -567,6 +567,25 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_step(w, cfg, state, 0)
 
+    @pytest.mark.parametrize("token", [-1, 32])
+    def test_token_outside_vocabulary_refused(self, token):
+        # -1 would index the last embedding row, 32 one past the table
+        cfg, w = tiny(vocab=32)
+        state, _ = prefill(w, cfg, mixed_seq())
+        lengths = [len(c) for layer in state.caches for c in layer]
+        with pytest.raises(ValueError, match=rf"token id {token} .*\[0, 32\)"):
+            decode_step(w, cfg, state, token)
+        assert [len(c) for layer in state.caches for c in layer] == lengths
+        assert state.next_position == mixed_seq().total_length
+
+    def test_prompt_outside_vocabulary_refused(self):
+        # build_sequence draws ids below its own vocab_size, 1024 by default
+        cfg, w = tiny(vocab=16)
+        seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 4), Segment(TEXT, 2)], seed=0)
+        bad = int(seq.token_ids[seq.token_ids >= 16][0])
+        with pytest.raises(ValueError, match=rf"token id {bad} .*\[0, 16\)"):
+            prefill(w, cfg, seq)
+
     def test_pruned_rollout_matches_cache_free_recomputation(self):
         cfg, w = tiny(n=5, h=2, dk=4)
         seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 10), Segment(TEXT, 2)],

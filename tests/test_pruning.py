@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import loop_gamma, set_keep, sort_select, stable_argtopk
+from helpers import loop_gamma, per_layer_decision, set_keep, sort_select, stable_argtopk
 from plphp import (IMAGE, TEXT, HeadKVCache, PruningConfig, Segment, build_sequence,
-                   make_rng, vision_index_union)
+                   make_rng, pruning, vision_index_union)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
-                           allocate_retention, classify_layer, decide_layer, plphp_hook,
-                           prune_head_cache, select_retained, vision_attention_score)
+                           allocate_retention, classify_layer, decide_layer, decide_layers,
+                           plphp_hook, prune_head_cache, select_retained,
+                           vision_attention_score)
 
 DEFAULT = PruningConfig()  # (r, dr, alpha, beta) = (0.4, 0.3, 0.25, 0.1)
 
@@ -252,3 +255,92 @@ def test_decide_layer_equals_per_head_stable_argsort(seed):
         for h in range(3):
             want = image[stable_argtopk(rows[h, image], k)]
             assert decision.per_head_retained[h][j].tolist() == want.tolist()
+
+
+def assert_same_decision(got, want):
+    assert (got.layer, float.hex(got.gamma), got.layer_class, got.exempt, got.retention) == \
+        (want.layer, float.hex(want.gamma), want.layer_class, want.exempt, want.retention)
+    if want.per_head_retained is None:
+        assert got.per_head_retained is None
+        return
+    assert len(got.per_head_retained) == len(want.per_head_retained)
+    for got_head, want_head in zip(got.per_head_retained, want.per_head_retained):
+        assert len(got_head) == len(want_head)
+        for a, b in zip(got_head, want_head):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decide_layers_equals_per_layer_oracle(data):
+    """Batched decisions are the per-layer ones bit for bit, for every class,
+    both ends of the pruned range, retention 0 and rows whose values tie."""
+    n, h = data.draw(st.integers(4, 13)), data.draw(st.integers(1, 8))
+    segments = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        segments += [Segment(TEXT, data.draw(st.integers(1, 3))),
+                     Segment(IMAGE, data.draw(st.integers(1, 12)))]
+    seq = build_sequence(segments + [Segment(TEXT, data.draw(st.integers(1, 3)))], seed=0)
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((n, h, seq.total_length))
+    levels = data.draw(st.sampled_from([None, 2, 4]))  # few levels: ties within a row
+    if levels is not None:
+        rows = np.floor(rows * levels) + 1.0
+    rows /= rows.sum(axis=2, keepdims=True)
+
+    # thresholds at two of the layers' own gammas, so one draw meets all
+    # three classes and gamma == alpha and gamma == beta
+    gammas = sorted(per_layer_decision(rows[l], seq, PruningConfig(), l + 1, n).gamma
+                    for l in range(n))
+    i = data.draw(st.integers(0, n - 1))
+    beta, alpha = gammas[i], gammas[data.draw(st.integers(i, n - 1))]
+    dr = data.draw(st.floats(0.0, 0.5))
+    r = data.draw(st.one_of(st.just(dr), st.floats(dr, 1.0 - dr)))  # r = dr: retention 0
+    first = data.draw(st.integers(1, n))
+    last = data.draw(st.one_of(st.none(), st.integers(first, n)))
+    cfg = PruningConfig(r=r, delta_r=dr, alpha=alpha, beta=beta,
+                        first_pruned_layer=first, last_pruned_layer=last)
+
+    want = [per_layer_decision(rows[l], seq, cfg, l + 1, n) for l in range(n)]
+    got = decide_layers(rows, seq, cfg, 1, n)
+    assert len(got) == n
+    for g, w in zip(got, want):
+        assert_same_decision(g, w)
+    # a layer's decision does not depend on which layers share the call
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a + 1, n))
+    for g, w in zip(decide_layers(rows[a:b], seq, cfg, a + 1, n), want[a:b], strict=True):
+        assert_same_decision(g, w)
+    layer = data.draw(st.integers(1, n))
+    assert_same_decision(decide_layer(rows[layer - 1], seq, cfg, layer, n), want[layer - 1])
+
+
+def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):
+    calls = []
+    real = pruning.argtopk
+    monkeypatch.setattr(pruning, "argtopk",
+                        lambda values, k: calls.append(np.shape(values)) or real(values, k))
+    seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 1),
+                          Segment(IMAGE, 9), Segment(TEXT, 2)], seed=0)
+    rows = np.stack([random_softmax_rows(rng, 3, seq.total_length) for _ in range(8)])
+    # gammas around V/S = 0.75: layers fall on both sides of alpha and beta
+    cfg = PruningConfig(alpha=0.76, beta=0.74)
+    decisions = decide_layers(rows, seq, cfg, 1, 8)
+    groups = {d.retention: sum(1 for e in decisions if e.retention == d.retention)
+              for d in decisions if not d.exempt}
+    assert len(groups) >= 2
+    assert sorted(calls) == sorted((3 * size, image.size) for size in groups.values()
+                                   for image in seq.image_indices)
+
+
+def test_vision_attention_score_per_layer_bits(rng):
+    # 277 vision columns: numpy's pairwise sum recurses past 128, which the
+    # Hypothesis layouts above do not reach
+    rows = np.stack([random_softmax_rows(rng, 5, 300) for _ in range(6)])
+    vision = np.r_[3:140, 150:290]
+    batched = vision_attention_score(rows, vision)
+    assert batched.shape == (6,)
+    assert [float.hex(g) for g in batched.tolist()] == \
+        [float.hex(float(np.sum(np.mean(rows[l], axis=0)[vision]))) for l in range(6)]
+    assert [float.hex(vision_attention_score(rows[l], vision)) for l in range(6)] == \
+        [float.hex(g) for g in batched.tolist()]

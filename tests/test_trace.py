@@ -13,6 +13,7 @@ from conftest import random_softmax_rows
 from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, init_model, make_fastv_hook, make_hook,
                    make_vtw_hook, prefill)
+from plphp import pruning as pruning_module
 from plphp import trace as trace_module
 from plphp.cli import main
 from plphp.model import DecoderState, ModelConfig
@@ -94,6 +95,24 @@ class TestRoundTrip:
         path = tmp_path / "t.plpt"
         with pytest.raises(TraceFormatError):
             write_trace(path, trace)
+
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                        [1e308, 1e308]])
+    def test_non_finite_row_rejected(self, rng, tmp_path, values):
+        trace = make_trace(rng)
+        good = tmp_path / "good.plpt"
+        write_trace(good, trace)
+        raw = bytearray(good.read_bytes())
+        body = len(raw) - trace.rows.nbytes
+        at = body + 8 * (1 * trace.num_heads * trace.seq_len + 3)  # layer 2, head 1
+        for i, value in enumerate(values):
+            raw[at + 8 * i:at + 8 * (i + 1)] = struct.pack("<d", value)
+        path = tmp_path / "t.plpt"
+        path.write_bytes(bytes(raw))
+        message = "sums to inf" if values == [1e308, 1e308] else "contains non-finite values"
+        with pytest.raises(TraceFormatError, match=rf"\(layer 2, head 1\) {message}"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path)]) == 3
 
     def test_bad_segment_total_rejected(self, rng):
         trace = make_trace(rng)
@@ -230,6 +249,25 @@ class TestReplay:
         assert replay_report.retention_rate == live_metrics.retention_rate
         assert replay_report.kv_fraction == live_metrics.kv_fraction
         assert replay_report.per_layer == live_metrics.per_layer
+
+
+def test_cli_replay_takes_one_top_k_per_image_and_retention(rng, tmp_path, monkeypatch):
+    segments = (Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 1), Segment(IMAGE, 5),
+                Segment(TEXT, 1), Segment(IMAGE, 7), Segment(TEXT, 2))
+    path = tmp_path / "t.plpt"
+    write_trace(path, make_trace(rng, n=9, h=3, segments=segments))
+    # gammas around V/S = 0.75, so the pruned layers take more than one retention
+    cfg = PruningConfig(alpha=0.76, beta=0.74)
+    decisions, _ = replay(read_trace(path), cfg)
+    retentions = {d.retention for d in decisions if not d.exempt}
+    assert len(retentions) >= 2
+    calls = []
+    real = pruning_module.argtopk
+    monkeypatch.setattr(pruning_module, "argtopk",
+                        lambda values, k: calls.append(k) or real(values, k))
+    assert main(["replay", "--trace", str(path), "--method", "plphp",
+                 "--alpha", "0.76", "--beta", "0.74"]) == 0
+    assert 0 < len(calls) <= 3 * len(retentions)
 
 
 @st.composite

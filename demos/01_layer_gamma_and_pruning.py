@@ -9,7 +9,7 @@ rows each head kept.
 import numpy as np
 
 from plphp import (IMAGE, TEXT, ModelConfig, PruningConfig, Segment, account,
-                   build_sequence, init_model, make_hook, prefill, vision_index_union)
+                   build_sequence, decide, init_model, prefill, prune, vision_index_union)
 
 cfg = ModelConfig(num_layers=8, num_heads=4, model_dim=16, head_dim=4,
                   vocab_size=64, max_positions=256)
@@ -20,10 +20,12 @@ print(f"prompt: {seq.total_length} tokens, "
 
 pruning = PruningConfig()  # (r, dr, alpha, beta) = (0.4, 0.3, 0.25, 0.1)
 weights = init_model(cfg, seed=7)
-state, report = prefill(weights, cfg, seq, hook=make_hook(pruning, cfg.num_layers))
+state, report = prefill(weights, cfg, seq, record_trace=True)
+decisions = decide(pruning, report.attn_last_rows, seq)
+state = prune(state, seq, decisions)
 
 print(f"{'layer':>5} {'gamma':>8} {'class':>18} {'retention':>9}   kept vision rows per head")
-for decision, lengths in zip(report.decisions, report.head_cache_lengths):
+for decision in decisions:
     kept = [decision.head_kept_vision(h) for h in range(cfg.num_heads)] \
         if not decision.exempt else ["full"] * cfg.num_heads
     retention = "-" if decision.retention is None else f"{decision.retention:.2f}"

@@ -1,7 +1,7 @@
 """Record an attention trace, inspect its bytes, replay it offline.
 
 The trace stores only the last attention row of each (layer, head) — the
-single row every pruning rule reads — so decisions can be recomputed
+single row every pruning method reads — so decisions can be recomputed
 without rerunning the model, and the file round-trips bit-exactly.
 """
 
@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from plphp import (IMAGE, TEXT, ModelConfig, PruningConfig, Segment, account,
-                   build_sequence, init_model, make_hook, prefill)
+                   build_sequence, decide, init_model, prefill, prune)
 from plphp.trace import read_trace, replay, trace_from_run, write_trace
 
 cfg = ModelConfig(num_layers=6, num_heads=2, model_dim=8, head_dim=4,
@@ -18,8 +18,9 @@ seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, 20), Segment(TEXT, 4)],
                      seed=11, vocab_size=cfg.vocab_size)
 pruning = PruningConfig()
 weights = init_model(cfg, seed=11)
-state, report = prefill(weights, cfg, seq, hook=make_hook(pruning, cfg.num_layers),
-                        record_trace=True)
+state, report = prefill(weights, cfg, seq, record_trace=True)
+live_decisions = decide(pruning, report.attn_last_rows, seq)
+state = prune(state, seq, live_decisions)
 
 path = Path(tempfile.mkdtemp()) / "run.plpt"
 write_trace(path, trace_from_run(report.attn_last_rows, seq))
@@ -34,6 +35,6 @@ print(f"{'replay':>8} {offline.retention_rate:>8.4f} {offline.kv_fraction:>8.4f}
 
 match = all(
     a.gamma == b.gamma and a.layer_class == b.layer_class
-    for a, b in zip(report.decisions, decisions)
+    for a, b in zip(live_decisions, decisions)
 )
 print(f"\nper-layer decisions identical: {match}")

@@ -1,13 +1,16 @@
-"""Simplified FastV and VTW pruning baselines.
+"""Simplified FastV and VTW pruning baselines, and ``decide`` for every method.
 
-Both are semantic re-implementations of the baselines' one-line behavior,
+Both baselines are semantic re-implementations of their one-line behavior,
 not ports of the original codebases. FastV ranks vision tokens once at a
 shallow layer K by head-averaged last-row attention, drops the bottom R
 fraction, and applies the same surviving set to every head from layer K
 onward. VTW keeps all vision tokens below layer K and drops every one of
-them from layer K on. Neither ever prunes text positions. Each is a rule
-(``FastVRule``, ``vtw_decide``) whose decisions record the layer's gamma but
-no class or retention.
+them from layer K on. Neither ever prunes text positions, and their
+decisions record each layer's gamma but no class or retention.
+
+``decide(cfg, rows[N, H, S], seq)`` is the one decision path of every
+method: a pure function of the last prefill rows of all N layers, which
+``run`` then applies with ``pruning.prune`` and ``replay`` counts.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from .layout import MultimodalSequence, vision_index_union
 from .model import HeadKVCache
 # prune_head_cache stays bound here for perfbench/tracer.py, which rebinds it
 # under this module's name; the hooks prune through prune_layer.
-from .pruning import LayerDecision, prune_head_cache, prune_layer, vision_attention_score  # noqa: F401
+from .pruning import (LayerDecision, PruningConfig, decide_layers, prune_head_cache,  # noqa: F401
+                      prune_layer, vision_attention_score)
 from .tensor_core import argtopk
 
-__all__ = ["FastVConfig", "VTWConfig", "FastVRule", "fastv_surviving_set", "vtw_decide",
+__all__ = ["FastVConfig", "VTWConfig", "fastv_surviving_set", "decide",
            "fastv_hook", "vtw_hook", "check_depth", "make_fastv_hook", "make_vtw_hook"]
 
 
@@ -65,69 +69,74 @@ def fastv_surviving_set(last_rows: np.ndarray, seq: MultimodalSequence,
     return vision[local]
 
 
-def _shared_decision(layer: int, last_rows: np.ndarray, seq: MultimodalSequence,
-                     kept: np.ndarray | None) -> LayerDecision:
-    """Every head keeps the vision positions ``kept``; None exempts the layer."""
-    gamma = vision_attention_score(last_rows, vision_index_union(seq))
-    if kept is None:
-        return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=True)
+_NO_VISION = np.empty(0, dtype=np.int64)
+
+
+def _kept_from_k(rows: np.ndarray, seq: MultimodalSequence, k_layer: int, kept: np.ndarray,
+                 first_layer: int = 1) -> list[LayerDecision]:
+    """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` rows.
+
+    Layers below ``k_layer`` are exempt; from it on every head keeps the
+    vision positions ``kept``. Gamma takes one reduction for all L layers.
+    """
+    gammas = vision_attention_score(rows, vision_index_union(seq))
     per_image = [kept[np.isin(kept, image)] for image in seq.image_indices]
-    return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=False,
-                         per_head_retained=[per_image] * len(last_rows))
+    per_head = [per_image] * rows.shape[1]
+    return [LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=layer < k_layer,
+                          per_head_retained=None if layer < k_layer else per_head)
+            for layer, gamma in enumerate(gammas.tolist(), start=first_layer)]
 
 
-class FastVRule:
-    """FastV's decision rule; ``surviving`` is the set ranked at layer K."""
+def decide(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray,
+           seq: MultimodalSequence) -> list[LayerDecision] | None:
+    """Every layer's decision under method ``cfg`` (None: no pruning) from ``(N, H, S)`` rows.
 
-    def __init__(self, cfg: FastVConfig):
-        self.cfg = cfg
-        self.surviving: np.ndarray | None = None
-
-    def __call__(self, layer: int, last_rows: np.ndarray,
-                 seq: MultimodalSequence) -> LayerDecision:
-        k = self.cfg.k_layer
-        if layer == k:
-            self.surviving = fastv_surviving_set(last_rows, seq, self.cfg)
-        elif layer > k and self.surviving is None:
-            raise ValueError(f"layer {layer} reached without a surviving set from layer {k}")
-        return _shared_decision(layer, last_rows, seq, self.surviving if layer >= k else None)
-
-
-def vtw_decide(layer: int, last_rows: np.ndarray, seq: MultimodalSequence,
-               cfg: VTWConfig) -> LayerDecision:
-    """VTW's decision rule: every vision row below layer K, none from K on."""
-    kept = None if layer < cfg.k_layer else np.empty(0, dtype=np.int64)
-    return _shared_decision(layer, last_rows, seq, kept)
+    Pure function of the rows, the layout and the config. FastV ranks
+    ``rows[K - 1]`` once; VTW keeps no vision row from layer K on.
+    """
+    if cfg is None:
+        return None
+    rows = np.asarray(rows, dtype=np.float64)
+    if isinstance(cfg, PruningConfig):
+        return decide_layers(rows, seq, cfg, 1, len(rows))
+    check_depth(cfg, len(rows))
+    kept = fastv_surviving_set(rows[cfg.k_layer - 1], seq, cfg) \
+        if isinstance(cfg, FastVConfig) else _NO_VISION
+    return _kept_from_k(rows, seq, cfg.k_layer, kept)
 
 
 def fastv_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
-               seq: MultimodalSequence,
-               rule: FastVRule) -> tuple[list[HeadKVCache], LayerDecision]:
-    """Apply FastV at one layer; ``rule`` carries the surviving set across layers."""
-    decision = rule(layer, last_rows, seq)
+               seq: MultimodalSequence, cfg: FastVConfig,
+               surviving: np.ndarray) -> tuple[list[HeadKVCache], LayerDecision]:
+    """FastV at one layer, given the set ranked at layer K; kept for perfbench/ until ROADMAP 1b."""
+    decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, surviving, layer)[0]
     return prune_layer(caches, seq, decision), decision
 
 
 def vtw_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
              seq: MultimodalSequence,
              cfg: VTWConfig) -> tuple[list[HeadKVCache], LayerDecision]:
-    """Text-only caches from layer K onward; untouched below."""
-    decision = vtw_decide(layer, last_rows, seq, cfg)
+    """VTW at one layer; kept for perfbench/ until ROADMAP 1b."""
+    decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, _NO_VISION, layer)[0]
     return prune_layer(caches, seq, decision), decision
 
 
 def make_fastv_hook(cfg: FastVConfig, num_layers: int):
-    """Adapter with the generic prefill-hook signature; owns the session state."""
+    """FastV's prefill hook; only it holds the layer-K set. Kept for perfbench/ until ROADMAP 1b."""
     check_depth(cfg, num_layers)
-    rule = FastVRule(cfg)
+    surviving = _NO_VISION  # read only from layer K on
 
     def hook(layer, last_rows, caches, seq):
-        return fastv_hook(layer, last_rows, caches, seq, rule)
+        nonlocal surviving
+        if layer == cfg.k_layer:
+            surviving = fastv_surviving_set(last_rows, seq, cfg)
+        return fastv_hook(layer, last_rows, caches, seq, cfg, surviving)
 
     return hook
 
 
 def make_vtw_hook(cfg: VTWConfig, num_layers: int):
+    """VTW's prefill hook; kept for perfbench/ until ROADMAP 1b."""
     check_depth(cfg, num_layers)
 
     def hook(layer, last_rows, caches, seq):

@@ -2,10 +2,10 @@
 
 Subcommands:
 
-    run     build a synthetic workload, prefill + greedy decode under a
-            pruning method, write a JSON report and a per-layer CSV
+    run     build a synthetic workload; prefill, decide and prune under a
+            method, greedy decode; write a JSON report and a per-layer CSV
     sweep   run a grid of hyperparameter points, write one CSV row each
-    replay  apply a pruning method's rule offline to a recorded trace file
+    replay  make a method's ``decide`` call offline on a recorded trace
             (``--method``, default plphp) and count RR/KV from its decisions
 
 Every flag has a config-file equivalent: the file is flat ``key = value``
@@ -36,15 +36,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FastVConfig, VTWConfig, check_depth, make_fastv_hook, make_vtw_hook
+from .baselines import FastVConfig, VTWConfig, check_depth, decide
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, account, latency_probe, report_to_json, write_report_csv
 from .model import ModelConfig, decode_step, init_model, prefill, weight_shapes
-from .pruning import PruningConfig, make_hook
+from .pruning import PruningConfig, prune
 from .trace import TraceFormatError, read_trace, replay, trace_from_run, write_trace
 
 # Every config key once, as key: (type, default). Each key is also the flag
-# --key-with-dashes and a config-file key; the sweep CSV records the method keys.
+# --key-with-dashes and a config-file key; the sweep CSV records the method keys
+# and the grid's other keys.
 _PLPHP, _FASTV, _VTW = PruningConfig(), FastVConfig(), VTWConfig()
 _METHOD_KEYS = {"method": (str, "none"), "r": (float, _PLPHP.r),
                 "dr": (float, _PLPHP.delta_r), "alpha": (float, _PLPHP.alpha),
@@ -70,7 +71,6 @@ MAX_GRID_POINTS = 10_000
 # Most weight floats a run may draw: 2**27 float64 is 1 GiB. It also bounds
 # max_positions, and with it each head's cache store, to 2**27 / model_dim rows.
 MAX_WEIGHT_FLOATS = 2**27
-SWEEP_COLUMNS = [*_METHOD_KEYS, "RR", "KV", "latency_ms", "status"]
 
 
 class ConfigError(ValueError):
@@ -198,21 +198,15 @@ def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
     return model_cfg, seq
 
 
-_HOOK_FACTORIES = {PruningConfig: make_hook, FastVConfig: make_fastv_hook,
-                   VTWConfig: make_vtw_hook}
-
-
-def execute_experiment(cfg: dict) -> tuple[MetricsReport, "np.ndarray | None", object]:
-    """Run one full pipeline; returns (report, trace rows or None, sequence)."""
+def execute_experiment(cfg: dict) -> tuple[MetricsReport, np.ndarray, MultimodalSequence]:
+    """Run one full pipeline; returns (report, the prefill's last rows, sequence)."""
     model_cfg, seq = experiment_inputs(cfg)
     pruning = method_config(cfg, model_cfg.num_layers)
     weights = init_model(model_cfg, seed=cfg["seed"])
-    hook = None if pruning is None else _HOOK_FACTORIES[type(pruning)](pruning,
-                                                                       model_cfg.num_layers)
-    state, prefill_report = prefill(weights, model_cfg, seq, hook=hook,
-                                    record_trace=cfg["trace_out"] is not None)
-
-    report = account(state, seq, prefill_report.decisions)  # decode rows never count
+    state, prefilled = prefill(weights, model_cfg, seq, record_trace=True)
+    decisions = decide(pruning, prefilled.attn_last_rows, seq)
+    state = prune(state, seq, decisions)
+    report = account(state, seq, decisions)  # decode rows never count
     token = 0
 
     def step():
@@ -221,7 +215,7 @@ def execute_experiment(cfg: dict) -> tuple[MetricsReport, "np.ndarray | None", o
         token = int(np.argmax(logits))
 
     report.decode_latency_ms = latency_probe(step, cfg["steps"])
-    return report, prefill_report.attn_last_rows, seq
+    return report, prefilled.attn_last_rows, seq
 
 
 def _report_files(cfg: dict) -> dict[str, Path]:
@@ -306,11 +300,9 @@ def parse_grid(spec: str) -> list[dict]:
 
 
 def _sweep_point(cfg: dict, point: dict) -> dict:
-    row = {col: "" for col in SWEEP_COLUMNS}
-    merged = dict(cfg)
-    merged.update(point)
-    merged["trace_out"] = None
-    row.update({key: merged[key] for key in _METHOD_KEYS})
+    """The point's CSV row: every method key, its other grid keys, then its results."""
+    merged = cfg | point | {"trace_out": None}
+    row = {key: merged[key] for key in [*_METHOD_KEYS, *point]}
     try:
         report, _, _ = execute_experiment(merged)
     except ConfigError as e:
@@ -327,10 +319,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out = cfg["report_out"] or "sweep.csv"
     _check_distinct_files({"--config": args.config, "the sweep CSV": out})
-    rows = [_sweep_point(cfg, p) for p in parse_grid(args.grid)]
+    points = parse_grid(args.grid)
+    rows = [_sweep_point(cfg, p) for p in points]
+    columns = [*_METHOD_KEYS, *(key for key in points[0] if key not in _METHOD_KEYS),
+               "RR", "KV", "latency_ms", "status"]
     with open(out, "w", newline="") as f:
         f.write(f"# sweep csv v{SWEEP_CSV_VERSION}\n")
-        writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=columns)  # a failed point's results stay empty
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {out}")

@@ -32,11 +32,11 @@ work, which holds the interpreter lock, so another thread could not overlap
 it, and starting and joining one thread alone costs about 140 us (2-vCPU
 Xeon host).
 
-After the prefill pass an optional pruning hook runs for each layer in
-order and may shrink that layer's caches. No layer reads another layer's
-cache, so the hook never affects prefill values, only decode-time
-attention. The hook sees only the last prompt row of each head's attention
-map, the one row every pruning rule reads.
+Prefill also returns the last prompt row of each head's attention map, the
+one row every pruning method reads, as one (N, H, S) array;
+``baselines.decide`` turns it into decisions and ``pruning.prune`` cuts the
+caches after the pass. No layer reads another layer's cache, so pruning
+never affects prefill values, only decode-time attention.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import numpy as np
 from .layout import MultimodalSequence
 from .tensor_core import make_rng, masked_row_softmax, matmul
 
-# hook(layer_1based, last_rows[H, S], caches_for_layer, seq) -> (caches, LayerDecision);
-# last_rows[h] is the last prompt row of head h's causal attention map, read-only
+# hook(layer_1based, last_rows[H, S], caches_for_layer, seq) -> (caches, LayerDecision),
+# last_rows read-only; kept for perfbench/ until ROADMAP 1b, as is prefill's hook loop
 PruningHook = Callable[
     [int, np.ndarray, list["HeadKVCache"], MultimodalSequence],
     tuple[list["HeadKVCache"], Any],
@@ -186,7 +186,6 @@ class DecoderState:
 @dataclass
 class PrefillReport:
     decisions: list[Any] | None              # one LayerDecision per layer; None without a hook
-    head_cache_lengths: np.ndarray           # N x H after the hook
     attn_last_rows: np.ndarray | None = None # N x H x S when tracing was requested
 
 
@@ -352,12 +351,12 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
             record_trace: bool = False) -> tuple[DecoderState, PrefillReport]:
     """Run the full prompt through all layers, populating per-head caches.
 
-    The hook, when given, then runs for layers 1..N in order. Each call
-    receives a read-only view of that layer's H x S block of one N x H x S
-    array of last attention rows (the report's ``attn_last_rows`` when
-    ``record_trace`` is set) and may replace the layer's caches with pruned
-    ones. No layer reads another layer's cache, so pruning after the pass
-    leaves the caches the hook would leave between layers.
+    With ``record_trace`` the report's ``attn_last_rows`` is the N x H x S
+    array of last attention rows that ``decide`` reads. The hook, kept for
+    perfbench/ until ROADMAP 1b, runs for layers 1..N in order on a
+    read-only view of that layer's H x S block and may replace the layer's
+    caches with pruned ones. No layer reads another layer's cache, so
+    pruning after the pass leaves the caches pruning between layers would.
     """
     s = seq.total_length
     empty = np.empty((0, config.head_dim))
@@ -374,11 +373,7 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
             caches[l], decision = hook(l + 1, read_only[l], caches[l], seq)
             decisions.append(decision)
     state = DecoderState(caches=caches, next_position=s)
-    lengths = np.array([[len(c) for c in layer] for layer in caches])
-    report = PrefillReport(decisions=decisions,
-                           head_cache_lengths=lengths,
-                           attn_last_rows=last_rows if record_trace else None)
-    return state, report
+    return state, PrefillReport(decisions, last_rows if record_trace else None)
 
 
 def decode_step(weights: ModelWeights, config: ModelConfig, state: DecoderState,

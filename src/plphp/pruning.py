@@ -6,9 +6,9 @@ rate. Level two lets every attention head independently keep its own top-K
 vision rows per image and drop the rest from that head's cache. Text rows
 are never pruned, and layers 1, 2 and N are exempt.
 
-Every method, the baselines included, is a rule ``(layer, last_rows[H, S],
-seq) -> LayerDecision``. A live hook is its rule plus ``prune_layer``; trace
-replay runs the same rule and counts what the decisions keep.
+Every method decides all layers at once through ``baselines.decide(cfg,
+rows[N, H, S], seq)``, plphp through ``decide_layers`` here; ``prune``
+cuts the caches to what the decisions keep, and trace replay counts it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import MultimodalSequence, vision_index_union
-from .model import HeadKVCache
+from .model import DecoderState, HeadKVCache
 from .tensor_core import argtopk
 
 VISION_ATTENTIVE = "vision-attentive"
@@ -29,9 +29,8 @@ __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
     "PruningConfig", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
-    "select_retained", "prune_head_cache", "prune_layer", "decide_layer", "decide_layers",
-    "plphp_hook",
-    "make_hook",
+    "select_retained", "prune_head_cache", "prune_layer", "prune", "decide_layer",
+    "decide_layers", "plphp_hook", "make_hook",
 ]
 
 
@@ -218,8 +217,8 @@ def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalS
                  cfg: PruningConfig, layer: int, num_layers: int) -> LayerDecision:
     """Full layer-level decision from one layer's ``(H, S)`` last attention rows.
 
-    ``decide_layers`` for one layer: the live hook and offline trace replay
-    run one code path, so their decisions agree exactly.
+    ``decide_layers`` for one layer, for ``plphp_hook``: the hook and
+    ``decide`` run one code path, so their decisions agree exactly.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)[None]
     return decide_layers(rows, seq, cfg, layer, num_layers)[0]
@@ -236,16 +235,29 @@ def prune_layer(caches: list[HeadKVCache], seq: MultimodalSequence,
             for h, cache in enumerate(caches)]
 
 
+def prune(state: DecoderState, seq: MultimodalSequence,
+          decisions: list[LayerDecision] | None) -> DecoderState:
+    """A new state with each layer's caches cut as its decision says (None: none cut).
+
+    ``state`` is left as it was, and shares its exempt layers' caches.
+    """
+    if decisions is None:
+        return state
+    caches = [prune_layer(layer, seq, decision)
+              for layer, decision in zip(state.caches, decisions, strict=True)]
+    return DecoderState(caches=caches, next_position=state.next_position)
+
+
 def plphp_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
                seq: MultimodalSequence, cfg: PruningConfig,
                num_layers: int) -> tuple[list[HeadKVCache], LayerDecision]:
-    """Post-prefill hook for one layer: decide, then prune each head's cache."""
+    """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP 1b."""
     decision = decide_layer(last_rows, seq, cfg, layer, num_layers)
     return prune_layer(caches, seq, decision), decision
 
 
 def make_hook(cfg: PruningConfig, num_layers: int):
-    """Adapter with the generic prefill-hook signature."""
+    """plphp's prefill hook; kept for perfbench/ until ROADMAP 1b."""
     def hook(layer, last_rows, caches, seq):
         return plphp_hook(layer, last_rows, caches, seq, cfg, num_layers)
     return hook

@@ -1,7 +1,7 @@
-"""Versioned binary attention-trace files and offline replay.
+"""Versioned binary attention-trace files and offline replay through ``decide``.
 
 A trace stores, for every layer and head, the last attention row of the
-prefill pass (the only row the pruning rules read). The on-disk format is
+prefill pass (the only row ``decide`` reads). The on-disk format is
 fixed and little-endian so golden files round-trip bit-exactly across
 platforms:
 
@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import FastVConfig, FastVRule, VTWConfig, check_depth, vtw_decide
+from .baselines import FastVConfig, VTWConfig, decide
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
 from .metrics import MetricsReport, report_from_counts
 # decide_layer stays bound here for perfbench/tracer.py, which rebinds it
-# under this module's name; replay decides every layer at once.
-from .pruning import LayerDecision, PruningConfig, decide_layer, decide_layers  # noqa: F401
+# under this module's name; replay decides through ``decide``.
+from .pruning import LayerDecision, PruningConfig, decide_layer  # noqa: F401
 
 MAGIC = b"PLPT"
 VERSION = 1
@@ -127,35 +127,21 @@ def trace_from_run(attn_last_rows: np.ndarray, seq: MultimodalSequence) -> Atten
                           segments=seq.segments, rows=np.asarray(attn_last_rows, dtype=np.float64))
 
 
-def _method_rule(cfg: FastVConfig | VTWConfig, num_layers: int):
-    """The baseline's rule ``(layer, last_rows, seq) -> LayerDecision``, as its hook runs it."""
-    check_depth(cfg, num_layers)
-    if isinstance(cfg, FastVConfig):
-        return FastVRule(cfg)
-    return lambda layer, rows, seq: vtw_decide(layer, rows, seq, cfg)
-
-
 def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig | None
            ) -> tuple[list[LayerDecision] | None, MetricsReport]:
     """Recompute every pruning decision offline, plus RR/KV accounting.
 
     ``trace`` must be valid (``AttentionTrace.validate``): ``read_trace``,
     the gate for trace files, returns only validated traces. ``cfg`` names
-    the method (None: no pruning). plphp decides all N layers in one
-    ``decide_layers`` call, the baselines layer by layer through their
-    rules; either way the decisions are the live hook's, bit for bit. RR/KV
-    are counted from the decisions. No model execution.
+    the method (None: no pruning). The decisions are ``decide``'s over the
+    trace's rows, the ones ``run`` prunes by, bit for bit; RR/KV are counted
+    from them. No model execution.
     """
     seq = build_sequence(trace.segments, seed=0)
     n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
     v = vision_index_union(seq).size
     kept_vision = np.full((n, h), v)
-    decisions = None
-    if isinstance(cfg, PruningConfig):
-        decisions = decide_layers(trace.rows, seq, cfg, 1, n)
-    elif cfg is not None:
-        rule = _method_rule(cfg, n)
-        decisions = [rule(l + 1, trace.rows[l], seq) for l in range(n)]
+    decisions = decide(cfg, trace.rows, seq)
     for l, dec in enumerate(decisions or ()):
         if not dec.exempt:  # every head of a layer keeps equally many rows per image
             kept_vision[l] = dec.head_kept_vision(0)

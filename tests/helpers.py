@@ -9,7 +9,10 @@ own attention path, kept as bitwise references for the one forward pass that
 and check only the blocking and the cache handling. Likewise
 ``per_layer_decision`` is the one-layer pruning decision that
 ``plphp.pruning.decide_layers`` batches: it shares the class, retention and
-top-K rules, and checks only the batching.
+top-K rules, and checks only the batching. ``FastVRule`` and ``vtw_decide``
+are the baselines' per-layer rules that ``plphp.decide`` batches: they share
+the FastV ranking and the gamma of one layer, and check only the batching
+and FastV's layer-K set.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from plphp import (DecoderState, HeadKVCache, LayerDecision, allocate_retention, classify_layer,
-                   masked_row_softmax, matmul, select_retained, vision_index_union)
+                   masked_row_softmax, matmul, select_retained, vision_attention_score,
+                   vision_index_union)
+from plphp.baselines import fastv_surviving_set
 
 
 # a quiet NaN with a payload no computation here produces
@@ -175,6 +180,41 @@ def per_layer_decision(rows: np.ndarray, seq, cfg, layer: int, num_layers: int) 
     per_head = [[kept[h] for kept in per_image] for h in range(rows.shape[0])]
     return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class,
                          exempt=False, retention=retention, per_head_retained=per_head)
+
+
+def _shared_decision(layer: int, last_rows: np.ndarray, seq,
+                     kept: np.ndarray | None) -> LayerDecision:
+    """Every head keeps the vision positions ``kept``; None exempts the layer."""
+    gamma = vision_attention_score(last_rows, vision_index_union(seq))
+    if kept is None:
+        return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=True)
+    per_image = [kept[np.isin(kept, image)] for image in seq.image_indices]
+    return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=False,
+                         per_head_retained=[per_image] * len(last_rows))
+
+
+class FastVRule:
+    """FastV's per-layer rule as it was before ``plphp.decide``; ``surviving``
+    is the set ranked at layer K, carried to the layers after it."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.surviving: np.ndarray | None = None
+
+    def __call__(self, layer: int, last_rows: np.ndarray, seq) -> LayerDecision:
+        k = self.cfg.k_layer
+        if layer == k:
+            self.surviving = fastv_surviving_set(last_rows, seq, self.cfg)
+        elif layer > k and self.surviving is None:
+            raise ValueError(f"layer {layer} reached without a surviving set from layer {k}")
+        return _shared_decision(layer, last_rows, seq, self.surviving if layer >= k else None)
+
+
+def vtw_decide(layer: int, last_rows: np.ndarray, seq, cfg) -> LayerDecision:
+    """VTW's per-layer rule as it was before ``plphp.decide``: every vision
+    row below layer K, none from K on."""
+    kept = None if layer < cfg.k_layer else np.empty(0, dtype=np.int64)
+    return _shared_decision(layer, last_rows, seq, kept)
 
 
 def sort_select(head_row: np.ndarray, image_indices: np.ndarray,

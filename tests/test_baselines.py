@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import sort_topk
-from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, Segment, VTWConfig,
-                   build_sequence, init_model, make_fastv_hook, make_rng,
-                   make_vtw_hook, prefill, vision_index_union)
-from plphp.baselines import FastVRule, fastv_hook, fastv_surviving_set, vtw_hook
+from helpers import FastVRule, same_bits, sort_topk, vtw_decide
+from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, HeadKVCache, PruningConfig, Segment,
+                   VTWConfig, build_sequence, decide, init_model, make_fastv_hook, make_hook,
+                   make_rng, make_vtw_hook, prefill, prune, vision_index_union)
+from plphp.baselines import fastv_surviving_set
 from plphp.model import ModelConfig
 
 
@@ -27,8 +29,24 @@ def rows_for(rng, seq, heads=2):
     return random_softmax_rows(rng, heads, seq.total_length)
 
 
+def decide_and_prune(cfg, rng, seq, num_layers=4):
+    """``decide`` and ``prune`` over ``num_layers`` layers of random rows and full caches."""
+    rows = np.stack([rows_for(rng, seq) for _ in range(num_layers)])
+    state = DecoderState(caches=[caches_for(seq) for _ in range(num_layers)],
+                         next_position=seq.total_length)
+    decisions = decide(cfg, rows, seq)
+    return prune(state, seq, decisions).caches, decisions
+
+
+def kept_set(decision):
+    """The vision positions a baseline decision keeps (every head keeps the same)."""
+    if decision.per_head_retained is None:
+        return None
+    return np.concatenate([np.empty(0, dtype=np.int64), *decision.per_head_retained[0]])
+
+
 class TestConfigs:
-    def test_invalid(self):
+    def test_invalid(self, rng):
         with pytest.raises(ValueError):
             FastVConfig(k_layer=0, prune_ratio=0.5)
         with pytest.raises(ValueError):
@@ -39,23 +57,25 @@ class TestConfigs:
             make_vtw_hook(VTWConfig(k_layer=9), num_layers=8)
         with pytest.raises(ValueError):
             make_fastv_hook(FastVConfig(k_layer=9, prune_ratio=0.5), num_layers=8)
+        seq = mixed_seq()
+        rows = np.stack([rows_for(rng, seq) for _ in range(8)])
+        for cfg in (VTWConfig(k_layer=9), FastVConfig(k_layer=9, prune_ratio=0.5)):
+            with pytest.raises(ValueError, match="exceeds model depth 8"):
+                decide(cfg, rows, seq)
 
 
 class TestFastV:
     def test_ratio_zero_identity(self, rng):
         seq = mixed_seq()
-        caches = caches_for(seq)
-        rule = FastVRule(FastVConfig(k_layer=3, prune_ratio=0.0))
-        out, _ = fastv_hook(3, rows_for(rng, seq), caches, seq, rule)
-        surviving = rule.surviving
+        caches, decisions = decide_and_prune(FastVConfig(k_layer=3, prune_ratio=0.0), rng, seq)
+        out, surviving = caches[2], kept_set(decisions[2])
         assert all(len(c) == seq.total_length for c in out)
         assert surviving.size == 6
 
     def test_ratio_one_drops_all_vision(self, rng):
         seq = mixed_seq()
-        rule = FastVRule(FastVConfig(k_layer=3, prune_ratio=1.0))
-        out, _ = fastv_hook(3, rows_for(rng, seq), caches_for(seq), seq, rule)
-        surviving = rule.surviving
+        caches, decisions = decide_and_prune(FastVConfig(k_layer=3, prune_ratio=1.0), rng, seq)
+        out, surviving = caches[2], kept_set(decisions[2])
         assert surviving.size == 0
         for cache in out:
             assert cache.positions.tolist() == seq.text_union.tolist()
@@ -79,9 +99,8 @@ class TestFastV:
 
     def test_layers_below_k_untouched(self, rng):
         seq = mixed_seq()
-        rule = FastVRule(FastVConfig(k_layer=3, prune_ratio=0.5))
-        out, _ = fastv_hook(1, rows_for(rng, seq), caches_for(seq), seq, rule)
-        surviving = rule.surviving
+        caches, decisions = decide_and_prune(FastVConfig(k_layer=3, prune_ratio=0.5), rng, seq)
+        out, surviving = caches[0], kept_set(decisions[0])
         assert surviving is None
         assert all(len(c) == seq.total_length for c in out)
 
@@ -90,8 +109,9 @@ class TestFastV:
                           vocab_size=32, max_positions=64)
         weights = init_model(cfg, seed=2)
         seq = mixed_seq(vision=10)
-        hook = make_fastv_hook(FastVConfig(k_layer=2, prune_ratio=0.5), cfg.num_layers)
-        state, _ = prefill(weights, cfg, seq, hook=hook)
+        state, report = prefill(weights, cfg, seq, record_trace=True)
+        state = prune(state, seq, decide(FastVConfig(k_layer=2, prune_ratio=0.5),
+                                         report.attn_last_rows, seq))
         vision = set(vision_index_union(seq).tolist())
         reference = None
         for l in range(1, cfg.num_layers):  # layers 2..5, i.e. >= K
@@ -106,14 +126,15 @@ class TestFastV:
 class TestVTW:
     def test_k1_all_layers_text_only(self, rng):
         seq = mixed_seq()
-        out, _ = vtw_hook(1, rows_for(rng, seq), caches_for(seq), seq, VTWConfig(k_layer=1))
-        for cache in out:
-            assert cache.positions.tolist() == seq.text_union.tolist()
+        caches, _ = decide_and_prune(VTWConfig(k_layer=1), rng, seq)
+        for out in caches:
+            for cache in out:
+                assert cache.positions.tolist() == seq.text_union.tolist()
 
     def test_below_k_untouched(self, rng):
         seq = mixed_seq()
-        out, _ = vtw_hook(2, rows_for(rng, seq), caches_for(seq), seq, VTWConfig(k_layer=3))
-        assert all(len(c) == seq.total_length for c in out)
+        caches, _ = decide_and_prune(VTWConfig(k_layer=3), rng, seq)
+        assert all(len(c) == seq.total_length for c in caches[1])
 
     def test_retention_by_layer_counting_oracle(self):
         cfg = ModelConfig(num_layers=6, num_heads=2, model_dim=8, head_dim=4,
@@ -121,10 +142,108 @@ class TestVTW:
         weights = init_model(cfg, seed=0)
         seq = mixed_seq(vision=10)
         k = 3  # ceil(N / 2)
-        hook = make_vtw_hook(VTWConfig(k_layer=k), cfg.num_layers)
-        state, _ = prefill(weights, cfg, seq, hook=hook)
+        state, report = prefill(weights, cfg, seq, record_trace=True)
+        state = prune(state, seq, decide(VTWConfig(k_layer=k), report.attn_last_rows, seq))
         vision = vision_index_union(seq)
         for l in range(cfg.num_layers):
             for cache in state.caches[l]:
                 kept_vision = int(np.isin(cache.positions, vision).sum())
                 assert kept_vision == (vision.size if l + 1 < k else 0)
+
+
+def per_layer_oracle(cfg, rows, seq):
+    """The baselines' decisions as their per-layer rules made them, layer by layer."""
+    rule = FastVRule(cfg) if isinstance(cfg, FastVConfig) \
+        else lambda layer, last_rows, seq: vtw_decide(layer, last_rows, seq, cfg)
+    return [rule(l + 1, rows[l], seq) for l in range(len(rows))]
+
+
+def assert_same_decisions(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        assert (g.layer, g.layer_class, g.exempt, g.retention) == \
+            (w.layer, w.layer_class, w.exempt, w.retention)
+        assert float.hex(g.gamma) == float.hex(w.gamma)
+        assert (g.per_head_retained is None) == (w.per_head_retained is None)
+        for gh, wh in zip(g.per_head_retained or (), w.per_head_retained or (), strict=True):
+            for a, b in zip(gh, wh, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def baseline_case(draw):
+    """A layout of 0-3 images, (N, H, S) rows (tied ones too) and a baseline config."""
+    n = draw(st.integers(4, 13))
+    h = draw(st.integers(1, 8))
+    images = draw(st.integers(0, 3))
+    segments = [Segment(TEXT, draw(st.integers(1, 3)))]
+    for _ in range(images):
+        segments += [Segment(IMAGE, draw(st.integers(1, 9))),
+                     Segment(TEXT, draw(st.integers(1, 3)))]
+    seq = build_sequence(segments, seed=0)
+    s = seq.total_length
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):  # few distinct values, so rankings tie
+        rows = rng.integers(1, 3, size=(n, h, s)).astype(np.float64)
+        rows /= rows.sum(axis=2, keepdims=True)
+    else:
+        rows = np.stack([random_softmax_rows(rng, h, s) for _ in range(n)])
+    k = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    if draw(st.booleans()):
+        ratio = draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))]))
+        cfg = FastVConfig(k_layer=k, prune_ratio=ratio)
+    else:
+        cfg = VTWConfig(k_layer=k)
+    return cfg, rows, seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=baseline_case())
+def test_decide_equals_per_layer_rules(case):
+    cfg, rows, seq = case
+    assert_same_decisions(decide(cfg, rows, seq), per_layer_oracle(cfg, rows, seq))
+
+
+@pytest.mark.parametrize("cfg", [None, PruningConfig(), FastVConfig(k_layer=2, prune_ratio=0.5),
+                                 VTWConfig(k_layer=3)])
+def test_decide_is_pure(rng, cfg):
+    seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
+                          Segment(IMAGE, 5), Segment(TEXT, 2)], seed=0)
+    rows = np.stack([rows_for(rng, seq, heads=3) for _ in range(6)])
+    before = rows.copy()
+    rows.flags.writeable = False
+    first, second = decide(cfg, rows, seq), decide(cfg, rows, seq)
+    assert same_bits(rows, before)
+    if cfg is None:
+        assert first is None and second is None
+    else:
+        assert_same_decisions(first, second)
+
+
+HOOKS = {"none": (None, lambda cfg, n: None), "plphp": (PruningConfig(), make_hook),
+         "fastv": (FastVConfig(k_layer=3, prune_ratio=0.5), make_fastv_hook),
+         "vtw": (VTWConfig(k_layer=4), make_vtw_hook)}
+
+
+@pytest.mark.parametrize("method", sorted(HOOKS))
+def test_hook_adapters_equal_decide_and_prune(method):
+    """The prefill hooks the benchmark runs leave what the library's decide and prune leave."""
+    cfg = ModelConfig(num_layers=6, num_heads=3, model_dim=12, head_dim=4,
+                      vocab_size=32, max_positions=64)
+    weights = init_model(cfg, seed=5)
+    seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 9), Segment(TEXT, 1),
+                          Segment(IMAGE, 8), Segment(TEXT, 3)], seed=5, vocab_size=32)
+    pruning, factory = HOOKS[method]
+    hooked, hook_report = prefill(weights, cfg, seq, hook=factory(pruning, cfg.num_layers))
+    state, report = prefill(weights, cfg, seq, record_trace=True)
+    decisions = decide(pruning, report.attn_last_rows, seq)
+    state = prune(state, seq, decisions)
+    for got, want in zip(hooked.caches, state.caches, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
+            assert a.positions.dtype == b.positions.dtype
+            assert np.array_equal(a.positions, b.positions)
+    if pruning is None:
+        assert hook_report.decisions is None and decisions is None
+    else:
+        assert_same_decisions(hook_report.decisions, decisions)

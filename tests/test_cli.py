@@ -426,6 +426,34 @@ class TestSweep:
         assert "failed" in body  # r=0.2 < dr=0.3 violates the invariant
         assert body.count("ok") == 1
 
+    def test_method_only_grid_keeps_its_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *SMALL_MODEL, "--method", "plphp",
+                     "--grid", "r=0.3|0.4|0.5,dr=0.1|0.3", "--report-out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"# sweep csv v1\n"
+            b"method,r,dr,alpha,beta,fastv_k,fastv_ratio,vtw_k,RR,KV,latency_ms,status\r\n"
+            b"plphp,0.3,0.1,0.25,0.1,3,0.5,4,0.833333,0.900000,,ok\r\n"
+            b"plphp,0.3,0.3,0.25,0.1,3,0.5,4,0.875000,0.925000,,ok\r\n"
+            b"plphp,0.4,0.1,0.25,0.1,3,0.5,4,0.875000,0.925000,,ok\r\n"
+            b"plphp,0.4,0.3,0.25,0.1,3,0.5,4,0.916667,0.950000,,ok\r\n"
+            b"plphp,0.5,0.1,0.25,0.1,3,0.5,4,0.875000,0.925000,,ok\r\n"
+            b"plphp,0.5,0.3,0.25,0.1,3,0.5,4,0.916667,0.950000,,ok\r\n")
+
+    def test_model_key_grid_rows_name_their_points(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *SMALL_MODEL, "--grid", "seed=0|-1,model_layers=4|5",
+                     "--report-out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        header = lines[0].split(",")
+        assert header == [*cli._METHOD_KEYS, "seed", "model_layers",
+                          "RR", "KV", "latency_ms", "status"]
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [(r["seed"], r["model_layers"], r["status"]) for r in rows] == [
+            ("0", "4", "ok"), ("0", "5", "ok"),
+            ("-1", "4", "failed: expected non-negative integer"),
+            ("-1", "5", "failed: expected non-negative integer")]
+
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", *SMALL_MODEL, "--grid", ""]) == 2
 

@@ -16,20 +16,19 @@ import numpy as np
 import pytest
 
 from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
-                   account, build_sequence, decode_step, init_model, make_fastv_hook,
-                   make_hook, make_vtw_hook, prefill)
+                   account, build_sequence, decide, decode_step, init_model, prefill, prune)
 
 CONFIG = ModelConfig(num_layers=5, num_heads=2, model_dim=8, head_dim=4, vocab_size=24,
                      max_positions=64)
 SEGMENTS = [Segment(TEXT, 3), Segment(IMAGE, 20), Segment(TEXT, 2), Segment(IMAGE, 15),
             Segment(TEXT, 3)]
 STEPS = 6
-# method -> (seed, hook factory taking the model depth)
+# method -> (seed, method config)
 METHODS = {
-    "none": (0, lambda n: None),
-    "plphp": (1, lambda n: make_hook(PruningConfig(), n)),
-    "fastv": (2, lambda n: make_fastv_hook(FastVConfig(k_layer=3, prune_ratio=0.5), n)),
-    "vtw": (3, lambda n: make_vtw_hook(VTWConfig(k_layer=4), n)),
+    "none": (0, None),
+    "plphp": (1, PruningConfig()),
+    "fastv": (2, FastVConfig(k_layer=3, prune_ratio=0.5)),
+    "vtw": (3, VTWConfig(k_layer=4)),
 }
 
 # recorded at the commit that added this file
@@ -103,14 +102,16 @@ GOLDENS = {
 
 def golden_run(method):
     """(weights SHA-256, greedy tokens, RR, KV, final logits) of ``method``'s run."""
-    seed, hook = METHODS[method]
+    seed, pruning = METHODS[method]
     weights = init_model(CONFIG, seed)
     digest = hashlib.sha256()
     for field in dataclasses.fields(weights):
         digest.update(getattr(weights, field.name).tobytes())
     seq = build_sequence(SEGMENTS, seed=seed, vocab_size=CONFIG.vocab_size)
-    state, report = prefill(weights, CONFIG, seq, hook=hook(CONFIG.num_layers))
-    metrics = account(state, seq, report.decisions)
+    state, report = prefill(weights, CONFIG, seq, record_trace=True)
+    decisions = decide(pruning, report.attn_last_rows, seq)
+    state = prune(state, seq, decisions)
+    metrics = account(state, seq, decisions)
     tokens, token = [], 0
     for _ in range(STEPS):
         logits, state = decode_step(weights, CONFIG, state, token)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
 from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, PruningConfig, Segment, VTWConfig,
-                   account, build_sequence, init_model, make_fastv_hook, make_hook,
-                   make_vtw_hook, prefill)
+                   account, build_sequence, decide, init_model, make_fastv_hook, make_hook,
+                   make_vtw_hook, prefill, prune)
 from plphp import pruning as pruning_module
 from plphp import trace as trace_module
 from plphp.cli import main
@@ -224,16 +224,16 @@ class TestReplay:
                           vocab_size=32, max_positions=64)
         seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 5), Segment(IMAGE, 7),
                               Segment(TEXT, 3)], seed=4, vocab_size=32)
-        pruning, factory = METHODS[method]
-        hook = factory(pruning, cfg.num_layers)
-        state, prefill_report = prefill(init_model(cfg, 4), cfg, seq, hook=hook,
-                                        record_trace=True)
+        pruning, _ = METHODS[method]
+        state, prefill_report = prefill(init_model(cfg, 4), cfg, seq, record_trace=True)
+        live_decisions = decide(pruning, prefill_report.attn_last_rows, seq)
+        state = prune(state, seq, live_decisions)
         path = tmp_path / "run.plpt"
         write_trace(path, trace_from_run(prefill_report.attn_last_rows, seq))
         decisions, replay_report = replay(read_trace(path), pruning)
 
-        assert len(decisions) == len(prefill_report.decisions) == cfg.num_layers
-        for live, offline in zip(prefill_report.decisions, decisions):
+        assert len(decisions) == len(live_decisions) == cfg.num_layers
+        for live, offline in zip(live_decisions, decisions):
             assert live.layer == offline.layer
             assert live.gamma == offline.gamma
             assert live.layer_class == offline.layer_class
@@ -245,7 +245,7 @@ class TestReplay:
                                     strict=True):
                         assert np.array_equal(a, b)
 
-        live_metrics = account(state, seq, prefill_report.decisions)
+        live_metrics = account(state, seq, live_decisions)
         assert replay_report.retention_rate == live_metrics.retention_rate
         assert replay_report.kv_fraction == live_metrics.kv_fraction
         assert replay_report.per_layer == live_metrics.per_layer

@@ -1,14 +1,14 @@
 """Per-layer per-head vision-token KV-cache pruning, at desk scale.
 
-A small numpy decoder with per-head KV caches, the two-level pruning rules,
-simplified FastV/VTW baselines, efficiency metrics, a binary trace format
-with offline replay, and a CLI experiment runner.
+A small numpy decoder with one KV cache store per layer, the two-level
+pruning rules, simplified FastV/VTW baselines, efficiency metrics, a binary
+trace format with offline replay, and a CLI experiment runner.
 """
 
 from .baselines import FastVConfig, VTWConfig, decide, make_fastv_hook, make_vtw_hook
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
 from .metrics import MetricsReport, account, latency_probe
-from .model import (DecoderState, HeadKVCache, ModelConfig, ModelWeights,
+from .model import (DecoderState, HeadKVCache, LayerKVCache, ModelConfig, ModelWeights,
                     decode_step, greedy_generate, init_model, prefill, weight_shapes)
 from .pruning import (LayerDecision, PruningConfig, allocate_retention, classify_layer,
                       make_hook, plphp_hook, prune, prune_head_cache, select_retained,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import MultimodalSequence, vision_index_union
-from .model import HeadKVCache
+from .model import LayerKVCache
 # prune_head_cache stays bound here for perfbench/tracer.py, which rebinds it
 # under this module's name; the hooks prune through prune_layer.
 from .pruning import (LayerDecision, PruningConfig, decide_layers, prune_head_cache,  # noqa: F401
@@ -105,17 +105,17 @@ def decide(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray
     return _kept_from_k(rows, seq, cfg.k_layer, kept)
 
 
-def fastv_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
+def fastv_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
                seq: MultimodalSequence, cfg: FastVConfig,
-               surviving: np.ndarray) -> tuple[list[HeadKVCache], LayerDecision]:
+               surviving: np.ndarray) -> tuple[LayerKVCache, LayerDecision]:
     """FastV at one layer, given the set ranked at layer K; kept for perfbench/ until ROADMAP 1b."""
     decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, surviving, layer)[0]
     return prune_layer(caches, seq, decision), decision
 
 
-def vtw_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
+def vtw_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
              seq: MultimodalSequence,
-             cfg: VTWConfig) -> tuple[list[HeadKVCache], LayerDecision]:
+             cfg: VTWConfig) -> tuple[LayerKVCache, LayerDecision]:
     """VTW at one layer; kept for perfbench/ until ROADMAP 1b."""
     decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, _NO_VISION, layer)[0]
     return prune_layer(caches, seq, decision), decision

@@ -69,7 +69,7 @@ MAX_CONFIG_BYTES = 64 * 1024
 # Largest sweep grid: each point is one full run, so a bigger grid is a typo.
 MAX_GRID_POINTS = 10_000
 # Most weight floats a run may draw: 2**27 float64 is 1 GiB. It also bounds
-# max_positions, and with it each head's cache store, to 2**27 / model_dim rows.
+# max_positions, and with it each layer's cache store, to 2**27 / model_dim rows.
 MAX_WEIGHT_FLOATS = 2**27
 
 
@@ -175,8 +175,9 @@ def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
     layout allocates nothing.
     """
     segments = parse_segments(cfg["segments"])
-    if cfg["steps"] < 0:
-        raise ConfigError(f"steps must be >= 0, got {cfg['steps']}")
+    for key in ("steps", "seed"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     try:
         model_cfg = ModelConfig(num_layers=cfg["model_layers"], num_heads=cfg["model_heads"],
                                 model_dim=cfg["model_dim"], head_dim=cfg["head_dim"],

@@ -1,4 +1,4 @@
-"""A small decoder-only transformer with per-head KV caches.
+"""A small decoder-only transformer with one KV cache store per layer.
 
 The attention path follows the usual per-head projection / causal softmax /
 value mixing scheme; around it sits a plain pre-norm residual block (RMS
@@ -6,11 +6,11 @@ normalization, 4x MLP with ReLU) so the decoder is a genuine, if tiny,
 language model. Position embeddings are absolute and added once at the
 input, which makes cache pruning a pure row deletion with no renumbering.
 
-Prefill and decode are one forward pass: each head appends the new rows to
-its cache and attends over it in causal row blocks. Prefill starts from
-empty caches, decode from the rows each head kept. A cache keeps its rows in
-a store with room to spare, so a decode step writes one row per head and
-copies none. No head holds an S x S
+Prefill and decode are one forward pass: each head writes the new rows to
+its slab of its layer's cache and attends over its rows in causal row
+blocks. Prefill starts from empty caches, decode from the rows each head
+kept. A layer keeps all its heads' rows in one store with room to spare, so
+a decode step writes one row per head and copies none. No head holds an S x S
 map and the masked upper triangle is never multiplied; every output keeps
 the bits of the full-matrix computation (a masked weight is exactly +0.0,
 and adding its +-0 product leaves the sum unchanged). On another CPU the
@@ -24,9 +24,9 @@ Within a layer no head reads another head's state, so a multi-row pass
 (prefill) runs the heads on min(H, usable CPUs) threads: the calling thread
 and threads started for that layer and joined before it ends, so no thread
 outlives a pass. The bits cannot change: each head keeps its own summation
-order, writes only its own cache, its own D_k columns of the layer's output
-and its own last row, and the layer waits for every head before its
-out-projection. A decode step runs its heads in order on the calling
+order, writes only its own slab of the store, its own D_k columns of the
+layer's output and its own last row, and the layer waits for every head
+before its out-projection. A decode step runs its heads in order on the calling
 thread: a 1-row head is tens of microseconds of mostly interpreter-bound
 work, which holds the interpreter lock, so another thread could not overlap
 it, and starting and joining one thread alone costs about 140 us (2-vCPU
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -51,11 +52,11 @@ import numpy as np
 from .layout import MultimodalSequence
 from .tensor_core import make_rng, masked_row_softmax, matmul
 
-# hook(layer_1based, last_rows[H, S], caches_for_layer, seq) -> (caches, LayerDecision),
+# hook(layer_1based, last_rows[H, S], layer_cache, seq) -> (layer_cache, LayerDecision),
 # last_rows read-only; kept for perfbench/ until ROADMAP 1b, as is prefill's hook loop
 PruningHook = Callable[
-    [int, np.ndarray, list["HeadKVCache"], MultimodalSequence],
-    tuple[list["HeadKVCache"], Any],
+    [int, np.ndarray, "LayerKVCache", MultimodalSequence],
+    tuple["LayerKVCache", Any],
 ]
 
 # Rows of one prefill attention block: each head's scores, normalised in
@@ -65,7 +66,7 @@ PruningHook = Callable[
 ATTN_BLOCK_ROWS = 64
 
 __all__ = [
-    "ModelConfig", "ModelWeights", "HeadKVCache", "DecoderState",
+    "ModelConfig", "ModelWeights", "HeadKVCache", "LayerKVCache", "DecoderState",
     "PrefillReport", "PruningHook",
     "weight_shapes", "init_model", "prefill", "decode_step", "greedy_generate",
 ]
@@ -107,79 +108,90 @@ class ModelWeights:
     unembedding: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class HeadKVCache:
-    """Variable-length key/value rows for one head, with original positions.
+    """One head's rows in a ``LayerKVCache`` as read-only views into its store:
+    ``keys`` and ``values`` L x D_k, ``positions`` L and strictly ascending."""
 
-    ``keys`` and ``values`` are L x D_k, ``positions`` is L and strictly
-    ascending. The rows live in a store: keys transposed (D_k x cap), values
-    (cap x D_k) and positions (cap), with cap >= L. The constructor copies
-    its arrays into an exact-size store, so a cache never aliases them; the
-    three attributes are read-only L-row views into the store, and every
-    ``append`` writes only the new rows.
+    keys: np.ndarray
+    values: np.ndarray
+    positions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
+class LayerKVCache(Sequence):
+    """Key/value rows and their positions for the H heads of one layer, ``rows`` rows each.
+
+    One head-major store holds them: keys^T (H x D_k x cap), values (H x cap
+    x D_k) and positions (H x cap), cap >= rows, so each head's slab has the
+    strides of a store of its own. The constructor copies its arrays into an
+    exact-size store, so a layer never aliases them. Item h is head h's view.
     """
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray):
-        if not (len(keys) == len(values) == len(positions)):
-            raise ValueError("keys, values and positions must have equal length")
-        if len(positions) > 1 and not np.all(np.diff(positions) > 0):
-            raise ValueError("cache positions must be strictly ascending")
-        self._kt = np.array(keys.T, order="C")
+        if keys.ndim != 3 or values.shape != keys.shape or positions.shape != keys.shape[:2]:
+            raise ValueError(f"need H x L x D_k keys and values and H x L positions, got "
+                             f"{keys.shape}, {values.shape} and {positions.shape}")
+        if positions.shape[1] > 1 and not np.all(np.diff(positions, axis=1) > 0):
+            raise ValueError("each head's cache positions must be strictly ascending")
+        self._kt = np.array(keys.transpose(0, 2, 1), order="C")
         self._vs = np.array(values, order="C")
         self._ps = np.array(positions)
-        self._len = len(positions)
+        self.rows = positions.shape[1]
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._ps)
 
-    @property
-    def keys(self) -> np.ndarray:
-        return self._kt[:, :self._len].T
+    def __getitem__(self, head: int) -> HeadKVCache:
+        h, l = range(len(self))[head], self.rows
+        views = self._kt[h, :, :l].T, self._vs[h, :l], self._ps[h, :l]
+        for view in views:
+            view.flags.writeable = False
+        return HeadKVCache(*views)
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._vs[:self._len]
+    def extend(self, positions: np.ndarray, max_rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Add m rows at ``positions`` to every head; returns the store's keys^T and values.
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self._ps[:self._len]
-
-    def append(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray,
-               max_rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Append m rows; returns the store's transposed keys and its values.
-
-        Only their first ``len(self)`` columns (rows) are valid. A store too
-        small for the new rows is replaced by one of twice the new length,
-        but no more than ``max_rows`` rows, so it never holds more than
-        ``len(self)`` rows of slack; the old rows are copied over once.
+        Head h then writes its rows to ``kt[h, :, rows - m:rows]`` and
+        ``vs[h, rows - m:rows]``. A store too small is replaced by one of twice
+        the new length, but at most ``max_rows`` rows, so its slack stays
+        within ``rows`` rows; the old rows are copied over once.
         """
-        l0 = self._len
+        l0 = self.rows
         l1 = l0 + len(positions)
-        if l1 > self._kt.shape[1]:
+        if l1 > self._ps.shape[1]:
             cap = max(l1, min(2 * l1, max_rows))
-            old_k, old_v, old_p = self.keys, self.values, self.positions
-            self._kt = np.empty((keys.shape[1], cap))
-            self._vs = np.empty((cap, values.shape[1]))
-            self._ps = np.empty(cap, positions.dtype)
-            self._kt[:, :l0] = old_k.T
-            self._vs[:l0] = old_v
-            self._ps[:l0] = old_p
-        self._kt[:, l0:l1] = keys.T
-        self._vs[l0:l1] = values
-        self._ps[l0:l1] = positions
-        self._len = l1
+            kt, vs, ps = self._kt, self._vs, self._ps
+            self._kt = np.empty((*kt.shape[:2], cap))
+            self._vs = np.empty((len(vs), cap, vs.shape[2]))
+            self._ps = np.empty((len(ps), cap), ps.dtype)
+            self._kt[:, :, :l0] = kt[:, :, :l0]
+            self._vs[:, :l0] = vs[:, :l0]
+            self._ps[:, :l0] = ps[:, :l0]
+        self._ps[:, l0:l1] = positions
+        self.rows = l1
         return self._kt, self._vs
 
-    def clone(self) -> "HeadKVCache":
-        return HeadKVCache(self.keys, self.values, self.positions)
+    def take(self, rows: np.ndarray) -> "LayerKVCache":
+        """A new layer of rows ``rows[h]`` of each head h (broadcast to H x L'), in one gather."""
+        heads, l = np.arange(len(self))[:, None], self.rows
+        return LayerKVCache(self._kt[:, :, :l][heads, :, rows], self._vs[:, :l][heads, rows],
+                            self._ps[:, :l][heads, rows])
+
+    def clone(self) -> "LayerKVCache":
+        l = self.rows  # slices copy 3-5x faster than take's gather (S=4096)
+        return LayerKVCache(self._kt[:, :, :l].transpose(0, 2, 1), self._vs[:, :l], self._ps[:, :l])
 
 
 @dataclass
 class DecoderState:
-    caches: list[list[HeadKVCache]]  # N x H
+    caches: list[LayerKVCache]  # one per layer
     next_position: int
 
     def clone(self) -> "DecoderState":
-        return DecoderState(caches=[[c.clone() for c in layer] for layer in self.caches],
+        return DecoderState(caches=[layer.clone() for layer in self.caches],
                             next_position=self.next_position)
 
 
@@ -268,16 +280,16 @@ def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
             raise exc
 
 
-def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadKVCache]],
+def _forward(weights: ModelWeights, config: ModelConfig, caches: list[LayerKVCache],
              token_ids: np.ndarray, first_position: int,
              last_rows: np.ndarray | None = None) -> np.ndarray:
     """Run m new rows from ``first_position`` through every layer; returns the last row, 1 x D.
 
-    Each head appends the rows' keys, values and positions to its cache and
-    attends over it: with l0 rows cached before, row block ``[i0, i1)`` is
-    rows ``l0 + i0..`` of a causal map ``l0 + m`` wide. Head h of layer l
-    writes its map's last row into ``last_rows[l, h]`` (N x H x (l0 + m)),
-    if given.
+    Each layer's cache takes the rows (``LayerKVCache.extend``), and each
+    head writes their keys and values to its slab and attends over its rows:
+    with l0 rows cached before, row block ``[i0, i1)`` is rows ``l0 + i0..``
+    of a causal map ``l0 + m`` wide. Head h of layer l writes its map's last
+    row into ``last_rows[l, h]`` (N x H x (l0 + m)), if given.
 
     A token id outside [0, vocab_size) raises ``ValueError`` before any
     cache changes.
@@ -306,7 +318,7 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
     r0 = 0  # first row a layer computes beyond its K/V: 0 before the final layer
     works: list[np.ndarray | None] = [None]
     if m > 1:  # per thread, sized for the largest block of any head and layer
-        l0_max = max(len(cache) for layer in caches for cache in layer)
+        l0_max = max(layer.rows for layer in caches)
         size = max((i1 - i0) * (l0_max + i1) for i0, i1 in blocks)
         works = [np.empty(size) for _ in range(min(config.num_heads, _usable_cpus()))]
 
@@ -317,25 +329,24 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
             r0 = blocks[0][0]
             x = x[r0:]
         mixed = np.empty((m - r0, config.model_dim))
+        l0 = caches[l].rows
+        # the store keeps keys^T: each k-step of the score loop reads one row
+        kt, vs = caches[l].extend(positions, config.max_positions)
 
         def attend(h: int, work: np.ndarray | None) -> None:
-            # reads only shared inputs; writes only head h's cache, columns
-            # of mixed and last row, so the order of heads changes no bit
-            cache = caches[l][h]
-            l0 = len(cache)
+            # reads only shared inputs; writes only head h's slabs, columns of
+            # mixed and last row, so the order of heads changes no bit
             q = matmul(h_in[r0:], weights.w_q[l, h])
-            # the store keeps keys^T: each k-step of the score loop reads one row
-            kt, values = cache.append(matmul(h_in, weights.w_k[l, h]),
-                                      matmul(h_in, weights.w_v[l, h]), positions,
-                                      config.max_positions)
+            kt[h, :, l0:l0 + m] = matmul(h_in, weights.w_k[l, h]).T
+            vs[h, l0:l0 + m] = matmul(h_in, weights.w_v[l, h])
             out = mixed[:, h * dk:(h + 1) * dk]
             for i0, i1 in blocks:
                 n = l0 + i1
                 scores = None if work is None else work[:(i1 - i0) * n].reshape(i1 - i0, n)
-                scores = matmul(q[i0 - r0:i1 - r0], kt[:, :n], out=scores)
+                scores = matmul(q[i0 - r0:i1 - r0], kt[h, :, :n], out=scores)
                 scores *= inv_sqrt_dk
                 masked_row_softmax(scores, width=l0 + m, out=scores)
-                out[i0 - r0:i1 - r0] = matmul(scores, values[:n])
+                out[i0 - r0:i1 - r0] = matmul(scores, vs[h, :n])
             if last_rows is not None:  # before the next head reuses the workspace
                 last_rows[l, h] = scores[-1]
 
@@ -349,7 +360,7 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[list[HeadK
 def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
             hook: PruningHook | None = None,
             record_trace: bool = False) -> tuple[DecoderState, PrefillReport]:
-    """Run the full prompt through all layers, populating per-head caches.
+    """Run the full prompt through all layers, populating every layer's cache.
 
     With ``record_trace`` the report's ``attn_last_rows`` is the N x H x S
     array of last attention rows that ``decide`` reads. The hook, kept for
@@ -359,9 +370,9 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     pruning after the pass leaves the caches pruning between layers would.
     """
     s = seq.total_length
-    empty = np.empty((0, config.head_dim))
-    caches = [[HeadKVCache(empty, empty, np.empty(0, dtype=np.int64))
-               for _ in range(config.num_heads)] for _ in range(config.num_layers)]
+    empty = np.empty((config.num_heads, 0, config.head_dim))
+    caches = [LayerKVCache(empty, empty, np.empty((config.num_heads, 0), dtype=np.int64))
+              for _ in range(config.num_layers)]
     last_rows = np.empty((config.num_layers, config.num_heads, s))
     _forward(weights, config, caches, seq.token_ids, 0, last_rows)
     decisions: list[Any] | None = None

@@ -2,13 +2,13 @@
 
 Level one scores each decoder layer by how much attention its last prefill
 row pays to vision tokens, classifies the layer, and allocates a retention
-rate. Level two lets every attention head independently keep its own top-K
-vision rows per image and drop the rest from that head's cache. Text rows
-are never pruned, and layers 1, 2 and N are exempt.
+rate. Level two lets every attention head keep its own top-K vision rows
+per image, K set per layer and image, so a layer's heads keep equally many
+rows. Text rows are never pruned, and layers 1, 2 and N are exempt.
 
 Every method decides all layers at once through ``baselines.decide(cfg,
 rows[N, H, S], seq)``, plphp through ``decide_layers`` here; ``prune``
-cuts the caches to what the decisions keep, and trace replay counts it.
+cuts each layer's cache in one gather, and trace replay counts it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import MultimodalSequence, vision_index_union
-from .model import DecoderState, HeadKVCache
+from .model import DecoderState, HeadKVCache, LayerKVCache
 from .tensor_core import argtopk
 
 VISION_ATTENTIVE = "vision-attentive"
@@ -161,20 +161,15 @@ def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
 
 
 def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
-                     retained_vision: np.ndarray) -> HeadKVCache:
-    """Keep exactly the rows at text positions plus the retained vision set."""
+                     retained_vision: np.ndarray) -> np.ndarray:
+    """Indices of exactly the rows at text positions plus the retained vision set."""
     keep = np.union1d(np.asarray(text_union, dtype=np.int64),
                       np.asarray(retained_vision, dtype=np.int64))
     present = np.isin(keep, cache.positions)
     if not present.all():
         missing = keep[~present]
         raise ValueError(f"retained positions {missing.tolist()} not present in cache")
-    mask = np.isin(cache.positions, keep)
-    return HeadKVCache(
-        keys=cache.keys[mask],
-        values=cache.values[mask],
-        positions=cache.positions[mask],
-    )
+    return np.flatnonzero(np.isin(cache.positions, keep))
 
 
 def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
@@ -224,33 +219,39 @@ def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalS
     return decide_layers(rows, seq, cfg, layer, num_layers)[0]
 
 
-def prune_layer(caches: list[HeadKVCache], seq: MultimodalSequence,
-                decision: LayerDecision) -> list[HeadKVCache]:
-    """Cut each head's cache to text plus the vision rows ``decision`` keeps."""
+def prune_layer(layer: LayerKVCache, seq: MultimodalSequence,
+                decision: LayerDecision) -> LayerKVCache:
+    """Cut each head to text plus the vision rows ``decision`` keeps, in one
+    gather; heads that would keep unequally many rows raise ``ValueError``."""
     if decision.exempt:
-        return caches
+        return layer
     text = seq.text_union
     empty = np.empty(0, dtype=np.int64)
-    return [prune_head_cache(cache, text, np.concatenate([empty, *decision.per_head_retained[h]]))
-            for h, cache in enumerate(caches)]
+    rows = [prune_head_cache(cache, text, np.concatenate([empty, *decision.per_head_retained[h]]))
+            for h, cache in enumerate(layer)]
+    if len({len(kept) for kept in rows}) > 1:
+        raise ValueError(f"layer {decision.layer}'s heads keep unequally many rows: "
+                         f"{[len(kept) for kept in rows]}")
+    return layer.take(np.stack(rows))
 
 
 def prune(state: DecoderState, seq: MultimodalSequence,
           decisions: list[LayerDecision] | None) -> DecoderState:
-    """A new state with each layer's caches cut as its decision says (None: none cut).
+    """A new state with each layer's cache cut as its decision says (None: none cut).
 
-    ``state`` is left as it was, and shares its exempt layers' caches.
+    The new state shares no cache with ``state``, so decoding either one
+    leaves the other as it was.
     """
     if decisions is None:
-        return state
-    caches = [prune_layer(layer, seq, decision)
+        return state.clone()
+    caches = [layer.clone() if decision.exempt else prune_layer(layer, seq, decision)
               for layer, decision in zip(state.caches, decisions, strict=True)]
     return DecoderState(caches=caches, next_position=state.next_position)
 
 
-def plphp_hook(layer: int, last_rows: np.ndarray, caches: list[HeadKVCache],
+def plphp_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
                seq: MultimodalSequence, cfg: PruningConfig,
-               num_layers: int) -> tuple[list[HeadKVCache], LayerDecision]:
+               num_layers: int) -> tuple[LayerKVCache, LayerDecision]:
     """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP 1b."""
     decision = decide_layer(last_rows, seq, cfg, layer, num_layers)
     return prune_layer(caches, seq, decision), decision

@@ -12,17 +12,19 @@ and check only the blocking and the cache handling. Likewise
 top-K rules, and checks only the batching. ``FastVRule`` and ``vtw_decide``
 are the baselines' per-layer rules that ``plphp.decide`` batches: they share
 the FastV ranking and the gamma of one layer, and check only the batching
-and FastV's layer-K set.
+and FastV's layer-K set. ``layer_from_heads``, ``random_cache_state`` and
+``cut_head`` are no oracles: they build and cut layer caches for the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from plphp import (DecoderState, HeadKVCache, LayerDecision, allocate_retention, classify_layer,
+from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention, classify_layer,
                    masked_row_softmax, matmul, select_retained, vision_attention_score,
                    vision_index_union)
 from plphp.baselines import fastv_surviving_set
+from plphp.pruning import prune_head_cache
 
 
 # a quiet NaN with a payload no computation here produces
@@ -53,6 +55,30 @@ class DirtyNumpy:
     @staticmethod
     def empty_like(*args, **kwargs):
         return _dirty(np.empty_like(*args, **kwargs))
+
+
+def layer_from_heads(heads) -> LayerKVCache:
+    """A layer cache from each head's ``(keys, values, positions)``, stacked."""
+    keys, values, positions = zip(*heads)
+    return LayerKVCache(np.stack(keys), np.stack(values), np.stack(positions))
+
+
+def random_cache_state(rng, n: int, h: int, s: int) -> DecoderState:
+    """N layers of H heads with zero keys and values, no model execution: each
+    head keeps its own random prompt positions, as many as every head of its
+    layer."""
+    caches = []
+    for _ in range(n):
+        kept = int(rng.integers(1, s + 1))
+        caches.append(layer_from_heads(
+            (np.zeros((kept, 2)), np.zeros((kept, 2)),
+             np.sort(rng.choice(s, kept, replace=False)).astype(np.int64)) for _ in range(h)))
+    return DecoderState(caches=caches, next_position=s)
+
+
+def cut_head(cache: LayerKVCache, text_union, retained_vision):
+    """Head 0 of a one-head layer cut to the rows ``prune_head_cache`` keeps."""
+    return cache.take(prune_head_cache(cache[0], text_union, retained_vision)[None])[0]
 
 
 def bits(x: np.ndarray) -> np.ndarray:
@@ -316,7 +342,7 @@ def full_matrix_prefill(weights, config, seq, hook=None):
     last_rows = np.empty((n, h, s))
     for l in range(n):
         h_in = _rms(x)
-        layer_caches, outs = [], []
+        heads, outs = [], []
         for head in range(h):
             q = matmul(h_in, weights.w_q[l, head])
             k = matmul(h_in, weights.w_k[l, head])
@@ -324,12 +350,13 @@ def full_matrix_prefill(weights, config, seq, hook=None):
             attn = masked_row_softmax(matmul(q, k.T) * scale)
             outs.append(matmul(attn, v))
             last_rows[l, head] = attn[-1]
-            layer_caches.append(HeadKVCache(keys=k, values=v, positions=np.arange(s)))
+            heads.append((k, v, np.arange(s)))
+        layer_cache = layer_from_heads(heads)
         x = x + matmul(np.concatenate(outs, axis=1), weights.w_o[l])
         x = x + matmul(np.maximum(matmul(_rms(x), weights.w_up[l]), 0.0), weights.w_down[l])
         if hook is not None:
-            layer_caches, _ = hook(l + 1, last_rows[l], layer_caches, seq)
-        caches.append(layer_caches)
+            layer_cache, _ = hook(l + 1, last_rows[l], layer_cache, seq)
+        caches.append(layer_cache)
     return DecoderState(caches=caches, next_position=s), last_rows, x
 
 
@@ -338,8 +365,8 @@ def reference_decode_step(weights, config, state, token_id):
 
     The decode path ``plphp.decode_step`` had before prefill and decode shared
     one forward pass; it must match that pass bit for bit. Mutates ``state``:
-    each head's cache is replaced by a new one, built from the concatenated
-    rows, so the store's append path is not used here.
+    each layer's cache is replaced by a new one, stacked from each head's
+    concatenated rows, so the store's append path is not used here.
     """
     pos = state.next_position
     if pos >= config.max_positions:
@@ -350,6 +377,7 @@ def reference_decode_step(weights, config, state, token_id):
     for l in range(config.num_layers):
         h_in = _rms(x)
         head_outs: list[np.ndarray] = []
+        heads = []
         for h in range(config.num_heads):
             cache = state.caches[l][h]
             q = matmul(h_in, weights.w_q[l, h])
@@ -358,10 +386,11 @@ def reference_decode_step(weights, config, state, token_id):
             keys = np.concatenate([cache.keys, k_new])
             values = np.concatenate([cache.values, v_new])
             positions = np.concatenate([cache.positions, [pos]])
-            state.caches[l][h] = HeadKVCache(keys, values, positions)
+            heads.append((keys, values, positions))
             scores = matmul(q, keys.T) * inv_sqrt_dk
             attn = row_softmax(scores)
             head_outs.append(matmul(attn, values))
+        state.caches[l] = layer_from_heads(heads)
         x = x + matmul(np.concatenate(head_outs, axis=1), weights.w_o[l])
         m_in = _rms(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from conftest import random_segments, random_softmax_rows, small_model
-from helpers import (cache_free_decode_logits, loop_gamma, recount_metrics,
-                     set_keep, sort_select, sort_topk)
-from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, ModelConfig, PruningConfig,
+from helpers import (cache_free_decode_logits, cut_head, layer_from_heads, loop_gamma,
+                     random_cache_state, recount_metrics, set_keep, sort_select, sort_topk)
+from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig,
                    Segment, account, argtopk, build_sequence, decode_step,
                    greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
-                   prefill, prune_head_cache, select_retained, vision_attention_score,
+                   prefill, select_retained, vision_attention_score,
                    vision_index_union)
-from plphp.model import DecoderState
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
                            allocate_retention, classify_layer, plphp_hook)
 from plphp.trace import read_trace, replay, trace_from_run, write_trace
@@ -75,32 +74,22 @@ def test_criterion_2_oracle_equivalence():
 
     for _ in range(1000):
         s = int(rng.integers(4, 20))
-        cache = HeadKVCache(keys=rng.random((s, 2)), values=rng.random((s, 2)),
-                            positions=np.arange(s, dtype=np.int64))
+        cache = layer_from_heads([(rng.random((s, 2)), rng.random((s, 2)),
+                                   np.arange(s, dtype=np.int64))])
         split = rng.permutation(s)
         cut = int(rng.integers(1, s))
         text = np.sort(split[:cut])
         vision = np.sort(split[cut:])
         kept = np.sort(rng.choice(vision, size=int(rng.integers(0, vision.size + 1)),
                                   replace=False)) if vision.size else vision
-        out = prune_head_cache(cache, text, kept)
-        assert out.positions.tolist() == set_keep(cache.positions, text, kept)
+        out = cut_head(cache, text, kept)
+        assert out.positions.tolist() == set_keep(cache[0].positions, text, kept)
 
     seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 8), Segment(TEXT, 3)],
                          seed=0, vocab_size=32)
     for _ in range(1000):
-        caches = []
-        heads = int(rng.integers(1, 4))
-        for _ in range(int(rng.integers(4, 7))):
-            layer = []
-            for _ in range(heads):
-                mask = rng.random(seq.total_length) < 0.6
-                mask[0] = True
-                pos = np.flatnonzero(mask).astype(np.int64)
-                layer.append(HeadKVCache(keys=np.zeros((pos.size, 2)),
-                                         values=np.zeros((pos.size, 2)), positions=pos))
-            caches.append(layer)
-        state = DecoderState(caches=caches, next_position=seq.total_length)
+        state = random_cache_state(rng, n=int(rng.integers(4, 7)), h=int(rng.integers(1, 4)),
+                                   s=seq.total_length)
         report = account(state, seq)
         rr, kv = recount_metrics(state, seq)
         assert abs(report.retention_rate - rr) < 1e-12
@@ -181,8 +170,8 @@ def test_criterion_6_structural_contrast():
         row = np.full(s, 1e-4)
         row[list(peaks)] = 1.0
         rows.append(row / row.sum())
-    caches = [HeadKVCache(keys=np.zeros((s, 4)), values=np.zeros((s, 4)),
-                          positions=np.arange(s, dtype=np.int64)) for _ in rows]
+    caches = layer_from_heads([(np.zeros((s, 4)), np.zeros((s, 4)), np.arange(s, dtype=np.int64))
+                               for _ in rows])
     pruned, decision = plphp_hook(3, rows, caches, seq,
                                   PruningConfig(r=0.2, delta_r=0.0, alpha=0.0, beta=0.0),
                                   num_layers=6)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import FastVRule, same_bits, sort_topk, vtw_decide
-from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, HeadKVCache, PruningConfig, Segment,
+from helpers import FastVRule, layer_from_heads, same_bits, sort_topk, vtw_decide
+from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, PruningConfig, Segment,
                    VTWConfig, build_sequence, decide, init_model, make_fastv_hook, make_hook,
                    make_rng, make_vtw_hook, prefill, prune, vision_index_union)
 from plphp.baselines import fastv_surviving_set
@@ -20,8 +20,8 @@ def mixed_seq(text_a=2, vision=6, text_b=2):
 def caches_for(seq, heads=2):
     rng = make_rng(1)
     s = seq.total_length
-    return [HeadKVCache(keys=rng.random((s, 4)), values=rng.random((s, 4)),
-                        positions=np.arange(s, dtype=np.int64)) for _ in range(heads)]
+    return layer_from_heads((rng.random((s, 4)), rng.random((s, 4)), np.arange(s, dtype=np.int64))
+                            for _ in range(heads))
 
 
 def rows_for(rng, seq, heads=2):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -187,6 +188,14 @@ class TestRun:
     ])
     def test_user_input_errors_exit_2(self, extra):
         assert main(["run", *SMALL_MODEL, *extra]) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_negative_seed_names_the_key_and_value(self, tmp_path, capsys, source):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+        assert main(["run", *SMALL_MODEL, *argv]) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_internal_value_error_exits_4(self, monkeypatch, capsys):
         # a broken invariant below the CLI is an internal error, not a config error
@@ -444,15 +453,14 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *SMALL_MODEL, "--grid", "seed=0|-1,model_layers=4|5",
                      "--report-out", str(out)]) == 0
-        lines = out.read_text().splitlines()[1:]
-        header = lines[0].split(",")
-        assert header == [*cli._METHOD_KEYS, "seed", "model_layers",
-                          "RR", "KV", "latency_ms", "status"]
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        reader = csv.DictReader(out.read_text().splitlines()[1:])
+        assert reader.fieldnames == [*cli._METHOD_KEYS, "seed", "model_layers",
+                                     "RR", "KV", "latency_ms", "status"]
+        rows = list(reader)  # a failed point's message holds a comma, so it is quoted
         assert [(r["seed"], r["model_layers"], r["status"]) for r in rows] == [
             ("0", "4", "ok"), ("0", "5", "ok"),
-            ("-1", "4", "failed: expected non-negative integer"),
-            ("-1", "5", "failed: expected non-negative integer")]
+            ("-1", "4", "failed: seed must be >= 0, got -1"),
+            ("-1", "5", "failed: seed must be >= 0, got -1")]
 
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", *SMALL_MODEL, "--grid", ""]) == 2

@@ -5,28 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import recount_metrics
-from plphp import (IMAGE, TEXT, HeadKVCache, PruningConfig, Segment, VTWConfig,
+from helpers import random_cache_state, recount_metrics
+from plphp import (IMAGE, TEXT, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, init_model, latency_probe, make_hook,
                    make_rng, make_vtw_hook, prefill)
 from plphp.metrics import CSV_COLUMNS, report_to_json, write_report_csv
-from plphp.model import DecoderState, ModelConfig
-
-
-def synthetic_state(rng, n, h, s, keep_prob=0.7):
-    """Caches with random position subsets, no model execution."""
-    caches = []
-    for _ in range(n):
-        layer = []
-        for _ in range(h):
-            mask = rng.random(s) < keep_prob
-            mask[0] = True
-            pos = np.flatnonzero(mask).astype(np.int64)
-            layer.append(HeadKVCache(keys=np.zeros((pos.size, 2)),
-                                     values=np.zeros((pos.size, 2)),
-                                     positions=pos))
-        caches.append(layer)
-    return DecoderState(caches=caches, next_position=s)
+from plphp.model import ModelConfig
 
 
 def test_no_pruning_is_unity():
@@ -79,8 +63,8 @@ def test_decode_rows_excluded():
 def test_matches_brute_force_recount(rng):
     seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 9), Segment(TEXT, 2)], seed=0, vocab_size=32)
     for _ in range(100):
-        state = synthetic_state(rng, n=int(rng.integers(4, 7)), h=int(rng.integers(1, 4)),
-                                s=seq.total_length)
+        state = random_cache_state(rng, n=int(rng.integers(4, 7)), h=int(rng.integers(1, 4)),
+                                   s=seq.total_length)
         report = account(state, seq)
         rr, kv = recount_metrics(state, seq)
         assert report.retention_rate == pytest.approx(rr, abs=1e-15)

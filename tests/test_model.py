@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from conftest import random_segments, small_model
 from helpers import (DirtyNumpy, cache_free_decode_logits, full_matrix_prefill,
-                     reference_decode_step, same_bits)
-from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, HeadKVCache, ModelConfig,
-                   PruningConfig, Segment, VTWConfig, build_sequence, decode_step,
+                     layer_from_heads, reference_decode_step, same_bits)
+from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, LayerKVCache, ModelConfig,
+                   PruningConfig, Segment, VTWConfig, build_sequence, decide, decode_step,
                    greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
-                   make_vtw_hook, model, prefill, tensor_core, weight_shapes)
+                   make_vtw_hook, model, prefill, prune, tensor_core, weight_shapes)
 
 B = model.ATTN_BLOCK_ROWS
 
@@ -608,43 +608,86 @@ class TestDecode:
 class TestKVStore:
     def test_append_reserves_bounded_capacity(self, rng):
         # twice the new length at most, never past max_rows, and the rows
-        # already held copied over exactly
-        dk, max_rows = 3, 40
-        cache = HeadKVCache(rng.random((5, dk)), rng.random((5, dk)), np.arange(5))
-        keys, values, positions = cache.keys, cache.values, cache.positions
+        # already held copied over exactly, in every head
+        h, dk, max_rows = 2, 3, 40
+        heads = [(rng.random((5, dk)), rng.random((5, dk)), np.arange(5)) for _ in range(h)]
+        layer = layer_from_heads(heads)
+        keys, values, positions = (np.stack(arrays) for arrays in zip(*heads))
         for m in (1, 1, 7, 1, 20, 1, 1, 1):
-            k_new, v_new = rng.random((m, dk)), rng.random((m, dk))
-            p_new = np.arange(len(cache), len(cache) + m)
-            kt, vs = cache.append(k_new, v_new, p_new, max_rows)
-            keys, values = np.concatenate([keys, k_new]), np.concatenate([values, v_new])
-            positions = np.concatenate([positions, p_new])
-            n = len(cache)
-            assert n == len(positions) and kt.shape == (dk, vs.shape[0])
-            assert n <= vs.shape[0] <= min(2 * n, max_rows)
-            assert same_bits(kt[:, :n].T, keys) and same_bits(vs[:n], values)
-            assert same_bits(cache.keys, keys) and same_bits(cache.values, values)
-            assert np.array_equal(cache.positions, positions)
+            k_new, v_new = rng.random((h, m, dk)), rng.random((h, m, dk))
+            p_new = np.arange(layer.rows, layer.rows + m)
+            kt, vs = layer.extend(p_new, max_rows)
+            n = layer.rows
+            for head in range(h):  # as each head of a forward pass writes its rows
+                kt[head, :, n - m:n], vs[head, n - m:n] = k_new[head].T, v_new[head]
+            keys, values = np.concatenate([keys, k_new], 1), np.concatenate([values, v_new], 1)
+            positions = np.concatenate([positions, np.tile(p_new, (h, 1))], 1)
+            assert n == positions.shape[1] and kt.shape == (h, dk, vs.shape[1])
+            assert n <= vs.shape[1] <= min(2 * n, max_rows)
+            assert same_bits(kt[:, :, :n].transpose(0, 2, 1), keys) and same_bits(vs[:, :n], values)
+            for head, cache in enumerate(layer):
+                assert same_bits(cache.keys, keys[head]) and same_bits(cache.values, values[head])
+                assert np.array_equal(cache.positions, positions[head])
 
     def test_cache_never_aliases_its_arrays(self, rng):
-        # the constructor copies into the cache's own store: writing to the
-        # arrays it was built from, or to their clone's, leaves its rows alone
-        keys, values = rng.random((6, 3)), rng.random((6, 3))
-        positions = np.arange(6, dtype=np.int64)
-        cache = HeadKVCache(keys, values, positions)
-        clone = cache.clone()
+        # the constructor copies into the layer's own store and a clone into
+        # another: writing to the arrays it was built from leaves its rows
+        # alone, and no view of the clone shares memory with the original
+        keys, values = rng.random((2, 6, 3)), rng.random((2, 6, 3))
+        positions = np.tile(np.arange(6, dtype=np.int64), (2, 1))
+        layer = LayerKVCache(keys, values, positions)
+        clone = layer.clone()
         frozen = keys.copy(), values.copy(), positions.copy()
         keys[:], values[:], positions[:] = np.nan, -1.0, 99
-        clone.keys[0], clone.values[0], clone.positions[0] = np.inf, np.inf, -1
-        assert same_bits(cache.keys, frozen[0]) and same_bits(cache.values, frozen[1])
-        assert np.array_equal(cache.positions, frozen[2]) and len(cache) == 6
+        for h, (cache, copy) in enumerate(zip(layer, clone, strict=True)):
+            assert same_bits(cache.keys, frozen[0][h]) and same_bits(cache.values, frozen[1][h])
+            assert np.array_equal(cache.positions, frozen[2][h]) and len(cache) == 6
+            for a, b in ((cache.keys, copy.keys), (cache.values, copy.values),
+                         (cache.positions, copy.positions)):
+                assert same_bits(a, b) and not np.shares_memory(a, b)
+
+    def test_views_are_read_only(self):
+        cfg, w = tiny()
+        state, _ = prefill(w, cfg, mixed_seq())
+        c = state.caches[0][1]
+        for view in (c.keys, c.values, c.positions):
+            with pytest.raises(ValueError, match="read-only"):
+                view[1] = 7
+        assert c.positions.tolist() == list(range(mixed_seq().total_length))
+
+    def test_layer_is_a_sequence_of_head_views(self, rng):
+        heads = [(rng.random((4, 2)), rng.random((4, 2)), np.arange(4) + 2 * h) for h in range(3)]
+        layer = layer_from_heads(heads)
+        assert len(layer) == 3 and layer.rows == 4
+        assert [c.positions.tolist() for c in layer] == [p.tolist() for _, _, p in heads]
+        assert same_bits(layer[-1].keys, heads[2][0]) and same_bits(layer[-3].values, heads[0][1])
+        with pytest.raises(IndexError):
+            layer[3]
+
+    @pytest.mark.parametrize("keys, values, positions", [
+        ((2, 5, 3), (2, 4, 3), (2, 5)),  # values one row short
+        ((2, 5, 3), (2, 5, 3), (3, 5)),  # positions for a third head
+        ((2, 5, 3), (2, 5, 3), (2, 4)),  # a row without a position
+        ((5, 3), (5, 3), (5,)),          # one head's arrays, not a layer's
+        ((2, 5, 3), (2, 5), (2, 5)),     # values without D_k
+    ])
+    def test_layer_refuses_mismatched_shapes(self, keys, values, positions):
+        with pytest.raises(ValueError, match="H x L x D_k"):
+            LayerKVCache(np.zeros(keys), np.zeros(values), np.zeros(positions, dtype=np.int64))
+
+    def test_layer_refuses_non_ascending_head_rows(self):
+        for bad in ([0, 2, 2], [0, 3, 1]):  # head 1 only
+            with pytest.raises(ValueError, match="strictly ascending"):
+                LayerKVCache(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), np.array([[0, 1, 2], bad]))
 
     def test_one_row_appends_grow_geometrically(self):
-        cache = HeadKVCache(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        layer = LayerKVCache(np.empty((2, 0, 2)), np.empty((2, 0, 2)),
+                             np.empty((2, 0), dtype=np.int64))
         stores = []  # held, so no two stores share an id
         for i in range(300):
-            kt, _ = cache.append(np.ones((1, 2)), np.ones((1, 2)), np.array([i]), 1000)
+            kt, _ = layer.extend(np.array([i]), 1000)
             stores.append(kt)
-            assert kt.shape[1] <= 2 * len(cache)
+            assert kt.shape[2] <= 2 * layer.rows
         assert len({id(kt) for kt in stores}) <= 10  # capacities 2, 6, 14, ..., 510
 
     def test_views_keep_their_bits_across_later_steps(self):
@@ -675,9 +718,23 @@ class TestKVStore:
         assert_decodes_like_reference(w, cfg, copy.clone(), copy, 6)
         assert_same_caches(before, state)
         assert state.next_position == before.next_position
-        # the reference decoder replaces each cache with one built from the
-        # concatenated rows: the original must still decode bit for bit
+        # the reference decoder replaces each layer's cache with one stacked
+        # from the concatenated rows: the original must still decode bit for bit
         assert_decodes_like_reference(w, cfg, state, before, 6)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_decoding_a_pruned_state_leaves_its_input(self, method):
+        # prune shares no cache with its input, exempt layers included, so
+        # the input still decodes bit for bit like a fresh prefill
+        cfg, w = tiny()
+        seq = mixed_seq()
+        state, report = prefill(w, cfg, seq, record_trace=True)
+        pruned = prune(state, seq, decide(METHODS[method], report.attn_last_rows, seq))
+        greedy_generate(w, cfg, pruned, 0, 3)
+        fresh, _ = prefill(w, cfg, seq)
+        assert_same_caches(fresh, state)
+        assert state.next_position == fresh.next_position
+        assert_decodes_like_reference(w, cfg, fresh, state, 4)
 
     def test_decode_steps_copy_no_cache(self):
         # with the store, a step allocates only its temporaries: less than one
@@ -687,11 +744,12 @@ class TestKVStore:
                           vocab_size=32, max_positions=2 * rows + 8)
         w = init_model(cfg, 0)
         rng = make_rng(0)
-        caches = [[HeadKVCache(rng.standard_normal((rows, dk)), rng.standard_normal((rows, dk)),
-                               np.arange(rows)) for _ in range(h)]
+        caches = [layer_from_heads((rng.standard_normal((rows, dk)),
+                                    rng.standard_normal((rows, dk)), np.arange(rows))
+                                   for _ in range(h))
                   for _ in range(cfg.num_layers)]
         state = DecoderState(caches=caches, next_position=rows)
-        decode_step(w, cfg, state, 0)  # the first append copies each cache into its store
+        decode_step(w, cfg, state, 0)  # the first append copies each layer into its store
         tracemalloc.start()
         try:
             for token in (1, 2, 3):

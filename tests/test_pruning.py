@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import loop_gamma, per_layer_decision, set_keep, sort_select, stable_argtopk
-from plphp import (IMAGE, TEXT, HeadKVCache, PruningConfig, Segment, build_sequence,
+from helpers import (cut_head, layer_from_heads, loop_gamma, per_layer_decision, set_keep,
+                     sort_select, stable_argtopk)
+from plphp import (IMAGE, TEXT, LayerDecision, PruningConfig, Segment, build_sequence,
                    make_rng, pruning, vision_index_union)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
                            allocate_retention, classify_layer, decide_layer, decide_layers,
@@ -15,10 +16,10 @@ from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT
 DEFAULT = PruningConfig()  # (r, dr, alpha, beta) = (0.4, 0.3, 0.25, 0.1)
 
 
-def make_cache(s, dk=4, rng=None):
+def make_cache(s, dk=4, rng=None, heads=1):
     rng = rng or make_rng(0)
-    return HeadKVCache(keys=rng.random((s, dk)), values=rng.random((s, dk)),
-                       positions=np.arange(s, dtype=np.int64))
+    return layer_from_heads((rng.random((s, dk)), rng.random((s, dk)),
+                             np.arange(s, dtype=np.int64)) for _ in range(heads))
 
 
 class TestPruningConfig:
@@ -131,24 +132,24 @@ class TestSelectRetained:
 class TestPruneHeadCache:
     def test_keep_all_vision_is_identity(self):
         cache = make_cache(6)
-        out = prune_head_cache(cache, np.array([0, 1, 5]), np.array([2, 3, 4]))
-        assert np.array_equal(out.keys, cache.keys)
+        out = cut_head(cache, np.array([0, 1, 5]), np.array([2, 3, 4]))
+        assert np.array_equal(out.keys, cache[0].keys)
 
     def test_set_filter(self):
         cache = make_cache(6)
-        out = prune_head_cache(cache, np.array([0, 1, 5]), np.array([3]))
+        out = cut_head(cache, np.array([0, 1, 5]), np.array([3]))
         assert out.positions.tolist() == [0, 1, 3, 5]
 
     def test_alignment_preserved(self, rng):
         cache = make_cache(10, rng=make_rng(3))
-        out = prune_head_cache(cache, np.array([0, 9]), np.array([4, 7]))
+        out = cut_head(cache, np.array([0, 9]), np.array([4, 7]))
         for row, pos in zip(out.keys, out.positions):
-            assert np.array_equal(row, cache.keys[pos])
+            assert np.array_equal(row, cache[0].keys[pos])
 
     def test_missing_position_rejected(self):
         cache = make_cache(4)
         with pytest.raises(ValueError):
-            prune_head_cache(cache, np.array([0]), np.array([9]))
+            prune_head_cache(cache[0], np.array([0]), np.array([9]))
 
     def test_counting_oracle(self, rng):
         for _ in range(50):
@@ -159,8 +160,19 @@ class TestPruneHeadCache:
             vision = np.sort(split[s // 3:])
             keep_vision = np.sort(rng.choice(vision, size=int(rng.integers(0, vision.size + 1)),
                                              replace=False))
-            out = prune_head_cache(cache, text, keep_vision)
-            assert out.positions.tolist() == set_keep(cache.positions, text, keep_vision)
+            out = cut_head(cache, text, keep_vision)
+            assert out.positions.tolist() == set_keep(cache[0].positions, text, keep_vision)
+
+    def test_heads_keeping_unequally_many_rows_raise(self):
+        # a layer's heads share one store, so a decision that would leave
+        # them unequal is refused before any row is gathered
+        seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)], seed=0)
+        layer = make_cache(seq.total_length, heads=2)
+        decision = LayerDecision(layer=3, gamma=0.5, layer_class=None, exempt=False,
+                                 per_head_retained=[[np.array([2, 3])], [np.array([4])]])
+        with pytest.raises(ValueError, match=r"layer 3's heads keep unequally many rows: \[6, 5\]"):
+            pruning.prune_layer(layer, seq, decision)
+        assert len(layer) == 2 and layer.rows == seq.total_length
 
 
 def orthogonal_rows(s, peaks_per_head):
@@ -179,7 +191,7 @@ class TestPlphpHook:
                                   seed=0)
 
     def hook_at(self, layer, rows, cfg=DEFAULT, num_layers=5):
-        caches = [make_cache(self.seq.total_length) for _ in rows]
+        caches = make_cache(self.seq.total_length, heads=len(rows))
         return plphp_hook(layer, rows, caches, self.seq, cfg, num_layers)
 
     def test_exempt_layers_untouched(self, rng):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from plphp import (IMAGE, TEXT, FastVConfig, HeadKVCache, PruningConfig, Segment, VTWConfig,
+from helpers import layer_from_heads
+from plphp import (IMAGE, TEXT, FastVConfig, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, decide, init_model, make_fastv_hook, make_hook,
                    make_vtw_hook, prefill, prune)
 from plphp import pruning as pruning_module
@@ -302,8 +303,8 @@ def test_replay_counts_equal_account_of_live_hook(data):
     seq = build_sequence(segments, seed=0)
     caches, live_decisions = [], []
     for l in range(n):
-        full = [HeadKVCache(keys=np.zeros((s, 1)), values=np.zeros((s, 1)),
-                            positions=np.arange(s, dtype=np.int64)) for _ in range(h)]
+        full = layer_from_heads((np.zeros((s, 1)), np.zeros((s, 1)), np.arange(s, dtype=np.int64))
+                                for _ in range(h))
         layer_caches, decision = hook(l + 1, trace.rows[l], full, seq)
         caches.append(layer_caches)
         live_decisions.append(decision)

@@ -35,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
 # a surviving mutant runs the whole suite (about a minute); ten is a hang
 TIMEOUT_S = 600
+# checks that every mutated line occurs once in the checkout: a mutant fails it
+# by construction, so it is left out of the mutants' runs
+TABLE_TEST = "tests/test_mutants.py"
 
 # name -> (file under src/plphp, the one line replaced, its replacement)
 MUTANTS = {
@@ -85,11 +88,21 @@ MUTANTS = {
     "decide-skips-check-depth": (
         "baselines.py", "    check_depth(cfg, len(rows))", "    pass"),
     "prune-cuts-exempt": (
-        "pruning.py", "        return caches",
-        "        return [prune_head_cache(c, seq.text_union, np.empty(0, dtype=np.int64))"
-        " for c in caches]"),
+        "pruning.py", "        return layer",
+        "        return layer.take(np.stack([prune_head_cache(c, seq.text_union,"
+        " np.empty(0, dtype=np.int64)) for c in layer]))"),
     "fastv-adapter-reranks": (
         "baselines.py", "        if layer == cfg.k_layer:", "        if layer >= cfg.k_layer:"),
+    "layer-equal-rows-check": (
+        "pruning.py", "    if len({len(kept) for kept in rows}) > 1:", "    if False:"),
+    "layer-cap-ignores-max-rows": (
+        "model.py", "            cap = max(l1, min(2 * l1, max_rows))", "            cap = 2 * l1"),
+    "prune-shares-exempt": (
+        "pruning.py",
+        "    caches = [layer.clone() if decision.exempt else prune_layer(layer, seq, decision)",
+        "    caches = [layer if decision.exempt else prune_layer(layer, seq, decision)"),
+    "views-writable": (
+        "model.py", "            view.flags.writeable = False", "            pass"),
 }
 
 
@@ -111,7 +124,8 @@ def run_one(tree: Path, name: str) -> tuple[str, str, float]:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     try:
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   f"--ignore={TABLE_TEST}"]
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

@@ -51,8 +51,8 @@ _METHOD_KEYS = {"method": (str, "none"), "r": (float, _PLPHP.r),
                 "dr": (float, _PLPHP.delta_r), "alpha": (float, _PLPHP.alpha),
                 "beta": (float, _PLPHP.beta), "fastv_k": (int, _FASTV.k_layer),
                 "fastv_ratio": (float, _FASTV.prune_ratio), "vtw_k": (int, _VTW.k_layer)}
-_KEYS = {"model_layers": (int, 8), "model_heads": (int, 4), "model_dim": (int, 32),
-         "head_dim": (int, 8), "vocab_size": (int, 256), "max_positions": (int, 4608),
+_KEYS = {"model_layers": (int, 8), "model_heads": (int, 4), "head_dim": (int, 8),
+         "vocab_size": (int, 256), "max_positions": (int, 4608),
          "segments": (str, "T:8,I:92,T:4"), **_METHOD_KEYS, "seed": (int, 0),
          "steps": (int, 16), "trace_out": (str, None), "report_out": (str, None)}
 _FLAG_EXTRAS = {"segments": {"help": 'layout, e.g. "T:8,I:92,T:4"'},
@@ -63,7 +63,7 @@ _SUBCOMMAND_KEYS = {"run": [*_KEYS], "sweep": [key for key in _KEYS if key != "t
                     "replay": [*_METHOD_KEYS, "report_out"]}
 
 SWEEP_CSV_VERSION = 1
-# Largest config file: 19 key = value lines take well under 1 KiB, so the
+# Largest config file: 18 key = value lines take well under 1 KiB, so the
 # rest is room for comments.
 MAX_CONFIG_BYTES = 64 * 1024
 # Largest sweep grid: each point is one full run, so a bigger grid is a typo.
@@ -179,9 +179,10 @@ def experiment_inputs(cfg: dict) -> tuple[ModelConfig, MultimodalSequence]:
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     try:
+        # the width is every head's columns side by side, so it is no key of its own
         model_cfg = ModelConfig(num_layers=cfg["model_layers"], num_heads=cfg["model_heads"],
-                                model_dim=cfg["model_dim"], head_dim=cfg["head_dim"],
-                                vocab_size=cfg["vocab_size"],
+                                model_dim=cfg["model_heads"] * cfg["head_dim"],
+                                head_dim=cfg["head_dim"], vocab_size=cfg["vocab_size"],
                                 max_positions=cfg["max_positions"])
     except ValueError as e:
         raise ConfigError(str(e)) from e

@@ -53,7 +53,7 @@ from .layout import MultimodalSequence
 from .tensor_core import make_rng, masked_row_softmax, matmul
 
 # hook(layer_1based, last_rows[H, S], layer_cache, seq) -> (layer_cache, LayerDecision),
-# last_rows read-only; kept for perfbench/ until ROADMAP 1b, as is prefill's hook loop
+# last_rows read-only; kept for perfbench/ until ROADMAP item 4, as is prefill's hook loop
 PruningHook = Callable[
     [int, np.ndarray, "LayerKVCache", MultimodalSequence],
     tuple["LayerKVCache", Any],
@@ -67,7 +67,7 @@ ATTN_BLOCK_ROWS = 64
 
 __all__ = [
     "ModelConfig", "ModelWeights", "HeadKVCache", "LayerKVCache", "DecoderState",
-    "PrefillReport", "PruningHook",
+    "PrefillReport",
     "weight_shapes", "init_model", "prefill", "decode_step", "greedy_generate",
 ]
 
@@ -364,7 +364,7 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
 
     With ``record_trace`` the report's ``attn_last_rows`` is the N x H x S
     array of last attention rows that ``decide`` reads. The hook, kept for
-    perfbench/ until ROADMAP 1b, runs for layers 1..N in order on a
+    perfbench/ until ROADMAP item 4, runs for layers 1..N in order on a
     read-only view of that layer's H x S block and may replace the layer's
     caches with pruned ones. No layer reads another layer's cache, so
     pruning after the pass leaves the caches pruning between layers would.

@@ -29,8 +29,7 @@ __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
     "PruningConfig", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
-    "select_retained", "prune_head_cache", "prune_layer", "prune", "decide_layer",
-    "decide_layers", "plphp_hook", "make_hook",
+    "select_retained", "prune_head_cache", "prune_layer", "prune", "decide_layers",
 ]
 
 
@@ -252,13 +251,13 @@ def prune(state: DecoderState, seq: MultimodalSequence,
 def plphp_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
                seq: MultimodalSequence, cfg: PruningConfig,
                num_layers: int) -> tuple[LayerKVCache, LayerDecision]:
-    """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP 1b."""
+    """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP item 4."""
     decision = decide_layer(last_rows, seq, cfg, layer, num_layers)
     return prune_layer(caches, seq, decision), decision
 
 
 def make_hook(cfg: PruningConfig, num_layers: int):
-    """plphp's prefill hook; kept for perfbench/ until ROADMAP 1b."""
+    """plphp's prefill hook; kept for perfbench/ until ROADMAP item 4."""
     def hook(layer, last_rows, caches, seq):
         return plphp_hook(layer, last_rows, caches, seq, cfg, num_layers)
     return hook

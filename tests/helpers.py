@@ -12,8 +12,10 @@ and check only the blocking and the cache handling. Likewise
 top-K rules, and checks only the batching. ``FastVRule`` and ``vtw_decide``
 are the baselines' per-layer rules that ``plphp.decide`` batches: they share
 the FastV ranking and the gamma of one layer, and check only the batching
-and FastV's layer-K set. ``layer_from_heads``, ``random_cache_state`` and
-``cut_head`` are no oracles: they build and cut layer caches for the tests.
+and FastV's layer-K set. ``layer_from_heads``, ``random_cache_state``,
+``cut_head`` and ``pruned_prefill`` are no oracles: they build and cut
+caches for the tests, ``pruned_prefill`` through the library's one pruning
+path; the ``assert_same_*`` helpers compare caches and decisions.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention, classify_layer,
-                   masked_row_softmax, matmul, select_retained, vision_attention_score,
-                   vision_index_union)
+                   decide, masked_row_softmax, matmul, prefill, prune, select_retained,
+                   vision_attention_score, vision_index_union)
 from plphp.baselines import fastv_surviving_set
-from plphp.pruning import prune_head_cache
+from plphp.pruning import prune_head_cache, prune_layer
 
 
 # a quiet NaN with a payload no computation here produces
@@ -79,6 +81,35 @@ def random_cache_state(rng, n: int, h: int, s: int) -> DecoderState:
 def cut_head(cache: LayerKVCache, text_union, retained_vision):
     """Head 0 of a one-head layer cut to the rows ``prune_head_cache`` keeps."""
     return cache.take(prune_head_cache(cache[0], text_union, retained_vision)[None])[0]
+
+
+def pruned_prefill(weights, config, seq, pruning=None):
+    """``prefill``, ``decide`` under method ``pruning`` (None: no pruning), then
+    ``prune``: returns the pruned state, the last rows (N x H x S) and the decisions."""
+    state, report = prefill(weights, config, seq, record_trace=True)
+    decisions = decide(pruning, report.attn_last_rows, seq)
+    return prune(state, seq, decisions), report.attn_last_rows, decisions
+
+
+def assert_same_caches(ref, got):
+    """Every head's keys, values and positions, bit for bit and dtype for dtype."""
+    for ref_layer, got_layer in zip(ref.caches, got.caches, strict=True):
+        for a, b in zip(ref_layer, got_layer, strict=True):
+            assert a.positions.dtype == b.positions.dtype
+            assert np.array_equal(a.positions, b.positions)
+            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
+
+
+def assert_same_decisions(got, want):
+    """Decisions field for field, gamma to the bit, kept rows dtype for dtype."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.layer, float.hex(g.gamma), g.layer_class, g.exempt, g.retention) == \
+            (w.layer, float.hex(w.gamma), w.layer_class, w.exempt, w.retention)
+        assert (g.per_head_retained is None) == (w.per_head_retained is None)
+        for gh, wh in zip(g.per_head_retained or (), w.per_head_retained or (), strict=True):
+            for a, b in zip(gh, wh, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def bits(x: np.ndarray) -> np.ndarray:
@@ -325,14 +356,17 @@ def cache_free_decode_logits(weights, config, seq, decode_tokens,
     return (_rms(x) @ weights.unembedding)[s:]
 
 
-def full_matrix_prefill(weights, config, seq, hook=None):
+def full_matrix_prefill(weights, config, seq, decisions=None):
     """Prefill with each head's full S x S causal attention map.
 
     Returns ``(state, last_rows[N, H, S], hidden[S, D])``, ``hidden`` being
     every row's output of the final layer. Same kernels (``matmul``,
     ``masked_row_softmax``) and summation order as ``plphp.prefill``, so its
     outputs must match the row-blocked prefill bit for bit, and the last row
-    of ``hidden`` the row its forward pass returns.
+    of ``hidden`` the row its forward pass returns. With ``decisions`` (one
+    per layer), layer l's cache is cut by ``prune_layer`` before layer l + 1
+    runs, so matching ``prune`` after the whole pass shows that no layer
+    reads another layer's cache.
     """
     s = seq.total_length
     x = weights.token_embedding[seq.token_ids] + weights.position_embedding[:s]
@@ -354,8 +388,8 @@ def full_matrix_prefill(weights, config, seq, hook=None):
         layer_cache = layer_from_heads(heads)
         x = x + matmul(np.concatenate(outs, axis=1), weights.w_o[l])
         x = x + matmul(np.maximum(matmul(_rms(x), weights.w_up[l]), 0.0), weights.w_down[l])
-        if hook is not None:
-            layer_cache, _ = hook(l + 1, last_rows[l], layer_cache, seq)
+        if decisions is not None:
+            layer_cache = prune_layer(layer_cache, seq, decisions[l])
         caches.append(layer_cache)
     return DecoderState(caches=caches, next_position=s), last_rows, x
 

@@ -18,15 +18,14 @@ import numpy as np
 import pytest
 
 from conftest import random_segments, random_softmax_rows, small_model
-from helpers import (cache_free_decode_logits, cut_head, layer_from_heads, loop_gamma,
-                     random_cache_state, recount_metrics, set_keep, sort_select, sort_topk)
-from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig,
-                   Segment, account, argtopk, build_sequence, decode_step,
-                   greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
-                   prefill, select_retained, vision_attention_score,
+from helpers import (assert_same_decisions, cache_free_decode_logits, cut_head,
+                     layer_from_heads, loop_gamma, pruned_prefill, random_cache_state,
+                     recount_metrics, set_keep, sort_select, sort_topk)
+from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, account,
+                   argtopk, build_sequence, decide, decode_step, greedy_generate, init_model,
+                   make_rng, prefill, prune, select_retained, vision_attention_score,
                    vision_index_union)
-from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
-                           allocate_retention, classify_layer, plphp_hook)
+from plphp.pruning import allocate_retention, classify_layer, decide_layers, prune_layer
 from plphp.trace import read_trace, replay, trace_from_run, write_trace
 
 
@@ -105,8 +104,7 @@ def test_criterion_3_noop_equivalence():
         seq = build_sequence(random_segments(rng), seed=int(rng.integers(0, 10_000)),
                              vocab_size=cfg.vocab_size)
         plain, _ = prefill(weights, cfg, seq)
-        hook = make_hook(PruningConfig(r=1.0, delta_r=0.0), cfg.num_layers)
-        pruned, _ = prefill(weights, cfg, seq, hook=hook)
+        pruned, _, _ = pruned_prefill(weights, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
         start = int(rng.integers(0, cfg.vocab_size))
         assert greedy_generate(weights, cfg, plain, start, 5) == \
             greedy_generate(weights, cfg, pruned, start, 5)
@@ -121,8 +119,7 @@ def test_criterion_4_decode_vs_cache_free_recomputation():
         seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 9), Segment(IMAGE, 6),
                               Segment(TEXT, 2)], seed=int(rng.integers(0, 1000)),
                              vocab_size=cfg.vocab_size)
-        hook = make_hook(PruningConfig(), cfg.num_layers)
-        state, _ = prefill(weights, cfg, seq, hook=hook)
+        state, _, _ = pruned_prefill(weights, cfg, seq, PruningConfig())
         retained = [[c.positions.copy() for c in layer] for layer in state.caches]
         tokens = [1]
         live = []
@@ -142,8 +139,7 @@ def test_criterion_5_accounting_check():
     seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, 92), Segment(TEXT, 4)],
                          seed=0, vocab_size=32)
     # delta_r = 0 forces retention 0.4 regardless of layer class
-    hook = make_hook(PruningConfig(r=0.4, delta_r=0.0), cfg.num_layers)
-    state, _ = prefill(init_model(cfg, 0), cfg, seq, hook=hook)
+    state, _, _ = pruned_prefill(init_model(cfg, 0), cfg, seq, PruningConfig(r=0.4, delta_r=0.0))
     report = account(state, seq)
     assert report.kv_fraction == (3 * 100 + 9 * 44) / (12 * 100) == 0.58
     done(5, "exact KV accounting on the derived layout")
@@ -155,8 +151,8 @@ def test_criterion_6_structural_contrast():
                       vocab_size=32, max_positions=64)
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 10), Segment(TEXT, 2)],
                          seed=0, vocab_size=32)
-    hook = make_fastv_hook(FastVConfig(k_layer=2, prune_ratio=0.5), cfg.num_layers)
-    state, _ = prefill(init_model(cfg, 3), cfg, seq, hook=hook)
+    state, _, _ = pruned_prefill(init_model(cfg, 3), cfg, seq,
+                                 FastVConfig(k_layer=2, prune_ratio=0.5))
     vision = set(vision_index_union(seq).tolist())
     sets = {tuple(p for p in cache.positions.tolist() if p in vision)
             for layer in state.caches[1:] for cache in layer}
@@ -172,11 +168,12 @@ def test_criterion_6_structural_contrast():
         rows.append(row / row.sum())
     caches = layer_from_heads([(np.zeros((s, 4)), np.zeros((s, 4)), np.arange(s, dtype=np.int64))
                                for _ in rows])
-    pruned, decision = plphp_hook(3, rows, caches, seq,
-                                  PruningConfig(r=0.2, delta_r=0.0, alpha=0.0, beta=0.0),
-                                  num_layers=6)
+    decision, = decide_layers(np.stack(rows)[None], seq,
+                              PruningConfig(r=0.2, delta_r=0.0, alpha=0.0, beta=0.0), 3, 6)
+    pruned = prune_layer(caches, seq, decision)
     head_sets = [tuple(np.concatenate(h).tolist()) for h in decision.per_head_retained]
     assert head_sets[0] != head_sets[1]
+    assert pruned[0].positions.tolist() != pruned[1].positions.tolist()
     done(6, "coarse baseline vs per-head divergent pruning")
 
 
@@ -189,12 +186,13 @@ def test_criterion_7_monotone_latency_trend():
     weights = init_model(cfg, 0)
 
     rates = (1.0, 0.5, 0.4, 0.3)
+    # the caches and last rows do not depend on the method: one prefill, four prunings
+    state, prefilled = prefill(weights, cfg, seq, record_trace=True)
     states = []
     for r in rates:
         pruning = PruningConfig(r=r, delta_r=0.0, alpha=0.0, beta=0.0,
                                 first_pruned_layer=2, last_pruned_layer=5)
-        state, _ = prefill(weights, cfg, seq, hook=make_hook(pruning, cfg.num_layers))
-        states.append(state)
+        states.append(prune(state, seq, decide(pruning, prefilled.attn_last_rows, seq)))
 
     # interleave the timed steps across retention rates so slow machine
     # drift hits every rate equally; gc pauses would otherwise dominate
@@ -229,21 +227,12 @@ def test_criterion_8_live_replay_equality(tmp_path):
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(IMAGE, 8),
                           Segment(TEXT, 3)], seed=8, vocab_size=32)
     pruning = PruningConfig()
-    state, report = prefill(init_model(cfg, 8), cfg, seq,
-                            hook=make_hook(pruning, cfg.num_layers), record_trace=True)
+    state, rows, live_decisions = pruned_prefill(init_model(cfg, 8), cfg, seq, pruning)
     path = tmp_path / "run.plpt"
-    write_trace(path, trace_from_run(report.attn_last_rows, seq))
+    write_trace(path, trace_from_run(rows, seq))
     decisions, offline_metrics = replay(read_trace(path), pruning)
 
-    for live, offline in zip(report.decisions, decisions):
-        assert (live.layer, live.gamma, live.layer_class, live.exempt, live.retention) == \
-            (offline.layer, offline.gamma, offline.layer_class, offline.exempt,
-             offline.retention)
-        if not live.exempt:
-            for h in range(cfg.num_heads):
-                for a, b in zip(live.per_head_retained[h], offline.per_head_retained[h]):
-                    assert np.array_equal(a, b)
-
+    assert_same_decisions(decisions, live_decisions)
     live_metrics = account(state, seq)
     assert offline_metrics.retention_rate == live_metrics.retention_rate
     assert offline_metrics.kv_fraction == live_metrics.kv_fraction

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import FastVRule, layer_from_heads, same_bits, sort_topk, vtw_decide
+from helpers import (FastVRule, assert_same_caches, assert_same_decisions, layer_from_heads,
+                     pruned_prefill, same_bits, sort_topk, vtw_decide)
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, PruningConfig, Segment,
-                   VTWConfig, build_sequence, decide, init_model, make_fastv_hook, make_hook,
-                   make_rng, make_vtw_hook, prefill, prune, vision_index_union)
-from plphp.baselines import fastv_surviving_set
+                   VTWConfig, build_sequence, decide, init_model, make_rng, prefill, prune,
+                   vision_index_union)
+from plphp.baselines import fastv_surviving_set, make_fastv_hook, make_vtw_hook
 from plphp.model import ModelConfig
+from plphp.pruning import make_hook
 
 
 def mixed_seq(text_a=2, vision=6, text_b=2):
@@ -109,9 +111,7 @@ class TestFastV:
                           vocab_size=32, max_positions=64)
         weights = init_model(cfg, seed=2)
         seq = mixed_seq(vision=10)
-        state, report = prefill(weights, cfg, seq, record_trace=True)
-        state = prune(state, seq, decide(FastVConfig(k_layer=2, prune_ratio=0.5),
-                                         report.attn_last_rows, seq))
+        state, _, _ = pruned_prefill(weights, cfg, seq, FastVConfig(k_layer=2, prune_ratio=0.5))
         vision = set(vision_index_union(seq).tolist())
         reference = None
         for l in range(1, cfg.num_layers):  # layers 2..5, i.e. >= K
@@ -142,8 +142,7 @@ class TestVTW:
         weights = init_model(cfg, seed=0)
         seq = mixed_seq(vision=10)
         k = 3  # ceil(N / 2)
-        state, report = prefill(weights, cfg, seq, record_trace=True)
-        state = prune(state, seq, decide(VTWConfig(k_layer=k), report.attn_last_rows, seq))
+        state, _, _ = pruned_prefill(weights, cfg, seq, VTWConfig(k_layer=k))
         vision = vision_index_union(seq)
         for l in range(cfg.num_layers):
             for cache in state.caches[l]:
@@ -156,18 +155,6 @@ def per_layer_oracle(cfg, rows, seq):
     rule = FastVRule(cfg) if isinstance(cfg, FastVConfig) \
         else lambda layer, last_rows, seq: vtw_decide(layer, last_rows, seq, cfg)
     return [rule(l + 1, rows[l], seq) for l in range(len(rows))]
-
-
-def assert_same_decisions(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want, strict=True):
-        assert (g.layer, g.layer_class, g.exempt, g.retention) == \
-            (w.layer, w.layer_class, w.exempt, w.retention)
-        assert float.hex(g.gamma) == float.hex(w.gamma)
-        assert (g.per_head_retained is None) == (w.per_head_retained is None)
-        for gh, wh in zip(g.per_head_retained or (), w.per_head_retained or (), strict=True):
-            for a, b in zip(gh, wh, strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @st.composite
@@ -227,7 +214,8 @@ HOOKS = {"none": (None, lambda cfg, n: None), "plphp": (PruningConfig(), make_ho
 
 @pytest.mark.parametrize("method", sorted(HOOKS))
 def test_hook_adapters_equal_decide_and_prune(method):
-    """The prefill hooks the benchmark runs leave what the library's decide and prune leave."""
+    """The prefill hooks only the benchmark runs leave what the library's decide and prune
+    leave: the one test of the adapters' caches and decisions."""
     cfg = ModelConfig(num_layers=6, num_heads=3, model_dim=12, head_dim=4,
                       vocab_size=32, max_positions=64)
     weights = init_model(cfg, seed=5)
@@ -235,14 +223,8 @@ def test_hook_adapters_equal_decide_and_prune(method):
                           Segment(IMAGE, 8), Segment(TEXT, 3)], seed=5, vocab_size=32)
     pruning, factory = HOOKS[method]
     hooked, hook_report = prefill(weights, cfg, seq, hook=factory(pruning, cfg.num_layers))
-    state, report = prefill(weights, cfg, seq, record_trace=True)
-    decisions = decide(pruning, report.attn_last_rows, seq)
-    state = prune(state, seq, decisions)
-    for got, want in zip(hooked.caches, state.caches, strict=True):
-        for a, b in zip(got, want, strict=True):
-            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
-            assert a.positions.dtype == b.positions.dtype
-            assert np.array_equal(a.positions, b.positions)
+    state, _, decisions = pruned_prefill(weights, cfg, seq, pruning)
+    assert_same_caches(state, hooked)
     if pruning is None:
         assert hook_report.decisions is None and decisions is None
     else:

@@ -17,9 +17,9 @@ from plphp.trace import AttentionTrace
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
 
-SMALL_MODEL = ["--model-layers", "4", "--model-heads", "2", "--model-dim", "8",
-               "--head-dim", "4", "--vocab-size", "32", "--max-positions", "64",
-               "--segments", "T:2,I:6,T:2", "--steps", "0"]
+SMALL_MODEL = ["--model-layers", "4", "--model-heads", "2", "--head-dim", "4",
+               "--vocab-size", "32", "--max-positions", "64", "--segments", "T:2,I:6,T:2",
+               "--steps", "0"]
 
 
 def run_report(tmp_path, name, extra):
@@ -46,8 +46,9 @@ class TestParsing:
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
             parse_grid("nope")
-        with pytest.raises(ConfigError):
-            parse_grid("unknown_key=1")
+        for key in ("unknown_key", "model_dim"):
+            with pytest.raises(ConfigError, match=f"unknown grid key '{key}'"):
+                parse_grid(f"{key}=1")
         for key in ("trace_out", "report_out", "report-out"):  # no point would use them
             with pytest.raises(ConfigError):
                 parse_grid(f"r=0.4,{key}=x.csv")
@@ -55,6 +56,8 @@ class TestParsing:
             with pytest.raises(ConfigError, match="twice"):
                 parse_grid(spec)
         assert main(["sweep", *SMALL_MODEL, "--grid", "report_out=/nonexistent/x"]) == 2
+        assert main(["sweep", *SMALL_MODEL, "--grid", "model_dim=8",
+                     "--report-out", "/nonexistent/x"]) == 2
         assert main(["sweep", *SMALL_MODEL, "--grid", "r=0.3,r=0.5",
                      "--report-out", "/nonexistent/x"]) == 2
 
@@ -116,14 +119,16 @@ class TestParsing:
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError):
-            load_config_file(cfg)
+        for key in ("bogus", "model_dim"):  # the width is model_heads x head_dim
+            cfg.write_text(f"{key} = 8\n")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config_file(cfg)
+            assert main(["run", *SMALL_MODEL, "--config", str(cfg)]) == 2
 
 
 # a non-default value for every config key, as it is written on the command line
 KEY_VALUES = {
-    "model_layers": "5", "model_heads": "3", "model_dim": "12", "head_dim": "4",
+    "model_layers": "5", "model_heads": "3", "head_dim": "4",
     "vocab_size": "64", "max_positions": "99", "segments": "T:2,I:3,T:1",
     "method": "fastv", "r": "0.45", "dr": "0.2", "alpha": "0.3", "beta": "0.05",
     "fastv_k": "2", "fastv_ratio": "0.25", "vtw_k": "5", "seed": "7", "steps": "20",
@@ -182,12 +187,19 @@ class TestRun:
     @pytest.mark.parametrize("extra", [
         ["--method", "fastv", "--fastv-k", "9"],      # deeper than the 4-layer model
         ["--segments", "T:2,I:6"],                     # prompt ends in an image
-        ["--model-dim", "9"],                          # not heads * head_dim
+        ["--head-dim", "0"],                           # no columns per head
         ["--max-positions", "12", "--steps", "3"],     # 10 prompt rows + 3 steps
         ["--seed", "-1"],
     ])
     def test_user_input_errors_exit_2(self, extra):
         assert main(["run", *SMALL_MODEL, *extra]) == 2
+
+    @pytest.mark.parametrize("extra", [["--model-heads", "2"], ["--head-dim", "4"]])
+    def test_one_model_size_key_alone_runs(self, extra):
+        # the model width is heads x head_dim, so either one changes alone
+        assert main(["run", *extra]) == 0
+        cfg = resolve_config(build_parser().parse_args(["run", *extra]))
+        assert cli.experiment_inputs(cfg)[0].model_dim == cfg["model_heads"] * cfg["head_dim"]
 
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_negative_seed_names_the_key_and_value(self, tmp_path, capsys, source):
@@ -254,8 +266,8 @@ class TestRun:
 
 
 # fuzzed keys with their small valid values, and the values that try them
-FUZZ_INTS = {"model_layers": [4, 5], "model_heads": [1, 2], "model_dim": [4, 8],
-             "head_dim": [2, 4], "vocab_size": [8, 32], "max_positions": [12, 64],
+FUZZ_INTS = {"model_layers": [4, 5], "model_heads": [1, 2], "head_dim": [2, 4],
+             "vocab_size": [8, 32], "max_positions": [12, 64],
              "seed": [3], "steps": [1, 2], "fastv_k": [1, 3], "vtw_k": [2]}
 FUZZ_FLOATS = {"r": [0.5], "dr": [0.2], "alpha": [0.3], "beta": [0.05],
                "fastv_ratio": [0.25]}
@@ -307,7 +319,7 @@ class TestInputBounds:
 
     def test_weight_cap_counts_every_weight(self):
         cfg = {"segments": "T:4", "steps": 0, "seed": 0, "model_layers": 4, "model_heads": 2,
-               "model_dim": 8, "head_dim": 4, "vocab_size": 16, "max_positions": 8}
+               "head_dim": 4, "vocab_size": 16, "max_positions": 8}
         model_cfg, _ = cli.experiment_inputs(cfg)
         w = init_model(model_cfg, 0)
         floats = sum(getattr(w, f.name).size for f in dataclasses.fields(w))

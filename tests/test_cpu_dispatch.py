@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import pruned_prefill
 from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
-                   argtopk, build_sequence, decode_step, init_model, make_hook, make_rng,
-                   matmul, prefill)
+                   argtopk, build_sequence, decode_step, init_model, make_rng, matmul)
 from plphp.metrics import report_to_json
 from plphp.trace import replay, trace_from_run
 
@@ -75,7 +75,7 @@ def measure() -> dict:
     cfg = ModelConfig(num_layers=5, num_heads=2, model_dim=8, head_dim=4, vocab_size=32,
                       max_positions=s + 12)
     weights = init_model(cfg, 0)
-    state, _ = prefill(weights, cfg, seq, hook=make_hook(PruningConfig(), cfg.num_layers))
+    state, _, _ = pruned_prefill(weights, cfg, seq, PruningConfig())
     tokens, token = [], 0
     for _ in range(12):
         logits, state = decode_step(weights, cfg, state, token)

@@ -15,8 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import pruned_prefill
 from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
-                   account, build_sequence, decide, decode_step, init_model, prefill, prune)
+                   account, build_sequence, decode_step, init_model)
 
 CONFIG = ModelConfig(num_layers=5, num_heads=2, model_dim=8, head_dim=4, vocab_size=24,
                      max_positions=64)
@@ -108,9 +109,7 @@ def golden_run(method):
     for field in dataclasses.fields(weights):
         digest.update(getattr(weights, field.name).tobytes())
     seq = build_sequence(SEGMENTS, seed=seed, vocab_size=CONFIG.vocab_size)
-    state, report = prefill(weights, CONFIG, seq, record_trace=True)
-    decisions = decide(pruning, report.attn_last_rows, seq)
-    state = prune(state, seq, decisions)
+    state, _, decisions = pruned_prefill(weights, CONFIG, seq, pruning)
     metrics = account(state, seq, decisions)
     tokens, token = [], 0
     for _ in range(STEPS):

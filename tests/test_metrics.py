@@ -2,13 +2,11 @@ import csv
 import io
 import json
 
-import numpy as np
 import pytest
 
-from helpers import random_cache_state, recount_metrics
+from helpers import pruned_prefill, random_cache_state, recount_metrics
 from plphp import (IMAGE, TEXT, PruningConfig, Segment, VTWConfig,
-                   account, build_sequence, init_model, latency_probe, make_hook,
-                   make_rng, make_vtw_hook, prefill)
+                   account, build_sequence, init_model, latency_probe, prefill)
 from plphp.metrics import CSV_COLUMNS, report_to_json, write_report_csv
 from plphp.model import ModelConfig
 
@@ -30,8 +28,7 @@ def test_worked_kv_example():
     cfg = ModelConfig(num_layers=12, num_heads=4, model_dim=8, head_dim=2,
                       vocab_size=32, max_positions=128)
     seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, 92), Segment(TEXT, 4)], seed=0, vocab_size=32)
-    hook = make_hook(PruningConfig(r=0.4, delta_r=0.0), cfg.num_layers)
-    state, _ = prefill(init_model(cfg, 0), cfg, seq, hook=hook)
+    state, _, _ = pruned_prefill(init_model(cfg, 0), cfg, seq, PruningConfig(r=0.4, delta_r=0.0))
     report = account(state, seq)
     assert report.kv_fraction == pytest.approx(0.58, abs=1e-15)
     assert report.retention_rate == pytest.approx((3 * 92 + 9 * 36) / (12 * 92), abs=1e-15)
@@ -41,8 +38,7 @@ def test_vtw_k1_example():
     cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
                       vocab_size=32, max_positions=128)
     seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, 92), Segment(TEXT, 4)], seed=0, vocab_size=32)
-    hook = make_vtw_hook(VTWConfig(k_layer=1), cfg.num_layers)
-    state, _ = prefill(init_model(cfg, 0), cfg, seq, hook=hook)
+    state, _, _ = pruned_prefill(init_model(cfg, 0), cfg, seq, VTWConfig(k_layer=1))
     report = account(state, seq)
     assert report.retention_rate == 0.0
     assert report.kv_fraction == pytest.approx(8 / 100, abs=1e-15)
@@ -78,8 +74,7 @@ def test_kv_monotone_in_r():
     weights = init_model(cfg, 0)
     fractions = []
     for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-        hook = make_hook(PruningConfig(r=r, delta_r=0.1), cfg.num_layers)
-        state, _ = prefill(weights, cfg, seq, hook=hook)
+        state, _, _ = pruned_prefill(weights, cfg, seq, PruningConfig(r=r, delta_r=0.1))
         fractions.append(account(state, seq).kv_fraction)
     assert fractions == sorted(fractions)
 
@@ -100,8 +95,7 @@ def test_serialization(tmp_path):
     cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
                       vocab_size=32, max_positions=64)
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)], seed=0, vocab_size=32)
-    hook = make_hook(PruningConfig(), cfg.num_layers)
-    state, _ = prefill(init_model(cfg, 0), cfg, seq, hook=hook)
+    state, _, _ = pruned_prefill(init_model(cfg, 0), cfg, seq, PruningConfig())
     report = account(state, seq)
 
     payload = json.loads(report_to_json(report))
@@ -131,9 +125,9 @@ def test_csv_bytes_equal_dict_writer(tmp_path, method):
                       vocab_size=32, max_positions=64)
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
                           Segment(IMAGE, 4), Segment(TEXT, 2)], seed=1, vocab_size=32)
-    hook = make_hook(PruningConfig(), cfg.num_layers) if method == "plphp" else None
-    state, prefill_report = prefill(init_model(cfg, 1), cfg, seq, hook=hook)
-    report = account(state, seq, prefill_report.decisions)
+    pruning = PruningConfig() if method == "plphp" else None
+    state, _, decisions = pruned_prefill(init_model(cfg, 1), cfg, seq, pruning)
+    report = account(state, seq, decisions)
     out = tmp_path / "report.csv"
     write_report_csv(out, report)
     assert out.read_bytes() == dict_writer_csv(report)

@@ -1,7 +1,6 @@
 import collections
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import itertools
 import os
@@ -18,28 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segments, small_model
-from helpers import (DirtyNumpy, cache_free_decode_logits, full_matrix_prefill,
-                     layer_from_heads, reference_decode_step, same_bits)
+from helpers import (DirtyNumpy, assert_same_caches, cache_free_decode_logits,
+                     full_matrix_prefill, layer_from_heads, pruned_prefill,
+                     reference_decode_step, same_bits)
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, LayerKVCache, ModelConfig,
                    PruningConfig, Segment, VTWConfig, build_sequence, decide, decode_step,
-                   greedy_generate, init_model, make_fastv_hook, make_hook, make_rng,
-                   make_vtw_hook, model, prefill, prune, tensor_core, weight_shapes)
+                   greedy_generate, init_model, make_rng, model, prefill, prune, tensor_core,
+                   weight_shapes)
 
 B = model.ATTN_BLOCK_ROWS
 
 # method -> its pruning config; None runs unpruned
 METHODS = {"none": None, "plphp": PruningConfig(),
            "fastv": FastVConfig(k_layer=2, prune_ratio=0.5), "vtw": VTWConfig(k_layer=3)}
-HOOK_FACTORIES = {PruningConfig: make_hook, FastVConfig: make_fastv_hook,
-                  VTWConfig: make_vtw_hook}
-
-
-def method_hook(pruning, num_layers):
-    return None if pruning is None else HOOK_FACTORIES[type(pruning)](pruning, num_layers)
-
-
-# method -> hook factory taking the model depth
-HOOKS = {method: functools.partial(method_hook, pruning) for method, pruning in METHODS.items()}
 
 
 @pytest.fixture
@@ -57,9 +47,9 @@ def mixed_seq(vocab=32, seed=0):
                           seed=seed, vocab_size=vocab)
 
 
-def tiny(n=4, h=2, dk=4, vocab=32, seed=0):
+def tiny(n=4, h=2, dk=4, vocab=32, seed=0, max_positions=64):
     cfg = ModelConfig(num_layers=n, num_heads=h, model_dim=h * dk, head_dim=dk,
-                      vocab_size=vocab, max_positions=64)
+                      vocab_size=vocab, max_positions=max_positions)
     return cfg, init_model(cfg, seed)
 
 
@@ -121,12 +111,8 @@ class TestPrefill:
         cfg, w = tiny()
         seq = mixed_seq()
         plain, _ = prefill(w, cfg, seq)
-        hook = make_hook(PruningConfig(r=1.0, delta_r=0.0), cfg.num_layers)
-        pruned, _ = prefill(w, cfg, seq, hook=hook)
-        for l in range(cfg.num_layers):
-            for h in range(cfg.num_heads):
-                assert np.array_equal(plain.caches[l][h].keys, pruned.caches[l][h].keys)
-                assert np.array_equal(plain.caches[l][h].values, pruned.caches[l][h].values)
+        pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
+        assert_same_caches(plain, pruned)
 
     def test_prefix_invariance(self):
         # causal attention: tokens from position j on cannot reach any cache
@@ -158,22 +144,12 @@ class TestPrefill:
         cfg, w = tiny()
         seq = mixed_seq()
         full, _ = prefill(w, cfg, seq)
-        hook = make_hook(PruningConfig(), cfg.num_layers)
-        pruned, _ = prefill(w, cfg, seq, hook=hook)
+        pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig())
         for l in range(cfg.num_layers):
             for h in range(cfg.num_heads):
                 pos = pruned.caches[l][h].positions
                 assert np.array_equal(pruned.caches[l][h].keys, full.caches[l][h].keys[pos])
                 assert np.array_equal(pruned.caches[l][h].values, full.caches[l][h].values[pos])
-
-
-def assert_same_caches(ref, got):
-    """Every head's keys, values and positions, bit for bit and dtype for dtype."""
-    for ref_layer, got_layer in zip(ref.caches, got.caches, strict=True):
-        for a, b in zip(ref_layer, got_layer, strict=True):
-            assert a.positions.dtype == b.positions.dtype
-            assert np.array_equal(a.positions, b.positions)
-            assert same_bits(a.keys, b.keys) and same_bits(a.values, b.values)
 
 
 def assert_decodes_like_reference(w, cfg, ref, got, steps):
@@ -190,12 +166,10 @@ def assert_decodes_like_reference(w, cfg, ref, got, steps):
 
 
 def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
-    """Row-blocked prefill vs the full-matrix reference, bit for bit: the last
-    row its forward pass returns, caches, last attention rows, and ``steps``
-    greedy decode steps against the reference decoder. ``pruning`` is any
-    method's config, or None."""
-    ref, ref_rows, ref_hidden = full_matrix_prefill(w, cfg, seq,
-                                                    hook=method_hook(pruning, cfg.num_layers))
+    """Row-blocked prefill, then ``prune``, vs the full-matrix reference pruning
+    between layers, bit for bit: the last row its forward pass returns, caches,
+    last attention rows, and ``steps`` greedy decode steps against the
+    reference decoder. ``pruning`` is any method's config, or None."""
     returned = []
     forward = model._forward
 
@@ -204,10 +178,10 @@ def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
         return returned[-1]
 
     with mock.patch.object(model, "_forward", recording_forward):
-        got, report = prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers),
-                              record_trace=True)
+        got, rows, decisions = pruned_prefill(w, cfg, seq, pruning)
+    ref, ref_rows, ref_hidden = full_matrix_prefill(w, cfg, seq, decisions)
     assert len(returned) == 1 and same_bits(returned[0], ref_hidden[-1:])
-    assert same_bits(report.attn_last_rows, ref_rows)
+    assert same_bits(rows, ref_rows)
     assert_same_caches(ref, got)
     assert_decodes_like_reference(w, cfg, ref, got, steps)
 
@@ -217,9 +191,7 @@ class TestBlockedPrefill:
     @pytest.mark.parametrize("s", [37, B, B + 1, 2 * B - 1, 2 * B + 1,
                                    4 * B, 4 * B + 1, 8 * B - 1, 8 * B + 1])
     def test_block_boundaries_bitwise(self, s):
-        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
-                          vocab_size=32, max_positions=s + 8)
-        w = init_model(cfg, s)
+        cfg, w = tiny(seed=s, max_positions=s + 8)
         seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
                              seed=s, vocab_size=cfg.vocab_size)
         assert_blocked_equals_full(w, cfg, seq, PruningConfig())
@@ -233,9 +205,7 @@ class TestBlockedPrefill:
         # against full-width softmax rows over the strided k.T
         rng = make_rng(seed)
         h, dk = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        cfg = ModelConfig(num_layers=int(rng.integers(4, 6)), num_heads=h, model_dim=h * dk,
-                          head_dim=dk, vocab_size=32, max_positions=s + 8)
-        w = init_model(cfg, seed)
+        cfg, w = tiny(n=int(rng.integers(4, 6)), h=h, dk=dk, seed=seed, max_positions=s + 8)
         seq = build_sequence([Segment(TEXT, head), Segment(IMAGE, s - head - tail),
                               Segment(TEXT, tail)], seed=seed, vocab_size=cfg.vocab_size)
         assert_blocked_equals_full(w, cfg, seq, METHODS[method])
@@ -258,9 +228,7 @@ class TestBlockedPrefill:
         # every earlier layer runs all blocks; the final one projects keys
         # and values for all s rows but queries, normalises, mixes and runs
         # the rest of the layer for the last block's rows only
-        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
-                          vocab_size=32, max_positions=s)
-        w = init_model(cfg, s)
+        cfg, w = tiny(seed=s, max_positions=s)
         seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
                              seed=s, vocab_size=cfg.vocab_size)
         blocks = model.attention_row_blocks(s)
@@ -315,17 +283,14 @@ class TestBlockedPrefill:
     def test_workspace_is_written_before_it_is_read(self, s):
         # np.empty in tensor_core and model returns DIRTY_NAN memory: a score
         # workspace byte read before it is written would change a bit
-        cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=8, head_dim=4,
-                          vocab_size=32, max_positions=s + 8)
-        w = init_model(cfg, s)
+        cfg, w = tiny(seed=s, max_positions=s + 8)
         seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
                              seed=s, vocab_size=cfg.vocab_size)
-        hook = make_hook(PruningConfig(), cfg.num_layers)
-        ref, ref_report = prefill(w, cfg, seq, hook=hook, record_trace=True)
+        ref, ref_rows, _ = pruned_prefill(w, cfg, seq, PruningConfig())
         with mock.patch.object(tensor_core, "np", DirtyNumpy()), \
                 mock.patch.object(model, "np", DirtyNumpy()):
-            got, report = prefill(w, cfg, seq, hook=hook, record_trace=True)
-        assert same_bits(report.attn_last_rows, ref_report.attn_last_rows)
+            got, rows, _ = pruned_prefill(w, cfg, seq, PruningConfig())
+        assert same_bits(rows, ref_rows)
         assert_same_caches(ref, got)
         assert_decodes_like_reference(w, cfg, ref, got, 3)
 
@@ -347,14 +312,12 @@ class TestBlockedPrefill:
         cpus(2)
         s = 2048
         for h in (2, 4):
-            cfg = ModelConfig(num_layers=4, num_heads=h, model_dim=4 * h, head_dim=4,
-                              vocab_size=32, max_positions=s)
-            w = init_model(cfg, 0)
+            cfg, w = tiny(h=h, max_positions=s)
             seq = build_sequence([Segment(TEXT, 16), Segment(IMAGE, s - 32), Segment(TEXT, 16)],
                                  seed=0, vocab_size=cfg.vocab_size)
             tracemalloc.start()
             try:
-                prefill(w, cfg, seq, hook=make_hook(PruningConfig(), cfg.num_layers))
+                pruned_prefill(w, cfg, seq, PruningConfig())
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -364,9 +327,8 @@ class TestBlockedPrefill:
 
 def prefill_and_decode_digest(w, cfg, seq, pruning, steps=5):
     """SHA-256 over the last rows, every cache and ``steps`` greedy decode logits."""
-    state, report = prefill(w, cfg, seq, hook=method_hook(pruning, cfg.num_layers),
-                            record_trace=True)
-    digest = hashlib.sha256(report.attn_last_rows.tobytes())
+    state, rows, _ = pruned_prefill(w, cfg, seq, pruning)
+    digest = hashlib.sha256(rows.tobytes())
     token = 0
     for _ in range(steps):
         logits, state = decode_step(w, cfg, state, token)
@@ -395,9 +357,7 @@ class TestParallelHeads:
             return real(a, b, **kwargs)
 
         for s, dirty in itertools.product((B - 3, 2 * B, 2 * B + 2), (False, True)):
-            cfg = ModelConfig(num_layers=4, num_heads=h, model_dim=3 * h, head_dim=3,
-                              vocab_size=32, max_positions=s + 8)
-            w = init_model(cfg, s + h)
+            cfg, w = tiny(h=h, dk=3, seed=s + h, max_positions=s + 8)
             seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, s - 8), Segment(TEXT, 4)],
                                  seed=s, vocab_size=cfg.vocab_size)
             digests = []
@@ -448,7 +408,7 @@ class TestParallelHeads:
         time.sleep(0.05)
         assert calls == {0: per_head, 3: per_head}  # nothing still running
 
-    def test_decode_and_one_cpu_make_no_pool(self, cpus):
+    def test_one_cpu_prefill_and_decode_stay_on_the_calling_thread(self, cpus):
         # a one-CPU host runs prefill on the calling thread, and decode never
         # hands a head to a worker
         cfg, w = tiny()
@@ -486,13 +446,12 @@ class TestParallelHeads:
 
         cpus(n_cpus)
         with mock.patch.object(model, "matmul", recording):
-            _, report = prefill(w, cfg, mixed_seq(),
-                                hook=make_hook(PruningConfig(), cfg.num_layers))
+            _, _, decisions = pruned_prefill(w, cfg, mixed_seq(), PruningConfig())
         # the caller ran head 0, and threads started for each layer the rest
-        assert len(ran_on) > 1 and len(report.decisions) == cfg.num_layers
+        assert len(ran_on) > 1 and len(decisions) == cfg.num_layers
         assert threading.active_count() == threads
 
-    def test_forked_child_makes_its_own_pool(self, cpus):
+    def test_forked_child_prefills_to_the_same_bits(self, cpus):
         # a child forked after a multi-thread prefill prefills to the same bits
         cpus(2)
         cfg, w = tiny()
@@ -528,8 +487,7 @@ class TestDecode:
         cfg, w = tiny()
         seq = mixed_seq()
         plain, _ = prefill(w, cfg, seq)
-        hook = make_hook(PruningConfig(r=1.0, delta_r=0.0), cfg.num_layers)
-        pruned, _ = prefill(w, cfg, seq, hook=hook)
+        pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
         l1, _ = decode_step(w, cfg, plain, 3)
         l2, _ = decode_step(w, cfg, pruned, 3)
         assert np.array_equal(l1, l2)
@@ -537,8 +495,7 @@ class TestDecode:
     def test_cache_growth(self):
         cfg, w = tiny()
         seq = mixed_seq()
-        hook = make_hook(PruningConfig(), cfg.num_layers)
-        state, _ = prefill(w, cfg, seq, hook=hook)
+        state, _, _ = pruned_prefill(w, cfg, seq, PruningConfig())
         before = [[len(c) for c in layer] for layer in state.caches]
         decode_step(w, cfg, state, 1)
         after = [[len(c) for c in layer] for layer in state.caches]
@@ -547,7 +504,7 @@ class TestDecode:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
-           method=st.sampled_from(sorted(HOOKS)), steps=st.integers(8, 12))
+           method=st.sampled_from(sorted(METHODS)), steps=st.integers(8, 12))
     def test_bitwise_equals_reference_decoder(self, seed, block_rows, method, steps):
         # decode runs prefill's forward pass over one row: it must keep the
         # bits of the separate decode loop over head-divergent caches
@@ -556,8 +513,29 @@ class TestDecode:
         seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
                              seed=seed, vocab_size=cfg.vocab_size)
         with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
-            got, _ = prefill(w, cfg, seq, hook=HOOKS[method](cfg.num_layers))
+            got, _, _ = pruned_prefill(w, cfg, seq, METHODS[method])
             assert_decodes_like_reference(w, cfg, got.clone(), got, steps)
+
+    def test_states_pruned_from_one_prefill_decode_like_separate_prefills(self):
+        # criterion 7's four retention rates at desk size: pruned from one
+        # prefill and decoded interleaved, each keeps the bits of its own prefill
+        cfg, w = tiny(n=6)
+        seq = mixed_seq()
+        configs = [PruningConfig(r=r, delta_r=0.0, alpha=0.0, beta=0.0, first_pruned_layer=2,
+                                 last_pruned_layer=5) for r in (1.0, 0.5, 0.4, 0.3)]
+        state, report = prefill(w, cfg, seq, record_trace=True)
+        shared = [prune(state, seq, decide(c, report.attn_last_rows, seq)) for c in configs]
+        separate = [pruned_prefill(w, cfg, seq, c)[0] for c in configs]
+        assert len({layer.rows for layer in shared[-1].caches}) > 1  # some layers were cut
+        tokens = [0] * len(configs)
+        for _ in range(4):
+            for i, (got, want) in enumerate(zip(shared, separate)):
+                logits, _ = decode_step(w, cfg, got, tokens[i])
+                want_logits, _ = decode_step(w, cfg, want, tokens[i])
+                assert same_bits(logits, want_logits)
+                tokens[i] = int(np.argmax(logits))
+        for got, want in zip(shared, separate, strict=True):
+            assert_same_caches(want, got)
 
     def test_position_overflow(self):
         cfg, w = tiny()
@@ -590,8 +568,7 @@ class TestDecode:
         cfg, w = tiny(n=5, h=2, dk=4)
         seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 10), Segment(TEXT, 2)],
                              seed=5, vocab_size=cfg.vocab_size)
-        hook = make_hook(PruningConfig(), cfg.num_layers)
-        state, _ = prefill(w, cfg, seq, hook=hook)
+        state, _, _ = pruned_prefill(w, cfg, seq, PruningConfig())
         retained = [[c.positions.copy() for c in layer] for layer in state.caches]
 
         tokens = [0]
@@ -694,7 +671,7 @@ class TestKVStore:
         # appends write only new rows, and a store that grows leaves the old
         # one to any view still holding it
         cfg, w = tiny()
-        state, _ = prefill(w, cfg, mixed_seq(), hook=make_hook(PruningConfig(), cfg.num_layers))
+        state, _, _ = pruned_prefill(w, cfg, mixed_seq(), PruningConfig())
         decode_step(w, cfg, state, 0)  # every cache now lives in its store
         held = [[(c.keys, c.values, c.positions) for c in layer] for layer in state.caches]
         frozen = [[tuple(a.copy() for a in views) for views in layer] for layer in held]
@@ -709,10 +686,10 @@ class TestKVStore:
                 assert same_bits(cache.keys[:n], k0) and same_bits(cache.values[:n], v0)
                 assert np.array_equal(cache.positions[:n], p0)
 
-    @pytest.mark.parametrize("method", sorted(HOOKS))
+    @pytest.mark.parametrize("method", sorted(METHODS))
     def test_decoding_a_clone_leaves_the_original(self, method):
         cfg, w = tiny()
-        state, _ = prefill(w, cfg, mixed_seq(), hook=HOOKS[method](cfg.num_layers))
+        state, _, _ = pruned_prefill(w, cfg, mixed_seq(), METHODS[method])
         decode_step(w, cfg, state, 0)  # every cache now lives in its store
         before, copy = state.clone(), state.clone()
         assert_decodes_like_reference(w, cfg, copy.clone(), copy, 6)
@@ -740,9 +717,7 @@ class TestKVStore:
         # with the store, a step allocates only its temporaries: less than one
         # head's key rows, where a per-step copy of any cache needs more
         rows, h, dk = 4096, 2, 16
-        cfg = ModelConfig(num_layers=4, num_heads=h, model_dim=h * dk, head_dim=dk,
-                          vocab_size=32, max_positions=2 * rows + 8)
-        w = init_model(cfg, 0)
+        cfg, w = tiny(h=h, dk=dk, max_positions=2 * rows + 8)
         rng = make_rng(0)
         caches = [layer_from_heads((rng.standard_normal((rows, dk)),
                                     rng.standard_normal((rows, dk)), np.arange(rows))
@@ -781,6 +756,5 @@ class TestGreedyGenerate:
             seq = build_sequence(random_segments(rng), seed=int(rng.integers(0, 1000)),
                                  vocab_size=cfg.vocab_size)
             plain, _ = prefill(w, cfg, seq)
-            hook = make_hook(PruningConfig(r=1.0, delta_r=0.0), cfg.num_layers)
-            pruned, _ = prefill(w, cfg, seq, hook=hook)
+            pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
             assert greedy_generate(w, cfg, plain, 1, 4) == greedy_generate(w, cfg, pruned, 1, 4)

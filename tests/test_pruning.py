@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import (cut_head, layer_from_heads, loop_gamma, per_layer_decision, set_keep,
-                     sort_select, stable_argtopk)
+from helpers import (assert_same_decisions, cut_head, layer_from_heads, loop_gamma,
+                     per_layer_decision, set_keep, sort_select, stable_argtopk)
 from plphp import (IMAGE, TEXT, LayerDecision, PruningConfig, Segment, build_sequence,
                    make_rng, pruning, vision_index_union)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
-                           allocate_retention, classify_layer, decide_layer, decide_layers,
-                           plphp_hook, prune_head_cache, select_retained,
-                           vision_attention_score)
+                           allocate_retention, classify_layer, decide_layers, prune_head_cache,
+                           prune_layer, select_retained, vision_attention_score)
 
 DEFAULT = PruningConfig()  # (r, dr, alpha, beta) = (0.4, 0.3, 0.25, 0.1)
 
@@ -171,7 +170,7 @@ class TestPruneHeadCache:
         decision = LayerDecision(layer=3, gamma=0.5, layer_class=None, exempt=False,
                                  per_head_retained=[[np.array([2, 3])], [np.array([4])]])
         with pytest.raises(ValueError, match=r"layer 3's heads keep unequally many rows: \[6, 5\]"):
-            pruning.prune_layer(layer, seq, decision)
+            prune_layer(layer, seq, decision)
         assert len(layer) == 2 and layer.rows == seq.total_length
 
 
@@ -186,39 +185,43 @@ def orthogonal_rows(s, peaks_per_head):
 
 
 class TestPlphpHook:
+    """plphp at one layer, as the benchmark's hook runs it: that layer's
+    ``decide_layers`` decision, then ``prune_layer``."""
+
     def setup_method(self):
         self.seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)],
                                   seed=0)
 
-    def hook_at(self, layer, rows, cfg=DEFAULT, num_layers=5):
+    def prune_at(self, layer, rows, cfg=DEFAULT, num_layers=5):
+        decision, = decide_layers(np.asarray(rows)[None], self.seq, cfg, layer, num_layers)
         caches = make_cache(self.seq.total_length, heads=len(rows))
-        return plphp_hook(layer, rows, caches, self.seq, cfg, num_layers)
+        return prune_layer(caches, self.seq, decision), decision
 
     def test_exempt_layers_untouched(self, rng):
         rows = random_softmax_rows(rng, 2, self.seq.total_length)
         for layer in (1, 2, 5):
-            caches, decision = self.hook_at(layer, rows)
+            caches, decision = self.prune_at(layer, rows)
             assert decision.exempt
             assert all(len(c) == self.seq.total_length for c in caches)
 
     def test_zero_thresholds_always_attentive(self, rng):
         cfg = PruningConfig(alpha=0.0, beta=0.0)
         rows = random_softmax_rows(rng, 2, self.seq.total_length)
-        _, decision = self.hook_at(3, rows, cfg=cfg)
+        _, decision = self.prune_at(3, rows, cfg=cfg)
         assert decision.layer_class == VISION_ATTENTIVE
         assert decision.retention == pytest.approx(0.7)
 
     def test_text_never_pruned(self, rng):
         rows = random_softmax_rows(rng, 3, self.seq.total_length)
-        caches, _ = self.hook_at(3, rows)
+        caches, _ = self.prune_at(3, rows)
         for cache in caches:
             assert np.all(np.isin(self.seq.text_union, cache.positions))
 
     def test_heads_pruned_independently(self):
         # head 1 stares at vision positions 2-3, head 2 at 6-7
         rows = orthogonal_rows(self.seq.total_length, [(2, 3), (6, 7)])
-        caches, decision = self.hook_at(3, rows, cfg=PruningConfig(r=0.3, delta_r=0.0,
-                                                                  alpha=0.0, beta=0.0))
+        caches, decision = self.prune_at(3, rows, cfg=PruningConfig(r=0.3, delta_r=0.0,
+                                                                   alpha=0.0, beta=0.0))
         sets = [tuple(np.concatenate(h).tolist()) for h in decision.per_head_retained]
         assert sets[0] != sets[1]
         assert caches[0].positions.tolist() != caches[1].positions.tolist()
@@ -227,7 +230,7 @@ class TestPlphpHook:
         # independent recomputation of the full decision for one layer
         rows = random_softmax_rows(rng, 3, self.seq.total_length)
         cfg = DEFAULT
-        _, decision = self.hook_at(3, rows)
+        _, decision = self.prune_at(3, rows)
         vision = vision_index_union(self.seq)
         gamma = loop_gamma(rows, vision)
         assert abs(decision.gamma - gamma) < 1e-12
@@ -244,8 +247,8 @@ def test_decide_layer_per_image_budget(rng):
     seq = build_sequence([Segment(TEXT, 1), Segment(IMAGE, 5), Segment(IMAGE, 9),
                           Segment(TEXT, 1)], seed=0)
     rows = random_softmax_rows(rng, 2, seq.total_length)
-    decision = decide_layer(rows, seq, PruningConfig(r=0.4, delta_r=0.0, alpha=1.0, beta=0.0),
-                            layer=3, num_layers=5)
+    decision, = decide_layers(rows[None], seq,
+                              PruningConfig(r=0.4, delta_r=0.0, alpha=1.0, beta=0.0), 3, 5)
     for h in range(2):
         # each image gets its own floor(0.4 * S_j) budget
         assert len(decision.per_head_retained[h][0]) == 2
@@ -261,25 +264,12 @@ def test_decide_layer_equals_per_head_stable_argsort(seed):
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
                           Segment(IMAGE, 12), Segment(TEXT, 2)], seed=seed)
     rows = np.round(random_softmax_rows(rng, 3, seq.total_length) * 40) / 40
-    decision = decide_layer(rows, seq, DEFAULT, layer=3, num_layers=5)
+    decision, = decide_layers(rows[None], seq, DEFAULT, 3, 5)
     for j, image in enumerate(seq.image_indices):
         k = max(1, int(np.floor(decision.retention * image.size)))
         for h in range(3):
             want = image[stable_argtopk(rows[h, image], k)]
             assert decision.per_head_retained[h][j].tolist() == want.tolist()
-
-
-def assert_same_decision(got, want):
-    assert (got.layer, float.hex(got.gamma), got.layer_class, got.exempt, got.retention) == \
-        (want.layer, float.hex(want.gamma), want.layer_class, want.exempt, want.retention)
-    if want.per_head_retained is None:
-        assert got.per_head_retained is None
-        return
-    assert len(got.per_head_retained) == len(want.per_head_retained)
-    for got_head, want_head in zip(got.per_head_retained, want.per_head_retained):
-        assert len(got_head) == len(want_head)
-        for a, b in zip(got_head, want_head):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,17 +304,14 @@ def test_decide_layers_equals_per_layer_oracle(data):
                         first_pruned_layer=first, last_pruned_layer=last)
 
     want = [per_layer_decision(rows[l], seq, cfg, l + 1, n) for l in range(n)]
-    got = decide_layers(rows, seq, cfg, 1, n)
-    assert len(got) == n
-    for g, w in zip(got, want):
-        assert_same_decision(g, w)
+    assert_same_decisions(decide_layers(rows, seq, cfg, 1, n), want)
     # a layer's decision does not depend on which layers share the call
     a = data.draw(st.integers(0, n - 1))
     b = data.draw(st.integers(a + 1, n))
-    for g, w in zip(decide_layers(rows[a:b], seq, cfg, a + 1, n), want[a:b], strict=True):
-        assert_same_decision(g, w)
-    layer = data.draw(st.integers(1, n))
-    assert_same_decision(decide_layer(rows[layer - 1], seq, cfg, layer, n), want[layer - 1])
+    assert_same_decisions(decide_layers(rows[a:b], seq, cfg, a + 1, n), want[a:b])
+    layer = data.draw(st.integers(1, n))  # one layer alone
+    assert_same_decisions(decide_layers(rows[layer - 1:layer], seq, cfg, layer, n),
+                          want[layer - 1:layer])
 
 
 def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import layer_from_heads
+from helpers import assert_same_decisions, layer_from_heads, pruned_prefill
 from plphp import (IMAGE, TEXT, FastVConfig, PruningConfig, Segment, VTWConfig,
-                   account, build_sequence, decide, init_model, make_fastv_hook, make_hook,
-                   make_vtw_hook, prefill, prune)
+                   account, build_sequence, decide, init_model, prune)
 from plphp import pruning as pruning_module
 from plphp import trace as trace_module
 from plphp.cli import main
@@ -21,12 +20,9 @@ from plphp.model import DecoderState, ModelConfig
 from plphp.trace import (AttentionTrace, TraceFormatError, read_trace, replay,
                          trace_from_run, write_trace)
 
-# method -> (config, hook factory) at the settings the live/replay tests use
-METHODS = {
-    "plphp": (PruningConfig(), make_hook),
-    "fastv": (FastVConfig(k_layer=3, prune_ratio=0.5), make_fastv_hook),
-    "vtw": (VTWConfig(k_layer=4), make_vtw_hook),
-}
+# method -> its config at the settings the live/replay tests use
+METHODS = {"plphp": PruningConfig(), "fastv": FastVConfig(k_layer=3, prune_ratio=0.5),
+           "vtw": VTWConfig(k_layer=4)}
 
 
 def make_trace(rng, n=5, h=2, segments=(Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2))):
@@ -225,26 +221,14 @@ class TestReplay:
                           vocab_size=32, max_positions=64)
         seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 5), Segment(IMAGE, 7),
                               Segment(TEXT, 3)], seed=4, vocab_size=32)
-        pruning, _ = METHODS[method]
-        state, prefill_report = prefill(init_model(cfg, 4), cfg, seq, record_trace=True)
-        live_decisions = decide(pruning, prefill_report.attn_last_rows, seq)
-        state = prune(state, seq, live_decisions)
+        pruning = METHODS[method]
+        state, rows, live_decisions = pruned_prefill(init_model(cfg, 4), cfg, seq, pruning)
         path = tmp_path / "run.plpt"
-        write_trace(path, trace_from_run(prefill_report.attn_last_rows, seq))
+        write_trace(path, trace_from_run(rows, seq))
         decisions, replay_report = replay(read_trace(path), pruning)
 
-        assert len(decisions) == len(live_decisions) == cfg.num_layers
-        for live, offline in zip(live_decisions, decisions):
-            assert live.layer == offline.layer
-            assert live.gamma == offline.gamma
-            assert live.layer_class == offline.layer_class
-            assert live.exempt == offline.exempt
-            assert live.retention == offline.retention
-            if not live.exempt:
-                for h in range(cfg.num_heads):
-                    for a, b in zip(live.per_head_retained[h], offline.per_head_retained[h],
-                                    strict=True):
-                        assert np.array_equal(a, b)
+        assert len(decisions) == cfg.num_layers
+        assert_same_decisions(decisions, live_decisions)
 
         live_metrics = account(state, seq, live_decisions)
         assert replay_report.retention_rate == live_metrics.retention_rate
@@ -272,24 +256,22 @@ def test_cli_replay_takes_one_top_k_per_image_and_retention(rng, tmp_path, monke
 
 
 @st.composite
-def method_and_hook(draw, num_layers):
+def method_config(draw, num_layers):
     method = draw(st.sampled_from(sorted(METHODS)))
     if method == "plphp":
         dr = draw(st.floats(0.0, 0.5))
         beta, alpha = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
-        cfg = PruningConfig(r=draw(st.floats(dr, 1.0 - dr)), delta_r=dr, alpha=alpha, beta=beta)
-    elif method == "fastv":
-        cfg = FastVConfig(k_layer=draw(st.integers(1, num_layers)),
-                          prune_ratio=draw(st.floats(0.0, 1.0)))
-    else:
-        cfg = VTWConfig(k_layer=draw(st.integers(1, num_layers)))
-    return cfg, METHODS[method][1](cfg, num_layers)
+        return PruningConfig(r=draw(st.floats(dr, 1.0 - dr)), delta_r=dr, alpha=alpha, beta=beta)
+    if method == "fastv":
+        return FastVConfig(k_layer=draw(st.integers(1, num_layers)),
+                           prune_ratio=draw(st.floats(0.0, 1.0)))
+    return VTWConfig(k_layer=draw(st.integers(1, num_layers)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_replay_counts_equal_account_of_live_hook(data):
-    """Replay counts RR/KV from decisions; account() counts what the live hook kept."""
+    """Replay counts RR/KV from decisions; account() counts what a live ``prune`` kept."""
     n = data.draw(st.integers(4, 6))
     h = data.draw(st.integers(1, 3))
     kinds = data.draw(st.lists(st.sampled_from([TEXT, IMAGE]), max_size=4)) + [TEXT]
@@ -298,17 +280,14 @@ def test_replay_counts_equal_account_of_live_hook(data):
     rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
     trace = AttentionTrace(n, h, s, tuple(segments),
                            np.stack([random_softmax_rows(rng, h, s) for _ in range(n)]))
-    cfg, hook = data.draw(method_and_hook(n))
+    cfg = data.draw(method_config(n))
 
     seq = build_sequence(segments, seed=0)
-    caches, live_decisions = [], []
-    for l in range(n):
-        full = layer_from_heads((np.zeros((s, 1)), np.zeros((s, 1)), np.arange(s, dtype=np.int64))
-                                for _ in range(h))
-        layer_caches, decision = hook(l + 1, trace.rows[l], full, seq)
-        caches.append(layer_caches)
-        live_decisions.append(decision)
-    live = account(DecoderState(caches=caches, next_position=s), seq, live_decisions)
+    full = [layer_from_heads((np.zeros((s, 1)), np.zeros((s, 1)), np.arange(s, dtype=np.int64))
+                             for _ in range(h)) for _ in range(n)]
+    live_decisions = decide(cfg, trace.rows, seq)
+    state = prune(DecoderState(caches=full, next_position=s), seq, live_decisions)
+    live = account(state, seq, live_decisions)
 
     _, offline = replay(trace, cfg)
     assert offline.per_layer == live.per_layer

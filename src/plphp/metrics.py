@@ -16,9 +16,11 @@ Reports serialize to JSON, and to CSV with the fixed column schema
 from __future__ import annotations
 
 import csv
-import json
+import math
+import operator
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -93,15 +95,52 @@ def latency_probe(step_fn: Callable[[], None], steps: int) -> float | None:
     return float(np.median(samples) * 1000.0) if steps >= 16 else None
 
 
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` spells it (``ensure_ascii``, ``allow_nan``)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# one per_layer row as json.dumps(..., sort_keys=True, indent=2) writes it
+_ROW_KEYS = sorted(CSV_COLUMNS)
+_ROW_VALUES = operator.itemgetter(*_ROW_KEYS)
+_ROW = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS) + "\n    }"
+
+
 def report_to_json(report: MetricsReport) -> str:
-    """Deterministic JSON rendering (sorted keys, no timestamps)."""
-    payload = {
-        "retention_rate": report.retention_rate,
-        "kv_fraction": report.kv_fraction,
-        "decode_latency_ms": report.decode_latency_ms,
-        "per_layer": report.per_layer,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON rendering (sorted keys, no timestamps).
+
+    The bytes of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``
+    over the four report fields, each ``per_layer`` row by its
+    ``CSV_COLUMNS`` keys; the fixed shape is written here, because json's
+    indenting encoder is pure Python and took most of a replay's report
+    time. Scalars are spelled as json spells them, NaN and infinities
+    included.
+    """
+    rows = ",\n".join([_ROW % tuple(map(_json_scalar, _ROW_VALUES(row)))
+                       for row in report.per_layer])
+    per_layer = f"[\n{rows}\n  ]" if report.per_layer else "[]"
+    return (f'{{\n  "decode_latency_ms": {_json_scalar(report.decode_latency_ms)},\n'
+            f'  "kv_fraction": {_json_scalar(report.kv_fraction)},\n'
+            f'  "per_layer": {per_layer},\n'
+            f'  "retention_rate": {_json_scalar(report.retention_rate)}\n}}\n')
 
 
 def write_report_csv(path, report: MetricsReport) -> None:

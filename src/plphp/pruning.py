@@ -13,6 +13,7 @@ cuts each layer's cache in one gather, and trace replay counts it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
     "PruningConfig", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
-    "select_retained", "prune_head_cache", "prune_layer", "prune", "decide_layers",
+    "retained_count", "select_retained", "prune_head_cache", "prune_layer", "prune",
+    "decide_layers",
 ]
 
 
@@ -135,24 +137,27 @@ def allocate_retention(layer_class: str, cfg: PruningConfig) -> float:
     return cfg.r
 
 
+def retained_count(retention: float, image_length: int) -> int:
+    """K = floor(retention * image_length), with a minimum of 1 whenever
+    retention > 0 so no image vanishes from context entirely."""
+    if image_length < 1:
+        raise ValueError("image index set must be nonempty")
+    if not 0.0 <= retention <= 1.0:
+        raise ValueError(f"retention must be in [0, 1], got {retention}")
+    k = math.floor(retention * image_length)
+    return max(1, k) if retention > 0.0 else k
+
+
 def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
                     retention: float) -> tuple[np.ndarray, int]:
     """Top-K vision positions of one image for one head, or for each row of ``(H, S)``.
 
-    K = floor(retention * image_length), with a minimum of 1 whenever
-    retention > 0 so no image vanishes from context entirely. Returns the
-    retained absolute positions (ascending, one row per head for 2-D input)
-    and K.
+    K is ``retained_count(retention, image length)``. Returns the retained
+    absolute positions (ascending, one row per head for 2-D input) and K.
     """
     head_row = np.asarray(head_row, dtype=np.float64)
     image_indices = np.asarray(image_indices, dtype=np.int64)
-    if image_indices.size == 0:
-        raise ValueError("image index set must be nonempty")
-    if not 0.0 <= retention <= 1.0:
-        raise ValueError(f"retention must be in [0, 1], got {retention}")
-    k = int(np.floor(retention * image_indices.size))
-    if retention > 0.0:
-        k = max(1, k)
+    k = retained_count(retention, image_indices.size)
     # np.take gathers C-ordered; head_row[..., image_indices] would come back
     # Fortran-ordered for 2-D rows, and argtopk runs slower across rows
     local = argtopk(np.take(head_row, image_indices, axis=-1), k)
@@ -171,20 +176,39 @@ def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
     return np.flatnonzero(np.isin(cache.positions, keep))
 
 
+def _image_spans(seq: MultimodalSequence) -> list[tuple[int, int]]:
+    """``(lo, hi)`` per image, its positions being ``range(lo, hi)``.
+
+    ``ValueError`` names the first image that is not one nonempty ascending
+    run inside the sequence (``build_sequence`` lays out only such runs).
+    """
+    spans = []
+    for j, image in enumerate(seq.image_indices, start=1):
+        lo, hi = (int(image[0]), int(image[-1]) + 1) if len(image) else (0, 0)
+        if not (0 <= lo < hi <= seq.total_length and np.array_equal(image, np.arange(lo, hi))):
+            raise ValueError(f"image {j} is not one ascending run of positions in "
+                             f"[0, {seq.total_length})")
+        spans.append((lo, hi))
+    return spans
+
+
 def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
                   first_layer: int, num_layers: int) -> list[LayerDecision]:
     """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
 
     Pure function of the rows, the layout and the config. Gamma takes one
-    reduction for all L layers, and each image takes one top-K per
-    retention value over the ``(layers * H, image)`` rows of the layers
-    allotted it; ``per_head_retained[h][j]`` are row views into that
-    selection. Every row stands alone in both, so a layer's decision has the
-    same bits whichever layers share the call.
+    reduction for all L layers. Each image takes one top-K per retention
+    value over the ``(layers * H, image)`` rows of the layers allotted it:
+    one copy of just the image's columns (``_image_spans``), K by
+    ``retained_count``, as ``select_retained`` takes them. The
+    ``per_head_retained[h][j]`` are row views into that selection. Every row
+    stands alone in both, so a layer's decision has the same bits whichever
+    layers share the call.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
     if rows.ndim != 3:
         raise ValueError(f"expected (L, H, S) rows, got {rows.ndim}-D")
+    spans = _image_spans(seq)
     gammas = vision_attention_score(rows, vision_index_union(seq))
     first, last = cfg.pruned_range(num_layers)
     decisions = []
@@ -194,14 +218,15 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
         decisions.append(LayerDecision(
             layer=layer, gamma=gamma, layer_class=layer_class, exempt=exempt,
             retention=None if exempt else allocate_retention(layer_class, cfg)))
-    num_heads, s = rows.shape[1:]
+    num_heads = rows.shape[1]
     for retention in dict.fromkeys(d.retention for d in decisions if not d.exempt):
         group = [d for d in decisions if d.retention == retention]
-        head_rows = rows[[d.layer - first_layer for d in group]].reshape(-1, s)
+        layers = [d.layer - first_layer for d in group]
         kept = []
-        for img in seq.image_indices:
-            selected, k = select_retained(head_rows, img, retention)
-            kept.append(selected.reshape(len(group), num_heads, k))
+        for lo, hi in spans:
+            k = retained_count(retention, hi - lo)
+            local = argtopk(rows[layers, :, lo:hi].reshape(-1, hi - lo), k)
+            kept.append((local + lo).reshape(len(group), num_heads, k))
         for g, decision in enumerate(group):
             decision.per_head_retained = [[k[g, h] for k in kept] for h in range(num_heads)]
     return decisions

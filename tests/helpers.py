@@ -9,16 +9,21 @@ own attention path, kept as bitwise references for the one forward pass that
 and check only the blocking and the cache handling. Likewise
 ``per_layer_decision`` is the one-layer pruning decision that
 ``plphp.pruning.decide_layers`` batches: it shares the class, retention and
-top-K rules, and checks only the batching. ``FastVRule`` and ``vtw_decide``
-are the baselines' per-layer rules that ``plphp.decide`` batches: they share
-the FastV ranking and the gamma of one layer, and check only the batching
-and FastV's layer-K set. ``layer_from_heads``, ``random_cache_state``,
-``cut_head`` and ``pruned_prefill`` are no oracles: they build and cut
+top-K rules, and checks only the batching and the per-image column slices.
+``FastVRule`` and ``vtw_decide`` are the baselines' per-layer rules that
+``plphp.decide`` batches: they share the FastV ranking and the gamma of one
+layer, and check only the batching and FastV's layer-K set.
+``json_report`` is the report JSON as ``json.dumps`` writes it, which
+``plphp.metrics.report_to_json`` renders without json's indenting encoder.
+``layer_from_heads``, ``random_cache_state``, ``cut_head`` and
+``pruned_prefill`` are no oracles: they build and cut
 caches for the tests, ``pruned_prefill`` through the library's one pruning
 path; the ``assert_same_*`` helpers compare caches and decisions.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -307,6 +312,17 @@ def recount_metrics(state, seq) -> tuple[float, float]:
                         vision_rows += 1
     rr = vision_rows / (n * h * len(vision)) if vision else 1.0
     return rr, rows / (n * h * s)
+
+
+def json_report(report) -> str:
+    """The report JSON as ``json.dumps`` writes it: sorted keys, indent 2."""
+    payload = {
+        "retention_rate": report.retention_rate,
+        "kv_fraction": report.kv_fraction,
+        "decode_latency_ms": report.decode_latency_ms,
+        "per_layer": report.per_layer,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _rms(x):

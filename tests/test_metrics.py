@@ -2,12 +2,15 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pruned_prefill, random_cache_state, recount_metrics
+from helpers import json_report, pruned_prefill, random_cache_state, recount_metrics
 from plphp import (IMAGE, TEXT, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, init_model, latency_probe, prefill)
-from plphp.metrics import CSV_COLUMNS, report_to_json, write_report_csv
+from plphp.metrics import CSV_COLUMNS, MetricsReport, report_to_json, write_report_csv
 from plphp.model import ModelConfig
 
 
@@ -98,6 +101,7 @@ def test_serialization(tmp_path):
     state, _, _ = pruned_prefill(init_model(cfg, 0), cfg, seq, PruningConfig())
     report = account(state, seq)
 
+    assert report_to_json(report) == json_report(report)
     payload = json.loads(report_to_json(report))
     assert set(payload) == {"retention_rate", "kv_fraction", "decode_latency_ms", "per_layer"}
     assert len(payload["per_layer"]) == cfg.num_layers * cfg.num_heads
@@ -107,6 +111,44 @@ def test_serialization(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + cfg.num_layers * cfg.num_heads
+
+
+# every scalar json.dumps takes, with the spellings that differ from repr
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
+                     1.7976931348623157e308, -1e300, 1e16, 1e-7, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.floats(allow_nan=True).map(np.float64))  # a float subclass: float.__repr__
+_STRINGS = st.one_of(
+    st.text(st.characters(codec=None, exclude_categories=())),  # lone surrogates too
+    st.sampled_from(["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\u00e9\u2028\u2029",
+                     "\U0001f600", "\ud800", "vision-attentive"]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70),
+                     _FLOATS, _STRINGS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(top=st.tuples(_SCALARS, _SCALARS, _SCALARS),
+       per_layer=st.lists(st.fixed_dictionaries({k: _SCALARS for k in CSV_COLUMNS}),
+                          max_size=4))
+def test_report_json_bytes_equal_json_dumps(top, per_layer):
+    # the renderer writes the fixed shape itself; json.dumps is the spec
+    report = MetricsReport(*top, per_layer=per_layer)
+    assert report_to_json(report) == json_report(report)
+
+
+def test_report_json_refuses_what_json_refuses():
+    row = dict.fromkeys(CSV_COLUMNS, 1)
+    for bad in (np.int64(3), b"x", object()):
+        report = MetricsReport(0.5, 0.5, None, [{**row, "kept_rows": bad}])
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json_report(report)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            report_to_json(report)
+    # a report holds scalars only; the renderer writes no nested container
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        report_to_json(MetricsReport([0.5], 0.5, None, []))
 
 
 def dict_writer_csv(report) -> bytes:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import random_softmax_rows
 from helpers import (assert_same_decisions, cut_head, layer_from_heads, loop_gamma,
                      per_layer_decision, set_keep, sort_select, stable_argtopk)
-from plphp import (IMAGE, TEXT, LayerDecision, PruningConfig, Segment, build_sequence,
-                   make_rng, pruning, vision_index_union)
+from plphp import (IMAGE, TEXT, LayerDecision, MultimodalSequence, PruningConfig, Segment,
+                   build_sequence, make_rng, pruning, vision_index_union)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
                            allocate_retention, classify_layer, decide_layers, prune_head_cache,
                            prune_layer, select_retained, vision_attention_score)
@@ -276,12 +276,14 @@ def test_decide_layer_equals_per_head_stable_argsort(seed):
 @given(data=st.data())
 def test_decide_layers_equals_per_layer_oracle(data):
     """Batched decisions are the per-layer ones bit for bit, for every class,
-    both ends of the pruned range, retention 0 and rows whose values tie."""
+    both ends of the pruned range, retention 0 and 1, rows whose values tie,
+    and images of unequal lengths, the first of which may start at position 0."""
     n, h = data.draw(st.integers(4, 13)), data.draw(st.integers(1, 8))
     segments = []
-    for _ in range(data.draw(st.integers(0, 3))):
-        segments += [Segment(TEXT, data.draw(st.integers(1, 3))),
-                     Segment(IMAGE, data.draw(st.integers(1, 12)))]
+    for i in range(data.draw(st.integers(0, 3))):
+        if i > 0 or data.draw(st.booleans()):  # else the first image starts at 0
+            segments.append(Segment(TEXT, data.draw(st.integers(1, 3))))
+        segments.append(Segment(IMAGE, data.draw(st.integers(1, 12))))
     seq = build_sequence(segments + [Segment(TEXT, data.draw(st.integers(1, 3)))], seed=0)
     rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = rng.random((n, h, seq.total_length))
@@ -296,8 +298,9 @@ def test_decide_layers_equals_per_layer_oracle(data):
                     for l in range(n))
     i = data.draw(st.integers(0, n - 1))
     beta, alpha = gammas[i], gammas[data.draw(st.integers(i, n - 1))]
-    dr = data.draw(st.floats(0.0, 0.5))
-    r = data.draw(st.one_of(st.just(dr), st.floats(dr, 1.0 - dr)))  # r = dr: retention 0
+    # r = dr: retention 0; r = 1 - dr with dr exact in binary: retention 1
+    dr = data.draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.5)))
+    r = data.draw(st.one_of(st.just(dr), st.just(1.0 - dr), st.floats(dr, 1.0 - dr)))
     first = data.draw(st.integers(1, n))
     last = data.draw(st.one_of(st.none(), st.integers(first, n)))
     cfg = PruningConfig(r=r, delta_r=dr, alpha=alpha, beta=beta,
@@ -312,6 +315,24 @@ def test_decide_layers_equals_per_layer_oracle(data):
     layer = data.draw(st.integers(1, n))  # one layer alone
     assert_same_decisions(decide_layers(rows[layer - 1:layer], seq, cfg, layer, n),
                           want[layer - 1:layer])
+
+
+@pytest.mark.parametrize("bad", [[10, 12, 13], [13, 12, 11], [0, 2], [30, 31, 32], [-1, 0], []],
+                         ids=["gap", "descending", "gap-from-zero", "past-the-end", "negative",
+                              "empty"])
+def test_decide_layers_needs_each_image_one_ascending_run(rng, bad):
+    # the top-K copies each image as one column slice, so a layout
+    # build_sequence would never make is refused, naming the image
+    good = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2),
+                           Segment(IMAGE, 20), Segment(TEXT, 2)], seed=0)
+    seq = MultimodalSequence(segments=good.segments, total_length=good.total_length,
+                             text_indices=good.text_indices,
+                             image_indices=(good.image_indices[0], np.array(bad, dtype=np.int64)),
+                             token_ids=good.token_ids)
+    rows = random_softmax_rows(rng, 2, good.total_length)[None]
+    with pytest.raises(ValueError, match=r"image 2 is not one ascending run"):
+        decide_layers(rows, seq, DEFAULT, 3, 5)
+    assert decide_layers(rows, good, DEFAULT, 3, 5)[0].per_head_retained is not None
 
 
 def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):

@@ -108,6 +108,17 @@ MUTANTS = {
         "    caches = [layer if decision.exempt else prune_layer(layer, seq, decision)"),
     "views-writable": (
         "model.py", "            view.flags.writeable = False", "            pass"),
+    "report-none-spelling": (
+        "metrics.py", '        return "null"', '        return "None"'),
+    "report-drops-key": (
+        "metrics.py", "_ROW_KEYS = sorted(CSV_COLUMNS)", "_ROW_KEYS = sorted(CSV_COLUMNS)[1:]"),
+    "image-slice-end": (
+        "pruning.py",
+        "        lo, hi = (int(image[0]), int(image[-1]) + 1) if len(image) else (0, 0)",
+        "        lo, hi = (int(image[0]), int(image[-1])) if len(image) else (0, 0)"),
+    "image-offset": (
+        "pruning.py", "            kept.append((local + lo).reshape(len(group), num_heads, k))",
+        "            kept.append(local.reshape(len(group), num_heads, k))"),
 }
 
 

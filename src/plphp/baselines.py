@@ -76,11 +76,11 @@ def _kept_from_k(rows: np.ndarray, seq: MultimodalSequence, k_layer: int, kept: 
     """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` rows.
 
     Layers below ``k_layer`` are exempt; from it on every head keeps the
-    vision positions ``kept``. Gamma takes one reduction for all L layers.
+    ascending vision positions ``kept``, one row broadcast to ``(H, K)``.
+    Gamma takes one reduction for all L layers.
     """
     gammas = vision_attention_score(rows, vision_index_union(seq))
-    per_image = [kept[np.isin(kept, image)] for image in seq.image_indices]
-    per_head = [per_image] * rows.shape[1]
+    per_head = np.broadcast_to(kept, (rows.shape[1], kept.size))
     return [LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=layer < k_layer,
                           per_head_retained=None if layer < k_layer else per_head)
             for layer, gamma in enumerate(gammas.tolist(), start=first_layer)]

@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -276,7 +277,8 @@ def parse_grid(spec: str) -> list[dict]:
     sweep point would use.
     """
     keys, value_lists = [], []
-    for part in spec.split(","):
+    # a comma starts a new entry only before ``key=``: a segments value holds commas
+    for part in re.split(r",(?=[^,=]*=)", spec):
         if "=" not in part:
             raise ConfigError(f"bad grid entry {part!r}, expected key=v1|v2|...")
         key, _, raw = part.partition("=")

@@ -2,14 +2,15 @@
 
 A multimodal prompt is a list of segments, each either text or image. The
 flat sequence assigns every segment a contiguous run of positions; the
-per-segment index sets are what every pruning rule operates on. Token ids
+per-segment runs are what every pruning rule operates on. Token ids
 are synthetic integers: nothing downstream ever inspects token content,
 only positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,50 +36,60 @@ class Segment:
 
 @dataclass(frozen=True)
 class MultimodalSequence:
+    """Segments laid end to end, one synthetic token id per position.
+
+    Every position set derives from the segments, so each segment is one
+    ascending run by construction. The layout is nonempty and ends in text:
+    the last prefill position, the query row every decision reads, is text.
+    """
+
     segments: tuple[Segment, ...]
-    total_length: int
-    text_indices: tuple[np.ndarray, ...]   # one ascending run per text segment
-    image_indices: tuple[np.ndarray, ...]  # one ascending run per image segment
     token_ids: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
+        if not self.segments:
+            raise ValueError("at least one segment required")
+        if self.segments[-1].kind != TEXT:
+            raise ValueError("final segment must be text")
+        if len(self.token_ids) != self.total_length:
+            raise ValueError(f"{len(self.token_ids)} token ids for {self.total_length} positions")
+
+    def _spans(self, kind: str) -> tuple[tuple[int, int], ...]:
+        ends = itertools.accumulate(seg.length for seg in self.segments)
+        return tuple((hi - seg.length, hi) for seg, hi in zip(self.segments, ends)
+                     if seg.kind == kind)
+
+    @property
+    def total_length(self) -> int:
+        return sum(seg.length for seg in self.segments)
+
+    @property
+    def image_spans(self) -> tuple[tuple[int, int], ...]:
+        """``(lo, hi)`` per image, in layout order: its positions are ``range(lo, hi)``."""
+        return self._spans(IMAGE)
+
+    @property
+    def text_indices(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.arange(lo, hi, dtype=np.int64) for lo, hi in self._spans(TEXT))
+
+    @property
+    def image_indices(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.arange(lo, hi, dtype=np.int64) for lo, hi in self.image_spans)
 
     @property
     def text_union(self) -> np.ndarray:
-        if not self.text_indices:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(self.text_indices)
+        return np.concatenate(self.text_indices)  # the final segment is text
 
 
 def build_sequence(segments: list[Segment] | tuple[Segment, ...], seed: int,
                    vocab_size: int = 1024) -> MultimodalSequence:
-    """Lay out segments into one flat sequence with synthetic token ids.
-
-    The final segment must be text: the last prefill position is the query
-    row every pruning decision reads, and it must be a text token.
-    """
-    segments = tuple(segments)
-    if not segments:
-        raise ValueError("at least one segment required")
-    if segments[-1].kind != TEXT:
-        raise ValueError("final segment must be text")
-    text_runs: list[np.ndarray] = []
-    image_runs: list[np.ndarray] = []
-    pos = 0
-    for seg in segments:
-        run = np.arange(pos, pos + seg.length, dtype=np.int64)
-        (text_runs if seg.kind == TEXT else image_runs).append(run)
-        pos += seg.length
-    token_ids = make_rng(seed).integers(0, vocab_size, size=pos, dtype=np.int64)
-    return MultimodalSequence(
-        segments=segments,
-        total_length=pos,
-        text_indices=tuple(text_runs),
-        image_indices=tuple(image_runs),
-        token_ids=token_ids,
-    )
+    """Lay out segments into one flat sequence with synthetic token ids."""
+    length = sum(seg.length for seg in segments)
+    return MultimodalSequence(segments, make_rng(seed).integers(0, vocab_size, size=length,
+                                                                dtype=np.int64))
 
 
 def vision_index_union(seq: MultimodalSequence) -> np.ndarray:
     """Union of all image index sets, ascending."""
-    if not seq.image_indices:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(seq.image_indices)
+    return np.concatenate([np.empty(0, dtype=np.int64), *seq.image_indices])

@@ -46,7 +46,7 @@ def account(state: DecoderState, seq: MultimodalSequence,
             decisions: list | None = None) -> MetricsReport:
     """Recount every head cache against the prompt layout.
 
-    ``decisions`` (one per layer, as ``PrefillReport.decisions``) fill the
+    ``decisions`` (one per layer, as ``decide`` returns them) fill the
     gamma, class and retention columns; without them those stay None.
     """
     s = seq.total_length

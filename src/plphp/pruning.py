@@ -68,16 +68,18 @@ class PruningConfig:
         return self.first_pruned_layer, last
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerDecision:
     """Outcome of the layer-level decision for one decoder layer.
 
-    ``exempt`` layers keep their full caches; gamma (and, for plphp, the
-    class) is still recorded so per-layer attention reports cover the whole
-    model. The baselines have no layer classes and leave ``layer_class`` and
-    ``retention`` None. ``per_head_retained[h][j]`` is the ascending set of
-    absolute positions kept for image j by head h (for plphp, row h of
-    image j's ``(H, K)`` selection).
+    ``exempt`` layers keep their full caches and have no
+    ``per_head_retained``; gamma (and, for plphp, the class) is still
+    recorded so per-layer attention reports cover the whole model. The
+    baselines have no layer classes and leave ``layer_class`` and
+    ``retention`` None. A pruned layer's ``per_head_retained`` is one
+    ``(H, K)`` int64 array: row h holds the absolute vision positions head h
+    keeps, ascending, images in layout order. So a layer's heads keep
+    equally many rows: anything else raises ``ValueError`` here.
     """
 
     layer: int
@@ -85,13 +87,17 @@ class LayerDecision:
     layer_class: str | None
     exempt: bool
     retention: float | None = None
-    per_head_retained: list[list[np.ndarray]] | None = None
+    per_head_retained: np.ndarray | None = None
+
+    def __post_init__(self):
+        kept = self.per_head_retained
+        if kept is not None and not (isinstance(kept, np.ndarray) and kept.ndim == 2
+                                     and kept.dtype == np.int64):
+            raise ValueError(f"layer {self.layer}'s kept rows must be one (H, K) int64 array, "
+                             f"so that its heads keep equally many rows")
 
     def head_kept_vision(self, head: int) -> int:
-        if self.per_head_retained is None:
-            return 0
-        return sum(len(s) for s in self.per_head_retained[head])
-
+        return 0 if self.per_head_retained is None else self.per_head_retained[head].size
 
 
 def vision_attention_score(attn_last_rows: list[np.ndarray] | np.ndarray,
@@ -176,22 +182,6 @@ def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
     return np.flatnonzero(np.isin(cache.positions, keep))
 
 
-def _image_spans(seq: MultimodalSequence) -> list[tuple[int, int]]:
-    """``(lo, hi)`` per image, its positions being ``range(lo, hi)``.
-
-    ``ValueError`` names the first image that is not one nonempty ascending
-    run inside the sequence (``build_sequence`` lays out only such runs).
-    """
-    spans = []
-    for j, image in enumerate(seq.image_indices, start=1):
-        lo, hi = (int(image[0]), int(image[-1]) + 1) if len(image) else (0, 0)
-        if not (0 <= lo < hi <= seq.total_length and np.array_equal(image, np.arange(lo, hi))):
-            raise ValueError(f"image {j} is not one ascending run of positions in "
-                             f"[0, {seq.total_length})")
-        spans.append((lo, hi))
-    return spans
-
-
 def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
                   first_layer: int, num_layers: int) -> list[LayerDecision]:
     """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
@@ -199,37 +189,33 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
     Pure function of the rows, the layout and the config. Gamma takes one
     reduction for all L layers. Each image takes one top-K per retention
     value over the ``(layers * H, image)`` rows of the layers allotted it:
-    one copy of just the image's columns (``_image_spans``), K by
-    ``retained_count``, as ``select_retained`` takes them. The
-    ``per_head_retained[h][j]`` are row views into that selection. Every row
-    stands alone in both, so a layer's decision has the same bits whichever
-    layers share the call.
+    one copy of just the image's columns (``seq.image_spans``), K by
+    ``retained_count``, as ``select_retained`` takes them. The images'
+    selections are concatenated once per retention value, in layout order,
+    into each layer's ``(H, K)`` ``per_head_retained``. Every row stands
+    alone in both, so a layer's decision has the same bits whichever layers
+    share the call.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
     if rows.ndim != 3:
         raise ValueError(f"expected (L, H, S) rows, got {rows.ndim}-D")
-    spans = _image_spans(seq)
-    gammas = vision_attention_score(rows, vision_index_union(seq))
+    gammas = vision_attention_score(rows, vision_index_union(seq)).tolist()
     first, last = cfg.pruned_range(num_layers)
-    decisions = []
-    for layer, gamma in enumerate(gammas.tolist(), start=first_layer):
-        layer_class = classify_layer(gamma, cfg)
-        exempt = not first <= layer <= last
-        decisions.append(LayerDecision(
-            layer=layer, gamma=gamma, layer_class=layer_class, exempt=exempt,
-            retention=None if exempt else allocate_retention(layer_class, cfg)))
-    num_heads = rows.shape[1]
-    for retention in dict.fromkeys(d.retention for d in decisions if not d.exempt):
-        group = [d for d in decisions if d.retention == retention]
-        layers = [d.layer - first_layer for d in group]
-        kept = []
+    classes = [classify_layer(gamma, cfg) for gamma in gammas]
+    retentions = [allocate_retention(c, cfg) if first <= first_layer + i <= last else None
+                  for i, c in enumerate(classes)]
+    num_heads, spans, kept = rows.shape[1], seq.image_spans, {}
+    for retention in dict.fromkeys(r for r in retentions if r is not None):
+        group = [i for i, r in enumerate(retentions) if r == retention]
+        per_image = [np.empty((len(group), num_heads, 0), dtype=np.int64)]
         for lo, hi in spans:
             k = retained_count(retention, hi - lo)
-            local = argtopk(rows[layers, :, lo:hi].reshape(-1, hi - lo), k)
-            kept.append((local + lo).reshape(len(group), num_heads, k))
-        for g, decision in enumerate(group):
-            decision.per_head_retained = [[k[g, h] for k in kept] for h in range(num_heads)]
-    return decisions
+            local = argtopk(rows[group, :, lo:hi].reshape(-1, hi - lo), k)
+            per_image.append((local + lo).reshape(len(group), num_heads, k))
+        kept.update(zip(group, np.concatenate(per_image, axis=2)))
+    return [LayerDecision(layer=first_layer + i, gamma=gamma, layer_class=c, exempt=r is None,
+                          retention=r, per_head_retained=kept.get(i))
+            for i, (gamma, c, r) in enumerate(zip(gammas, classes, retentions))]
 
 
 def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalSequence,
@@ -245,18 +231,13 @@ def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalS
 
 def prune_layer(layer: LayerKVCache, seq: MultimodalSequence,
                 decision: LayerDecision) -> LayerKVCache:
-    """Cut each head to text plus the vision rows ``decision`` keeps, in one
-    gather; heads that would keep unequally many rows raise ``ValueError``."""
+    """Cut each head to text plus the vision rows ``decision`` keeps, in one gather."""
     if decision.exempt:
         return layer
     text = seq.text_union
-    empty = np.empty(0, dtype=np.int64)
-    rows = [prune_head_cache(cache, text, np.concatenate([empty, *decision.per_head_retained[h]]))
-            for h, cache in enumerate(layer)]
-    if len({len(kept) for kept in rows}) > 1:
-        raise ValueError(f"layer {decision.layer}'s heads keep unequally many rows: "
-                         f"{[len(kept) for kept in rows]}")
-    return layer.take(np.stack(rows))
+    return layer.take(np.stack([prune_head_cache(cache, text, kept)
+                                for cache, kept in zip(layer, decision.per_head_retained,
+                                                       strict=True)]))
 
 
 def prune(state: DecoderState, seq: MultimodalSequence,

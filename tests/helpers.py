@@ -111,10 +111,10 @@ def assert_same_decisions(got, want):
     for g, w in zip(got, want):
         assert (g.layer, float.hex(g.gamma), g.layer_class, g.exempt, g.retention) == \
             (w.layer, float.hex(w.gamma), w.layer_class, w.exempt, w.retention)
-        assert (g.per_head_retained is None) == (w.per_head_retained is None)
-        for gh, wh in zip(g.per_head_retained or (), w.per_head_retained or (), strict=True):
-            for a, b in zip(gh, wh, strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        a, b = g.per_head_retained, w.per_head_retained
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def bits(x: np.ndarray) -> np.ndarray:
@@ -239,9 +239,14 @@ def per_layer_decision(rows: np.ndarray, seq, cfg, layer: int, num_layers: int) 
         return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class, exempt=True)
     retention = allocate_retention(layer_class, cfg)
     per_image = [select_retained(rows, img, retention)[0] for img in seq.image_indices]
-    per_head = [[kept[h] for kept in per_image] for h in range(rows.shape[0])]
+    per_head = np.concatenate([np.empty((len(rows), 0), dtype=np.int64), *per_image], axis=1)
     return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class,
                          exempt=False, retention=retention, per_head_retained=per_head)
+
+
+def image_parts(row: np.ndarray, seq) -> list[np.ndarray]:
+    """A decision row's kept positions cut at ``seq.image_spans``, one part per image."""
+    return [row[(row >= lo) & (row < hi)] for lo, hi in seq.image_spans]
 
 
 def _shared_decision(layer: int, last_rows: np.ndarray, seq,
@@ -251,8 +256,9 @@ def _shared_decision(layer: int, last_rows: np.ndarray, seq,
     if kept is None:
         return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=True)
     per_image = [kept[np.isin(kept, image)] for image in seq.image_indices]
+    row = np.concatenate([np.empty(0, dtype=np.int64), *per_image])
     return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=False,
-                         per_head_retained=[per_image] * len(last_rows))
+                         per_head_retained=np.tile(row, (len(last_rows), 1)))
 
 
 class FastVRule:

@@ -171,7 +171,7 @@ def test_criterion_6_structural_contrast():
     decision, = decide_layers(np.stack(rows)[None], seq,
                               PruningConfig(r=0.2, delta_r=0.0, alpha=0.0, beta=0.0), 3, 6)
     pruned = prune_layer(caches, seq, decision)
-    head_sets = [tuple(np.concatenate(h).tolist()) for h in decision.per_head_retained]
+    head_sets = [tuple(row.tolist()) for row in decision.per_head_retained]
     assert head_sets[0] != head_sets[1]
     assert pruned[0].positions.tolist() != pruned[1].positions.tolist()
     done(6, "coarse baseline vs per-head divergent pruning")

@@ -44,7 +44,9 @@ def kept_set(decision):
     """The vision positions a baseline decision keeps (every head keeps the same)."""
     if decision.per_head_retained is None:
         return None
-    return np.concatenate([np.empty(0, dtype=np.int64), *decision.per_head_retained[0]])
+    first, *others = decision.per_head_retained
+    assert all(np.array_equal(row, first) for row in others)
+    return first
 
 
 class TestConfigs:

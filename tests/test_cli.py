@@ -42,6 +42,9 @@ class TestParsing:
     def test_grid(self):
         points = parse_grid("r=0.3|0.4,dr=0.3")
         assert points == [{"r": 0.3, "dr": 0.3}, {"r": 0.4, "dr": 0.3}]
+        # a segments value holds commas: only a comma before ``key=`` starts an entry
+        assert parse_grid("segments=T:8,I:92,T:4|T:4,I:8,T:2,dr=0.3") == [
+            {"segments": "T:8,I:92,T:4", "dr": 0.3}, {"segments": "T:4,I:8,T:2", "dr": 0.3}]
 
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
@@ -473,6 +476,14 @@ class TestSweep:
             ("0", "4", "ok"), ("0", "5", "ok"),
             ("-1", "4", "failed: seed must be >= 0, got -1"),
             ("-1", "5", "failed: seed must be >= 0, got -1")]
+
+    def test_layout_grid_rows_name_their_layouts(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *SMALL_MODEL, "--grid", "segments=T:8,I:40,T:4|T:4,I:8,T:2",
+                     "--report-out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [(r["segments"], r["status"]) for r in rows] == [
+            ("T:8,I:40,T:4", "ok"), ("T:4,I:8,T:2", "ok")]
 
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", *SMALL_MODEL, "--grid", ""]) == 2

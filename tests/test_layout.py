@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_segments
-from plphp import IMAGE, TEXT, Segment, build_sequence, vision_index_union
+from plphp import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
 
 
 def test_basic_layout():
@@ -10,6 +12,8 @@ def test_basic_layout():
     assert seq.total_length == 6
     assert [run.tolist() for run in seq.text_indices] == [[0, 1], [5]]
     assert [run.tolist() for run in seq.image_indices] == [[2, 3, 4]]
+    assert seq.image_spans == ((2, 5),)
+    assert seq.text_union.tolist() == [0, 1, 5]
 
 
 def test_text_only():
@@ -43,6 +47,29 @@ def test_rejects_empty_and_nontext_final():
         Segment(TEXT, 0)
 
 
+@pytest.mark.parametrize("segments, ids, message", [
+    ((), 0, "at least one segment required"),
+    ((Segment(TEXT, 1), Segment(IMAGE, 2)), 3, "final segment must be text"),
+    ((Segment(TEXT, 2), Segment(IMAGE, 2), Segment(TEXT, 1)), 4, "4 token ids for 5 positions"),
+    ((Segment(TEXT, 2), Segment(IMAGE, 2), Segment(TEXT, 1)), 6, "6 token ids for 5 positions"),
+], ids=["empty", "image-final", "too-few-ids", "too-many-ids"])
+def test_sequence_refuses_what_it_cannot_hold(segments, ids, message):
+    with pytest.raises(ValueError, match=message):
+        MultimodalSequence(segments, np.zeros(ids, dtype=np.int64))
+
+
+def test_sequence_holds_only_segments_and_token_ids():
+    # every position set derives from the segments: none can be set apart from them
+    assert [f.name for f in dataclasses.fields(MultimodalSequence)] == ["segments", "token_ids"]
+    seq = MultimodalSequence([Segment(TEXT, 1), Segment(IMAGE, 2), Segment(TEXT, 1)],
+                             np.zeros(4, dtype=np.int64))
+    assert seq.segments == (Segment(TEXT, 1), Segment(IMAGE, 2), Segment(TEXT, 1))
+    assert (seq.total_length, seq.image_spans) == (4, ((1, 3),))
+    for name in ("total_length", "text_indices", "image_indices", "text_union", "image_spans"):
+        with pytest.raises(AttributeError):
+            setattr(seq, name, ())
+
+
 def test_partition_property(rng):
     for _ in range(200):
         segs = random_segments(rng)
@@ -56,3 +83,9 @@ def test_partition_property(rng):
         # each run is a contiguous ascending block
         for run in list(seq.text_indices) + list(seq.image_indices):
             assert np.array_equal(np.diff(run), np.ones(run.size - 1))
+        pos, spans = 0, []
+        for seg in segs:
+            if seg.kind == IMAGE:
+                spans.append((pos, pos + seg.length))
+            pos += seg.length
+        assert seq.image_spans == tuple(spans)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_softmax_rows
-from helpers import (assert_same_decisions, cut_head, layer_from_heads, loop_gamma,
+from conftest import random_segments, random_softmax_rows
+from helpers import (assert_same_decisions, cut_head, image_parts, layer_from_heads, loop_gamma,
                      per_layer_decision, set_keep, sort_select, stable_argtopk)
-from plphp import (IMAGE, TEXT, LayerDecision, MultimodalSequence, PruningConfig, Segment,
-                   build_sequence, make_rng, pruning, vision_index_union)
+from plphp import (IMAGE, TEXT, FastVConfig, LayerDecision, PruningConfig, Segment, VTWConfig,
+                   build_sequence, decide, make_rng, pruning, vision_index_union)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
                            allocate_retention, classify_layer, decide_layers, prune_head_cache,
-                           prune_layer, select_retained, vision_attention_score)
+                           prune_layer, retained_count, select_retained, vision_attention_score)
 
 DEFAULT = PruningConfig()  # (r, dr, alpha, beta) = (0.4, 0.3, 0.25, 0.1)
 
@@ -163,15 +163,18 @@ class TestPruneHeadCache:
             assert out.positions.tolist() == set_keep(cache[0].positions, text, keep_vision)
 
     def test_heads_keeping_unequally_many_rows_raise(self):
-        # a layer's heads share one store, so a decision that would leave
-        # them unequal is refused before any row is gathered
+        # a layer's heads share one store, so a decision holds its kept rows
+        # as one (H, K) array: per-head sets of unequal sizes, or the heads'
+        # sets run together, cannot be built
+        for ragged in ([np.array([2, 3]), np.array([4])], np.array([2, 3, 4])):
+            with pytest.raises(ValueError, match=r"layer 3's kept rows must be one \(H, K\)"):
+                LayerDecision(layer=3, gamma=0.5, layer_class=None, exempt=False,
+                              per_head_retained=ragged)
         seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)], seed=0)
-        layer = make_cache(seq.total_length, heads=2)
         decision = LayerDecision(layer=3, gamma=0.5, layer_class=None, exempt=False,
-                                 per_head_retained=[[np.array([2, 3])], [np.array([4])]])
-        with pytest.raises(ValueError, match=r"layer 3's heads keep unequally many rows: \[6, 5\]"):
-            prune_layer(layer, seq, decision)
-        assert len(layer) == 2 and layer.rows == seq.total_length
+                                 per_head_retained=np.array([[2, 3], [4, 7]]))
+        pruned = prune_layer(make_cache(seq.total_length, heads=2), seq, decision)
+        assert [c.positions.tolist() for c in pruned] == [[0, 1, 2, 3, 8, 9], [0, 1, 4, 7, 8, 9]]
 
 
 def orthogonal_rows(s, peaks_per_head):
@@ -222,7 +225,7 @@ class TestPlphpHook:
         rows = orthogonal_rows(self.seq.total_length, [(2, 3), (6, 7)])
         caches, decision = self.prune_at(3, rows, cfg=PruningConfig(r=0.3, delta_r=0.0,
                                                                    alpha=0.0, beta=0.0))
-        sets = [tuple(np.concatenate(h).tolist()) for h in decision.per_head_retained]
+        sets = [tuple(row.tolist()) for row in decision.per_head_retained]
         assert sets[0] != sets[1]
         assert caches[0].positions.tolist() != caches[1].positions.tolist()
 
@@ -238,9 +241,9 @@ class TestPlphpHook:
                      VISION_INDIFFERENT: 0.1}[classify_layer(gamma, cfg)]
         assert decision.retention == pytest.approx(retention)
         for h in range(3):
-            for j, image in enumerate(self.seq.image_indices):
-                expected, _ = sort_select(rows[h], image, retention)
-                assert decision.per_head_retained[h][j].tolist() == expected
+            expected = [p for image in self.seq.image_indices
+                        for p in sort_select(rows[h], image, retention)[0]]
+            assert decision.per_head_retained[h].tolist() == expected
 
 
 def test_decide_layer_per_image_budget(rng):
@@ -249,27 +252,25 @@ def test_decide_layer_per_image_budget(rng):
     rows = random_softmax_rows(rng, 2, seq.total_length)
     decision, = decide_layers(rows[None], seq,
                               PruningConfig(r=0.4, delta_r=0.0, alpha=1.0, beta=0.0), 3, 5)
-    for h in range(2):
-        # each image gets its own floor(0.4 * S_j) budget
-        assert len(decision.per_head_retained[h][0]) == 2
-        assert len(decision.per_head_retained[h][1]) == 3
-        for j, image in enumerate(seq.image_indices):
-            assert set(decision.per_head_retained[h][j]) <= set(image.tolist())
+    # each image gets its own floor(0.4 * S_j) budget, and keeps nothing outside itself
+    assert decision.per_head_retained.shape == (2, 5)
+    for row in decision.per_head_retained:
+        assert [len(part) for part in image_parts(row, seq)] == [2, 3]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_decide_layer_equals_per_head_stable_argsort(seed):
-    # per_head_retained[h][j] is head h's stable-argsort top-K of image j
+    # row h of per_head_retained is head h's stable-argsort top-K of each image, in turn
     rng = make_rng(seed)
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
                           Segment(IMAGE, 12), Segment(TEXT, 2)], seed=seed)
     rows = np.round(random_softmax_rows(rng, 3, seq.total_length) * 40) / 40
     decision, = decide_layers(rows[None], seq, DEFAULT, 3, 5)
-    for j, image in enumerate(seq.image_indices):
-        k = max(1, int(np.floor(decision.retention * image.size)))
-        for h in range(3):
-            want = image[stable_argtopk(rows[h, image], k)]
-            assert decision.per_head_retained[h][j].tolist() == want.tolist()
+    for h in range(3):
+        want = [image[stable_argtopk(rows[h, image],
+                                     max(1, int(np.floor(decision.retention * image.size))))]
+                for image in seq.image_indices]
+        assert decision.per_head_retained[h].tolist() == np.concatenate(want).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,22 +318,43 @@ def test_decide_layers_equals_per_layer_oracle(data):
                           want[layer - 1:layer])
 
 
-@pytest.mark.parametrize("bad", [[10, 12, 13], [13, 12, 11], [0, 2], [30, 31, 32], [-1, 0], []],
-                         ids=["gap", "descending", "gap-from-zero", "past-the-end", "negative",
-                              "empty"])
-def test_decide_layers_needs_each_image_one_ascending_run(rng, bad):
-    # the top-K copies each image as one column slice, so a layout
-    # build_sequence would never make is refused, naming the image
-    good = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2),
-                           Segment(IMAGE, 20), Segment(TEXT, 2)], seed=0)
-    seq = MultimodalSequence(segments=good.segments, total_length=good.total_length,
-                             text_indices=good.text_indices,
-                             image_indices=(good.image_indices[0], np.array(bad, dtype=np.int64)),
-                             token_ids=good.token_ids)
-    rows = random_softmax_rows(rng, 2, good.total_length)[None]
-    with pytest.raises(ValueError, match=r"image 2 is not one ascending run"):
-        decide_layers(rows, seq, DEFAULT, 3, 5)
-    assert decide_layers(rows, good, DEFAULT, 3, 5)[0].per_head_retained is not None
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["none", "plphp", "fastv", "vtw"]))
+def test_every_decision_keeps_one_ascending_row_per_head(seed, method):
+    """Over random layouts and all four methods: a pruned layer's kept rows are
+    one (H, K) int64 array whose rows are strictly ascending and lie inside
+    the images; plphp keeps ``retained_count`` rows of each image per head."""
+    rng = make_rng(seed)
+    seq = build_sequence(random_segments(rng), seed=0)
+    n, h = int(rng.integers(3, 8)), int(rng.integers(1, 5))
+    rows = rng.random((n, h, seq.total_length))
+    rows /= rows.sum(axis=2, keepdims=True)
+    dr = float(rng.uniform(0.0, 0.5))
+    beta = float(rng.uniform(0.0, 1.0))
+    cfg = {"none": None,
+           "plphp": PruningConfig(r=float(rng.uniform(dr, 1.0 - dr)), delta_r=dr,
+                                  alpha=float(rng.uniform(beta, 1.0)), beta=beta),
+           "fastv": FastVConfig(k_layer=int(rng.integers(1, n + 1)),
+                                prune_ratio=float(rng.uniform(0.0, 1.0))),
+           "vtw": VTWConfig(k_layer=int(rng.integers(1, n + 1)))}[method]
+    decisions = decide(cfg, rows, seq)
+    if cfg is None:
+        assert decisions is None
+        return
+    is_image = np.zeros(seq.total_length, dtype=bool)
+    for lo, hi in seq.image_spans:
+        is_image[lo:hi] = True
+    for d in decisions:
+        assert (d.per_head_retained is None) == d.exempt
+        if d.exempt:
+            continue
+        kept = d.per_head_retained
+        assert isinstance(kept, np.ndarray) and kept.dtype == np.int64
+        assert kept.ndim == 2 and kept.shape[0] == h
+        assert np.all(np.diff(kept, axis=1) > 0) and is_image[kept].all()
+        if method == "plphp":
+            want = [retained_count(d.retention, hi - lo) for lo, hi in seq.image_spans]
+            assert all([len(part) for part in image_parts(row, seq)] == want for row in kept)
 
 
 def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):

@@ -99,7 +99,9 @@ MUTANTS = {
     "fastv-adapter-reranks": (
         "baselines.py", "        if layer == cfg.k_layer:", "        if layer >= cfg.k_layer:"),
     "layer-equal-rows-check": (
-        "pruning.py", "    if len({len(kept) for kept in rows}) > 1:", "    if False:"),
+        "pruning.py",
+        "        if kept is not None and not (isinstance(kept, np.ndarray) and kept.ndim == 2",
+        "        if False and not (isinstance(kept, np.ndarray) and kept.ndim == 2"),
     "layer-cap-ignores-max-rows": (
         "model.py", "            cap = max(l1, min(2 * l1, max_rows))", "            cap = 2 * l1"),
     "prune-shares-exempt": (
@@ -113,12 +115,15 @@ MUTANTS = {
     "report-drops-key": (
         "metrics.py", "_ROW_KEYS = sorted(CSV_COLUMNS)", "_ROW_KEYS = sorted(CSV_COLUMNS)[1:]"),
     "image-slice-end": (
-        "pruning.py",
-        "        lo, hi = (int(image[0]), int(image[-1]) + 1) if len(image) else (0, 0)",
-        "        lo, hi = (int(image[0]), int(image[-1])) if len(image) else (0, 0)"),
+        "layout.py",
+        "        return tuple((hi - seg.length, hi) for seg, hi in zip(self.segments, ends)",
+        "        return tuple((hi - seg.length, hi - 1) for seg, hi in zip(self.segments, ends)"),
     "image-offset": (
-        "pruning.py", "            kept.append((local + lo).reshape(len(group), num_heads, k))",
-        "            kept.append(local.reshape(len(group), num_heads, k))"),
+        "pruning.py", "            per_image.append((local + lo).reshape(len(group), num_heads, k))",
+        "            per_image.append(local.reshape(len(group), num_heads, k))"),
+    "image-concat-order": (
+        "pruning.py", "        kept.update(zip(group, np.concatenate(per_image, axis=2)))",
+        "        kept.update(zip(group, np.concatenate(per_image[::-1], axis=2)))"),
 }
 
 

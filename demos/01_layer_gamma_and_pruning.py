@@ -9,14 +9,14 @@ rows each head kept.
 import numpy as np
 
 from plphp import (IMAGE, TEXT, ModelConfig, PruningConfig, Segment, account,
-                   build_sequence, decide, init_model, prefill, prune, vision_index_union)
+                   build_sequence, decide, init_model, prefill, prune)
 
 cfg = ModelConfig(num_layers=8, num_heads=4, model_dim=16, head_dim=4,
                   vocab_size=64, max_positions=256)
 seq = build_sequence([Segment(TEXT, 6), Segment(IMAGE, 40), Segment(IMAGE, 30),
                       Segment(TEXT, 4)], seed=7, vocab_size=cfg.vocab_size)
 print(f"prompt: {seq.total_length} tokens, "
-      f"{vision_index_union(seq).size} of them vision, 2 images\n")
+      f"{seq.vision_union.size} of them vision, 2 images\n")
 
 pruning = PruningConfig()  # (r, dr, alpha, beta) = (0.4, 0.3, 0.25, 0.1)
 weights = init_model(cfg, seed=7)

@@ -6,7 +6,7 @@ trace format with offline replay, and a CLI experiment runner.
 """
 
 from .baselines import FastVConfig, VTWConfig, decide
-from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
+from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, account, latency_probe
 from .model import (DecoderState, HeadKVCache, LayerKVCache, ModelConfig, ModelWeights,
                     decode_step, greedy_generate, init_model, prefill, weight_shapes)

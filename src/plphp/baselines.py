@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import MultimodalSequence, vision_index_union
+from .layout import MultimodalSequence
 from .model import LayerKVCache
 # prune_head_cache stays bound here for perfbench/tracer.py, which rebinds it
 # under this module's name; the hooks prune through prune_layer.
@@ -59,7 +59,7 @@ def check_depth(cfg: FastVConfig | VTWConfig, num_layers: int) -> None:
 def fastv_surviving_set(last_rows: np.ndarray, seq: MultimodalSequence,
                         cfg: FastVConfig) -> np.ndarray:
     """Vision positions surviving FastV's one-shot ranking at layer K."""
-    vision = vision_index_union(seq)
+    vision = seq.vision_union
     if vision.size == 0:
         return vision
     mean_row = np.mean(np.asarray(last_rows, dtype=np.float64), axis=0)
@@ -79,9 +79,9 @@ def _kept_from_k(rows: np.ndarray, seq: MultimodalSequence, k_layer: int, kept: 
     ascending vision positions ``kept``, one row broadcast to ``(H, K)``.
     Gamma takes one reduction for all L layers.
     """
-    gammas = vision_attention_score(rows, vision_index_union(seq))
+    gammas = vision_attention_score(rows, seq.vision_union)
     per_head = np.broadcast_to(kept, (rows.shape[1], kept.size))
-    return [LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=layer < k_layer,
+    return [LayerDecision(layer=layer, gamma=gamma, layer_class=None,
                           per_head_retained=None if layer < k_layer else per_head)
             for layer, gamma in enumerate(gammas.tolist(), start=first_layer)]
 

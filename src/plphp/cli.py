@@ -34,6 +34,7 @@ import re
 import sys
 import traceback
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -44,20 +45,23 @@ from .model import ModelConfig, decode_step, init_model, prefill, weight_shapes
 from .pruning import PruningConfig, prune
 from .trace import TraceFormatError, read_trace, replay, trace_from_run, write_trace
 
-# Every config key once, as key: (type, default). Each key is also the flag
-# --key-with-dashes and a config-file key; the sweep CSV records the method keys
-# and the grid's other keys.
-_PLPHP, _FASTV, _VTW = PruningConfig(), FastVConfig(), VTWConfig()
-_METHOD_KEYS = {"method": (str, "none"), "r": (float, _PLPHP.r),
-                "dr": (float, _PLPHP.delta_r), "alpha": (float, _PLPHP.alpha),
-                "beta": (float, _PLPHP.beta), "fastv_k": (int, _FASTV.k_layer),
-                "fastv_ratio": (float, _FASTV.prune_ratio), "vtw_k": (int, _VTW.k_layer)}
+# Every method once, as name: (config class, {config key: the class's field}).
+_METHODS = {"none": (None, {}),
+            "plphp": (PruningConfig, {"r": "r", "dr": "delta_r", "alpha": "alpha", "beta": "beta"}),
+            "fastv": (FastVConfig, {"fastv_k": "k_layer", "fastv_ratio": "prune_ratio"}),
+            "vtw": (VTWConfig, {"vtw_k": "k_layer"})}
+# Every config key once, as key: (type, default); a method key takes both from
+# its field. Each key is also the flag --key-with-dashes and a config-file key;
+# the sweep CSV records the method keys and the grid's other keys.
+_METHOD_KEYS = {"method": (str, "none"),
+                **{key: (get_type_hints(cls)[field], getattr(cls(), field))
+                   for cls, fields in _METHODS.values() for key, field in fields.items()}}
 _KEYS = {"model_layers": (int, 8), "model_heads": (int, 4), "head_dim": (int, 8),
          "vocab_size": (int, 256), "max_positions": (int, 4608),
          "segments": (str, "T:8,I:92,T:4"), **_METHOD_KEYS, "seed": (int, 0),
          "steps": (int, 16), "trace_out": (str, None), "report_out": (str, None)}
 _FLAG_EXTRAS = {"segments": {"help": 'layout, e.g. "T:8,I:92,T:4"'},
-                "method": {"choices": ["none", "plphp", "fastv", "vtw"]}}
+                "method": {"choices": [*_METHODS]}}
 # The keys each subcommand reads, and so offers as flags (a config file may
 # hold any key).
 _SUBCOMMAND_KEYS = {"run": [*_KEYS], "sweep": [key for key in _KEYS if key != "trace_out"],
@@ -149,20 +153,15 @@ def resolve_config(args: argparse.Namespace, **defaults) -> dict:
 
 def method_config(cfg: dict, num_layers: int) -> PruningConfig | FastVConfig | VTWConfig | None:
     """The pruning method ``cfg`` names, checked against the model depth; None for no pruning."""
-    method = cfg["method"]
-    if method == "none":
+    if cfg["method"] not in _METHODS:
+        raise ConfigError(f"unknown method {cfg['method']!r}")
+    config_class, fields = _METHODS[cfg["method"]]
+    if config_class is None:
         return None
-    if method not in ("plphp", "fastv", "vtw"):
-        raise ConfigError(f"unknown method {method!r}")
     try:
-        if method == "plphp":
-            return PruningConfig(r=cfg["r"], delta_r=cfg["dr"], alpha=cfg["alpha"],
-                                 beta=cfg["beta"])
-        if method == "fastv":
-            pruning = FastVConfig(k_layer=cfg["fastv_k"], prune_ratio=cfg["fastv_ratio"])
-        else:
-            pruning = VTWConfig(k_layer=cfg["vtw_k"])
-        check_depth(pruning, num_layers)
+        pruning = config_class(**{field: cfg[key] for key, field in fields.items()})
+        if not isinstance(pruning, PruningConfig):  # its layer range is checked as it decides
+            check_depth(pruning, num_layers)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return pruning

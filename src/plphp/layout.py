@@ -9,6 +9,7 @@ only positions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .tensor_core import make_rng
 TEXT = "text"
 IMAGE = "image"
 
-__all__ = ["TEXT", "IMAGE", "Segment", "MultimodalSequence", "build_sequence", "vision_index_union"]
+__all__ = ["TEXT", "IMAGE", "Segment", "MultimodalSequence", "build_sequence"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class MultimodalSequence:
     """Segments laid end to end, one synthetic token id per position.
 
     Every position set derives from the segments, so each segment is one
-    ascending run by construction. The layout is nonempty and ends in text:
-    the last prefill position, the query row every decision reads, is text.
+    ascending run by construction; each union is built once, read-only. The
+    layout is nonempty and ends in text: the last prefill position, the
+    query row every decision reads, is text.
     """
 
     segments: tuple[Segment, ...]
@@ -69,17 +71,19 @@ class MultimodalSequence:
         """``(lo, hi)`` per image, in layout order: its positions are ``range(lo, hi)``."""
         return self._spans(IMAGE)
 
-    @property
-    def text_indices(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.arange(lo, hi, dtype=np.int64) for lo, hi in self._spans(TEXT))
+    def _union(self, kind: str) -> np.ndarray:
+        runs = [np.arange(lo, hi, dtype=np.int64) for lo, hi in self._spans(kind)]
+        union = np.concatenate([np.empty(0, dtype=np.int64), *runs])
+        union.flags.writeable = False
+        return union
 
-    @property
-    def image_indices(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.arange(lo, hi, dtype=np.int64) for lo, hi in self.image_spans)
-
-    @property
+    @functools.cached_property
     def text_union(self) -> np.ndarray:
-        return np.concatenate(self.text_indices)  # the final segment is text
+        return self._union(TEXT)
+
+    @functools.cached_property
+    def vision_union(self) -> np.ndarray:
+        return self._union(IMAGE)
 
 
 def build_sequence(segments: list[Segment] | tuple[Segment, ...], seed: int,
@@ -89,7 +93,3 @@ def build_sequence(segments: list[Segment] | tuple[Segment, ...], seed: int,
     return MultimodalSequence(segments, make_rng(seed).integers(0, vocab_size, size=length,
                                                                 dtype=np.int64))
 
-
-def vision_index_union(seq: MultimodalSequence) -> np.ndarray:
-    """Union of all image index sets, ascending."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *seq.image_indices])

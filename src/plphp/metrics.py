@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .layout import MultimodalSequence, vision_index_union
+from .layout import MultimodalSequence
 from .model import DecoderState
 
 CSV_COLUMNS = ["layer", "gamma", "class", "retention", "head", "kept_rows"]
@@ -50,7 +50,7 @@ def account(state: DecoderState, seq: MultimodalSequence,
     gamma, class and retention columns; without them those stay None.
     """
     s = seq.total_length
-    vision = vision_index_union(seq)
+    vision = seq.vision_union
     resident = [[c.positions[c.positions < s] for c in layer] for layer in state.caches]
     kept_rows = np.array([[r.size for r in layer] for layer in resident])
     kept_vision = np.array([[np.isin(r, vision).sum() for r in layer] for layer in resident])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import MultimodalSequence, vision_index_union
+from .layout import MultimodalSequence
 from .model import DecoderState, HeadKVCache, LayerKVCache
 from .tensor_core import argtopk
 
@@ -72,7 +72,7 @@ class PruningConfig:
 class LayerDecision:
     """Outcome of the layer-level decision for one decoder layer.
 
-    ``exempt`` layers keep their full caches and have no
+    A layer is ``exempt``, and keeps its full cache, exactly when it has no
     ``per_head_retained``; gamma (and, for plphp, the class) is still
     recorded so per-layer attention reports cover the whole model. The
     baselines have no layer classes and leave ``layer_class`` and
@@ -85,7 +85,6 @@ class LayerDecision:
     layer: int
     gamma: float
     layer_class: str | None
-    exempt: bool
     retention: float | None = None
     per_head_retained: np.ndarray | None = None
 
@@ -96,8 +95,12 @@ class LayerDecision:
             raise ValueError(f"layer {self.layer}'s kept rows must be one (H, K) int64 array, "
                              f"so that its heads keep equally many rows")
 
+    @property
+    def exempt(self) -> bool:
+        return self.per_head_retained is None
+
     def head_kept_vision(self, head: int) -> int:
-        return 0 if self.per_head_retained is None else self.per_head_retained[head].size
+        return 0 if self.exempt else self.per_head_retained[head].size
 
 
 def vision_attention_score(attn_last_rows: list[np.ndarray] | np.ndarray,
@@ -199,7 +202,7 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
     rows = np.asarray(attn_last_rows, dtype=np.float64)
     if rows.ndim != 3:
         raise ValueError(f"expected (L, H, S) rows, got {rows.ndim}-D")
-    gammas = vision_attention_score(rows, vision_index_union(seq)).tolist()
+    gammas = vision_attention_score(rows, seq.vision_union).tolist()
     first, last = cfg.pruned_range(num_layers)
     classes = [classify_layer(gamma, cfg) for gamma in gammas]
     retentions = [allocate_retention(c, cfg) if first <= first_layer + i <= last else None
@@ -213,8 +216,8 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
             local = argtopk(rows[group, :, lo:hi].reshape(-1, hi - lo), k)
             per_image.append((local + lo).reshape(len(group), num_heads, k))
         kept.update(zip(group, np.concatenate(per_image, axis=2)))
-    return [LayerDecision(layer=first_layer + i, gamma=gamma, layer_class=c, exempt=r is None,
-                          retention=r, per_head_retained=kept.get(i))
+    return [LayerDecision(layer=first_layer + i, gamma=gamma, layer_class=c, retention=r,
+                          per_head_retained=kept.get(i))
             for i, (gamma, c, r) in enumerate(zip(gammas, classes, retentions))]
 
 
@@ -231,13 +234,11 @@ def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalS
 
 def prune_layer(layer: LayerKVCache, seq: MultimodalSequence,
                 decision: LayerDecision) -> LayerKVCache:
-    """Cut each head to text plus the vision rows ``decision`` keeps, in one gather."""
+    """A new layer: each head's text and kept vision rows in one gather (exempt: every row)."""
     if decision.exempt:
-        return layer
-    text = seq.text_union
-    return layer.take(np.stack([prune_head_cache(cache, text, kept)
-                                for cache, kept in zip(layer, decision.per_head_retained,
-                                                       strict=True)]))
+        return layer.clone()
+    heads = zip(layer, decision.per_head_retained, strict=True)
+    return layer.take(np.stack([prune_head_cache(c, seq.text_union, kept) for c, kept in heads]))
 
 
 def prune(state: DecoderState, seq: MultimodalSequence,
@@ -249,7 +250,7 @@ def prune(state: DecoderState, seq: MultimodalSequence,
     """
     if decisions is None:
         return state.clone()
-    caches = [layer.clone() if decision.exempt else prune_layer(layer, seq, decision)
+    caches = [prune_layer(layer, seq, decision)
               for layer, decision in zip(state.caches, decisions, strict=True)]
     return DecoderState(caches=caches, next_position=state.next_position)
 

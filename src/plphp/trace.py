@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import FastVConfig, VTWConfig, decide
-from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
+from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, report_from_counts
 # decide_layer stays bound here for perfbench/tracer.py, which rebinds it
 # under this module's name; replay decides through ``decide``.
@@ -139,7 +139,7 @@ def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig |
     """
     seq = build_sequence(trace.segments, seed=0)
     n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
-    v = vision_index_union(seq).size
+    v = seq.vision_union.size
     kept_vision = np.full((n, h), v)
     decisions = decide(cfg, trace.rows, seq)
     for l, dec in enumerate(decisions or ()):

@@ -29,7 +29,7 @@ import numpy as np
 
 from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention, classify_layer,
                    decide, masked_row_softmax, matmul, prefill, prune, select_retained,
-                   vision_attention_score, vision_index_union)
+                   vision_attention_score)
 from plphp.baselines import fastv_surviving_set
 from plphp.pruning import prune_head_cache, prune_layer
 
@@ -231,17 +231,18 @@ def per_layer_decision(rows: np.ndarray, seq, cfg, layer: int, num_layers: int) 
     ``np.sum``, then one ``select_retained`` per image over the H rows.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    vision = vision_index_union(seq)
+    vision = seq.vision_union
     gamma = float(np.sum(np.mean(rows, axis=0)[vision])) if vision.size else 0.0
     layer_class = classify_layer(gamma, cfg)
     first, last = cfg.pruned_range(num_layers)
     if not first <= layer <= last:
-        return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class, exempt=True)
+        return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class)
     retention = allocate_retention(layer_class, cfg)
-    per_image = [select_retained(rows, img, retention)[0] for img in seq.image_indices]
+    per_image = [select_retained(rows, np.arange(lo, hi), retention)[0]
+                 for lo, hi in seq.image_spans]
     per_head = np.concatenate([np.empty((len(rows), 0), dtype=np.int64), *per_image], axis=1)
     return LayerDecision(layer=layer, gamma=gamma, layer_class=layer_class,
-                         exempt=False, retention=retention, per_head_retained=per_head)
+                         retention=retention, per_head_retained=per_head)
 
 
 def image_parts(row: np.ndarray, seq) -> list[np.ndarray]:
@@ -252,12 +253,12 @@ def image_parts(row: np.ndarray, seq) -> list[np.ndarray]:
 def _shared_decision(layer: int, last_rows: np.ndarray, seq,
                      kept: np.ndarray | None) -> LayerDecision:
     """Every head keeps the vision positions ``kept``; None exempts the layer."""
-    gamma = vision_attention_score(last_rows, vision_index_union(seq))
+    gamma = vision_attention_score(last_rows, seq.vision_union)
     if kept is None:
-        return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=True)
-    per_image = [kept[np.isin(kept, image)] for image in seq.image_indices]
+        return LayerDecision(layer=layer, gamma=gamma, layer_class=None)
+    per_image = [kept[np.isin(kept, np.arange(lo, hi))] for lo, hi in seq.image_spans]
     row = np.concatenate([np.empty(0, dtype=np.int64), *per_image])
-    return LayerDecision(layer=layer, gamma=gamma, layer_class=None, exempt=False,
+    return LayerDecision(layer=layer, gamma=gamma, layer_class=None,
                          per_head_retained=np.tile(row, (len(last_rows), 1)))
 
 
@@ -303,8 +304,8 @@ def recount_metrics(state, seq) -> tuple[float, float]:
     """Brute-force RR/KV recount over every head cache."""
     s = seq.total_length
     vision = set()
-    for run in seq.image_indices:
-        vision |= set(run.tolist())
+    for lo, hi in seq.image_spans:
+        vision |= set(range(lo, hi))
     n = len(state.caches)
     h = len(state.caches[0])
     rows = 0

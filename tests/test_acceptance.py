@@ -23,8 +23,7 @@ from helpers import (assert_same_decisions, cache_free_decode_logits, cut_head,
                      recount_metrics, set_keep, sort_select, sort_topk)
 from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, account,
                    argtopk, build_sequence, decide, decode_step, greedy_generate, init_model,
-                   make_rng, prefill, prune, select_retained, vision_attention_score,
-                   vision_index_union)
+                   make_rng, prefill, prune, select_retained, vision_attention_score)
 from plphp.pruning import allocate_retention, classify_layer, decide_layers, prune_layer
 from plphp.trace import read_trace, replay, trace_from_run, write_trace
 
@@ -153,7 +152,7 @@ def test_criterion_6_structural_contrast():
                          seed=0, vocab_size=32)
     state, _, _ = pruned_prefill(init_model(cfg, 3), cfg, seq,
                                  FastVConfig(k_layer=2, prune_ratio=0.5))
-    vision = set(vision_index_union(seq).tolist())
+    vision = set(seq.vision_union.tolist())
     sets = {tuple(p for p in cache.positions.tolist() if p in vision)
             for layer in state.caches[1:] for cache in layer}
     assert len(sets) == 1

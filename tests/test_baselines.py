@@ -7,8 +7,7 @@ from conftest import random_softmax_rows
 from helpers import (FastVRule, assert_same_caches, assert_same_decisions, layer_from_heads,
                      pruned_prefill, same_bits, sort_topk, vtw_decide)
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, PruningConfig, Segment,
-                   VTWConfig, build_sequence, decide, init_model, make_rng, prefill, prune,
-                   vision_index_union)
+                   VTWConfig, build_sequence, decide, init_model, make_rng, prefill, prune)
 from plphp.baselines import fastv_surviving_set, make_fastv_hook, make_vtw_hook
 from plphp.model import ModelConfig
 from plphp.pruning import make_hook
@@ -95,7 +94,7 @@ class TestFastV:
         rows = rows_for(rng, seq, heads=3)
         cfg = FastVConfig(k_layer=2, prune_ratio=0.4)
         surviving = fastv_surviving_set(rows, seq, cfg)
-        vision = vision_index_union(seq)
+        vision = seq.vision_union
         mean_row = np.mean(rows, axis=0)
         keep = vision.size - int(np.floor(0.4 * vision.size))
         expected = vision[sort_topk(mean_row[vision], keep)]
@@ -114,7 +113,7 @@ class TestFastV:
         weights = init_model(cfg, seed=2)
         seq = mixed_seq(vision=10)
         state, _, _ = pruned_prefill(weights, cfg, seq, FastVConfig(k_layer=2, prune_ratio=0.5))
-        vision = set(vision_index_union(seq).tolist())
+        vision = set(seq.vision_union.tolist())
         reference = None
         for l in range(1, cfg.num_layers):  # layers 2..5, i.e. >= K
             for cache in state.caches[l]:
@@ -145,7 +144,7 @@ class TestVTW:
         seq = mixed_seq(vision=10)
         k = 3  # ceil(N / 2)
         state, _, _ = pruned_prefill(weights, cfg, seq, VTWConfig(k_layer=k))
-        vision = vision_index_union(seq)
+        vision = seq.vision_union
         for l in range(cfg.num_layers):
             for cache in state.caches[l]:
                 kept_vision = int(np.isin(cache.positions, vision).sum())

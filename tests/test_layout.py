@@ -4,28 +4,27 @@ import numpy as np
 import pytest
 
 from conftest import random_segments
-from plphp import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence, vision_index_union
+from plphp import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 
 
 def test_basic_layout():
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 3), Segment(TEXT, 1)], seed=0)
     assert seq.total_length == 6
-    assert [run.tolist() for run in seq.text_indices] == [[0, 1], [5]]
-    assert [run.tolist() for run in seq.image_indices] == [[2, 3, 4]]
     assert seq.image_spans == ((2, 5),)
     assert seq.text_union.tolist() == [0, 1, 5]
+    assert seq.vision_union.tolist() == [2, 3, 4]
 
 
 def test_text_only():
     seq = build_sequence([Segment(TEXT, 1)], seed=0)
     assert seq.total_length == 1
-    assert vision_index_union(seq).size == 0
+    assert seq.vision_union.size == 0 and seq.vision_union.dtype == np.int64
 
 
 def test_two_images_union_count():
     seq = build_sequence([Segment(TEXT, 4), Segment(IMAGE, 10), Segment(IMAGE, 10),
                           Segment(TEXT, 2)], seed=0)
-    union = vision_index_union(seq)
+    union = seq.vision_union
     # counting oracle: disjoint union of the two image runs
     expected = set(range(4, 14)) | set(range(14, 24))
     assert set(union.tolist()) == expected
@@ -65,7 +64,7 @@ def test_sequence_holds_only_segments_and_token_ids():
                              np.zeros(4, dtype=np.int64))
     assert seq.segments == (Segment(TEXT, 1), Segment(IMAGE, 2), Segment(TEXT, 1))
     assert (seq.total_length, seq.image_spans) == (4, ((1, 3),))
-    for name in ("total_length", "text_indices", "image_indices", "text_union", "image_spans"):
+    for name in ("total_length", "text_union", "vision_union", "image_spans"):
         with pytest.raises(AttributeError):
             setattr(seq, name, ())
 
@@ -74,18 +73,22 @@ def test_partition_property(rng):
     for _ in range(200):
         segs = random_segments(rng)
         seq = build_sequence(segs, seed=int(rng.integers(0, 1000)))
-        all_indices = [i for run in seq.text_indices for i in run.tolist()]
-        all_indices += [i for run in seq.image_indices for i in run.tolist()]
-        assert sorted(all_indices) == list(range(seq.total_length))
-        assert len(set(all_indices)) == len(all_indices)
-        expected_vision = sum(s.length for s in segs if s.kind == IMAGE)
-        assert vision_index_union(seq).size == expected_vision
-        # each run is a contiguous ascending block
-        for run in list(seq.text_indices) + list(seq.image_indices):
-            assert np.array_equal(np.diff(run), np.ones(run.size - 1))
-        pos, spans = 0, []
+        pos, spans, text, vision = 0, [], [], []
         for seg in segs:
             if seg.kind == IMAGE:
                 spans.append((pos, pos + seg.length))
+                vision += range(pos, pos + seg.length)
+            else:
+                text += range(pos, pos + seg.length)
             pos += seg.length
         assert seq.image_spans == tuple(spans)
+        # the unions partition the positions, each the concatenated runs of its kind
+        union = seq.text_union.tolist() + seq.vision_union.tolist()
+        assert sorted(union) == list(range(seq.total_length))
+        for union, want in ((seq.text_union, text), (seq.vision_union, vision)):
+            assert union.dtype == np.int64 and union.tolist() == want
+            assert not union.flags.writeable
+            with pytest.raises(ValueError):
+                union[:1] = -1
+        # built once per sequence: a second read is the same array
+        assert seq.text_union is seq.text_union and seq.vision_union is seq.vision_union

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from conftest import random_segments, random_softmax_rows
 from helpers import (assert_same_decisions, cut_head, image_parts, layer_from_heads, loop_gamma,
                      per_layer_decision, set_keep, sort_select, stable_argtopk)
 from plphp import (IMAGE, TEXT, FastVConfig, LayerDecision, PruningConfig, Segment, VTWConfig,
-                   build_sequence, decide, make_rng, pruning, vision_index_union)
+                   build_sequence, decide, make_rng, pruning)
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
                            allocate_retention, classify_layer, decide_layers, prune_head_cache,
                            prune_layer, retained_count, select_retained, vision_attention_score)
@@ -168,13 +170,36 @@ class TestPruneHeadCache:
         # sets run together, cannot be built
         for ragged in ([np.array([2, 3]), np.array([4])], np.array([2, 3, 4])):
             with pytest.raises(ValueError, match=r"layer 3's kept rows must be one \(H, K\)"):
-                LayerDecision(layer=3, gamma=0.5, layer_class=None, exempt=False,
-                              per_head_retained=ragged)
+                LayerDecision(layer=3, gamma=0.5, layer_class=None, per_head_retained=ragged)
         seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)], seed=0)
-        decision = LayerDecision(layer=3, gamma=0.5, layer_class=None, exempt=False,
+        decision = LayerDecision(layer=3, gamma=0.5, layer_class=None,
                                  per_head_retained=np.array([[2, 3], [4, 7]]))
         pruned = prune_layer(make_cache(seq.total_length, heads=2), seq, decision)
         assert [c.positions.tolist() for c in pruned] == [[0, 1, 2, 3, 8, 9], [0, 1, 4, 7, 8, 9]]
+
+    def test_exempt_is_derived_from_the_kept_rows(self):
+        # a layer is exempt exactly when it keeps no rows: no decision can say otherwise
+        assert [f.name for f in dataclasses.fields(LayerDecision)] == \
+            ["layer", "gamma", "layer_class", "retention", "per_head_retained"]
+        with pytest.raises(TypeError):
+            LayerDecision(layer=3, gamma=0.1, layer_class=None, exempt=False)
+        exempt = LayerDecision(layer=3, gamma=0.1, layer_class=None)
+        kept = LayerDecision(layer=3, gamma=0.1, layer_class=None,
+                             per_head_retained=np.array([[2, 3], [4, 5]]))
+        assert (exempt.exempt, kept.exempt) == (True, False)
+        assert (exempt.head_kept_vision(0), kept.head_kept_vision(0)) == (0, 2)
+        for decision in (exempt, kept):
+            with pytest.raises(AttributeError):
+                decision.exempt = not decision.exempt
+
+    def test_exempt_layer_is_copied_whole(self):
+        # prune_layer never hands back its input, so decoding its output leaves the input alone
+        seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)], seed=0)
+        layer = make_cache(seq.total_length, heads=2)
+        out = prune_layer(layer, seq, LayerDecision(layer=1, gamma=0.5, layer_class=None))
+        for a, b in zip(layer, out, strict=True):
+            for x, y in ((a.keys, b.keys), (a.values, b.values), (a.positions, b.positions)):
+                assert np.array_equal(x, y) and not np.shares_memory(x, y)
 
 
 def orthogonal_rows(s, peaks_per_head):
@@ -234,15 +259,15 @@ class TestPlphpHook:
         rows = random_softmax_rows(rng, 3, self.seq.total_length)
         cfg = DEFAULT
         _, decision = self.prune_at(3, rows)
-        vision = vision_index_union(self.seq)
+        vision = self.seq.vision_union
         gamma = loop_gamma(rows, vision)
         assert abs(decision.gamma - gamma) < 1e-12
         retention = {VISION_ATTENTIVE: 0.7, VISION_BALANCED: 0.4,
                      VISION_INDIFFERENT: 0.1}[classify_layer(gamma, cfg)]
         assert decision.retention == pytest.approx(retention)
         for h in range(3):
-            expected = [p for image in self.seq.image_indices
-                        for p in sort_select(rows[h], image, retention)[0]]
+            expected = [p for lo, hi in self.seq.image_spans
+                        for p in sort_select(rows[h], np.arange(lo, hi), retention)[0]]
             assert decision.per_head_retained[h].tolist() == expected
 
 
@@ -267,9 +292,9 @@ def test_decide_layer_equals_per_head_stable_argsort(seed):
     rows = np.round(random_softmax_rows(rng, 3, seq.total_length) * 40) / 40
     decision, = decide_layers(rows[None], seq, DEFAULT, 3, 5)
     for h in range(3):
-        want = [image[stable_argtopk(rows[h, image],
-                                     max(1, int(np.floor(decision.retention * image.size))))]
-                for image in seq.image_indices]
+        want = [lo + stable_argtopk(rows[h, lo:hi],
+                                    max(1, int(np.floor(decision.retention * (hi - lo)))))
+                for lo, hi in seq.image_spans]
         assert decision.per_head_retained[h].tolist() == np.concatenate(want).tolist()
 
 
@@ -371,8 +396,8 @@ def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):
     groups = {d.retention: sum(1 for e in decisions if e.retention == d.retention)
               for d in decisions if not d.exempt}
     assert len(groups) >= 2
-    assert sorted(calls) == sorted((3 * size, image.size) for size in groups.values()
-                                   for image in seq.image_indices)
+    assert sorted(calls) == sorted((3 * size, hi - lo) for size in groups.values()
+                                   for lo, hi in seq.image_spans)
 
 
 def test_vision_attention_score_per_layer_bits(rng):

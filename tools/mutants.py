@@ -93,7 +93,7 @@ MUTANTS = {
     "decide-skips-check-depth": (
         "baselines.py", "    check_depth(cfg, len(rows))", "    pass"),
     "prune-cuts-exempt": (
-        "pruning.py", "        return layer",
+        "pruning.py", "        return layer.clone()",
         "        return layer.take(np.stack([prune_head_cache(c, seq.text_union,"
         " np.empty(0, dtype=np.int64)) for c in layer]))"),
     "fastv-adapter-reranks": (
@@ -105,9 +105,11 @@ MUTANTS = {
     "layer-cap-ignores-max-rows": (
         "model.py", "            cap = max(l1, min(2 * l1, max_rows))", "            cap = 2 * l1"),
     "prune-shares-exempt": (
-        "pruning.py",
-        "    caches = [layer.clone() if decision.exempt else prune_layer(layer, seq, decision)",
-        "    caches = [layer if decision.exempt else prune_layer(layer, seq, decision)"),
+        "pruning.py", "        return layer.clone()", "        return layer"),
+    "exempt-ignores-array": (
+        "pruning.py", "        return self.per_head_retained is None", "        return False"),
+    "union-writable": (
+        "layout.py", "        union.flags.writeable = False", "        pass"),
     "views-writable": (
         "model.py", "            view.flags.writeable = False", "            pass"),
     "report-none-spelling": (

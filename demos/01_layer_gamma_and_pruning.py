@@ -26,7 +26,7 @@ state = prune(state, seq, decisions)
 
 print(f"{'layer':>5} {'gamma':>8} {'class':>18} {'retention':>9}   kept vision rows per head")
 for decision in decisions:
-    kept = [decision.head_kept_vision(h) for h in range(cfg.num_heads)] \
+    kept = [decision.per_head_retained.shape[1]] * cfg.num_heads \
         if not decision.exempt else ["full"] * cfg.num_heads
     retention = "-" if decision.retention is None else f"{decision.retention:.2f}"
     tag = " (exempt)" if decision.exempt else ""

@@ -11,7 +11,7 @@ from .metrics import MetricsReport, account, latency_probe
 from .model import (DecoderState, HeadKVCache, LayerKVCache, ModelConfig, ModelWeights,
                     decode_step, greedy_generate, init_model, prefill, weight_shapes)
 from .pruning import (LayerDecision, PruningConfig, allocate_retention, classify_layer, prune,
-                      prune_head_cache, select_retained, vision_attention_score)
+                      prune_head_cache, vision_attention_score)
 from .tensor_core import argtopk, make_rng, masked_row_softmax, matmul
 from .trace import AttentionTrace, read_trace, replay, trace_from_run, write_trace
 

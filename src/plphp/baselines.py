@@ -107,7 +107,7 @@ def decide(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray
 def fastv_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
                seq: MultimodalSequence, cfg: FastVConfig,
                surviving: np.ndarray) -> tuple[LayerKVCache, LayerDecision]:
-    """FastV at one layer, given the set ranked at layer K; for perfbench/ until ROADMAP item 4."""
+    """FastV at one layer, given the set ranked at layer K; for perfbench/ until ROADMAP item 6."""
     decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, surviving, layer)[0]
     return prune_layer(caches, seq, decision), decision
 
@@ -115,13 +115,13 @@ def fastv_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
 def vtw_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
              seq: MultimodalSequence,
              cfg: VTWConfig) -> tuple[LayerKVCache, LayerDecision]:
-    """VTW at one layer; kept for perfbench/ until ROADMAP item 4."""
+    """VTW at one layer; kept for perfbench/ until ROADMAP item 6."""
     decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, _NO_VISION, layer)[0]
     return prune_layer(caches, seq, decision), decision
 
 
 def make_fastv_hook(cfg: FastVConfig, num_layers: int):
-    """FastV's prefill hook; only it holds the layer-K set. For perfbench/ until ROADMAP item 4."""
+    """FastV's prefill hook; only it holds the layer-K set. For perfbench/ until ROADMAP item 6."""
     check_depth(cfg, num_layers)
     surviving = _NO_VISION  # read only from layer K on
 
@@ -135,7 +135,7 @@ def make_fastv_hook(cfg: FastVConfig, num_layers: int):
 
 
 def make_vtw_hook(cfg: VTWConfig, num_layers: int):
-    """VTW's prefill hook; kept for perfbench/ until ROADMAP item 4."""
+    """VTW's prefill hook; kept for perfbench/ until ROADMAP item 6."""
     check_depth(cfg, num_layers)
 
     def hook(layer, last_rows, caches, seq):

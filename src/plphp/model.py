@@ -6,31 +6,31 @@ normalization, 4x MLP with ReLU) so the decoder is a genuine, if tiny,
 language model. Position embeddings are absolute and added once at the
 input, which makes cache pruning a pure row deletion with no renumbering.
 
-Prefill and decode are one forward pass: each head writes the new rows to
-its slab of its layer's cache and attends over its rows in causal row
-blocks. Prefill starts from empty caches, decode from the rows each head
-kept. A layer keeps all its heads' rows in one store with room to spare, so
-a decode step writes one row per head and copies none. No head holds an S x S
-map and the masked upper triangle is never multiplied; every output keeps
-the bits of the full-matrix computation (a masked weight is exactly +0.0,
-and adding its +-0 product leaves the sum unchanged). On another CPU the
-softmax's ``np.exp`` may move by 1 ULP, so logits there agree within 1e-9
-rather than bit for bit (``tests/test_cpu_dispatch.py``). The pass returns only
-the last row's output, which decode unembeds and prefill drops, so the
-final layer appends every row to the caches but runs the rest of the layer
-for its last row block alone.
+Prefill and decode are two passes over the same caches. Prefill's pass
+writes each head's rows to its slab of its layer's cache and attends over
+them in causal row blocks, starting from empty caches. A decode step's pass
+appends one row per head and attends with all H heads of a layer at once
+(``tensor_core.head_matmul`` and ``head_row_softmax``), each head over the
+rows it kept. A layer keeps all its heads' rows in one store with room to
+spare, so a decode step writes one row per head and copies none. No head
+holds an S x S map and the masked upper triangle is never multiplied; every
+output keeps the bits of the full-matrix computation (a masked weight is
+exactly +0.0, and adding its +-0 product leaves the sum unchanged), and each
+head's decode row keeps the bits of its own 1-row product and softmax. On
+another CPU the softmax's ``np.exp`` may move by 1 ULP, so logits there
+agree within 1e-9 rather than bit for bit (``tests/test_cpu_dispatch.py``).
+Prefill's pass returns only the last row's output, which prefill drops, so
+the final layer appends every row to the caches but runs the rest of the
+layer for its last row block alone.
 
-Within a layer no head reads another head's state, so a multi-row pass
-(prefill) runs the heads on min(H, usable CPUs) threads: the calling thread
-and threads started for that layer and joined before it ends, so no thread
-outlives a pass. The bits cannot change: each head keeps its own summation
-order, writes only its own slab of the store, its own D_k columns of the
-layer's output and its own last row, and the layer waits for every head
-before its out-projection. A decode step runs its heads in order on the calling
-thread: a 1-row head is tens of microseconds of mostly interpreter-bound
-work, which holds the interpreter lock, so another thread could not overlap
-it, and starting and joining one thread alone costs about 140 us (2-vCPU
-Xeon host).
+Within a layer no head reads another head's state, so prefill runs the
+heads on min(H, usable CPUs) threads: the calling thread and threads
+started for that layer and joined before it ends, so no thread outlives a
+pass. The bits cannot change: each head keeps its own summation order,
+writes only its own slab of the store, its own D_k columns of the layer's
+output and its own last row, and the layer waits for every head before its
+out-projection. A decode step starts no thread: its batched heads are a
+handful of numpy calls per layer on the calling thread.
 
 Prefill also returns the last prompt row of each head's attention map, the
 one row every pruning method reads, as one (N, H, S) array;
@@ -50,10 +50,10 @@ from typing import Any, Callable
 import numpy as np
 
 from .layout import MultimodalSequence
-from .tensor_core import make_rng, masked_row_softmax, matmul
+from .tensor_core import head_matmul, head_row_softmax, make_rng, masked_row_softmax, matmul
 
 # hook(layer_1based, last_rows[H, S], layer_cache, seq) -> (layer_cache, LayerDecision),
-# last_rows read-only; kept for perfbench/ until ROADMAP item 4, as is prefill's hook loop
+# last_rows read-only; kept for perfbench/ until ROADMAP item 6, as is prefill's hook loop
 PruningHook = Callable[
     [int, np.ndarray, "LayerKVCache", MultimodalSequence],
     tuple["LayerKVCache", Any],
@@ -228,7 +228,7 @@ def attention_row_blocks(m: int) -> list[tuple[int, int]]:
     """Causal attention row blocks ``[i0, i1)`` over the m new rows of a pass.
 
     Blocks hold ATTN_BLOCK_ROWS rows; a 1-row tail joins the block before it,
-    so only a 1-row pass (a decode step, or an S=1 prompt) has a 1-row block.
+    so only an S=1 prompt has a 1-row block.
     """
     bounds = [*range(0, m, ATTN_BLOCK_ROWS), m]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -244,8 +244,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
-               works: list[np.ndarray | None]) -> None:
+def _run_heads(attend: Callable[[int, np.ndarray], None], num_heads: int,
+               works: list[np.ndarray]) -> None:
     """``attend(h, works[t])`` for every head h, thread t taking heads t, t + T, ...
 
     T = ``len(works)``: the calling thread is t = 0 and T - 1 threads started
@@ -280,28 +280,12 @@ def _run_heads(attend: Callable[[int, np.ndarray | None], None], num_heads: int,
             raise exc
 
 
-def _forward(weights: ModelWeights, config: ModelConfig, caches: list[LayerKVCache],
-             token_ids: np.ndarray, first_position: int,
-             last_rows: np.ndarray | None = None) -> np.ndarray:
-    """Run m new rows from ``first_position`` through every layer; returns the last row, 1 x D.
+def _embed(weights: ModelWeights, config: ModelConfig, token_ids: np.ndarray,
+           first_position: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m new rows' input (m x D) and positions, after checking both.
 
-    Each layer's cache takes the rows (``LayerKVCache.extend``), and each
-    head writes their keys and values to its slab and attends over its rows:
-    with l0 rows cached before, row block ``[i0, i1)`` is rows ``l0 + i0..``
-    of a causal map ``l0 + m`` wide. Head h of layer l writes its map's last
-    row into ``last_rows[l, h]`` (N x H x (l0 + m)), if given.
-
-    A token id outside [0, vocab_size) raises ``ValueError`` before any
-    cache changes.
-
-    Only the last row leaves the final layer, so that layer appends all m
-    rows to the caches but runs the rest (queries, scores, softmax, value
-    mix, out-projection and MLP) for its last row block alone.
-
-    A multi-row pass runs each layer's heads on min(H, usable CPUs) threads
-    (``_run_heads``), each thread with one score workspace for the whole
-    pass; a 1-row pass runs them in order on the calling thread and scores
-    into fresh rows.
+    A token id outside [0, vocab_size), or a position past max_positions,
+    raises ``ValueError`` before any cache changes.
     """
     m = len(token_ids)
     if m and not 0 <= token_ids.min() <= token_ids.max() < config.vocab_size:
@@ -311,16 +295,34 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[LayerKVCac
         raise ValueError(f"positions up to {first_position + m - 1} exceed "
                          f"max_positions {config.max_positions}")
     positions = np.arange(first_position, first_position + m, dtype=np.int64)
-    x = weights.token_embedding[token_ids] + weights.position_embedding[positions]
+    return weights.token_embedding[token_ids] + weights.position_embedding[positions], positions
+
+
+def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[LayerKVCache],
+                  token_ids: np.ndarray, last_rows: np.ndarray) -> np.ndarray:
+    """Run the m prompt rows through every layer; returns the last row, 1 x D.
+
+    Each layer's cache takes the rows (``LayerKVCache.extend``), and each
+    head writes their keys and values to its slab and attends over its rows:
+    row block ``[i0, i1)`` is rows ``i0..`` of a causal map m wide. Head h
+    of layer l writes its map's last row into ``last_rows[l, h]`` (N x H x m).
+
+    Only the last row leaves the final layer, so that layer appends all m
+    rows to the caches but runs the rest (queries, scores, softmax, value
+    mix, out-projection and MLP) for its last row block alone.
+
+    Each layer's heads run on min(H, usable CPUs) threads (``_run_heads``),
+    each thread with one score workspace for the whole pass.
+    """
+    m = len(token_ids)
+    x, positions = _embed(weights, config, token_ids, 0)
     dk = config.head_dim
     inv_sqrt_dk = 1.0 / np.sqrt(dk)
     blocks = attention_row_blocks(m)
     r0 = 0  # first row a layer computes beyond its K/V: 0 before the final layer
-    works: list[np.ndarray | None] = [None]
-    if m > 1:  # per thread, sized for the largest block of any head and layer
-        l0_max = max(layer.rows for layer in caches)
-        size = max((i1 - i0) * (l0_max + i1) for i0, i1 in blocks)
-        works = [np.empty(size) for _ in range(min(config.num_heads, _usable_cpus()))]
+    # per thread, sized for the largest block of any head and layer
+    size = max((i1 - i0) * i1 for i0, i1 in blocks)
+    works = [np.empty(size) for _ in range(min(config.num_heads, _usable_cpus()))]
 
     for l in range(config.num_layers):
         h_in = _rmsnorm(x)
@@ -329,32 +331,60 @@ def _forward(weights: ModelWeights, config: ModelConfig, caches: list[LayerKVCac
             r0 = blocks[0][0]
             x = x[r0:]
         mixed = np.empty((m - r0, config.model_dim))
-        l0 = caches[l].rows
         # the store keeps keys^T: each k-step of the score loop reads one row
         kt, vs = caches[l].extend(positions, config.max_positions)
 
-        def attend(h: int, work: np.ndarray | None) -> None:
+        def attend(h: int, work: np.ndarray) -> None:
             # reads only shared inputs; writes only head h's slabs, columns of
             # mixed and last row, so the order of heads changes no bit
             q = matmul(h_in[r0:], weights.w_q[l, h])
-            kt[h, :, l0:l0 + m] = matmul(h_in, weights.w_k[l, h]).T
-            vs[h, l0:l0 + m] = matmul(h_in, weights.w_v[l, h])
+            kt[h, :, :m] = matmul(h_in, weights.w_k[l, h]).T
+            vs[h, :m] = matmul(h_in, weights.w_v[l, h])
             out = mixed[:, h * dk:(h + 1) * dk]
             for i0, i1 in blocks:
-                n = l0 + i1
-                scores = None if work is None else work[:(i1 - i0) * n].reshape(i1 - i0, n)
-                scores = matmul(q[i0 - r0:i1 - r0], kt[h, :, :n], out=scores)
+                scores = matmul(q[i0 - r0:i1 - r0], kt[h, :, :i1],
+                                out=work[:(i1 - i0) * i1].reshape(i1 - i0, i1))
                 scores *= inv_sqrt_dk
-                masked_row_softmax(scores, width=l0 + m, out=scores)
-                out[i0 - r0:i1 - r0] = matmul(scores, vs[h, :n])
-            if last_rows is not None:  # before the next head reuses the workspace
-                last_rows[l, h] = scores[-1]
+                masked_row_softmax(scores, width=m, out=scores)
+                out[i0 - r0:i1 - r0] = matmul(scores, vs[h, :i1])
+            last_rows[l, h] = scores[-1]  # before the next head reuses the workspace
 
         _run_heads(attend, config.num_heads, works)
         x = x + matmul(mixed, weights.w_o[l])
         m_in = _rmsnorm(x)
         x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
     return x[-1:]
+
+
+def _decode_pass(weights: ModelWeights, config: ModelConfig, caches: list[LayerKVCache],
+                 token_id: int, position: int) -> np.ndarray:
+    """Run one new row at ``position`` through every layer; returns it, 1 x D.
+
+    Each layer appends the row to every head (``LayerKVCache.extend``) and
+    attends with all H heads at once, over the n rows each head now holds:
+    queries, keys and values as 3H rows of one ``head_matmul`` over the
+    layer's stacked (3H, D, D_k) weights, scores over ``kt[:, :, :n]``, the
+    softmax of the (H, n) rows by ``head_row_softmax`` and the value mix
+    over ``vs[:, :n]``. Row h of each keeps the bits of head h's 1-row
+    ``matmul`` and ``masked_row_softmax``, and the (H, D_k) output, read as
+    one row, is the heads' columns in order.
+    """
+    x, positions = _embed(weights, config, np.array([token_id]), position)
+    h = config.num_heads
+    inv_sqrt_dk = 1.0 / np.sqrt(config.head_dim)
+    for l in range(config.num_layers):
+        kt, vs = caches[l].extend(positions, config.max_positions)
+        n = caches[l].rows
+        qkv = head_matmul(_rmsnorm(x).repeat(3 * h, axis=0),
+                          np.concatenate((weights.w_q[l], weights.w_k[l], weights.w_v[l])))
+        q, kt[:, :, n - 1], vs[:, n - 1] = qkv[:h], qkv[h:2 * h], qkv[2 * h:]
+        scores = head_matmul(q, kt[:, :, :n])
+        scores *= inv_sqrt_dk
+        head_row_softmax(scores)
+        x = x + matmul(head_matmul(scores, vs[:, :n]).reshape(1, -1), weights.w_o[l])
+        m_in = _rmsnorm(x)
+        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
+    return x
 
 
 def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
@@ -364,7 +394,7 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
 
     With ``record_trace`` the report's ``attn_last_rows`` is the N x H x S
     array of last attention rows that ``decide`` reads. The hook, kept for
-    perfbench/ until ROADMAP item 4, runs for layers 1..N in order on a
+    perfbench/ until ROADMAP item 6, runs for layers 1..N in order on a
     read-only view of that layer's H x S block and may replace the layer's
     caches with pruned ones. No layer reads another layer's cache, so
     pruning after the pass leaves the caches pruning between layers would.
@@ -374,7 +404,7 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     caches = [LayerKVCache(empty, empty, np.empty((config.num_heads, 0), dtype=np.int64))
               for _ in range(config.num_layers)]
     last_rows = np.empty((config.num_layers, config.num_heads, s))
-    _forward(weights, config, caches, seq.token_ids, 0, last_rows)
+    _prefill_pass(weights, config, caches, seq.token_ids, last_rows)
     decisions: list[Any] | None = None
     if hook is not None:
         read_only = last_rows.view()
@@ -394,7 +424,7 @@ def decode_step(weights: ModelWeights, config: ModelConfig, state: DecoderState,
     Each head attends only over its own (possibly pruned) rows, normalized
     over the survivors. Mutates ``state`` in place and returns it.
     """
-    x = _forward(weights, config, state.caches, np.array([token_id]), state.next_position)
+    x = _decode_pass(weights, config, state.caches, token_id, state.next_position)
     logits = matmul(_rmsnorm(x), weights.unembedding)[0]
     state.next_position += 1
     return logits, state

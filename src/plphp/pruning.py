@@ -30,7 +30,7 @@ __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
     "PruningConfig", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
-    "retained_count", "select_retained", "prune_head_cache", "prune_layer", "prune",
+    "retained_count", "prune_head_cache", "prune_layer", "prune",
     "decide_layers",
 ]
 
@@ -99,9 +99,6 @@ class LayerDecision:
     def exempt(self) -> bool:
         return self.per_head_retained is None
 
-    def head_kept_vision(self, head: int) -> int:
-        return 0 if self.exempt else self.per_head_retained[head].size
-
 
 def vision_attention_score(attn_last_rows: list[np.ndarray] | np.ndarray,
                            vision_union: np.ndarray) -> float | np.ndarray:
@@ -157,22 +154,6 @@ def retained_count(retention: float, image_length: int) -> int:
     return max(1, k) if retention > 0.0 else k
 
 
-def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
-                    retention: float) -> tuple[np.ndarray, int]:
-    """Top-K vision positions of one image for one head, or for each row of ``(H, S)``.
-
-    K is ``retained_count(retention, image length)``. Returns the retained
-    absolute positions (ascending, one row per head for 2-D input) and K.
-    """
-    head_row = np.asarray(head_row, dtype=np.float64)
-    image_indices = np.asarray(image_indices, dtype=np.int64)
-    k = retained_count(retention, image_indices.size)
-    # np.take gathers C-ordered; head_row[..., image_indices] would come back
-    # Fortran-ordered for 2-D rows, and argtopk runs slower across rows
-    local = argtopk(np.take(head_row, image_indices, axis=-1), k)
-    return image_indices[local], k
-
-
 def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
                      retained_vision: np.ndarray) -> np.ndarray:
     """Indices of exactly the rows at text positions plus the retained vision set."""
@@ -193,7 +174,7 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
     reduction for all L layers. Each image takes one top-K per retention
     value over the ``(layers * H, image)`` rows of the layers allotted it:
     one copy of just the image's columns (``seq.image_spans``), K by
-    ``retained_count``, as ``select_retained`` takes them. The images'
+    ``retained_count``. The images'
     selections are concatenated once per retention value, in layout order,
     into each layer's ``(H, K)`` ``per_head_retained``. Every row stands
     alone in both, so a layer's decision has the same bits whichever layers
@@ -258,13 +239,13 @@ def prune(state: DecoderState, seq: MultimodalSequence,
 def plphp_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
                seq: MultimodalSequence, cfg: PruningConfig,
                num_layers: int) -> tuple[LayerKVCache, LayerDecision]:
-    """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP item 4."""
+    """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP item 6."""
     decision = decide_layer(last_rows, seq, cfg, layer, num_layers)
     return prune_layer(caches, seq, decision), decision
 
 
 def make_hook(cfg: PruningConfig, num_layers: int):
-    """plphp's prefill hook; kept for perfbench/ until ROADMAP item 4."""
+    """plphp's prefill hook; kept for perfbench/ until ROADMAP item 6."""
     def hook(layer, last_rows, caches, seq):
         return plphp_hook(layer, last_rows, caches, seq, cfg, num_layers)
     return hook

@@ -7,7 +7,9 @@ product exactly. It picks its path from the operand shape: one running sum
 for a single output element, one product buffer and one in-order reduction
 for a single row, a loop over the inner dimension when the output has long
 rows, else a chunked reduction that adds the same products in the same order
-(see ``matmul``).
+(see ``matmul``). A decode step runs every head of a layer at once through
+``head_matmul`` and ``head_row_softmax``, whose row h keeps the bits of the
+1-row ``matmul`` and ``masked_row_softmax`` of head h.
 
 The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so the
 values it draws are the same on every platform. ``matmul`` and ``argtopk``
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
+__all__ = ["matmul", "masked_row_softmax", "head_matmul", "head_row_softmax", "argtopk",
+           "make_rng"]
 
 # matmul's paths (see its docstring). The single-row path makes two
 # numpy calls in all, over a K x n product buffer of at most
@@ -32,6 +35,11 @@ __all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
 # chunk of k: chunk = MATMUL_BUFFER_FLOATS // (m * n), at least 1.
 MATMUL_LOOP_MIN_OUTPUT = 2048
 MATMUL_BUFFER_FLOATS = 2**15
+# head_matmul's product slab: half matmul's buffer, because numpy's
+# buffered multiply of a broadcast operand adds up to a slab of its own, and
+# a decode step's temporaries stay below one head's key rows
+# (tests/test_model.py::TestKVStore::test_decode_steps_copy_no_cache)
+HEAD_SLAB_FLOATS = MATMUL_BUFFER_FLOATS // 2
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -197,6 +205,102 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None,
         np.copyto(tail, 0.0, where=masked)
     out /= _padded_row_sum(out, width)
     return out
+
+
+def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each head's row times its own matrix: (H x K) by (H x K x n) gives H x n.
+
+    Row h is bitwise ``matmul(a[h:h+1], b[h])``, the loop's ``0.0 + p0 + p1
+    + ...`` over k. The products fill one C-ordered slab of at most
+    HEAD_SLAB_FLOATS floats at a time, laid out so that numpy's inner loops
+    run along the longer of K and n:
+
+    * long rows (``K <= n``: a decode step's scores): a K x H x cols slab
+      per chunk of columns, k outermost, and ``np.add.reduce`` over k with
+      ``initial=0.0`` (the loop's ``0.0 + p0``) adds the slices in order,
+      its inner loop running over every head's columns at once. It would sum
+      pairwise if that inner loop ran over k, which needs H = 1 and a
+      1-column slab, so slabs are at least 2 columns wide and a 1-column
+      last slab starts one column early (that column is computed twice,
+      to the same bits).
+    * long sums (``K > n``: the value mix, and q, k and v): an H x n x chunk
+      slab per chunk of k, k innermost, summed in place by
+      ``np.add.accumulate`` along k, which adds left to right by
+      construction, and its last sum ``+ 0.0`` (a running sum is -0.0 only
+      while every product so far is, as in ``matmul``'s single-element path).
+      The running sum is added into the next chunk's first products as the
+      left operand, as in ``matmul``'s chunked path.
+
+    Either path splits both axes when it must: a long-rows slab that cannot
+    hold every k of two columns takes k in chunks, and a long-sums slab that
+    cannot hold one k of every column takes the columns in chunks. ``K ==
+    0`` gives zeros. NaN payloads behave as in ``matmul``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 3 or b.shape[:2] != a.shape:
+        raise ValueError(f"head_matmul expects (H, K) x (H, K, n) operands, "
+                         f"got {a.shape} x {b.shape}")
+    h, inner, n = b.shape
+    if inner == 0 or h * n == 0:
+        return np.zeros((h, n))
+    sums = inner > n
+    if sums:  # every column if one k of them fits; k innermost
+        cols = min(n, max(1, HEAD_SLAB_FLOATS // h))
+        at, bt = a[:, None, :], b.transpose(0, 2, 1)
+    else:  # every k of as many columns as fit, at least two; k outermost
+        cols = min(n, max(2, HEAD_SLAB_FLOATS // (h * inner)))
+        at, bt = a.T[:, :, None], b.transpose(1, 0, 2)
+    chunk = min(inner, max(1, HEAD_SLAB_FLOATS // (h * cols)))
+    out = np.empty((h, n))
+    if cols == n and chunk == inner:  # one slab, a decode step's usual case: no slicing
+        return _head_slab(at, bt, sums, np.empty(bt.size), None, out)
+    prod = np.empty(h * cols * chunk)  # each slab's products are a C-ordered prefix
+    for j0 in range(0, n, cols):
+        if n - j0 == 1 < cols:  # a 1-column last slab starts one column early
+            j0 -= 1
+        acc, cj = out[:, j0:j0 + cols], slice(j0, j0 + cols)
+        for k0 in range(0, inner, chunk):
+            ck = slice(k0, k0 + chunk)
+            ak, bk = (at[:, :, ck], bt[:, cj, ck]) if sums else (at[ck], bt[ck, :, cj])
+            _head_slab(ak, bk, sums, prod, acc if k0 else None, acc)
+    return out
+
+
+def _head_slab(at: np.ndarray, bt: np.ndarray, sums: bool, buf: np.ndarray,
+               carry: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """One slab of ``head_matmul``: the products ``at * bt`` (laid out as ``bt``)
+    fill a prefix of ``buf`` and are summed over k into ``out``, continuing
+    from the running sum ``carry`` (None: the slab starts the sum)."""
+    p = buf[:bt.size].reshape(bt.shape)
+    np.multiply(at, bt, out=p)
+    if sums:  # k is the last axis
+        if carry is not None:
+            np.add(carry, p[:, :, 0], out=p[:, :, 0])
+        np.add.accumulate(p, axis=2, out=p)
+        # + 0.0 is the loop's 0.0 + p0: its running sum is never -0.0
+        return np.add(p[:, :, -1], 0.0, out=out)
+    if carry is not None:  # k is the first axis
+        np.add(carry, p[0], out=p[0])
+    return np.add.reduce(p, axis=0, initial=0.0, out=out)
+
+
+def head_row_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each row of H x n ``scores``, normalised in place and returned.
+
+    A decode step's score row per head: nothing is masked, and row h keeps
+    the bits of ``masked_row_softmax(scores[h:h+1])``. Its row sum is one
+    ``np.add.reduce`` along each C-ordered row, numpy's pairwise sum of the
+    row alone, as the 1-row block's is when its width is n.
+    """
+    if scores.ndim != 2 or scores.shape[1] == 0 or scores.dtype != np.float64 \
+            or not scores.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous float64 H x n array with n >= 1, "
+                         f"got {scores.dtype} {scores.shape}")
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=1, keepdims=True)
+    return scores
 
 
 # numpy's pairwise summation (``np.add.reduce`` along a contiguous row):

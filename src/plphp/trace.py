@@ -144,5 +144,5 @@ def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig |
     decisions = decide(cfg, trace.rows, seq)
     for l, dec in enumerate(decisions or ()):
         if not dec.exempt:  # every head of a layer keeps equally many rows per image
-            kept_vision[l] = dec.head_kept_vision(0)
+            kept_vision[l] = dec.per_head_retained.shape[1]
     return decisions, report_from_counts(kept_vision + (s - v), kept_vision, s, v, decisions)

@@ -3,13 +3,17 @@
 Everything here is deliberately written the dumb way (explicit loops,
 sorting, set arithmetic, BLAS matmul) and never calls into the code paths
 it checks. The exceptions are ``full_matrix_prefill`` and
-``reference_decode_step``: the unblocked prefill and the decode step with its
-own attention path, kept as bitwise references for the one forward pass that
-``plphp.prefill`` and ``plphp.decode_step`` share, so they share the kernels
-and check only the blocking and the cache handling. Likewise
+``reference_decode_step``: the unblocked prefill and the per-head decode
+step, kept as bitwise references for ``plphp.prefill``'s blocked pass and
+``plphp.decode_step``'s head-batched one. They share the 1-row and
+full-matrix kernels, and check the blocking, the head batching and the
+cache handling. Likewise
 ``per_layer_decision`` is the one-layer pruning decision that
 ``plphp.pruning.decide_layers`` batches: it shares the class, retention and
-top-K rules, and checks only the batching and the per-image column slices.
+top-K rules, and checks only the batching and the per-image column slices;
+``select_retained``, the one-image selection it builds on, composes
+``argtopk`` and ``retained_count`` and is itself checked against
+``sort_select``.
 ``FastVRule`` and ``vtw_decide`` are the baselines' per-layer rules that
 ``plphp.decide`` batches: they share the FastV ranking and the gamma of one
 layer, and check only the batching and FastV's layer-K set.
@@ -27,11 +31,11 @@ import json
 
 import numpy as np
 
-from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention, classify_layer,
-                   decide, masked_row_softmax, matmul, prefill, prune, select_retained,
+from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention, argtopk,
+                   classify_layer, decide, masked_row_softmax, matmul, prefill, prune,
                    vision_attention_score)
 from plphp.baselines import fastv_surviving_set
-from plphp.pruning import prune_head_cache, prune_layer
+from plphp.pruning import prune_head_cache, prune_layer, retained_count
 
 
 # a quiet NaN with a payload no computation here produces
@@ -213,6 +217,21 @@ def stable_argtopk(values, k: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for length {values.shape[0]}")
     order = np.argsort(-values, kind="stable")[:k]
     return np.sort(order)
+
+
+def select_retained(head_row: np.ndarray, image_indices: np.ndarray,
+                    retention: float) -> tuple[np.ndarray, int]:
+    """Top-K vision positions of one image for one head, or for each row of ``(H, S)``.
+
+    The per-image selection ``plphp.pruning.decide_layers`` batches over
+    layers and images: K is ``retained_count(retention, image length)``, the
+    top K by ``argtopk``. Returns the retained absolute positions
+    (ascending, one row per head for 2-D input) and K.
+    """
+    head_row = np.asarray(head_row, dtype=np.float64)
+    image_indices = np.asarray(image_indices, dtype=np.int64)
+    k = retained_count(retention, image_indices.size)
+    return image_indices[argtopk(np.take(head_row, image_indices, axis=-1), k)], k
 
 
 def loop_gamma(rows: np.ndarray, vision: np.ndarray) -> float:
@@ -420,8 +439,9 @@ def full_matrix_prefill(weights, config, seq, decisions=None):
 def reference_decode_step(weights, config, state, token_id):
     """Decode step with its own layer loop and non-causal softmax over each cache.
 
-    The decode path ``plphp.decode_step`` had before prefill and decode shared
-    one forward pass; it must match that pass bit for bit. Mutates ``state``:
+    The per-head decode loop ``plphp.decode_step`` ran before its heads were
+    batched (``matmul`` and the plain row softmax per head); the batched pass
+    must match it bit for bit. Mutates ``state``:
     each layer's cache is replaced by a new one, stacked from each head's
     concatenated rows, so the store's append path is not used here.
     """

@@ -20,10 +20,10 @@ import pytest
 from conftest import random_segments, random_softmax_rows, small_model
 from helpers import (assert_same_decisions, cache_free_decode_logits, cut_head,
                      layer_from_heads, loop_gamma, pruned_prefill, random_cache_state,
-                     recount_metrics, set_keep, sort_select, sort_topk)
+                     recount_metrics, select_retained, set_keep, sort_select, sort_topk)
 from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, account,
                    argtopk, build_sequence, decide, decode_step, greedy_generate, init_model,
-                   make_rng, prefill, prune, select_retained, vision_attention_score)
+                   make_rng, prefill, prune, vision_attention_score)
 from plphp.pruning import allocate_retention, classify_layer, decide_layers, prune_layer
 from plphp.trace import read_trace, replay, trace_from_run, write_trace
 

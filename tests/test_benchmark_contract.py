@@ -54,19 +54,31 @@ def test_tracer_classifies_every_matmul(monkeypatch, method):
         return real(a, b, **kwargs)
 
     monkeypatch.setattr(model, "matmul", recording)
+    softmax_calls = []
+    softmax = model.masked_row_softmax
+
+    def recording_softmax(*args, **kwargs):
+        softmax_calls.append(args[0].shape)
+        return softmax(*args, **kwargs)
+
+    monkeypatch.setattr(model, "masked_row_softmax", recording_softmax)
     state, _ = model.prefill(ctx.weights, cfg, ctx.seq,
                              hook=run.method_hook(method, cfg.num_layers))
     decode_from = len(shapes)
+    prefill_softmax = len(softmax_calls)
     for token in range(spec["steps"]):
         model.decode_step(ctx.weights, cfg, state, token)
 
     tracer = run.tracing.Tracer(cfg.model_dim, cfg.head_dim, cfg.vocab_size)
     kinds = [tracer.matmul_kind(np.empty(a), np.empty(b)) for a, b in shapes]
-    n, h = cfg.num_layers, cfg.num_heads
-    per_step = Counter(qkv=3 * n * h, scores=n * h, value_mix=n * h, out_proj=n, mlp=2 * n,
-                       unembed=1)
+    n = cfg.num_layers
+    # a decode step attends with every head at once through head_matmul and
+    # head_row_softmax, which the tracer does not bind: it sees only the
+    # layers' out-projections and MLPs and the unembedding
+    per_step = Counter(out_proj=n, mlp=2 * n, unembed=1)
     assert Counter(kinds[decode_from:]) == Counter({k: spec["steps"] * c
                                                     for k, c in per_step.items()})
+    assert prefill_softmax > 0 and len(softmax_calls) == prefill_softmax
     assert "unembed" not in kinds[:decode_from]
     # the tracer labels any 1-row left operand a decode step
     assert ctx.seq.total_length > 1 and min(a[0] for a, _ in shapes[:decode_from]) > 1

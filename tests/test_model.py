@@ -34,7 +34,7 @@ METHODS = {"none": None, "plphp": PruningConfig(),
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the usable CPU count ``_forward`` sees."""
+    """Sets the usable CPU count the prefill pass sees."""
 
     def set_cpus(n):
         monkeypatch.setattr(model, "_usable_cpus", lambda: n)
@@ -171,13 +171,13 @@ def assert_blocked_equals_full(w, cfg, seq, pruning=None, steps=8):
     last attention rows, and ``steps`` greedy decode steps against the
     reference decoder. ``pruning`` is any method's config, or None."""
     returned = []
-    forward = model._forward
+    forward = model._prefill_pass
 
     def recording_forward(*args):
         returned.append(forward(*args))
         return returned[-1]
 
-    with mock.patch.object(model, "_forward", recording_forward):
+    with mock.patch.object(model, "_prefill_pass", recording_forward):
         got, rows, decisions = pruned_prefill(w, cfg, seq, pruning)
     ref, ref_rows, ref_hidden = full_matrix_prefill(w, cfg, seq, decisions)
     assert len(returned) == 1 and same_bits(returned[0], ref_hidden[-1:])
@@ -506,8 +506,8 @@ class TestDecode:
     @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
            method=st.sampled_from(sorted(METHODS)), steps=st.integers(8, 12))
     def test_bitwise_equals_reference_decoder(self, seed, block_rows, method, steps):
-        # decode runs prefill's forward pass over one row: it must keep the
-        # bits of the separate decode loop over head-divergent caches
+        # the head-batched decode pass must keep the bits of the per-head
+        # decode loop over head-divergent caches
         rng = make_rng(seed)
         cfg, w = small_model(rng, max_layers=5)
         seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),

@@ -13,11 +13,14 @@ from helpers import (DIRTY_NAN, DirtyNumpy, bits, canonical_nan_bits, loop_matmu
                      naive_matmul, naive_softmax, row_softmax, same_bits, sort_topk,
                      stable_argtopk)
 from plphp import argtopk, make_rng, masked_row_softmax, matmul, model, tensor_core
+from plphp.tensor_core import head_matmul, head_row_softmax
 
 NAN_A = DIRTY_NAN
 NAN_B = np.uint64(0xFFF80000000ABCDE).view(np.float64)
 # product-buffer sizes: tiny ones put chunk boundaries inside small K
 BUFFER_FLOATS = st.sampled_from([1, 2, 3, 5, 16, 64, 200, tensor_core.MATMUL_BUFFER_FLOATS])
+# head_matmul's slab sizes: tiny ones split both axes into many slabs
+SLAB_FLOATS = st.sampled_from([1, 2, 3, 5, 16, 64, 200, tensor_core.HEAD_SLAB_FLOATS])
 # m and n: 1, small, and large enough that m * n crosses MATMUL_LOOP_MIN_OUTPUT
 DIM = st.one_of(st.just(1), st.integers(1, 24), st.integers(300, 400))
 # values mixed into the normal operands, per test mode
@@ -417,6 +420,113 @@ class TestMaskedRowSoftmax:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * s * s * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestHeadMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(1, 5), inner=st.one_of(st.just(0), st.integers(1, 40), st.integers(200, 300)),
+           n=st.one_of(st.just(0), st.just(1), st.integers(2, 40), st.integers(200, 300)),
+           mode=st.sampled_from(sorted(SPECIALS)), slab_floats=SLAB_FLOATS,
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(h=2, inner=300, n=1, mode="nan_two", slab_floats=16, strided=True, seed=0)
+    def test_rows_bitwise_equal_loop(self, h, inner, n, mode, slab_floats, strided, seed):
+        # both layouts (K <= n and K > n), slabs that split K, n or both,
+        # K = 0, n = 0 and one column, in memory that np.empty returns dirty,
+        # over operands that are strided views as the decode step's keys^T
+        # and values are. One NaN payload comes through bit for bit; where
+        # two different NaNs meet (nan_two), numpy defines no payload
+        rng = make_rng(seed)
+        a = _operand(rng, (h, inner), mode)
+        b = _operand(rng, (h, inner, n + 3), mode)[:, :, :n] if strided else \
+            _operand(rng, (h, inner, n), mode)
+        with patch.object(tensor_core, "HEAD_SLAB_FLOATS", slab_floats), \
+                patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
+            got = head_matmul(a, b)
+        view = canonical_nan_bits if mode == "nan_two" else bits
+        assert got.shape == (h, n)
+        with np.errstate(invalid="ignore"):
+            for row, want in zip(got, (loop_matmul(a[i:i + 1], b[i]) for i in range(h))):
+                assert np.array_equal(view(row[None]), view(want))
+
+    # one head with a 1-column last slab (64 // 9 = 7 columns a slab), one
+    # head with one column, and two heads with a 1-column last slab
+    @pytest.mark.parametrize("h,n,slab_floats", [(1, 15, 64), (1, 1, 64), (2, 15, 128)])
+    def test_sums_in_order_not_pairwise(self, h, n, slab_floats):
+        # 1e16 + 1 + ... + 1 - 1e16 is 0.0 in order (each +1 rounds away) and
+        # 6.0 in numpy's pairwise sum, which a reduce over a 1-element inner
+        # loop would take
+        a = np.ones((h, 9))
+        b = np.tile(np.array([1e16] + [1.0] * 7 + [-1e16])[:, None], (h, 1, n))
+        with patch.object(tensor_core, "HEAD_SLAB_FLOATS", slab_floats):
+            got = head_matmul(a, b)
+        assert same_bits(got, np.zeros((h, n)))
+        assert same_bits(loop_matmul(a[:1], b[0]), np.zeros((1, n)))
+
+    @pytest.mark.parametrize("inner,n", [(1, 3), (2, 5), (3, 1), (5, 2)])  # both layouts
+    @pytest.mark.parametrize("slab_floats", [1, tensor_core.HEAD_SLAB_FLOATS])
+    def test_special_first_products(self, inner, n, slab_floats):
+        # a -0.0 first product ends +0.0 (the loop's 0.0 + p0), and +-inf and
+        # NaN come through as the loop leaves them, also across slabs
+        firsts = [(-0.0, 1.0), (-0.0, -0.0), (2.0, -0.0), (np.inf, -1.0), (NAN_A, 1.0),
+                  (1.0, np.inf)]
+        a = np.array([[x] + [-0.0] * (inner - 1) for x, _ in firsts])
+        b = np.full((len(firsts), inner, n), 1.0)
+        b[:, 0] = np.array([y for _, y in firsts])[:, None]
+        with patch.object(tensor_core, "HEAD_SLAB_FLOATS", slab_floats), \
+                patch.object(tensor_core, "np", DirtyNumpy()):
+            got = head_matmul(a, b)
+        want = np.concatenate([loop_matmul(a[i:i + 1], b[i]) for i in range(len(firsts))])
+        assert same_bits(got, want)
+        assert same_bits(got[:3], np.zeros((3, n)))
+
+    @pytest.mark.parametrize("h,inner,n", [(8, 4, 4100), (8, 4100, 4), (2, 16, 4100),
+                                           (1, 3, 70000), (3, 70000, 2)])
+    def test_temporaries_bounded(self, rng, h, inner, n):
+        # scores and value mixes past one slab: the products take a slab (and
+        # numpy's reduce at most one more), never H x K x n floats
+        a, b = rng.standard_normal((h, inner)), rng.standard_normal((h, inner, n))
+        tracemalloc.start()
+        try:
+            got = head_matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * tensor_core.HEAD_SLAB_FLOATS + h * n) * 8 + 2**12 < h * inner * n * 8
+        assert same_bits(got[-1:], loop_matmul(a[-1:], b[-1]))
+
+    def test_operands_checked(self):
+        for a, b in [((2, 3), (2, 4, 5)), ((2, 3), (3, 3, 5)), ((3,), (1, 3, 5)),
+                     ((2, 3), (2, 3))]:
+            with pytest.raises(ValueError, match="head_matmul expects"):
+                head_matmul(np.zeros(a), np.zeros(b))
+
+
+class TestHeadRowSoftmax:
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 6), n=st.one_of(st.integers(1, 300), st.integers(8150, 8300)),
+           mode=st.sampled_from(["finite", "inf", "nan_a"]), scale=st.sampled_from([1.0, 60.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_one_row_blocks(self, h, n, mode, scale, seed):
+        # every row keeps the bits of the 1-row masked_row_softmax, row sums
+        # past numpy's 8192-element buffer included; NaN payloads may differ
+        # where two NaNs meet, as in masked_row_softmax
+        scores = _operand(make_rng(seed), (h, n), mode) * scale
+        with np.errstate(invalid="ignore"):
+            got = head_row_softmax(scores.copy())
+            want = np.concatenate([masked_row_softmax(scores[i:i + 1], width=n) for i in range(h)])
+        compare = bits if mode == "finite" else canonical_nan_bits
+        assert np.array_equal(compare(got), compare(want))
+
+    def test_normalises_in_place(self, rng):
+        scores = rng.standard_normal((3, 7))
+        want = np.concatenate([row_softmax(row[None]) for row in scores])
+        assert head_row_softmax(scores) is scores and same_bits(scores, want)
+
+    def test_arguments_checked(self):
+        for bad in (np.zeros(4), np.zeros((2, 0)), np.zeros((2, 3), np.float32),
+                    np.zeros((2, 6))[:, ::2]):
+            with pytest.raises(ValueError):
+                head_row_softmax(bad)
 
 
 def _sum_operand(draw, rows, n):

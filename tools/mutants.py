@@ -64,6 +64,34 @@ MUTANTS = {
         "tensor_core.py", "            np.add(acc, p[0], out=p[0])", "            pass"),
     "matmul-row-chunks": (
         "tensor_core.py", "        rows = max(1, MATMUL_BUFFER_FLOATS // n)", "        rows = m"),
+    "head-reduce-axis": (
+        "tensor_core.py", "    return np.add.reduce(p, axis=0, initial=0.0, out=out)",
+        "    return np.add.reduce(p, axis=1, initial=0.0, out=out)"),
+    "head-reduce-initial": (
+        "tensor_core.py", "    return np.add.reduce(p, axis=0, initial=0.0, out=out)",
+        "    return np.add.reduce(p, axis=0, out=out)"),
+    "head-reduce-carry": (
+        "tensor_core.py", "        np.add(carry, p[0], out=p[0])", "        pass"),
+    "head-accumulate-axis": (
+        "tensor_core.py", "        np.add.accumulate(p, axis=2, out=p)",
+        "        np.add.accumulate(p, axis=1, out=p)"),
+    "head-accumulate-carry": (
+        "tensor_core.py", "            np.add(carry, p[:, :, 0], out=p[:, :, 0])",
+        "            pass"),
+    "head-accumulate-plus-zero": (
+        "tensor_core.py", "        return np.add(p[:, :, -1], 0.0, out=out)",
+        "        return np.add(p[:, :, -1], -0.0, out=out)"),
+    "head-slab-rows": (
+        "tensor_core.py", "    chunk = min(inner, max(1, HEAD_SLAB_FLOATS // (h * cols)))",
+        "    chunk = inner"),
+    "head-slab-cols": (
+        "tensor_core.py", "        cols = min(n, max(2, HEAD_SLAB_FLOATS // (h * inner)))",
+        "        cols = n"),
+    "head-last-slab": (
+        "tensor_core.py", "            j0 -= 1", "            pass"),
+    "head-softmax-max-axis": (
+        "tensor_core.py", "    scores -= scores.max(axis=1, keepdims=True)",
+        "    scores -= scores.max()"),
     "padded-row-sum-leaf": (
         "tensor_core.py", "        total = np.add.reduce(leaf, axis=1, keepdims=True)",
         "        total = np.add.reduce(x[:, lo:], axis=1, keepdims=True)"),

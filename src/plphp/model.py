@@ -8,20 +8,22 @@ input, which makes cache pruning a pure row deletion with no renumbering.
 
 Prefill and decode are two passes over the same caches. Prefill's pass
 writes each head's rows to its slab of its layer's cache and attends over
-them in causal row blocks, starting from empty caches. A decode step's pass
-appends one row per head and attends with all H heads of a layer at once
-(``tensor_core.head_matmul`` and ``head_row_softmax``), each head over the
-rows it kept. A layer keeps all its heads' rows in one store with room to
-spare, so a decode step writes one row per head and copies none. No head
-holds an S x S map and the masked upper triangle is never multiplied; every
-output keeps the bits of the full-matrix computation (a masked weight is
-exactly +0.0, and adding its +-0 product leaves the sum unchanged), and each
-head's decode row keeps the bits of its own 1-row product and softmax. On
-another CPU the softmax's ``np.exp`` may move by 1 ULP, so logits there
-agree within 1e-9 rather than bit for bit (``tests/test_cpu_dispatch.py``).
-Prefill's pass returns only the last row's output, which prefill drops, so
-the final layer appends every row to the caches but runs the rest of the
-layer for its last row block alone.
+them in causal row blocks, starting from empty caches; each block's value
+mix reads its normalised scores column-major, from one transposing copy,
+so ``matmul`` runs its innermost loop along the block's rows. A decode
+step's pass appends one row per head and attends with all H heads of a
+layer at once (``tensor_core.head_matmul`` and ``head_row_softmax``), each
+head over the rows it kept. A layer keeps all its heads' rows in one store
+with room to spare, so a decode step writes one row per head and copies
+none. No head holds an S x S map and the masked upper triangle is never
+multiplied; every output keeps the bits of the full-matrix computation (a
+masked weight is exactly +0.0, and adding its +-0 product leaves the sum
+unchanged), and each head's decode row keeps the bits of its own 1-row
+product and softmax. On another CPU the softmax's ``np.exp`` may move by 1
+ULP, so logits there agree within 1e-9 rather than bit for bit
+(``tests/test_cpu_dispatch.py``). Prefill's pass returns only the last
+row's output, which prefill drops, so the final layer appends every row to
+the caches but runs the rest of the layer for its last row block alone.
 
 Within a layer no head reads another head's state, so prefill runs the
 heads on min(H, usable CPUs) threads: the calling thread and threads
@@ -224,6 +226,13 @@ def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
 
 
+def _add_mlp(weights: ModelWeights, l: int, x: np.ndarray) -> None:
+    """Add layer l's MLP of x's RMS norm to x in place. The ReLU runs in place
+    on the up-projection, so one hidden array is alive at a time."""
+    hidden = matmul(_rmsnorm(x), weights.w_up[l])
+    x += matmul(np.maximum(hidden, 0.0, out=hidden), weights.w_down[l])
+
+
 def attention_row_blocks(m: int) -> list[tuple[int, int]]:
     """Causal attention row blocks ``[i0, i1)`` over the m new rows of a pass.
 
@@ -312,7 +321,10 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
     mix, out-projection and MLP) for its last row block alone.
 
     Each layer's heads run on min(H, usable CPUs) threads (``_run_heads``),
-    each thread with one score workspace for the whole pass.
+    each thread with two workspaces of one block each for the whole pass: the
+    block's scores, normalised in place, and their transposing copy, which
+    hands the value mix a column-major block (``matmul`` then runs its inner
+    loop along the block's rows).
     """
     m = len(token_ids)
     x, positions = _embed(weights, config, token_ids, 0)
@@ -322,7 +334,7 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
     r0 = 0  # first row a layer computes beyond its K/V: 0 before the final layer
     # per thread, sized for the largest block of any head and layer
     size = max((i1 - i0) * i1 for i0, i1 in blocks)
-    works = [np.empty(size) for _ in range(min(config.num_heads, _usable_cpus()))]
+    works = [np.empty((2, size)) for _ in range(min(config.num_heads, _usable_cpus()))]
 
     for l in range(config.num_layers):
         h_in = _rmsnorm(x)
@@ -331,7 +343,7 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
             r0 = blocks[0][0]
             x = x[r0:]
         mixed = np.empty((m - r0, config.model_dim))
-        # the store keeps keys^T: each k-step of the score loop reads one row
+        # the store keeps keys^T: the scores' innermost loop runs along its rows
         kt, vs = caches[l].extend(positions, config.max_positions)
 
         def attend(h: int, work: np.ndarray) -> None:
@@ -342,17 +354,20 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
             vs[h, :m] = matmul(h_in, weights.w_v[l, h])
             out = mixed[:, h * dk:(h + 1) * dk]
             for i0, i1 in blocks:
+                cells = (i1 - i0) * i1
                 scores = matmul(q[i0 - r0:i1 - r0], kt[h, :, :i1],
-                                out=work[:(i1 - i0) * i1].reshape(i1 - i0, i1))
+                                out=work[0, :cells].reshape(i1 - i0, i1))
                 scores *= inv_sqrt_dk
                 masked_row_softmax(scores, width=m, out=scores)
-                out[i0 - r0:i1 - r0] = matmul(scores, vs[h, :i1])
+                attn = work[1, :cells].reshape(i1, i1 - i0).T  # column-major
+                attn[...] = scores
+                out[i0 - r0:i1 - r0] = matmul(attn, vs[h, :i1])
             last_rows[l, h] = scores[-1]  # before the next head reuses the workspace
 
         _run_heads(attend, config.num_heads, works)
-        x = x + matmul(mixed, weights.w_o[l])
-        m_in = _rmsnorm(x)
-        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
+        x += matmul(mixed, weights.w_o[l])
+        del h_in, mixed  # freed before the MLP's m x 4D hidden array
+        _add_mlp(weights, l, x)
     return x[-1:]
 
 
@@ -381,9 +396,8 @@ def _decode_pass(weights: ModelWeights, config: ModelConfig, caches: list[LayerK
         scores = head_matmul(q, kt[:, :, :n])
         scores *= inv_sqrt_dk
         head_row_softmax(scores)
-        x = x + matmul(head_matmul(scores, vs[:, :n]).reshape(1, -1), weights.w_o[l])
-        m_in = _rmsnorm(x)
-        x = x + matmul(np.maximum(matmul(m_in, weights.w_up[l]), 0.0), weights.w_down[l])
+        x += matmul(head_matmul(scores, vs[:, :n]).reshape(1, -1), weights.w_o[l])
+        _add_mlp(weights, l, x)
     return x
 
 

@@ -3,11 +3,11 @@
 All public operations work on float64 numpy arrays and are deterministic:
 ``matmul`` accumulates over the inner dimension in a fixed sequential order,
 so results are bit-reproducible across runs and match a naive triple-loop
-product exactly. It picks its path from the operand shape: one running sum
-for a single output element, one product buffer and one in-order reduction
-for a single row, a loop over the inner dimension when the output has long
-rows, else a chunked reduction that adds the same products in the same order
-(see ``matmul``). A decode step runs every head of a layer at once through
+product exactly. It is one ``np.einsum`` contraction with
+``optimize=False``, laid out so that numpy's innermost loop runs along an
+output axis and never along the summed one; an output of one element, which
+has no such axis, takes one in-order ``np.add.accumulate`` instead (see
+``matmul``). A decode step runs every head of a layer at once through
 ``head_matmul`` and ``head_row_softmax``, whose row h keeps the bits of the
 1-row ``matmul`` and ``masked_row_softmax`` of head h.
 
@@ -25,22 +25,6 @@ import numpy as np
 __all__ = ["matmul", "masked_row_softmax", "head_matmul", "head_row_softmax", "argtopk",
            "make_rng"]
 
-# matmul's paths (see its docstring). The single-row path makes two
-# numpy calls in all, over a K x n product buffer of at most
-# MATMUL_BUFFER_FLOATS floats (256 KiB). The k-loop makes two numpy calls per
-# k and chunk of max(1, MATMUL_BUFFER_FLOATS // n) output rows, so it needs
-# long output rows (m <= n) and at least MATMUL_LOOP_MIN_OUTPUT elements to
-# pay for them; its product temporary is one chunk.
-# The chunked path fills a product buffer of MATMUL_BUFFER_FLOATS floats per
-# chunk of k: chunk = MATMUL_BUFFER_FLOATS // (m * n), at least 1.
-MATMUL_LOOP_MIN_OUTPUT = 2048
-MATMUL_BUFFER_FLOATS = 2**15
-# head_matmul's product slab: half matmul's buffer, because numpy's
-# buffered multiply of a broadcast operand adds up to a slab of its own, and
-# a decode step's temporaries stay below one head's key rows
-# (tests/test_model.py::TestKVStore::test_decode_steps_copy_no_cache)
-HEAD_SLAB_FLOATS = MATMUL_BUFFER_FLOATS // 2
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64) for the given seed."""
@@ -52,35 +36,32 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
     Every output element is ``((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``,
     added left to right, which is bitwise identical to a naive triple loop.
-    BLAS-backed ``a @ b`` reorders the sum and is deliberately not used. The
-    operand shape, (m x K) by (K x n), picks one of four paths that add the
-    same products in the same order:
+    BLAS-backed ``a @ b`` reorders the sum and is deliberately not used.
 
-    * single element, for ``m == n == 1``: the K products in one row, then
+    The product of (m x K) by (K x n) is one ``np.einsum`` with
+    ``optimize=False`` (``optimize=True`` may hand it to BLAS). einsum zeroes
+    its output and then, for each k in turn, adds the products into it: the
+    loop's ``0.0 + p0 + p1 + ...``, each a multiply and a separate add, with
+    no product buffer. That holds while numpy's innermost loop runs along an
+    output axis; along k it would sum with unrolled accumulators of its own.
+    numpy orders the loops by the operands' strides, so the innermost axis is
+    the output axis along which an operand is unit-stride:
+
+    * j, ``"ik,kj->ij"``, over b with unit-stride rows that follow one
+      another forward without overlap (b is copied if not, see
+      ``_unit_rows``): the usual layout, and every one where n >= 2 and a is
+      not column-major.
+    * i, ``"ki,kj->ji"`` over a column-major a, when m > n: a's columns are
+      the longer inner loop. The n x m result is copied out transposed. An
+      ``n == 1`` product takes this layout even when a is not column-major,
+      and then copies a.
+    * none, for ``m == n == 1``: the K products in one row, then
       ``np.add.accumulate`` along it, which adds left to right by
       construction, and its last sum ``+ 0.0`` (the loop's ``0.0 + p0``: a
       running sum is -0.0 only while every product so far is).
-    * single row, for ``m == 1 < n`` with ``K * n <= MATMUL_BUFFER_FLOATS``:
-      all K x n products fill one freshly allocated C-ordered buffer, and
-      ``np.add.reduce`` over axis 0 with ``initial=0.0`` (the loop's ``0.0 +
-      p0``) adds its rows in order. C order keeps the reduced axis outer even
-      when ``b`` is a transposed view, so numpy never sums it pairwise.
-    * k-loop, for outputs with long rows (``m <= n`` and ``m * n >=
-      MATMUL_LOOP_MIN_OUTPUT``): ``c = a[:, 0] * b[0, :] + 0.0`` (the loop's
-      ``0.0 + p0``, with no zero fill), then ``c += a[:, k] * b[k, :]`` for
-      k = 1, 2, ... It runs over contiguous chunks of ``max(1,
-      MATMUL_BUFFER_FLOATS // n)`` output rows, one after another, so its
-      product temporary holds at most MATMUL_BUFFER_FLOATS floats (or one
-      row); each element still takes the same steps.
-    * chunked reduce, for every other shape: the products of a chunk of k
-      fill one buffer, laid out ``(chunk, n, m)`` when ``m > n`` (else
-      ``(chunk, m, n)``) so the innermost axis is the long one. The running
-      sum is added into slice 0 as the left operand, as in the loop, and
-      ``np.add.reduce`` over axis 0 with ``initial=0.0`` adds the slices
-      strictly in order: numpy sums pairwise only when the reduced axis is
-      the innermost loop, which happens for a single output element, so
-      that shape takes its own path.
 
+    einsum may run an axis backwards when every operand steps backwards
+    along it; k runs forward because b's rows, or a's columns, step forward.
     ``K == 0`` gives zeros, and an empty output (``m == 0`` or ``n == 0``)
     is returned at once.
 
@@ -112,49 +93,29 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     if m == n == 1:
         sums = np.add.accumulate(np.multiply(a, b.T), axis=1)
         return np.add(sums[:, -1:], 0.0, out=out)
-    if m == 1 and inner * n <= MATMUL_BUFFER_FLOATS:
-        prod = np.empty((inner, n))
-        np.multiply(a.T, b, out=prod)
-        return np.add.reduce(prod, axis=0, initial=0.0, keepdims=True, out=out)
-    if m <= n and m * n >= MATMUL_LOOP_MIN_OUTPUT:
-        if out is None:
-            out = np.empty((m, n))
-        rows = max(1, MATMUL_BUFFER_FLOATS // n)
-        tmp = np.empty((min(m, rows), n))
-        for i0 in range(0, m, rows):
-            ai, ci = a[i0 : i0 + rows], out[i0 : i0 + rows]
-            np.multiply(ai[:, :1], b[:1, :], out=ci)
-            ci += 0.0  # the loop's 0.0 + p0: a -0.0 first product ends +0.0
-            ti = tmp[: len(ci)]
-            for k in range(1, inner):
-                np.multiply(ai[:, k : k + 1], b[k : k + 1, :], out=ti)
-                ci += ti
-        return out
-    wide = m > n
-    chunk = min(inner, max(1, MATMUL_BUFFER_FLOATS // (m * n)))
-    prod = np.empty((chunk, n, m) if wide else (chunk, m, n))
-    if wide:  # summed as (n, m), copied out transposed
-        acc = np.empty((n, m))
-    else:
-        acc = np.empty((m, n)) if out is None else out
-    for k0 in range(0, inner, chunk):
-        p = prod[: inner - k0]
-        ak, bk = a[:, k0 : k0 + len(p)].T, b[k0 : k0 + len(p)]
-        if wide:  # a's columns copied to rows: every product slice reads contiguous rows
-            np.multiply(np.ascontiguousarray(ak)[:, None, :], bk[:, :, None], out=p)
-        else:
-            np.multiply(ak[:, :, None], bk[:, None, :], out=p)
-        if k0:
-            np.add(acc, p[0], out=p[0])
-        # initial=0.0 is the loop's 0.0 + p0 (a -0.0 first product ends +0.0);
-        # a running sum is never -0.0, so later chunks keep their bits
-        np.add.reduce(p, axis=0, initial=0.0, out=acc)
-    if not wide:
-        return acc
     if out is None:
         out = np.empty((m, n))
-    out[...] = acc.T
-    return out
+    if m > n and (n == 1 or a.flags.f_contiguous):
+        out_t = np.einsum("ki,kj->ji", np.asfortranarray(a).T, b, out=np.empty((n, m)),
+                          optimize=False)
+        out[...] = out_t.T
+        return out
+    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x``, or a C-ordered copy of it unless its rows (last axis) are
+    unit-stride and follow one another forward without overlap.
+
+    einsum's innermost loop then runs along the rows and its loop over them
+    (k) runs forward. A transposed view would put k innermost; rows that
+    overlap (a broadcast, stride 0) leave the loop order to the other
+    operands, which put k innermost too; rows that step backwards (a
+    negative stride) run k backwards when the other operand's k does.
+    """
+    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:
+        return np.ascontiguousarray(x)
+    return x
 
 
 def masked_row_softmax(scores: np.ndarray, width: int | None = None,
@@ -211,30 +172,13 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Each head's row times its own matrix: (H x K) by (H x K x n) gives H x n.
 
     Row h is bitwise ``matmul(a[h:h+1], b[h])``, the loop's ``0.0 + p0 + p1
-    + ...`` over k. The products fill one C-ordered slab of at most
-    HEAD_SLAB_FLOATS floats at a time, laid out so that numpy's inner loops
-    run along the longer of K and n:
-
-    * long rows (``K <= n``: a decode step's scores): a K x H x cols slab
-      per chunk of columns, k outermost, and ``np.add.reduce`` over k with
-      ``initial=0.0`` (the loop's ``0.0 + p0``) adds the slices in order,
-      its inner loop running over every head's columns at once. It would sum
-      pairwise if that inner loop ran over k, which needs H = 1 and a
-      1-column slab, so slabs are at least 2 columns wide and a 1-column
-      last slab starts one column early (that column is computed twice,
-      to the same bits).
-    * long sums (``K > n``: the value mix, and q, k and v): an H x n x chunk
-      slab per chunk of k, k innermost, summed in place by
-      ``np.add.accumulate`` along k, which adds left to right by
-      construction, and its last sum ``+ 0.0`` (a running sum is -0.0 only
-      while every product so far is, as in ``matmul``'s single-element path).
-      The running sum is added into the next chunk's first products as the
-      left operand, as in ``matmul``'s chunked path.
-
-    Either path splits both axes when it must: a long-rows slab that cannot
-    hold every k of two columns takes k in chunks, and a long-sums slab that
-    cannot hold one k of every column takes the columns in chunks. ``K ==
-    0`` gives zeros. NaN payloads behave as in ``matmul``.
+    + ...`` over k: one ``np.einsum("hk,hkn->hn", ..., optimize=False)`` over
+    b with unit-stride rows (copied if not), so numpy's innermost loop runs
+    along n and each k adds its products into the zeroed output, as in
+    ``matmul``. A 1-column product has no such loop to run, so it takes the
+    H x K products and ``np.add.accumulate`` along k instead, and the last
+    sums ``+ 0.0``, as ``matmul``'s single element does. ``K == 0`` gives
+    zeros, and NaN payloads behave as in ``matmul``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -244,45 +188,10 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     h, inner, n = b.shape
     if inner == 0 or h * n == 0:
         return np.zeros((h, n))
-    sums = inner > n
-    if sums:  # every column if one k of them fits; k innermost
-        cols = min(n, max(1, HEAD_SLAB_FLOATS // h))
-        at, bt = a[:, None, :], b.transpose(0, 2, 1)
-    else:  # every k of as many columns as fit, at least two; k outermost
-        cols = min(n, max(2, HEAD_SLAB_FLOATS // (h * inner)))
-        at, bt = a.T[:, :, None], b.transpose(1, 0, 2)
-    chunk = min(inner, max(1, HEAD_SLAB_FLOATS // (h * cols)))
-    out = np.empty((h, n))
-    if cols == n and chunk == inner:  # one slab, a decode step's usual case: no slicing
-        return _head_slab(at, bt, sums, np.empty(bt.size), None, out)
-    prod = np.empty(h * cols * chunk)  # each slab's products are a C-ordered prefix
-    for j0 in range(0, n, cols):
-        if n - j0 == 1 < cols:  # a 1-column last slab starts one column early
-            j0 -= 1
-        acc, cj = out[:, j0:j0 + cols], slice(j0, j0 + cols)
-        for k0 in range(0, inner, chunk):
-            ck = slice(k0, k0 + chunk)
-            ak, bk = (at[:, :, ck], bt[:, cj, ck]) if sums else (at[ck], bt[ck, :, cj])
-            _head_slab(ak, bk, sums, prod, acc if k0 else None, acc)
-    return out
-
-
-def _head_slab(at: np.ndarray, bt: np.ndarray, sums: bool, buf: np.ndarray,
-               carry: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """One slab of ``head_matmul``: the products ``at * bt`` (laid out as ``bt``)
-    fill a prefix of ``buf`` and are summed over k into ``out``, continuing
-    from the running sum ``carry`` (None: the slab starts the sum)."""
-    p = buf[:bt.size].reshape(bt.shape)
-    np.multiply(at, bt, out=p)
-    if sums:  # k is the last axis
-        if carry is not None:
-            np.add(carry, p[:, :, 0], out=p[:, :, 0])
-        np.add.accumulate(p, axis=2, out=p)
-        # + 0.0 is the loop's 0.0 + p0: its running sum is never -0.0
-        return np.add(p[:, :, -1], 0.0, out=out)
-    if carry is not None:  # k is the first axis
-        np.add(carry, p[0], out=p[0])
-    return np.add.reduce(p, axis=0, initial=0.0, out=out)
+    if n == 1:
+        sums = np.add.accumulate(np.multiply(a, b[:, :, 0]), axis=1)
+        return np.add(sums[:, -1:], 0.0)
+    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)
 
 
 def head_row_softmax(scores: np.ndarray) -> np.ndarray:

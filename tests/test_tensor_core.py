@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -17,16 +18,14 @@ from plphp.tensor_core import head_matmul, head_row_softmax
 
 NAN_A = DIRTY_NAN
 NAN_B = np.uint64(0xFFF80000000ABCDE).view(np.float64)
-# product-buffer sizes: tiny ones put chunk boundaries inside small K
-BUFFER_FLOATS = st.sampled_from([1, 2, 3, 5, 16, 64, 200, tensor_core.MATMUL_BUFFER_FLOATS])
-# head_matmul's slab sizes: tiny ones split both axes into many slabs
-SLAB_FLOATS = st.sampled_from([1, 2, 3, 5, 16, 64, 200, tensor_core.HEAD_SLAB_FLOATS])
-# m and n: 1, small, and large enough that m * n crosses MATMUL_LOOP_MIN_OUTPUT
-DIM = st.one_of(st.just(1), st.integers(1, 24), st.integers(300, 400))
+# m, K and n: empty, one, short and long
+DIM = st.one_of(st.just(0), st.just(1), st.integers(2, 40), st.integers(200, 300))
 # values mixed into the normal operands, per test mode
 SPECIALS = {"finite": [0.0, -0.0], "inf": [0.0, -0.0, np.inf, -np.inf],
             "nan_a": [0.0, -0.0, NAN_A], "nan_b": [0.0, -0.0, NAN_B],
             "nan_two": [0.0, -0.0, np.inf, -np.inf, NAN_A, NAN_B]}
+# how an operand's values lie in memory (see _laid_out)
+LAYOUTS = ["C", "F", "transposed", "sliced", "strided", "reversed"]
 
 
 def _operand(rng, shape, mode):
@@ -34,6 +33,46 @@ def _operand(rng, shape, mode):
     pick = rng.random(shape) < 0.3
     x[pick] = rng.choice(SPECIALS[mode], size=int(pick.sum()))
     return x
+
+
+def _laid_out(x, layout):
+    """An array equal to ``x`` whose values lie in memory as ``layout`` says.
+
+    "C" and "F" are contiguous copies; "transposed" is a view of a C copy
+    with the last two axes swapped (unit stride along the second-to-last);
+    "sliced" is cut from a larger NaN-filled array, every axis starting at 1
+    and ending before the larger one's end, as a cache store's slab is;
+    "strided" takes every other element along every axis; "reversed" is a
+    view with every axis stepping backwards.
+    """
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "transposed":
+        return np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+    if layout == "reversed":
+        back = (slice(None, None, -1),) * x.ndim
+        return np.ascontiguousarray(x[back])[back]
+    step = 2 if layout == "strided" else 1
+    big = np.full(tuple(step * d + 2 for d in x.shape), NAN_B)
+    view = big[tuple(slice(1, 1 + step * d, step) for d in x.shape)]
+    view[...] = x
+    return view
+
+
+class _RecordingNumpy:
+    """numpy, except that ``einsum`` records its arguments in ``calls``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return np.einsum(*args, **kwargs)
 
 
 class TestMatmul:
@@ -88,51 +127,131 @@ class TestMatmul:
         with pytest.raises(ValueError):
             matmul(rng.random((2, 3)), rng.random((4, 2)))
 
+    @pytest.mark.parametrize("m,n", [(1, 15), (15, 1), (1, 1), (15, 15)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sums_in_order_not_pairwise(self, m, n, order):
+        # 1e16 + 1 + ... + 1 - 1e16 is 0.0 in order (each +1 rounds away) and
+        # not in a sum with several accumulators, which einsum takes when its
+        # innermost loop runs along k: one row, one column and one element,
+        # with a and b in either order
+        a = np.asarray(np.ones((m, 9)), order=order)
+        b = np.asarray(np.tile(np.array([1e16] + [1.0] * 7 + [-1e16])[:, None], (1, n)),
+                       order=order)
+        assert same_bits(matmul(a, b), np.zeros((m, n)))
+        assert same_bits(loop_matmul(a, b), np.zeros((m, n)))
+
+    def test_einsum_multiplies_and_adds_separately(self):
+        # x * x rounds to p, so the loop's (0.0 - p) + x * x is 0.0, where a
+        # fused multiply-add keeps the exact product and gives x * x - p = 2^-60
+        x = 1.0 + 2.0**-30
+        p = x * x
+        assert Fraction(x) * Fraction(x) - Fraction(p) == Fraction(1, 2**60)
+        a, b = np.array([[-1.0, x]] * 3), np.array([[p] * 3, [x] * 3])
+        got = {"j innermost": matmul(a, b),
+               "i innermost": matmul(np.asfortranarray(a), b[:, :2]),
+               "heads": head_matmul(a, np.stack([b] * 3))}
+        for layout, c in got.items():
+            assert same_bits(c, np.zeros(c.shape)), (
+                f"{layout}: this numpy's einsum fuses its multiply and add (FMA), so "
+                f"matmul cannot keep the loop's bits with it")
+        assert same_bits(loop_matmul(a, b), np.zeros((3, 3)))
+
+    def test_einsum_runs_unoptimized(self, rng):
+        # optimize=True may hand a contraction to BLAS, which sums in its own order
+        recording = _RecordingNumpy()
+        a, b = rng.standard_normal((30, 8)), rng.standard_normal((8, 4))
+        with patch.object(tensor_core, "np", recording):
+            matmul(a, b)
+            matmul(np.asfortranarray(a), b)
+            head_matmul(a[:4], rng.standard_normal((4, 8, 3)))
+        assert [kwargs.get("optimize", "not given") for _, kwargs in recording.calls] == \
+            [False] * 3
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_einsum_reads_unit_stride_rows(self, rng, layout):
+        # whatever the operands' layout, einsum's innermost loop reads
+        # unit-stride rows of b (j innermost) or columns of a (i innermost),
+        # not numpy's strided kernel
+        a, b = rng.standard_normal((5, 8)), rng.standard_normal((8, 30))
+        recording = _RecordingNumpy()
+        with patch.object(tensor_core, "np", recording):
+            matmul(_laid_out(a, layout), _laid_out(b, layout))
+            matmul(_laid_out(b.T, layout), _laid_out(a.T, layout))
+            head_matmul(_laid_out(a, layout), _laid_out(np.stack([b] * 5), layout))
+        assert len(recording.calls) == 3
+        for (spec, *operands), _ in recording.calls:
+            inner = operands[0] if spec == "ki,kj->ji" else operands[-1]
+            assert inner.strides[-1] == inner.itemsize, (spec, inner.strides)
+
+    def test_reversed_operands_sum_forward(self, rng):
+        # einsum runs k forward also when both operands step backwards along it
+        a = rng.standard_normal((3, 50)) * 10.0 ** rng.integers(-8, 9, (3, 50))
+        b = rng.standard_normal((50, 5))
+        want = loop_matmul(a, b)
+        assert not same_bits(loop_matmul(a[:, ::-1], b[::-1]), want)  # the order shows
+        a_back, b_back = np.array(a[:, ::-1])[:, ::-1], np.array(b[::-1])[::-1]
+        for x in (a, a_back, np.asfortranarray(a_back[::-1])[::-1]):
+            assert same_bits(matmul(x, b_back), want) and same_bits(matmul(x, b), want)
+        heads = np.array(np.stack([b] * 3)[:, ::-1])[:, ::-1]
+        assert same_bits(head_matmul(a_back, heads), want)
+
+    def test_broadcast_rows_are_copied(self, rng):
+        # rows of b that overlap (one row broadcast along k) would leave the
+        # loop order to a and the output, which put k innermost
+        a = rng.standard_normal((3, 50)) * 10.0 ** rng.integers(-8, 9, (3, 50))
+        b = np.broadcast_to(rng.standard_normal(5), (50, 5))
+        want = loop_matmul(a, np.array(b))
+        assert same_bits(matmul(a, b), want)
+        assert same_bits(head_matmul(a, np.broadcast_to(b, (3, 50, 5))), want)
+
     @settings(max_examples=300, deadline=None)
-    @given(m=st.one_of(st.just(0), DIM), inner=st.one_of(st.just(0), st.integers(1, 70)),
-           n=st.one_of(st.just(0), DIM), mode=st.sampled_from(sorted(SPECIALS)),
-           buffer_floats=BUFFER_FLOATS, seed=st.integers(0, 2**32 - 1))
-    @example(m=3, inner=5, n=0, mode="finite", buffer_floats=64, seed=0)
-    @example(m=1, inner=4096, n=1, mode="nan_two", buffer_floats=64, seed=0)
-    def test_shape_rule_bitwise_equals_loop(self, m, inner, n, mode, buffer_floats, seed):
-        # every path, empty outputs, m = 1, n = 1, one output element and
-        # chunk boundaries inside K. One NaN payload must come through bit
-        # for bit; where two different NaNs meet (nan_two: two payloads and
-        # inf * 0), numpy defines no payload
+    @given(m=DIM, inner=DIM, n=DIM, mode=st.sampled_from(sorted(SPECIALS)),
+           layout_a=st.sampled_from(LAYOUTS), layout_b=st.sampled_from(LAYOUTS),
+           out=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(m=3, inner=5, n=0, mode="finite", layout_a="C", layout_b="C", out=False, seed=0)
+    @example(m=1, inner=4096, n=1, mode="nan_two", layout_a="C", layout_b="C", out=True,
+             seed=0)
+    @example(m=1, inner=4, n=2, mode="finite", layout_a="C", layout_b="transposed", out=False,
+             seed=0)
+    def test_shape_rule_bitwise_equals_loop(self, m, inner, n, mode, layout_a, layout_b, out,
+                                            seed):
+        # both einsum layouts and the single element, empty outputs, m = 1,
+        # n = 1, over operands in every memory layout, into a fresh result or
+        # a caller's dirty buffer, in memory that np.empty returns dirty. One
+        # NaN payload must come through bit for bit; where two different NaNs
+        # meet (nan_two: two payloads and inf * 0), numpy defines no payload
         rng = make_rng(seed)
         a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
-        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
-                np.errstate(invalid="ignore"):
-            got, want = matmul(a, b), loop_matmul(a, b)
+        buf = np.full((m, n), NAN_A) if out else None
+        with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
+            got = matmul(_laid_out(a, layout_a), _laid_out(b, layout_b), out=buf)
+            want = loop_matmul(a, b)
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == want.shape and np.array_equal(view(got), view(want))
+        assert buf is None or got is buf
 
     @pytest.mark.parametrize("inner", [1, 2, 5])
     def test_loop_first_step_special_products(self, inner):
-        # the k-loop writes the first product into an output that was never
-        # zeroed and adds +0.0, and the chunked reduce starts from
-        # initial=0.0: a -0.0 first product must end +0.0, and NaN and +-inf
-        # must come through as the loop's 0.0 + p0 leaves them
+        # einsum adds the first product into its zeroed output and the single
+        # element adds +0.0 to its first sum: a -0.0 first product must end
+        # +0.0, and NaN and +-inf must come through as the loop's 0.0 + p0
+        # leaves them
         rng = make_rng(inner)
         firsts_a = [-0.0, 2.0, np.inf, NAN_A]
         firsts_b = [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, NAN_A]
-        # both k-loop shapes: every pair in one long-row output, and one pair
-        # per single-element output
+        # every pair in one long-row output, and one pair per single-element
+        # output
         cases = [(np.resize(firsts_a, 4), np.resize(firsts_b, 600))]
         cases += [(np.array([x]), np.array([y])) for x in firsts_a for y in firsts_b]
-        # both chunked layouts, (300, K) x (K, 7) and (4, K) x (K, 300); with a
-        # 1-float buffer every k is its own chunk
+        # m > n and m <= n, each with a in both orders: every einsum layout
         cases += [(np.resize(firsts_a, 300), np.resize(firsts_b, 7)),
                   (np.resize(firsts_a, 4), np.resize(firsts_b, 300))]
-        for (a0, b0), buffer_floats in itertools.product(
-                cases, [tensor_core.MATMUL_BUFFER_FLOATS, 1]):
+        for (a0, b0), order in itertools.product(cases, "CF"):
             a = rng.standard_normal((len(a0), inner))
             b = rng.standard_normal((inner, len(b0)))
             a[:, 0], b[0] = a0, b0
-            with patch.object(tensor_core, "np", DirtyNumpy()), \
-                    patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
-                    np.errstate(invalid="ignore"):
-                got = matmul(a, b)
+            with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
+                got = matmul(np.asarray(a, order=order), b)
             with np.errstate(invalid="ignore"):
                 want, first = loop_matmul(a, b), a0[:, None] * b0[None, :]
             assert same_bits(got, want)
@@ -162,23 +281,23 @@ class TestMatmul:
 
     @settings(max_examples=40, deadline=None)
     @given(s=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), data=st.data(),
-           buffer_floats=BUFFER_FLOATS)
-    def test_causal_value_mix_block_bitwise(self, s, seed, data, buffer_floats):
-        # the prefill value mix: a causal softmax block (zero upper triangle) times V
+           order=st.sampled_from("CF"))
+    def test_causal_value_mix_block_bitwise(self, s, seed, data, order):
+        # the prefill value mix: a causal softmax block (zero upper triangle)
+        # times V, the block column-major as prefill hands it over, or not
         rng = make_rng(seed)
         i0 = data.draw(st.integers(0, s - 1))
         i1 = data.draw(st.integers(i0 + 1, s))
         attn = masked_row_softmax(rng.standard_normal((i1 - i0, i1)), width=s)
         v = rng.standard_normal((i1, 4))
-        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats):
-            assert same_bits(matmul(attn, v), loop_matmul(attn, v))
+        assert same_bits(matmul(np.asarray(attn, order=order), v), loop_matmul(attn, v))
 
     @settings(max_examples=150, deadline=None)
     @given(inner=st.integers(1, 300), n=st.integers(2, 100), transposed=st.booleans(),
            mode=st.sampled_from(sorted(SPECIALS)), seed=st.integers(0, 2**32 - 1))
     def test_single_row_path_bitwise(self, inner, n, transposed, mode, seed):
-        # one reduce over a C-ordered K x n buffer, also when b is a transposed
-        # (F-ordered) view: the decode step's q @ keys^T and attn @ values
+        # one query row, also when b is a transposed (F-ordered) view, which
+        # is copied to unit-stride rows: the shape of q @ keys^T and attn @ values
         rng = make_rng(seed)
         a = _operand(rng, (1, inner), mode)
         b = _operand(rng, (n, inner), mode).T if transposed else _operand(rng, (inner, n), mode)
@@ -190,18 +309,18 @@ class TestMatmul:
     @pytest.mark.parametrize("n", [2, 4, 8])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_single_row_path_buffer_limit(self, rng, n, extra):
-        # K * n at MATMUL_BUFFER_FLOATS takes the single-row path, one more
-        # inner step does not: both must keep the loop's bits
-        inner = tensor_core.MATMUL_BUFFER_FLOATS // n + extra
+        # K * n products at four of numpy's iterator buffers (2^15 floats),
+        # and one more inner step: both must keep the loop's bits
+        inner = 4 * np.getbufsize() // n + extra
         a = rng.standard_normal((1, inner)) * 10.0 ** rng.integers(-8, 9, (1, inner))
         b = rng.standard_normal((inner, n))
-        assert (inner * n <= tensor_core.MATMUL_BUFFER_FLOATS) == (extra == 0)
+        assert (inner * n <= 4 * np.getbufsize()) == (extra == 0)
         assert same_bits(matmul(a, b), loop_matmul(a, b))
         assert same_bits(matmul(a, np.asfortranarray(b)), loop_matmul(a, b))
 
     @pytest.mark.parametrize("inner", [1, 2, 5])
     def test_single_row_path_special_first_products(self, inner):
-        # the reduce starts at initial=0.0: a -0.0 first product ends +0.0,
+        # einsum's output starts at +0.0: a -0.0 first product ends +0.0,
         # and +-inf and NaN come through as the loop's 0.0 + p0 leaves them
         rng = make_rng(inner)
         firsts_b = np.array([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, NAN_A])
@@ -234,32 +353,29 @@ class TestMatmul:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), inner=st.integers(1, 6), mode=st.sampled_from(sorted(SPECIALS)),
-           buffer_floats=st.sampled_from([1, 100, 1000, 5000, tensor_core.MATMUL_BUFFER_FLOATS]),
+           layout_a=st.sampled_from(LAYOUTS), layout_b=st.sampled_from(LAYOUTS),
            out=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_loop_row_chunks_bitwise(self, data, inner, mode, buffer_floats, out, seed):
-        # k-loop shapes (m <= n, m * n >= MATMUL_LOOP_MIN_OUTPUT) in chunks of
-        # buffer_floats // n rows: one row per chunk when n exceeds the
-        # buffer, a ragged last chunk when the rows do not divide m, all in
-        # memory that np.empty returns dirty
+    def test_loop_row_chunks_bitwise(self, data, inner, mode, layout_a, layout_b, out, seed):
+        # outputs with long rows (m <= n, m * n >= 2048: the prefill scores'
+        # shape) over operands in every memory layout, all in memory that
+        # np.empty returns dirty
         m = data.draw(st.integers(1, 40), label="m")
-        n = data.draw(st.integers(max(m, -(-tensor_core.MATMUL_LOOP_MIN_OUTPUT // m)), 6000),
-                      label="n")
+        n = data.draw(st.integers(max(m, -(-2048 // m)), 6000), label="n")
         rng = make_rng(seed)
         a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
         buf = np.full((m, n), NAN_A) if out else None
-        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
-                patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
-            got = matmul(a, b, out=buf)
+        with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
+            got = matmul(_laid_out(a, layout_a), _laid_out(b, layout_b), out=buf)
         with np.errstate(invalid="ignore"):
             want = loop_matmul(a, b)
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == want.shape and np.array_equal(view(got), view(want))
 
-    @pytest.mark.parametrize("m,n", [(3, tensor_core.MATMUL_BUFFER_FLOATS + 1),  # a row a chunk
-                                     (13, 4096)])  # chunks of 8 rows and a ragged 5
+    @pytest.mark.parametrize("m,n", [(3, 2**15 + 1), (13, 4096)])
     def test_loop_row_chunks_at_the_real_buffer(self, rng, m, n):
-        # the k-loop's temporary is one chunk: below MATMUL_BUFFER_FLOATS
-        # floats, or one row, where the m x n output needs more
+        # long output rows into a caller's buffer: einsum's products take no
+        # temporary, so the peak stays under 4 KiB, below a 2^15-float chunk
+        # of rows (or one row) and the m x n output
         a, b = rng.standard_normal((m, 4)), rng.standard_normal((4, n))
         buf = np.full((m, n), NAN_A)
         tracemalloc.start()
@@ -270,36 +386,36 @@ class TestMatmul:
         finally:
             tracemalloc.stop()
         assert same_bits(buf, loop_matmul(a, b))
-        rows = max(1, tensor_core.MATMUL_BUFFER_FLOATS // n)
-        assert rows * n * 8 <= peak < rows * n * 8 + 2**12 < m * n * 8
+        rows = max(1, 2**15 // n)
+        assert peak < 2**12 < rows * n * 8 + 2**12 < m * n * 8
 
     @settings(max_examples=200, deadline=None)
     @given(m=DIM, inner=st.one_of(st.just(0), st.integers(1, 70)), n=DIM,
-           mode=st.sampled_from(sorted(SPECIALS)),
-           buffer_floats=BUFFER_FLOATS, seed=st.integers(0, 2**32 - 1))
-    def test_out_buffer_bitwise_equals_fresh_result(self, m, inner, n, mode, buffer_floats,
-                                                    seed):
-        # every path (single row, k-loop, chunked either way round, K == 0)
-        # writes the bits it would return into a caller's dirty buffer
+           mode=st.sampled_from(sorted(SPECIALS)), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2**32 - 1))
+    def test_out_buffer_bitwise_equals_fresh_result(self, m, inner, n, mode, order, seed):
+        # every path (either einsum layout, one element, K == 0) writes the
+        # bits it would return into a caller's dirty buffer
         rng = make_rng(seed)
         a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
+        a = np.asarray(a, order=order)
         buf = np.full((m, n), NAN_A)
-        with patch.object(tensor_core, "MATMUL_BUFFER_FLOATS", buffer_floats), \
-                np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             want = matmul(a, b)
             got = matmul(a, b, out=buf)
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got is buf and np.array_equal(view(buf), view(want))
 
     @pytest.mark.parametrize("m,inner,n", [(1, 70, 300),   # single row
-                                           (64, 4, 300),   # k-loop
-                                           (300, 70, 4),   # chunked, m > n
-                                           (24, 8, 24)])   # chunked, m <= n
+                                           (64, 4, 300),   # long rows
+                                           (300, 70, 4),   # m > n
+                                           (24, 8, 24)])   # square
     def test_out_buffer_paths_and_shape_check(self, rng, m, inner, n):
         a = rng.standard_normal((m, inner))
         b = rng.standard_normal((inner, n))
-        buf = np.full((m, n), NAN_A)
-        assert matmul(a, b, out=buf) is buf and same_bits(buf, loop_matmul(a, b))
+        for a_in in (a, np.asfortranarray(a)):  # j innermost, and i innermost when m > n
+            buf = np.full((m, n), NAN_A)
+            assert matmul(a_in, b, out=buf) is buf and same_bits(buf, loop_matmul(a, b))
         for bad in (np.empty((m, n + 1)), np.empty((n + 1, m)), np.empty((m, n), np.float32),
                     np.empty((m, 2 * n))[:, ::2]):
             with pytest.raises(ValueError):
@@ -424,56 +540,58 @@ class TestMaskedRowSoftmax:
 
 class TestHeadMatmul:
     @settings(max_examples=300, deadline=None)
-    @given(h=st.integers(1, 5), inner=st.one_of(st.just(0), st.integers(1, 40), st.integers(200, 300)),
-           n=st.one_of(st.just(0), st.just(1), st.integers(2, 40), st.integers(200, 300)),
-           mode=st.sampled_from(sorted(SPECIALS)), slab_floats=SLAB_FLOATS,
-           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    @example(h=2, inner=300, n=1, mode="nan_two", slab_floats=16, strided=True, seed=0)
-    def test_rows_bitwise_equal_loop(self, h, inner, n, mode, slab_floats, strided, seed):
-        # both layouts (K <= n and K > n), slabs that split K, n or both,
-        # K = 0, n = 0 and one column, in memory that np.empty returns dirty,
-        # over operands that are strided views as the decode step's keys^T
-        # and values are. One NaN payload comes through bit for bit; where
-        # two different NaNs meet (nan_two), numpy defines no payload
+    @given(h=st.integers(1, 5), inner=DIM, n=DIM, mode=st.sampled_from(sorted(SPECIALS)),
+           layout_a=st.sampled_from(LAYOUTS), layout_b=st.sampled_from(LAYOUTS),
+           seed=st.integers(0, 2**32 - 1))
+    @example(h=2, inner=300, n=1, mode="nan_two", layout_a="C", layout_b="sliced", seed=0)
+    @example(h=1, inner=9, n=1, mode="finite", layout_a="C", layout_b="C", seed=0)
+    def test_rows_bitwise_equal_loop(self, h, inner, n, mode, layout_a, layout_b, seed):
+        # short and long K and n, K = 0, n = 0 and one column, in memory that
+        # np.empty returns dirty, over operands in every memory layout: the
+        # decode step's keys^T and values are sliced views of their store.
+        # One NaN payload comes through bit for bit; where two different
+        # NaNs meet (nan_two), numpy defines no payload
         rng = make_rng(seed)
         a = _operand(rng, (h, inner), mode)
-        b = _operand(rng, (h, inner, n + 3), mode)[:, :, :n] if strided else \
-            _operand(rng, (h, inner, n), mode)
-        with patch.object(tensor_core, "HEAD_SLAB_FLOATS", slab_floats), \
-                patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
-            got = head_matmul(a, b)
+        b = _operand(rng, (h, inner, n), mode)
+        with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
+            got = head_matmul(_laid_out(a, layout_a), _laid_out(b, layout_b))
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == (h, n)
         with np.errstate(invalid="ignore"):
             for row, want in zip(got, (loop_matmul(a[i:i + 1], b[i]) for i in range(h))):
                 assert np.array_equal(view(row[None]), view(want))
 
-    # one head with a 1-column last slab (64 // 9 = 7 columns a slab), one
-    # head with one column, and two heads with a 1-column last slab
-    @pytest.mark.parametrize("h,n,slab_floats", [(1, 15, 64), (1, 1, 64), (2, 15, 128)])
-    def test_sums_in_order_not_pairwise(self, h, n, slab_floats):
+    # one head, one head with one column, and two heads, each over the
+    # first n columns of a store with rows of `cap` floats
+    @pytest.mark.parametrize("h,n,cap", [(1, 15, 64), (1, 1, 64), (2, 15, 128)])
+    def test_sums_in_order_not_pairwise(self, h, n, cap):
         # 1e16 + 1 + ... + 1 - 1e16 is 0.0 in order (each +1 rounds away) and
-        # 6.0 in numpy's pairwise sum, which a reduce over a 1-element inner
-        # loop would take
+        # not in a sum with several accumulators, which einsum takes when
+        # its innermost loop runs along k; in both layouts of b
         a = np.ones((h, 9))
-        b = np.tile(np.array([1e16] + [1.0] * 7 + [-1e16])[:, None], (h, 1, n))
-        with patch.object(tensor_core, "HEAD_SLAB_FLOATS", slab_floats):
-            got = head_matmul(a, b)
-        assert same_bits(got, np.zeros((h, n)))
-        assert same_bits(loop_matmul(a[:1], b[0]), np.zeros((1, n)))
+        store = np.full((h, 9, cap), NAN_B)
+        store[:, :, :n] = np.array([1e16] + [1.0] * 7 + [-1e16])[:, None]
+        for b in (store[:, :, :n], _laid_out(store[:, :, :n], "transposed")):
+            assert same_bits(head_matmul(a, b), np.zeros((h, n)))
+        assert same_bits(loop_matmul(a[:1], store[0, :, :n]), np.zeros((1, n)))
 
-    @pytest.mark.parametrize("inner,n", [(1, 3), (2, 5), (3, 1), (5, 2)])  # both layouts
-    @pytest.mark.parametrize("slab_floats", [1, tensor_core.HEAD_SLAB_FLOATS])
-    def test_special_first_products(self, inner, n, slab_floats):
+    @pytest.mark.parametrize("inner,n", [(1, 3), (2, 5), (3, 1), (5, 2)])  # einsum, 1 column
+    # b starts `offset` floats into its buffer: 1 puts its rows off the
+    # 16-byte boundary that einsum's aligned vector loads need, 2^14 keeps
+    # the buffer's own alignment
+    @pytest.mark.parametrize("offset", [1, 2**14])
+    def test_special_first_products(self, inner, n, offset):
         # a -0.0 first product ends +0.0 (the loop's 0.0 + p0), and +-inf and
-        # NaN come through as the loop leaves them, also across slabs
+        # NaN come through as the loop leaves them
         firsts = [(-0.0, 1.0), (-0.0, -0.0), (2.0, -0.0), (np.inf, -1.0), (NAN_A, 1.0),
                   (1.0, np.inf)]
         a = np.array([[x] + [-0.0] * (inner - 1) for x, _ in firsts])
-        b = np.full((len(firsts), inner, n), 1.0)
+        size = len(firsts) * inner * n
+        b = np.full(offset + size, NAN_B)[offset:].reshape(len(firsts), inner, n)
+        b[...] = 1.0
         b[:, 0] = np.array([y for _, y in firsts])[:, None]
-        with patch.object(tensor_core, "HEAD_SLAB_FLOATS", slab_floats), \
-                patch.object(tensor_core, "np", DirtyNumpy()):
+        with patch.object(tensor_core, "np", DirtyNumpy()):
             got = head_matmul(a, b)
         want = np.concatenate([loop_matmul(a[i:i + 1], b[i]) for i in range(len(firsts))])
         assert same_bits(got, want)
@@ -482,8 +600,9 @@ class TestHeadMatmul:
     @pytest.mark.parametrize("h,inner,n", [(8, 4, 4100), (8, 4100, 4), (2, 16, 4100),
                                            (1, 3, 70000), (3, 70000, 2)])
     def test_temporaries_bounded(self, rng, h, inner, n):
-        # scores and value mixes past one slab: the products take a slab (and
-        # numpy's reduce at most one more), never H x K x n floats
+        # scores and value mixes with many products: einsum takes no product
+        # buffer, and the peak stays below two 2^14-float slabs and the
+        # result, never H x K x n floats
         a, b = rng.standard_normal((h, inner)), rng.standard_normal((h, inner, n))
         tracemalloc.start()
         try:
@@ -491,7 +610,7 @@ class TestHeadMatmul:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (2 * tensor_core.HEAD_SLAB_FLOATS + h * n) * 8 + 2**12 < h * inner * n * 8
+        assert peak < (2 * 2**14 + h * n) * 8 + 2**12 < h * inner * n * 8
         assert same_bits(got[-1:], loop_matmul(a[-1:], b[-1]))
 
     def test_operands_checked(self):

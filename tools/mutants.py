@@ -49,46 +49,50 @@ MUTANTS = {
     "matmul-1x1-plus-zero": (
         "tensor_core.py", "        return np.add(sums[:, -1:], 0.0, out=out)",
         "        return np.add(sums[:, -1:], -0.0, out=out)"),
-    "matmul-loop-plus-zero": (
+    "matmul-1x1-fallback": (
+        "tensor_core.py", "    if m == n == 1:", "    if False:"),
+    "matmul-k-innermost": (
         "tensor_core.py",
-        "            ci += 0.0  # the loop's 0.0 + p0: a -0.0 first product ends +0.0",
-        "            pass"),
-    "matmul-row-initial": (
+        '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)',
+        '    return np.einsum("ik,kj->ij", a, np.asfortranarray(b), out=out, optimize=False)'),
+    "matmul-columns-k-innermost": (
         "tensor_core.py",
-        "        return np.add.reduce(prod, axis=0, initial=0.0, keepdims=True, out=out)",
-        "        return np.add.reduce(prod, axis=0, keepdims=True, out=out)"),
-    "matmul-chunk-initial": (
-        "tensor_core.py", "        np.add.reduce(p, axis=0, initial=0.0, out=acc)",
-        "        np.add.reduce(p, axis=0, out=acc)"),
-    "matmul-chunk-carry": (
-        "tensor_core.py", "            np.add(acc, p[0], out=p[0])", "            pass"),
-    "matmul-row-chunks": (
-        "tensor_core.py", "        rows = max(1, MATMUL_BUFFER_FLOATS // n)", "        rows = m"),
-    "head-reduce-axis": (
-        "tensor_core.py", "    return np.add.reduce(p, axis=0, initial=0.0, out=out)",
-        "    return np.add.reduce(p, axis=1, initial=0.0, out=out)"),
-    "head-reduce-initial": (
-        "tensor_core.py", "    return np.add.reduce(p, axis=0, initial=0.0, out=out)",
-        "    return np.add.reduce(p, axis=0, out=out)"),
-    "head-reduce-carry": (
-        "tensor_core.py", "        np.add(carry, p[0], out=p[0])", "        pass"),
+        '        out_t = np.einsum("ki,kj->ji", np.asfortranarray(a).T, b, out=np.empty((n, m)),',
+        '        out_t = np.einsum("ki,kj->ji", np.ascontiguousarray(a).T, b, out=np.empty((n, m)),'),
+    "matmul-optimize": (
+        "tensor_core.py",
+        '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)',
+        '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=True)'),
+    "unit-rows-copy": (
+        "tensor_core.py",
+        "    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:",
+        "    if x.strides[-2] < x.itemsize * x.shape[-1]:"),
+    "rows-forward-copy": (
+        "tensor_core.py",
+        "    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:",
+        "    if x.strides[-1] != x.itemsize or abs(x.strides[-2]) < x.itemsize * x.shape[-1]:"),
+    "rows-overlap-copy": (
+        "tensor_core.py",
+        "    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:",
+        "    if x.strides[-1] != x.itemsize or x.strides[-2] < 0:"),
+    "head-k-innermost": (
+        "tensor_core.py",
+        '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)',
+        '    return np.einsum("hk,hkn->hn", a, '
+        'np.ascontiguousarray(b.transpose(0, 2, 1)).transpose(0, 2, 1), '
+        'out=np.empty((h, n)), optimize=False)'),
+    "head-optimize": (
+        "tensor_core.py",
+        '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)',
+        '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=True)'),
+    "head-1-column-fallback": (
+        "tensor_core.py", "    if n == 1:", "    if False:"),
     "head-accumulate-axis": (
-        "tensor_core.py", "        np.add.accumulate(p, axis=2, out=p)",
-        "        np.add.accumulate(p, axis=1, out=p)"),
-    "head-accumulate-carry": (
-        "tensor_core.py", "            np.add(carry, p[:, :, 0], out=p[:, :, 0])",
-        "            pass"),
+        "tensor_core.py", "        sums = np.add.accumulate(np.multiply(a, b[:, :, 0]), axis=1)",
+        "        sums = np.add.accumulate(np.multiply(a, b[:, :, 0]), axis=0)"),
     "head-accumulate-plus-zero": (
-        "tensor_core.py", "        return np.add(p[:, :, -1], 0.0, out=out)",
-        "        return np.add(p[:, :, -1], -0.0, out=out)"),
-    "head-slab-rows": (
-        "tensor_core.py", "    chunk = min(inner, max(1, HEAD_SLAB_FLOATS // (h * cols)))",
-        "    chunk = inner"),
-    "head-slab-cols": (
-        "tensor_core.py", "        cols = min(n, max(2, HEAD_SLAB_FLOATS // (h * inner)))",
-        "        cols = n"),
-    "head-last-slab": (
-        "tensor_core.py", "            j0 -= 1", "            pass"),
+        "tensor_core.py", "        return np.add(sums[:, -1:], 0.0)",
+        "        return np.add(sums[:, -1:], -0.0)"),
     "head-softmax-max-axis": (
         "tensor_core.py", "    scores -= scores.max(axis=1, keepdims=True)",
         "    scores -= scores.max()"),

@@ -23,8 +23,8 @@ from .layout import MultimodalSequence
 from .model import LayerKVCache
 # prune_head_cache stays bound here for perfbench/tracer.py, which rebinds it
 # under this module's name; the hooks prune through prune_layer.
-from .pruning import (LayerDecision, PruningConfig, decide_layers, prune_head_cache,  # noqa: F401
-                      prune_layer, vision_attention_score)
+from .pruning import (LayerDecision, PruningConfig, _head_average, decide_layers,  # noqa: F401
+                      prune_head_cache, prune_layer, vision_attention_score)
 from .tensor_core import argtopk
 
 __all__ = ["FastVConfig", "VTWConfig", "fastv_surviving_set", "decide", "check_depth"]
@@ -58,14 +58,14 @@ def check_depth(cfg: FastVConfig | VTWConfig, num_layers: int) -> None:
 
 def fastv_surviving_set(last_rows: np.ndarray, seq: MultimodalSequence,
                         cfg: FastVConfig) -> np.ndarray:
-    """Vision positions surviving FastV's one-shot ranking at layer K."""
+    """Vision positions surviving FastV's one-shot ranking of layer K's
+    ``(H, S)`` rows, by the head average gamma also reads."""
     vision = seq.vision_union
     if vision.size == 0:
         return vision
-    mean_row = np.mean(np.asarray(last_rows, dtype=np.float64), axis=0)
+    mean_row = _head_average(np.asarray(last_rows, dtype=np.float64))
     keep = vision.size - int(np.floor(cfg.prune_ratio * vision.size))
-    local = argtopk(mean_row[vision], keep)
-    return vision[local]
+    return vision[argtopk(mean_row[vision], keep)]
 
 
 _NO_VISION = np.empty(0, dtype=np.int64)

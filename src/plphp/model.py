@@ -258,16 +258,12 @@ def _run_heads(attend: Callable[[int, np.ndarray], None], num_heads: int,
     """``attend(h, works[t])`` for every head h, thread t taking heads t, t + T, ...
 
     T = ``len(works)``: the calling thread is t = 0 and T - 1 threads started
-    for this call take the rest. Returns once every head has finished and
-    every started thread has been joined; a head that raised does not stop
-    the others, and the lowest-index head's exception is then re-raised.
-    With T = 1 the heads run in order on the calling thread.
+    for this call take the rest (none for T = 1). Returns once every head has
+    finished and every started thread has been joined; a head that raised
+    does not stop the others, and the lowest-index head's exception is then
+    re-raised, at every T.
     """
     threads = len(works)
-    if threads == 1:
-        for h in range(num_heads):
-            attend(h, works[0])
-        return
     errors: list[BaseException | None] = [None] * num_heads
 
     def share(t: int) -> None:

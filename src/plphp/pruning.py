@@ -100,30 +100,31 @@ class LayerDecision:
         return self.per_head_retained is None
 
 
-def vision_attention_score(attn_last_rows: list[np.ndarray] | np.ndarray,
-                           vision_union: np.ndarray) -> float | np.ndarray:
-    """Head-averaged attention mass on vision positions, in [0, 1].
+def vision_attention_score(attn_last_rows: np.ndarray, vision_union: np.ndarray) -> np.ndarray:
+    """Each layer's head-averaged attention mass on vision positions, in [0, 1].
 
-    ``attn_last_rows`` holds the last attention row of each head (softmax
-    output over the full sequence), ``(H, S)`` for one layer or ``(L, H, S)``
-    for L layers; the result is a float or one gamma per layer. The heads
-    are added in turn and divided by H, as ``np.mean`` does, and the vision
-    columns are gathered C-ordered, so each layer's row sum is numpy's
-    pairwise sum over its own vision mass: the same bits for every L.
+    ``attn_last_rows`` is ``(L, H, S)``, each head's last attention row (softmax
+    over the full sequence) in L layers, and the result ``(L,)``. The vision
+    columns of ``_head_average`` are gathered C-ordered, so each layer's row
+    sum is numpy's pairwise sum over its own vision mass: the same bits for every L.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
-    if rows.ndim not in (2, 3):
-        raise ValueError(f"expected (H, S) or (L, H, S) rows, got {rows.ndim}-D")
+    if rows.ndim != 3:
+        raise ValueError(f"expected (L, H, S) rows, got {rows.ndim}-D")
     vision_union = np.asarray(vision_union, dtype=np.int64)
     if vision_union.size == 0:
-        return 0.0 if rows.ndim == 2 else np.zeros(rows.shape[0])
+        return np.zeros(rows.shape[0])
     if vision_union.max() >= rows.shape[-1] or vision_union.min() < 0:
         raise ValueError("vision index out of range for attention rows")
-    means = rows.sum(axis=-2) / rows.shape[-2]
-    # np.take returns C order; means[:, vision] would come back Fortran-ordered,
+    # np.take returns C order; an index [:, vision] would come back Fortran-ordered,
     # and a row sum over that is not pairwise
-    gamma = np.take(means, vision_union, axis=-1).sum(axis=-1)
-    return float(gamma) if rows.ndim == 2 else gamma
+    return np.take(_head_average(rows), vision_union, axis=-1).sum(axis=-1)
+
+
+def _head_average(rows: np.ndarray) -> np.ndarray:
+    """The mean of ``(..., H, S)`` rows over H heads, read by gamma and FastV: the
+    heads added in turn, then divided by H (``np.mean(rows, axis=-2)``'s bits)."""
+    return rows.sum(axis=-2) / rows.shape[-2]
 
 
 def classify_layer(gamma: float, cfg: PruningConfig) -> str:
@@ -181,9 +182,7 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
     share the call.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
-    if rows.ndim != 3:
-        raise ValueError(f"expected (L, H, S) rows, got {rows.ndim}-D")
-    gammas = vision_attention_score(rows, seq.vision_union).tolist()
+    gammas = vision_attention_score(rows, seq.vision_union).tolist()  # checks (L, H, S)
     first, last = cfg.pruned_range(num_layers)
     classes = [classify_layer(gamma, cfg) for gamma in gammas]
     retentions = [allocate_retention(c, cfg) if first <= first_layer + i <= last else None

@@ -9,7 +9,7 @@ output axis and never along the summed one; an output of one element, which
 has no such axis, takes one in-order ``np.add.accumulate`` instead (see
 ``matmul``). A decode step runs every head of a layer at once through
 ``head_matmul`` and ``head_row_softmax``, whose row h keeps the bits of the
-1-row ``matmul`` and ``masked_row_softmax`` of head h.
+1-row ``matmul`` and ``masked_row_softmax`` of head h, whose bodies they share.
 
 The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so the
 values it draws are the same on every platform. ``matmul`` and ``argtopk``
@@ -55,10 +55,8 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
       the longer inner loop. The n x m result is copied out transposed. An
       ``n == 1`` product takes this layout even when a is not column-major,
       and then copies a.
-    * none, for ``m == n == 1``: the K products in one row, then
-      ``np.add.accumulate`` along it, which adds left to right by
-      construction, and its last sum ``+ 0.0`` (the loop's ``0.0 + p0``: a
-      running sum is -0.0 only while every product so far is).
+    * none, for ``m == n == 1``: the K products in one row, added left to
+      right by ``_in_order_sum``.
 
     einsum may run an axis backwards when every operand steps backwards
     along it; k runs forward because b's rows, or a's columns, step forward.
@@ -91,8 +89,7 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         out.fill(0.0)
         return out
     if m == n == 1:
-        sums = np.add.accumulate(np.multiply(a, b.T), axis=1)
-        return np.add(sums[:, -1:], 0.0, out=out)
+        return _in_order_sum(np.multiply(a, b.T), out)
     if out is None:
         out = np.empty((m, n))
     if m > n and (n == 1 or a.flags.f_contiguous):
@@ -101,6 +98,14 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         out[...] = out_t.T
         return out
     return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)
+
+
+def _in_order_sum(products: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of H x K ``products`` added left to right, H x 1 (into ``out`` if
+    given): accumulate's last sums ``+ 0.0``, the loop's ``0.0 + p0 + p1 + ...``
+    (a running sum is -0.0 only while every product so far is)."""
+    sums = np.add.accumulate(products, axis=1)
+    return np.add(sums[:, -1:], 0.0, out=out)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -123,8 +128,10 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None,
     """Row-wise softmax under the causal (lower-triangular) mask.
 
     Each row is normalized over its unmasked prefix using max-subtraction;
-    masked entries come out exactly 0. Row ``i`` may attend to columns
-    ``0..i`` only, so row 0 is always ``[1, 0, ...]``.
+    masked entries are set to -inf, which exp makes exactly 0 (a row whose
+    max is -inf or NaN comes out NaN throughout, NaN payloads as in
+    ``matmul``). Row ``i`` may attend to columns ``0..i`` only, so row 0 is
+    always ``[1, 0, ...]``.
 
     The map may be normalised one row block at a time: an m x n ``scores``
     then holds rows ``n - m .. n - 1`` of a ``width`` x ``width`` score
@@ -154,18 +161,9 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None,
                          f"got {out.dtype} {out.shape}")
     elif out is not scores:
         out[...] = scores
-    # only the trailing m x m triangle of the block is masked: none of a 1-row block
-    mask = m > 1
-    if mask:
-        tail = out[:, n - m:]
-        masked = np.arange(m) > np.arange(m)[:, None]
-        np.copyto(tail, -np.inf, where=masked)
-    out -= out.max(axis=1, keepdims=True)
-    np.exp(out, out=out)
-    if mask:  # already 0 unless a row's max is -inf or NaN
-        np.copyto(tail, 0.0, where=masked)
-    out /= _padded_row_sum(out, width)
-    return out
+    if m > 1:  # only the trailing m x m triangle of the block is masked: none of a 1-row block
+        np.copyto(out[:, n - m:], -np.inf, where=np.arange(m) > np.arange(m)[:, None])
+    return _normalise_rows(out, width)
 
 
 def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,10 +173,10 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     + ...`` over k: one ``np.einsum("hk,hkn->hn", ..., optimize=False)`` over
     b with unit-stride rows (copied if not), so numpy's innermost loop runs
     along n and each k adds its products into the zeroed output, as in
-    ``matmul``. A 1-column product has no such loop to run, so it takes the
-    H x K products and ``np.add.accumulate`` along k instead, and the last
-    sums ``+ 0.0``, as ``matmul``'s single element does. ``K == 0`` gives
-    zeros, and NaN payloads behave as in ``matmul``.
+    ``matmul``. A 1-column product has no such loop to run, so its H x K
+    products are added along k by ``_in_order_sum``, as ``matmul``'s single
+    element is. ``K == 0`` gives zeros, and NaN payloads behave as in
+    ``matmul``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -189,27 +187,31 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if inner == 0 or h * n == 0:
         return np.zeros((h, n))
     if n == 1:
-        sums = np.add.accumulate(np.multiply(a, b[:, :, 0]), axis=1)
-        return np.add(sums[:, -1:], 0.0)
+        return _in_order_sum(np.multiply(a, b[:, :, 0]))
     return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)
 
 
 def head_row_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax of each row of H x n ``scores``, normalised in place and returned.
 
-    A decode step's score row per head: nothing is masked, and row h keeps
-    the bits of ``masked_row_softmax(scores[h:h+1])``. Its row sum is one
-    ``np.add.reduce`` along each C-ordered row, numpy's pairwise sum of the
-    row alone, as the 1-row block's is when its width is n.
+    A decode step's score row per head: nothing is masked, and the rows are
+    normalised by ``masked_row_softmax``'s body at width n, so row h keeps
+    the bits of ``masked_row_softmax(scores[h:h+1])``.
     """
     if scores.ndim != 2 or scores.shape[1] == 0 or scores.dtype != np.float64 \
             or not scores.flags.c_contiguous:
         raise ValueError(f"expected a C-contiguous float64 H x n array with n >= 1, "
                          f"got {scores.dtype} {scores.shape}")
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=1, keepdims=True)
-    return scores
+    return _normalise_rows(scores, scores.shape[1])
+
+
+def _normalise_rows(x: np.ndarray, width: int) -> np.ndarray:
+    """Softmax of each row of C-ordered ``x`` in place: subtract the row max,
+    exp, divide by the row sum over ``width`` columns (``_padded_row_sum``)."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= _padded_row_sum(x, width)
+    return x
 
 
 # numpy's pairwise summation (``np.add.reduce`` along a contiguous row):
@@ -236,7 +238,7 @@ def _padded_row_sum(x: np.ndarray, width: int) -> np.ndarray:
     and the padded reduce's own +0.0 start clears that too.
     """
     m, n = x.shape
-    if n == width:
+    if n == width:  # every decode row: one reduce of the row alone
         return np.add.reduce(x, axis=1, keepdims=True)
     lo, length = 0, width  # the subtree over columns [lo, lo + length) straddles column n
     lefts = []  # the sums of the computed left halves on the path

@@ -272,7 +272,7 @@ def image_parts(row: np.ndarray, seq) -> list[np.ndarray]:
 def _shared_decision(layer: int, last_rows: np.ndarray, seq,
                      kept: np.ndarray | None) -> LayerDecision:
     """Every head keeps the vision positions ``kept``; None exempts the layer."""
-    gamma = vision_attention_score(last_rows, seq.vision_union)
+    gamma = float(vision_attention_score(last_rows[None], seq.vision_union)[0])
     if kept is None:
         return LayerDecision(layer=layer, gamma=gamma, layer_class=None)
     per_image = [kept[np.isin(kept, np.arange(lo, hi))] for lo, hi in seq.image_spans]

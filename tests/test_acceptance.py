@@ -57,7 +57,8 @@ def test_criterion_2_oracle_equivalence():
         h, s = int(rng.integers(1, 5)), int(rng.integers(4, 20))
         rows = random_softmax_rows(rng, h, s)
         vision = np.sort(rng.choice(s, size=int(rng.integers(0, s + 1)), replace=False))
-        assert abs(vision_attention_score(rows, vision) - loop_gamma(rows, vision)) < 1e-12
+        assert abs(vision_attention_score(rows[None], vision)[0] - loop_gamma(rows, vision)) \
+            < 1e-12
 
     for _ in range(1000):
         s = int(rng.integers(6, 24))

@@ -3,10 +3,10 @@
 numpy picks some kernels, ``np.exp`` among them, at run time from the CPU's
 features, and ``NPY_DISABLE_CPU_FEATURES`` switches its dispatch targets
 off. One child process per dispatch level, switching this host's targets off
-from the top down, must reproduce the in-process bits of ``matmul``,
-``argtopk`` and replay reports. A small prefill plus decode must keep its
-tokens, with logits within 1e-9, and ``np.exp`` must agree within 1 ULP
-over a fixed grid.
+from the top down, must reproduce the in-process bits of ``matmul`` and
+``head_matmul`` in each of their layouts, ``argtopk`` and replay reports. A
+small prefill plus decode must keep its tokens, with logits within 1e-9, and
+``np.exp`` must agree within 1 ULP over a fixed grid.
 """
 
 import base64
@@ -24,6 +24,7 @@ from helpers import pruned_prefill
 from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
                    argtopk, build_sequence, decode_step, init_model, make_rng, matmul)
 from plphp.metrics import report_to_json
+from plphp.tensor_core import head_matmul
 from plphp.trace import replay, trace_from_run
 
 try:
@@ -31,8 +32,18 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath as umath
 
-# matmul shapes (m, K, n): one element, single row, k-loop, chunked, wide chunked
-MATMUL_SHAPES = [(1, 50, 1), (1, 37, 50), (40, 64, 300), (30, 20, 10), (300, 8, 7)]
+# matmul cases (m, K, n, a's memory order), each labelled with the layout it takes
+MATMUL_SHAPES = [
+    (1, 50, 1, "C"),     # one element: the in-order accumulate
+    (1, 37, 50, "C"),    # "ik,kj->ij", one row (a decode projection)
+    (40, 64, 300, "C"),  # "ik,kj->ij" (prefill's scores)
+    (30, 20, 10, "C"),   # "ik,kj->ij": m > n, but a is not column-major
+    (300, 8, 7, "C"),    # "ik,kj->ij", narrow
+    (300, 64, 7, "F"),   # "ki,kj->ji": column-major a, m > n (prefill's value mix)
+    (300, 8, 1, "C"),    # "ki,kj->ji": one column, a copied
+]
+# head_matmul cases (H, K, n): "hk,hkn->hn" for n >= 2, the in-order accumulate for n = 1
+HEAD_MATMUL_SHAPES = [(4, 300, 64), (4, 300, 1)]
 EXP_GRID = np.linspace(-745.0, 0.0, 100_001)
 
 
@@ -58,8 +69,12 @@ def measure() -> dict:
     """Everything the test compares, from fixed inputs, JSON-ready."""
     rng = make_rng(0)
     out = {"active": active_targets()}
-    out["matmul"] = [sha256(matmul(rng.standard_normal((m, k)), rng.standard_normal((k, n))))
-                     for m, k, n in MATMUL_SHAPES]
+    out["matmul"] = [sha256(matmul(np.asarray(rng.standard_normal((m, k)), order=order),
+                                   rng.standard_normal((k, n))))
+                     for m, k, n, order in MATMUL_SHAPES]
+    out["head_matmul"] = [sha256(head_matmul(rng.standard_normal((h, k)),
+                                             rng.standard_normal((h, k, n))))
+                          for h, k, n in HEAD_MATMUL_SHAPES]
     values = np.round(rng.standard_normal((8, 500)), 1)  # ties past k
     out["argtopk"] = sha256(argtopk(values, 37), argtopk(rng.standard_normal(900), 100))
 
@@ -110,7 +125,7 @@ def test_dispatch_levels_keep_bits_or_bounds():
     want_exp = np.frombuffer(base64.b64decode(want["exp"]), dtype=np.int64)
     for level, got in zip(levels, results):
         assert set(got["active"]) == set(want["active"]) - set(level.split()), level
-        for key in ("matmul", "argtopk", "replay", "tokens"):
+        for key in ("matmul", "head_matmul", "argtopk", "replay", "tokens"):
             assert got[key] == want[key], (level, key)
         logits = np.array([float.fromhex(x) for x in got["logits"]])
         want_logits = np.array([float.fromhex(x) for x in want["logits"]])

@@ -378,8 +378,8 @@ class TestParallelHeads:
 
     def test_lowest_head_error_raised_after_every_head_finished(self, cpus):
         # head 2 fails first and head 1 later, while head 3 is still working:
-        # the caller sees head 1's error, and only once head 3 is done
-        cpus(4)
+        # the caller sees head 1's error, and only once head 3 is done; on
+        # one thread too, where head 1 fails before heads 2 and 3 run
         cfg, w = tiny(n=4, h=4, dk=2)
         seq = mixed_seq()
         real = model.matmul
@@ -400,13 +400,16 @@ class TestParallelHeads:
             calls[current.head] += 1
             return real(a, b, **kwargs)
 
-        with mock.patch.object(model, "matmul", failing), \
-                pytest.raises(RuntimeError, match="head 1"):
-            prefill(w, cfg, seq)
         per_head = 3 + 2 * len(model.attention_row_blocks(seq.total_length))
-        assert calls == {0: per_head, 3: per_head}
-        time.sleep(0.05)
-        assert calls == {0: per_head, 3: per_head}  # nothing still running
+        for n_cpus in (1, 4):
+            cpus(n_cpus)
+            calls.clear()
+            with mock.patch.object(model, "matmul", failing), \
+                    pytest.raises(RuntimeError, match="head 1"):
+                prefill(w, cfg, seq)
+            assert calls == {0: per_head, 3: per_head}, n_cpus
+            time.sleep(0.05)
+            assert calls == {0: per_head, 3: per_head}  # nothing still running
 
     def test_one_cpu_prefill_and_decode_stay_on_the_calling_thread(self, cpus):
         # a one-CPU host runs prefill on the calling thread, and decode never

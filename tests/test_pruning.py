@@ -10,6 +10,7 @@ from helpers import (assert_same_decisions, cut_head, image_parts, layer_from_he
                      per_layer_decision, select_retained, set_keep, sort_select, stable_argtopk)
 from plphp import (IMAGE, TEXT, FastVConfig, LayerDecision, PruningConfig, Segment, VTWConfig,
                    build_sequence, decide, make_rng, pruning)
+from plphp.baselines import fastv_surviving_set
 from plphp.pruning import (VISION_ATTENTIVE, VISION_BALANCED, VISION_INDIFFERENT,
                            allocate_retention, classify_layer, decide_layers, prune_head_cache,
                            prune_layer, retained_count, vision_attention_score)
@@ -42,21 +43,22 @@ class TestPruningConfig:
 class TestVisionAttentionScore:
     def test_uniform_rows(self):
         rows = np.full((3, 10), 0.1)
-        assert vision_attention_score(rows, np.arange(4)) == pytest.approx(0.4, abs=1e-15)
+        assert vision_attention_score(rows[None], np.arange(4))[0] == \
+            pytest.approx(0.4, abs=1e-15)
 
     def test_empty_vision(self):
-        assert vision_attention_score(np.full((2, 6), 1 / 6), np.empty(0, dtype=int)) == 0.0
+        assert vision_attention_score(np.full((1, 2, 6), 1 / 6), np.empty(0, dtype=int))[0] == 0.0
 
     def test_matches_double_loop_oracle(self, rng):
         rows = random_softmax_rows(rng, 4, 16)
         vision = np.array([2, 3, 4, 9, 10])
-        got = vision_attention_score(rows, vision)
+        got = vision_attention_score(rows[None], vision)[0]
         assert abs(got - loop_gamma(rows, vision)) < 1e-12
         assert 0.0 <= got <= 1.0
 
     def test_out_of_range_index(self, rng):
         with pytest.raises(ValueError):
-            vision_attention_score(random_softmax_rows(rng, 2, 5), np.array([7]))
+            vision_attention_score(random_softmax_rows(rng, 2, 5)[None], np.array([7]))
 
 
 class TestClassifyAndAllocate:
@@ -409,5 +411,14 @@ def test_vision_attention_score_per_layer_bits(rng):
     assert batched.shape == (6,)
     assert [float.hex(g) for g in batched.tolist()] == \
         [float.hex(float(np.sum(np.mean(rows[l], axis=0)[vision]))) for l in range(6)]
-    assert [float.hex(vision_attention_score(rows[l], vision)) for l in range(6)] == \
+    assert [float.hex(vision_attention_score(rows[l][None], vision)[0]) for l in range(6)] == \
         [float.hex(g) for g in batched.tolist()]
+    # FastV ranks by the same head average: a top-K of np.mean's
+    seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 137), Segment(TEXT, 10),
+                          Segment(IMAGE, 140), Segment(TEXT, 10)], seed=0, vocab_size=32)
+    assert np.array_equal(seq.vision_union, vision)
+    cfg = FastVConfig(prune_ratio=0.3)
+    keep = vision.size - int(np.floor(cfg.prune_ratio * vision.size))
+    for l in range(6):
+        want = vision[stable_argtopk(np.mean(rows[l], axis=0)[vision], keep)]
+        assert np.array_equal(fastv_surviving_set(rows[l], seq, cfg), want)

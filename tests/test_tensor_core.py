@@ -422,6 +422,14 @@ class TestMatmul:
                 matmul(a, b, out=bad)
 
 
+@st.composite
+def _causal_blocks(draw):
+    """(s, i0, i1): rows i0 .. i1 - 1 of an s x s causal map, 1 <= s <= 300."""
+    s = draw(st.integers(1, 300))
+    i0 = draw(st.integers(0, s - 1))
+    return s, i0, draw(st.integers(i0 + 1, s))
+
+
 class TestMaskedRowSoftmax:
     def test_uniform_row(self):
         # the last row of a 4-wide map: nothing masked
@@ -478,20 +486,23 @@ class TestMaskedRowSoftmax:
         assert same_bits(block, full[i0:i1, :i1])
 
     @settings(max_examples=60, deadline=None)
-    @given(s=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
-           mode=st.sampled_from(["finite", "inf", "nan_a"]), data=st.data())
-    def test_block_columns_equal_full_rows_and_padding_is_zero(self, s, seed, mode, data):
+    @given(rows=_causal_blocks(), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["finite", "inf", "nan_a"]), poison=st.booleans())
+    @example(rows=(9, 2, 7), seed=0, mode="finite", poison=True)
+    def test_block_columns_equal_full_rows_and_padding_is_zero(self, rows, seed, mode, poison):
         # a block returns only the columns it computed: those match the full
         # map's rows, NaN and inf rows too, in dirty memory
+        s, i0, i1 = rows
         scores = _operand(make_rng(seed), (s, s), mode)
-        i0 = data.draw(st.integers(0, s - 1))
-        i1 = data.draw(st.integers(i0 + 1, s))
+        if poison:  # the block's first row -inf wherever unmasked (its max), a NaN in its last
+            scores[i0, :i0 + 1] = -np.inf
+            scores[i1 - 1, 0] = np.nan
         with np.errstate(invalid="ignore"):
             full = masked_row_softmax(scores)
             with patch.object(tensor_core, "np", DirtyNumpy()):
                 block = masked_row_softmax(scores[i0:i1, :i1], width=s)
         # NaN payloads may differ where two NaNs meet, as in matmul
-        compare = bits if mode == "finite" else canonical_nan_bits
+        compare = bits if mode == "finite" and not poison else canonical_nan_bits
         assert np.array_equal(compare(block), compare(full[i0:i1, :i1]))
 
     @settings(max_examples=80, deadline=None)

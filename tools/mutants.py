@@ -46,9 +46,6 @@ LATENCY_TEST = "tests/test_acceptance.py::test_criterion_7_monotone_latency_tren
 
 # name -> (file under src/plphp, the one line replaced, its replacement)
 MUTANTS = {
-    "matmul-1x1-plus-zero": (
-        "tensor_core.py", "        return np.add(sums[:, -1:], 0.0, out=out)",
-        "        return np.add(sums[:, -1:], -0.0, out=out)"),
     "matmul-1x1-fallback": (
         "tensor_core.py", "    if m == n == 1:", "    if False:"),
     "matmul-k-innermost": (
@@ -87,20 +84,19 @@ MUTANTS = {
         '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=True)'),
     "head-1-column-fallback": (
         "tensor_core.py", "    if n == 1:", "    if False:"),
+    # the 1-column accumulate that matmul's 1 x 1 and head_matmul's n = 1 share
     "head-accumulate-axis": (
-        "tensor_core.py", "        sums = np.add.accumulate(np.multiply(a, b[:, :, 0]), axis=1)",
-        "        sums = np.add.accumulate(np.multiply(a, b[:, :, 0]), axis=0)"),
+        "tensor_core.py", "    sums = np.add.accumulate(products, axis=1)",
+        "    sums = np.add.accumulate(products, axis=0)"),
     "head-accumulate-plus-zero": (
-        "tensor_core.py", "        return np.add(sums[:, -1:], 0.0)",
-        "        return np.add(sums[:, -1:], -0.0)"),
+        "tensor_core.py", "    return np.add(sums[:, -1:], 0.0, out=out)",
+        "    return np.add(sums[:, -1:], -0.0, out=out)"),
+    # the softmax body that masked_row_softmax and head_row_softmax share
     "head-softmax-max-axis": (
-        "tensor_core.py", "    scores -= scores.max(axis=1, keepdims=True)",
-        "    scores -= scores.max()"),
+        "tensor_core.py", "    x -= x.max(axis=1, keepdims=True)", "    x -= x.max()"),
     "padded-row-sum-leaf": (
         "tensor_core.py", "        total = np.add.reduce(leaf, axis=1, keepdims=True)",
         "        total = np.add.reduce(x[:, lo:], axis=1, keepdims=True)"),
-    "softmax-tail-rezero": (
-        "tensor_core.py", "        np.copyto(tail, 0.0, where=masked)", "        pass"),
     "argtopk-tie-pass": (
         "tensor_core.py",
         "    if kept.size != neg.shape[0] * k or np.isnan(threshold).any():",
@@ -111,6 +107,9 @@ MUTANTS = {
         "model.py", "        worker.join()", "        pass"),
     "lowest-head-error": (
         "model.py", "    for exc in errors:", "    for exc in reversed(errors):"),
+    # a head's exception stops the heads after it on its thread
+    "run-heads-first-error": (
+        "model.py", "                errors[h] = exc", "                raise"),
     "max-config-bytes": (
         "cli.py", "    if len(data) > MAX_CONFIG_BYTES:",
         "    if len(data) > MAX_CONFIG_BYTES + 1:"),
@@ -122,6 +121,11 @@ MUTANTS = {
         "baselines.py",
         "    kept = fastv_surviving_set(rows[cfg.k_layer - 1], seq, cfg) \\",
         "    kept = fastv_surviving_set(rows[cfg.k_layer], seq, cfg) \\"),
+    # the shared head average along FastV's former np.mean axis, 0: the same
+    # for FastV's (H, S) rows, the layer axis for gamma's (L, H, S)
+    "fastv-head-average-axis": (
+        "pruning.py", "    return rows.sum(axis=-2) / rows.shape[-2]",
+        "    return rows.sum(axis=0) / rows.shape[0]"),
     "decide-skips-check-depth": (
         "baselines.py", "    check_depth(cfg, len(rows))", "    pass"),
     "prune-cuts-exempt": (

@@ -6,8 +6,6 @@ score, the layer class, the allocated retention rate, and how many vision
 rows each head kept.
 """
 
-import numpy as np
-
 from plphp import (IMAGE, TEXT, ModelConfig, PruningConfig, Segment, account,
                    build_sequence, decide, init_model, prefill, prune)
 

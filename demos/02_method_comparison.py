@@ -23,10 +23,11 @@ methods = {
     "vtw": VTWConfig(k_layer=5),
 }
 
+# the caches and last rows do not depend on the method: one prefill, four prunings
+prefilled, report = prefill(weights, cfg, seq, record_trace=True)
 print(f"{'method':>6} {'RR':>7} {'KV':>7}   greedy tokens")
 for name, method in methods.items():
-    state, report = prefill(weights, cfg, seq, record_trace=True)
-    state = prune(state, seq, decide(method, report.attn_last_rows, seq))
+    state = prune(prefilled, seq, decide(method, report.attn_last_rows, seq))
     tokens = greedy_generate(weights, cfg, state, start_token=0, steps=12)
     metrics = account(state, seq)
     print(f"{name:>6} {metrics.retention_rate:>7.3f} {metrics.kv_fraction:>7.3f}   {tokens}")

@@ -161,6 +161,8 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None,
                          f"got {out.dtype} {out.shape}")
     elif out is not scores:
         out[...] = scores
+    if n == 0:  # a 0 x 0 block: no row to normalise, and a max over no columns raises
+        return out
     if m > 1:  # only the trailing m x m triangle of the block is masked: none of a 1-row block
         np.copyto(out[:, n - m:], -np.inf, where=np.arange(m) > np.arange(m)[:, None])
     return _normalise_rows(out, width)

@@ -147,8 +147,9 @@ def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The k-loop product ``c += a[:, k] * b[k, :]``, one numpy step per k.
 
     Same summation order as ``naive_matmul`` and fast enough for the
-    differential tests of ``plphp.matmul``, whose k-loop path it copies and
-    whose chunked path must reproduce it bit for bit.
+    differential tests of ``plphp.matmul`` and ``head_matmul``: their einsum
+    layouts, the single element and the empty products must reproduce it bit
+    for bit.
     """
     out = np.zeros((a.shape[0], b.shape[1]))
     tmp = np.empty_like(out)

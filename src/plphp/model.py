@@ -261,7 +261,8 @@ def _run_heads(attend: Callable[[int, np.ndarray], None], num_heads: int,
     for this call take the rest (none for T = 1). Returns once every head has
     finished and every started thread has been joined; a head that raised
     does not stop the others, and the lowest-index head's exception is then
-    re-raised, at every T.
+    re-raised, at every T. A thread that fails to start raises its error
+    once the threads started before it have been joined.
     """
     threads = len(works)
     errors: list[BaseException | None] = [None] * num_heads
@@ -273,13 +274,16 @@ def _run_heads(attend: Callable[[int, np.ndarray], None], num_heads: int,
             except BaseException as exc:  # re-raised below, once every head has finished
                 errors[h] = exc
 
-    workers = [threading.Thread(target=share, args=(t,), name=f"plphp-head-{t}")
-               for t in range(1, threads)]
-    for worker in workers:
-        worker.start()
-    share(0)
-    for worker in workers:
-        worker.join()
+    started: list[threading.Thread] = []
+    try:
+        for t in range(1, threads):
+            worker = threading.Thread(target=share, args=(t,), name=f"plphp-head-{t}")
+            worker.start()
+            started.append(worker)
+        share(0)
+    finally:
+        for worker in started:
+            worker.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -354,7 +358,7 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
                 scores = matmul(q[i0 - r0:i1 - r0], kt[h, :, :i1],
                                 out=work[0, :cells].reshape(i1 - i0, i1))
                 scores *= inv_sqrt_dk
-                masked_row_softmax(scores, width=m, out=scores)
+                masked_row_softmax(scores, width=m)
                 attn = work[1, :cells].reshape(i1, i1 - i0).T  # column-major
                 attn[...] = scores
                 out[i0 - r0:i1 - r0] = matmul(attn, vs[h, :i1])

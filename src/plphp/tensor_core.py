@@ -123,9 +123,9 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def masked_row_softmax(scores: np.ndarray, width: int | None = None,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax under the causal (lower-triangular) mask.
+def masked_row_softmax(scores: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Row-wise softmax under the causal (lower-triangular) mask, normalised in
+    place and returned.
 
     Each row is normalized over its unmasked prefix using max-subtraction;
     masked entries are set to -inf, which exp makes exactly 0 (a row whose
@@ -136,36 +136,28 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None,
     The map may be normalised one row block at a time: an m x n ``scores``
     then holds rows ``n - m .. n - 1`` of a ``width`` x ``width`` score
     matrix, cut after column n (every later column is masked in these rows),
-    so ``m <= n <= width``. The result has the m x n shape of ``scores`` and
-    is bitwise equal to those rows and columns of the full matrix's softmax:
-    ``width`` only picks the row sum's tree. Each row sum equals
-    ``np.add.reduce`` over the row zero-padded to ``width`` columns, which
-    ``_padded_row_sum`` computes without the padding.
+    so ``m <= n <= width``. The result is bitwise equal to those rows and
+    columns of the full matrix's softmax: ``width`` only picks the row sum's
+    tree. Each row sum equals ``np.add.reduce`` over the row zero-padded to
+    ``width`` columns, which ``_padded_row_sum`` computes without the padding.
 
-    ``out``, if given, is a C-contiguous float64 m x n array that receives
-    the result and is returned; ``out=scores`` normalises the scores in
-    place. C order keeps each row sum a pairwise sum along the row.
+    ``scores`` must be a C-contiguous float64 array, as for
+    ``head_row_softmax``: C order keeps each row sum a pairwise sum along the
+    row. Any other layout raises ``ValueError``.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError(f"expected a 2-D score matrix, got {scores.ndim}-D")
+    if scores.ndim != 2 or scores.dtype != np.float64 or not scores.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous float64 m x n array, "
+                         f"got {scores.dtype} {scores.shape}")
     m, n = scores.shape
     width = n if width is None else width
     if not m <= n <= width:
         raise ValueError(f"an m x n block of a width-{width} causal map needs "
                          f"m <= n <= {width}, got {m} x {n}")
-    if out is None:
-        out = scores.copy()
-    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, "
-                         f"got {out.dtype} {out.shape}")
-    elif out is not scores:
-        out[...] = scores
     if n == 0:  # a 0 x 0 block: no row to normalise, and a max over no columns raises
-        return out
+        return scores
     if m > 1:  # only the trailing m x m triangle of the block is masked: none of a 1-row block
-        np.copyto(out[:, n - m:], -np.inf, where=np.arange(m) > np.arange(m)[:, None])
-    return _normalise_rows(out, width)
+        np.copyto(scores[:, n - m:], -np.inf, where=np.arange(m) > np.arange(m)[:, None])
+    return _normalise_rows(scores, width)
 
 
 def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

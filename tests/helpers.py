@@ -13,7 +13,9 @@ cache handling. Likewise
 top-K rules, and checks only the batching and the per-image column slices;
 ``select_retained``, the one-image selection it builds on, composes
 ``argtopk`` and ``retained_count`` and is itself checked against
-``sort_select``.
+``sort_select``. ``stable_argtopk``, ``argtopk``'s former full-argsort path,
+is the reference for ``argtopk`` and for FastV's ranking; the per-layer
+decision reaches it only through ``argtopk``.
 ``FastVRule`` and ``vtw_decide`` are the baselines' per-layer rules that
 ``plphp.decide`` batches: they share the FastV ranking and the gamma of one
 layer, and check only the batching and FastV's layer-K set.

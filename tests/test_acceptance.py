@@ -3,12 +3,12 @@ pass line (run with ``pytest -s tests/test_acceptance.py`` to see them).
 
 1. worked-example fidelity of the retention-rate table
 2. oracle equivalence over >= 1000 randomized cases per operation
-3. no-op pruning (r=1, dr=0) is bitwise invisible to greedy decoding
+3. no-op pruning (r=1, dr=0) is bitwise invisible to the caches and greedy decoding
 4. decode under head-divergent caches matches cache-free recomputation
 5. exact KV accounting on the derived 12-layer layout
 6. structural contrast: coarse FastV set vs per-head divergent sets
 7. monotone decode-latency trend on an S=4096 workload
-8. live/replay equality through the trace file format
+8. live/replay equality through the trace file format, for every method
 """
 
 import gc
@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from conftest import random_segments, random_softmax_rows, small_model
-from helpers import (assert_same_decisions, cache_free_decode_logits, cut_head,
-                     layer_from_heads, loop_gamma, pruned_prefill, random_cache_state,
+from helpers import (assert_same_caches, assert_same_decisions, cache_free_decode_logits,
+                     cut_head, layer_from_heads, loop_gamma, pruned_prefill, random_cache_state,
                      recount_metrics, select_retained, set_keep, sort_select, sort_topk)
-from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, account,
-                   argtopk, build_sequence, decide, decode_step, greedy_generate, init_model,
-                   make_rng, prefill, prune, vision_attention_score)
+from plphp import (IMAGE, TEXT, FastVConfig, ModelConfig, PruningConfig, Segment, VTWConfig,
+                   account, argtopk, build_sequence, decide, decode_step, greedy_generate,
+                   init_model, make_rng, prefill, prune, vision_attention_score)
 from plphp.pruning import allocate_retention, classify_layer, decide_layers, prune_layer
 from plphp.trace import read_trace, replay, trace_from_run, write_trace
 
@@ -105,6 +105,7 @@ def test_criterion_3_noop_equivalence():
                              vocab_size=cfg.vocab_size)
         plain, _ = prefill(weights, cfg, seq)
         pruned, _, _ = pruned_prefill(weights, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
+        assert_same_caches(plain, pruned)
         start = int(rng.integers(0, cfg.vocab_size))
         assert greedy_generate(weights, cfg, plain, start, 5) == \
             greedy_generate(weights, cfg, pruned, start, 5)
@@ -221,19 +222,26 @@ def test_criterion_7_monotone_latency_trend():
             + f"; r=0.4 -> 0.3 ratio {medians[3] / medians[2]:.3f}")
 
 
-def test_criterion_8_live_replay_equality(tmp_path):
+@pytest.mark.parametrize("method", ["none", "plphp", "fastv", "vtw"])
+def test_criterion_8_live_replay_equality(tmp_path, method):
+    pruning = {"none": None, "plphp": PruningConfig(), "vtw": VTWConfig(k_layer=4),
+               "fastv": FastVConfig(k_layer=3, prune_ratio=0.5)}[method]
     cfg = ModelConfig(num_layers=6, num_heads=2, model_dim=8, head_dim=4,
                       vocab_size=32, max_positions=64)
     seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(IMAGE, 8),
                           Segment(TEXT, 3)], seed=8, vocab_size=32)
-    pruning = PruningConfig()
     state, rows, live_decisions = pruned_prefill(init_model(cfg, 8), cfg, seq, pruning)
     path = tmp_path / "run.plpt"
     write_trace(path, trace_from_run(rows, seq))
     decisions, offline_metrics = replay(read_trace(path), pruning)
 
-    assert_same_decisions(decisions, live_decisions)
-    live_metrics = account(state, seq)
+    if pruning is None:
+        assert decisions is None and live_decisions is None
+    else:
+        assert len(decisions) == cfg.num_layers
+        assert_same_decisions(decisions, live_decisions)
+    live_metrics = account(state, seq, live_decisions)
     assert offline_metrics.retention_rate == live_metrics.retention_rate
     assert offline_metrics.kv_fraction == live_metrics.kv_fraction
-    done(8, "live/replay equality")
+    assert offline_metrics.per_layer == live_metrics.per_layer
+    done(8, f"live/replay equality, {method}")

@@ -503,19 +503,6 @@ class TestSweep:
 
 
 class TestReplay:
-    def test_round_trip_matches_run(self, tmp_path):
-        trace = tmp_path / "run.plpt"
-        run_out = tmp_path / "run.json"
-        main(["run", *SMALL_MODEL, "--method", "plphp",
-              "--trace-out", str(trace), "--report-out", str(run_out)])
-        replay_out = tmp_path / "replay.json"
-        code = main(["replay", "--trace", str(trace), "--report-out", str(replay_out)])
-        assert code == 0
-        live = json.loads(run_out.read_text())
-        offline = json.loads(replay_out.read_text())
-        assert live["retention_rate"] == offline["retention_rate"]
-        assert live["kv_fraction"] == offline["kv_fraction"]
-
     def test_replay_validates_the_trace_once(self, tmp_path):
         # read_trace is the one gate: the replay itself does not validate again
         trace = tmp_path / "run.plpt"

@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segments, small_model
-from helpers import (DirtyNumpy, assert_same_caches, cache_free_decode_logits,
-                     full_matrix_prefill, layer_from_heads, pruned_prefill,
-                     reference_decode_step, same_bits)
+from helpers import (DirtyNumpy, assert_same_caches, full_matrix_prefill, layer_from_heads,
+                     pruned_prefill, reference_decode_step, same_bits)
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, LayerKVCache, ModelConfig,
                    PruningConfig, Segment, VTWConfig, build_sequence, decide, decode_step,
                    greedy_generate, init_model, make_rng, model, prefill, prune, tensor_core,
@@ -54,12 +53,6 @@ def tiny(n=4, h=2, dk=4, vocab=32, seed=0, max_positions=64):
 
 
 class TestInitModel:
-    def test_deterministic(self):
-        cfg, w1 = tiny(seed=3)
-        _, w2 = tiny(seed=3)
-        assert np.array_equal(w1.w_q, w2.w_q)
-        assert np.array_equal(w1.token_embedding, w2.token_embedding)
-
     def test_seed_changes_weights(self):
         _, w1 = tiny(seed=3)
         _, w2 = tiny(seed=4)
@@ -81,16 +74,6 @@ class TestInitModel:
 
 
 class TestPrefill:
-    def test_no_hook_full_caches(self):
-        cfg, w = tiny()
-        seq = mixed_seq()
-        state, report = prefill(w, cfg, seq)
-        for layer in state.caches:
-            for cache in layer:
-                assert len(cache) == seq.total_length
-                assert cache.positions.tolist() == list(range(seq.total_length))
-        assert report.decisions is None
-
     def test_hook_reads_the_recorded_rows_read_only(self):
         cfg, w = tiny()
         seen = []
@@ -106,13 +89,6 @@ class TestPrefill:
         for l, rows in enumerate(seen):  # views of the one array the report returns
             assert np.shares_memory(rows, report.attn_last_rows)
             assert same_bits(rows, report.attn_last_rows[l])
-
-    def test_noop_pruning_identical_caches(self):
-        cfg, w = tiny()
-        seq = mixed_seq()
-        plain, _ = prefill(w, cfg, seq)
-        pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
-        assert_same_caches(plain, pruned)
 
     def test_prefix_invariance(self):
         # causal attention: tokens from position j on cannot reach any cache
@@ -137,19 +113,6 @@ class TestPrefill:
                                   vocab_size=cfg.vocab_size)
         with pytest.raises(ValueError):
             prefill(w, cfg, long_seq)
-
-    def test_position_integrity_after_pruning(self):
-        # surviving rows must be bitwise the rows the full prefill produced
-        # at the same positions
-        cfg, w = tiny()
-        seq = mixed_seq()
-        full, _ = prefill(w, cfg, seq)
-        pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig())
-        for l in range(cfg.num_layers):
-            for h in range(cfg.num_heads):
-                pos = pruned.caches[l][h].positions
-                assert np.array_equal(pruned.caches[l][h].keys, full.caches[l][h].keys[pos])
-                assert np.array_equal(pruned.caches[l][h].values, full.caches[l][h].values[pos])
 
 
 def assert_decodes_like_reference(w, cfg, ref, got, steps):
@@ -212,15 +175,17 @@ class TestBlockedPrefill:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
-           method=st.sampled_from(sorted(METHODS)))
-    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, method):
-        # small blocks put many boundaries (and 1-row blocks) inside short prompts
+           method=st.sampled_from(sorted(METHODS)), steps=st.integers(8, 12))
+    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, method, steps):
+        # small blocks put many boundaries (and 1-row blocks) inside short
+        # prompts; the head-batched decode keeps the per-head loop's bits
+        # over the head-divergent caches each method leaves
         rng = make_rng(seed)
         cfg, w = small_model(rng, max_layers=5)
         seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
                              seed=seed, vocab_size=cfg.vocab_size)
         with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
-            assert_blocked_equals_full(w, cfg, seq, METHODS[method])
+            assert_blocked_equals_full(w, cfg, seq, METHODS[method], steps)
 
     # one tile, exact tiles, a 1-row tail (joined to the tile before) and a ragged tail
     @pytest.mark.parametrize("s", [B, 2 * B, 2 * B + 1, 3 * B - 5])
@@ -454,6 +419,34 @@ class TestParallelHeads:
         assert len(ran_on) > 1 and len(decisions) == cfg.num_layers
         assert threading.active_count() == threads
 
+    def test_a_thread_that_fails_to_start_leaves_no_worker_running(self, cpus):
+        # the second of three starts fails: the one worker already started
+        # (slowed, so it is still busy when the start fails) is joined before
+        # prefill raises the start's error
+        cpus(4)
+        cfg, w = tiny(h=4)
+        caller = threading.get_ident()
+        real_matmul, real_start = model.matmul, threading.Thread.start
+        starts = []
+
+        def slow(a, b, **kwargs):
+            if threading.get_ident() != caller:
+                time.sleep(0.005)
+            return real_matmul(a, b, **kwargs)
+
+        def start(thread):
+            starts.append(thread.name)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        with mock.patch.object(model, "matmul", slow), \
+                mock.patch.object(threading.Thread, "start", start), \
+                pytest.raises(RuntimeError, match="can't start new thread"):
+            prefill(w, cfg, mixed_seq())
+        assert starts == ["plphp-head-1", "plphp-head-2"]
+        assert [t.name for t in threading.enumerate() if t.name.startswith("plphp-head-")] == []
+
     def test_forked_child_prefills_to_the_same_bits(self, cpus):
         # a child forked after a multi-thread prefill prefills to the same bits
         cpus(2)
@@ -478,47 +471,6 @@ class TestParallelHeads:
 
 
 class TestDecode:
-    def test_deterministic_from_cloned_states(self):
-        cfg, w = tiny()
-        seq = mixed_seq()
-        state, _ = prefill(w, cfg, seq)
-        l1, _ = decode_step(w, cfg, state.clone(), 7)
-        l2, _ = decode_step(w, cfg, state.clone(), 7)
-        assert np.array_equal(l1, l2)
-
-    def test_noop_pruning_identical_logits(self):
-        cfg, w = tiny()
-        seq = mixed_seq()
-        plain, _ = prefill(w, cfg, seq)
-        pruned, _, _ = pruned_prefill(w, cfg, seq, PruningConfig(r=1.0, delta_r=0.0))
-        l1, _ = decode_step(w, cfg, plain, 3)
-        l2, _ = decode_step(w, cfg, pruned, 3)
-        assert np.array_equal(l1, l2)
-
-    def test_cache_growth(self):
-        cfg, w = tiny()
-        seq = mixed_seq()
-        state, _, _ = pruned_prefill(w, cfg, seq, PruningConfig())
-        before = [[len(c) for c in layer] for layer in state.caches]
-        decode_step(w, cfg, state, 1)
-        after = [[len(c) for c in layer] for layer in state.caches]
-        for row_b, row_a in zip(before, after):
-            assert [b + 1 for b in row_b] == row_a
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
-           method=st.sampled_from(sorted(METHODS)), steps=st.integers(8, 12))
-    def test_bitwise_equals_reference_decoder(self, seed, block_rows, method, steps):
-        # the head-batched decode pass must keep the bits of the per-head
-        # decode loop over head-divergent caches
-        rng = make_rng(seed)
-        cfg, w = small_model(rng, max_layers=5)
-        seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
-                             seed=seed, vocab_size=cfg.vocab_size)
-        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
-            got, _, _ = pruned_prefill(w, cfg, seq, METHODS[method])
-            assert_decodes_like_reference(w, cfg, got.clone(), got, steps)
-
     def test_states_pruned_from_one_prefill_decode_like_separate_prefills(self):
         # criterion 7's four retention rates at desk size: pruned from one
         # prefill and decoded interleaved, each keeps the bits of its own prefill
@@ -567,22 +519,6 @@ class TestDecode:
         with pytest.raises(ValueError, match=rf"token id {bad} .*\[0, 16\)"):
             prefill(w, cfg, seq)
 
-    def test_pruned_rollout_matches_cache_free_recomputation(self):
-        cfg, w = tiny(n=5, h=2, dk=4)
-        seq = build_sequence([Segment(TEXT, 3), Segment(IMAGE, 10), Segment(TEXT, 2)],
-                             seed=5, vocab_size=cfg.vocab_size)
-        state, _, _ = pruned_prefill(w, cfg, seq, PruningConfig())
-        retained = [[c.positions.copy() for c in layer] for layer in state.caches]
-
-        tokens = [0]
-        live_logits = []
-        for _ in range(10):
-            logits, state = decode_step(w, cfg, state, tokens[-1])
-            live_logits.append(logits)
-            tokens.append(int(np.argmax(logits)))
-
-        oracle = cache_free_decode_logits(w, cfg, seq, tokens[:-1], retained)
-        assert np.max(np.abs(np.stack(live_logits) - oracle)) < 1e-9
 
 
 class TestKVStore:
@@ -744,10 +680,3 @@ class TestGreedyGenerate:
         cfg, w = tiny()
         state, _ = prefill(w, cfg, mixed_seq())
         assert greedy_generate(w, cfg, state, 0, 0) == []
-
-    def test_deterministic(self):
-        cfg, w = tiny()
-        seq = mixed_seq()
-        s1, _ = prefill(w, cfg, seq)
-        s2, _ = prefill(w, cfg, seq)
-        assert greedy_generate(w, cfg, s1, 0, 8) == greedy_generate(w, cfg, s2, 0, 8)

@@ -204,75 +204,6 @@ class TestPruneHeadCache:
                 assert np.array_equal(x, y) and not np.shares_memory(x, y)
 
 
-def orthogonal_rows(s, peaks_per_head):
-    """Valid softmax rows, each head's mass concentrated on its own positions."""
-    rows = []
-    for peaks in peaks_per_head:
-        row = np.full(s, 1e-4)
-        row[list(peaks)] = 1.0
-        rows.append(row / row.sum())
-    return np.stack(rows)
-
-
-class TestPlphpHook:
-    """plphp at one layer, as the benchmark's hook runs it: that layer's
-    ``decide_layers`` decision, then ``prune_layer``."""
-
-    def setup_method(self):
-        self.seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 2)],
-                                  seed=0)
-
-    def prune_at(self, layer, rows, cfg=DEFAULT, num_layers=5):
-        decision, = decide_layers(np.asarray(rows)[None], self.seq, cfg, layer, num_layers)
-        caches = make_cache(self.seq.total_length, heads=len(rows))
-        return prune_layer(caches, self.seq, decision), decision
-
-    def test_exempt_layers_untouched(self, rng):
-        rows = random_softmax_rows(rng, 2, self.seq.total_length)
-        for layer in (1, 2, 5):
-            caches, decision = self.prune_at(layer, rows)
-            assert decision.exempt
-            assert all(len(c) == self.seq.total_length for c in caches)
-
-    def test_zero_thresholds_always_attentive(self, rng):
-        cfg = PruningConfig(alpha=0.0, beta=0.0)
-        rows = random_softmax_rows(rng, 2, self.seq.total_length)
-        _, decision = self.prune_at(3, rows, cfg=cfg)
-        assert decision.layer_class == VISION_ATTENTIVE
-        assert decision.retention == pytest.approx(0.7)
-
-    def test_text_never_pruned(self, rng):
-        rows = random_softmax_rows(rng, 3, self.seq.total_length)
-        caches, _ = self.prune_at(3, rows)
-        for cache in caches:
-            assert np.all(np.isin(self.seq.text_union, cache.positions))
-
-    def test_heads_pruned_independently(self):
-        # head 1 stares at vision positions 2-3, head 2 at 6-7
-        rows = orthogonal_rows(self.seq.total_length, [(2, 3), (6, 7)])
-        caches, decision = self.prune_at(3, rows, cfg=PruningConfig(r=0.3, delta_r=0.0,
-                                                                   alpha=0.0, beta=0.0))
-        sets = [tuple(row.tolist()) for row in decision.per_head_retained]
-        assert sets[0] != sets[1]
-        assert caches[0].positions.tolist() != caches[1].positions.tolist()
-
-    def test_matches_standalone_oracle(self, rng):
-        # independent recomputation of the full decision for one layer
-        rows = random_softmax_rows(rng, 3, self.seq.total_length)
-        cfg = DEFAULT
-        _, decision = self.prune_at(3, rows)
-        vision = self.seq.vision_union
-        gamma = loop_gamma(rows, vision)
-        assert abs(decision.gamma - gamma) < 1e-12
-        retention = {VISION_ATTENTIVE: 0.7, VISION_BALANCED: 0.4,
-                     VISION_INDIFFERENT: 0.1}[classify_layer(gamma, cfg)]
-        assert decision.retention == pytest.approx(retention)
-        for h in range(3):
-            expected = [p for lo, hi in self.seq.image_spans
-                        for p in sort_select(rows[h], np.arange(lo, hi), retention)[0]]
-            assert decision.per_head_retained[h].tolist() == expected
-
-
 def test_decide_layer_per_image_budget(rng):
     seq = build_sequence([Segment(TEXT, 1), Segment(IMAGE, 5), Segment(IMAGE, 9),
                           Segment(TEXT, 1)], seed=0)
@@ -283,21 +214,6 @@ def test_decide_layer_per_image_budget(rng):
     assert decision.per_head_retained.shape == (2, 5)
     for row in decision.per_head_retained:
         assert [len(part) for part in image_parts(row, seq)] == [2, 3]
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_decide_layer_equals_per_head_stable_argsort(seed):
-    # row h of per_head_retained is head h's stable-argsort top-K of each image, in turn
-    rng = make_rng(seed)
-    seq = build_sequence([Segment(TEXT, 2), Segment(IMAGE, 7), Segment(TEXT, 1),
-                          Segment(IMAGE, 12), Segment(TEXT, 2)], seed=seed)
-    rows = np.round(random_softmax_rows(rng, 3, seq.total_length) * 40) / 40
-    decision, = decide_layers(rows[None], seq, DEFAULT, 3, 5)
-    for h in range(3):
-        want = [lo + stable_argtopk(rows[h, lo:hi],
-                                    max(1, int(np.floor(decision.retention * (hi - lo)))))
-                for lo, hi in seq.image_spans]
-        assert decision.per_head_retained[h].tolist() == np.concatenate(want).tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -338,7 +338,7 @@ class TestMaskedRowSoftmax:
 
     def test_causal_matches_oracle(self, rng):
         scores = rng.standard_normal((6, 6))
-        out = masked_row_softmax(scores)
+        out = masked_row_softmax(scores.copy())
         assert np.max(np.abs(out - naive_softmax(scores, causal=True))) < 1e-12
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
@@ -360,15 +360,15 @@ class TestMaskedRowSoftmax:
            scale=st.sampled_from([1.0, 60.0]), data=st.data())
     def test_row_blocks_equal_full_rows_bitwise(self, s, seed, scale, data):
         scores = make_rng(seed).standard_normal((s, s)) * scale
-        full = masked_row_softmax(scores)
+        full = masked_row_softmax(scores.copy())
         cuts = data.draw(st.lists(st.integers(1, s - 1), max_size=6)) if s > 1 else []
         bounds = sorted({0, s, *cuts})
         for i0, i1 in zip(bounds, bounds[1:]):
-            block = masked_row_softmax(scores[i0:i1, :i1], width=s)
+            block = masked_row_softmax(scores[i0:i1, :i1].copy(), width=s)
             assert same_bits(block, full[i0:i1, :i1])
         # a decode step's 1-row block masks nothing: it is the plain row softmax
         last = scores[-1:]
-        assert same_bits(masked_row_softmax(last, width=s), row_softmax(last))
+        assert same_bits(masked_row_softmax(last.copy(), width=s), row_softmax(last))
 
     @settings(max_examples=60, deadline=None)
     @given(rows=_causal_blocks(), seed=st.integers(0, 2**32 - 1),
@@ -384,9 +384,9 @@ class TestMaskedRowSoftmax:
             scores[i0, :i0 + 1] = -np.inf
             scores[i1 - 1, 0] = np.nan
         with np.errstate(invalid="ignore"):
-            full = masked_row_softmax(scores)
+            full = masked_row_softmax(scores.copy())
             with patch.object(tensor_core, "np", DirtyNumpy()):
-                block = masked_row_softmax(scores[i0:i1, :i1], width=s)
+                block = masked_row_softmax(scores[i0:i1, :i1].copy(), width=s)
         # NaN payloads may differ where two NaNs meet, as in matmul
         compare = bits if mode == "finite" and not poison else canonical_nan_bits
         assert np.array_equal(compare(block), compare(full[i0:i1, :i1]))
@@ -394,34 +394,30 @@ class TestMaskedRowSoftmax:
     @settings(max_examples=80, deadline=None)
     @given(s=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            mode=st.sampled_from(["finite", "inf", "nan_a"]), data=st.data())
-    def test_out_equals_fresh_result(self, s, seed, mode, data):
-        # out=scores normalises in place, and a separate dirty buffer takes
-        # the same bits
+    def test_in_place_equals_a_fresh_copy(self, s, seed, mode, data):
+        # the scores are normalised in place and returned, with the bits a
+        # fresh copy of them gets; a block that is no C-contiguous float64
+        # array is refused, not copied
         scores = _operand(make_rng(seed), (s, s), mode)
         i0 = data.draw(st.integers(0, s - 1))
         i1 = data.draw(st.integers(i0 + 1, s))
-        block = scores[i0:i1, :i1]
+        block = scores[i0:i1, :i1].copy()
         with np.errstate(invalid="ignore"):
-            want = masked_row_softmax(block, width=s)
-            in_place = block.copy()
-            got = masked_row_softmax(in_place, width=s, out=in_place)
-            other = masked_row_softmax(block, width=s,
-                                       out=np.full(block.shape, NAN_A))
-        assert got is in_place and same_bits(got, want) and same_bits(other, want)
-        assert same_bits(block, scores[i0:i1, :i1])  # the input was not written
-        bad_out = [np.empty((i1 - i0, i1 + 1))]
+            want = masked_row_softmax(block.copy(), width=s)
+            got = masked_row_softmax(block, width=s)
+        assert got is block and same_bits(got, want)
+        bad_blocks = [block.astype(np.float32)]
         if i1 > 1:  # strided columns: not C-contiguous
-            bad_out.append(np.empty((i1 - i0, 2 * i1))[:, ::2])
-        for bad in bad_out:
-            with pytest.raises(ValueError):
-                masked_row_softmax(block, width=s, out=bad)
+            bad_blocks.append(np.empty((i1 - i0, 2 * i1))[:, ::2])
+        for bad in bad_blocks:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                masked_row_softmax(bad, width=s)
 
     @pytest.mark.parametrize("n,width", [(0, None), (0, 5), (4, None), (4, 9)])
     def test_empty_block_gives_empty_result(self, n, width):
         # no rows, 0 x 0 included: nothing to normalise, as matmul's empty outputs
-        assert masked_row_softmax(np.zeros((0, n)), width=width).shape == (0, n)
-        buf = np.empty((0, n))
-        assert masked_row_softmax(np.zeros((0, n)), width=width, out=buf) is buf
+        block = np.zeros((0, n))
+        assert masked_row_softmax(block, width=width) is block
 
     def test_row_block_arguments_checked(self, rng):
         with pytest.raises(ValueError):  # 3 rows need at least 3 score columns
@@ -430,7 +426,7 @@ class TestMaskedRowSoftmax:
             masked_row_softmax(rng.random((2, 4)), width=3)
 
     def test_causal_temporaries_bounded(self, rng):
-        # the result plus boolean masks: no S x S float64 temporaries
+        # in place, with boolean masks: no S x S float64 temporaries
         s = 1024
         scores = rng.standard_normal((s, s))
         tracemalloc.start()
@@ -536,7 +532,8 @@ class TestHeadRowSoftmax:
         scores = _operand(make_rng(seed), (h, n), mode) * scale
         with np.errstate(invalid="ignore"):
             got = head_row_softmax(scores.copy())
-            want = np.concatenate([masked_row_softmax(scores[i:i + 1], width=n) for i in range(h)])
+            want = np.concatenate([masked_row_softmax(scores[i:i + 1].copy(), width=n)
+                                   for i in range(h)])
         compare = bits if mode == "finite" else canonical_nan_bits
         assert np.array_equal(compare(got), compare(want))
 

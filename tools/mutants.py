@@ -104,7 +104,11 @@ MUTANTS = {
     "read-only-rows": (
         "model.py", "        read_only.flags.writeable = False", "        pass"),
     "thread-join": (
-        "model.py", "        worker.join()", "        pass"),
+        "model.py", "            worker.join()", "            pass"),
+    # a thread that fails to start leaves those started before it unjoined
+    "start-failure-join": (
+        "model.py", "        for worker in started:",
+        "        for worker in (started if len(started) == threads - 1 else []):"),
     "lowest-head-error": (
         "model.py", "    for exc in errors:", "    for exc in reversed(errors):"),
     # a head's exception stops the heads after it on its thread

@@ -15,24 +15,32 @@ step's pass appends one row per head and attends with all H heads of a
 layer at once (``tensor_core.head_matmul`` and ``head_row_softmax``), each
 head over the rows it kept. A layer keeps all its heads' rows in one store
 with room to spare, so a decode step writes one row per head and copies
-none. No head holds an S x S map and the masked upper triangle is never
-multiplied; every output keeps the bits of the full-matrix computation (a
-masked weight is exactly +0.0, and adding its +-0 product leaves the sum
-unchanged), and each head's decode row keeps the bits of its own 1-row
-product and softmax. On another CPU the softmax's ``np.exp`` may move by 1
+none. No head holds an S x S map: memory is O(B * S) per thread for
+blocks of B rows, not O(S^2) per head, and the masked upper triangle is
+never multiplied. This is FlashAttention's row tiling (Dao et al. 2022,
+arXiv 2205.14135); full rows fit, so there is no online rescaling. Every
+output keeps the bits of the full-matrix computation (a masked weight is
+exactly +0.0, and adding its +-0 product leaves the sum unchanged), and
+each head's decode row keeps the bits of its own 1-row product and
+softmax. On another CPU the softmax's ``np.exp`` may move by 1
 ULP, so logits there agree within 1e-9 rather than bit for bit
 (``tests/test_cpu_dispatch.py``). Prefill's pass returns only the last
 row's output, which prefill drops, so the final layer appends every row to
 the caches but runs the rest of the layer for its last row block alone.
 
 Within a layer no head reads another head's state, so prefill runs the
-heads on min(H, usable CPUs) threads: the calling thread and threads
+heads on min(H, usable CPUs) threads, as FlashAttention-2 parallelises
+over heads (Dao 2023, arXiv 2307.08691): the calling thread and threads
 started for that layer and joined before it ends, so no thread outlives a
-pass. The bits cannot change: each head keeps its own summation order,
-writes only its own slab of the store, its own D_k columns of the layer's
-output and its own last row, and the layer waits for every head before its
-out-projection. A decode step starts no thread: its batched heads are a
-handful of numpy calls per layer on the calling thread.
+pass. Most of a head's time is spent in numpy calls that release the
+interpreter lock, so the threads overlap. There is no setting for the
+thread count. The bits cannot change: each head keeps its own summation
+order, writes only its own slab of the store, its own D_k columns of the
+layer's output and its own last row, and the layer waits for every head
+before its out-projection. A decode step starts no thread: its batched
+heads are a handful of numpy calls per layer on the calling thread, and
+starting and joining a thread in every layer would add a fixed cost of its
+own to every step.
 
 Prefill also returns the last prompt row of each head's attention map, the
 one row every pruning method reads, as one (N, H, S) array;
@@ -64,7 +72,8 @@ PruningHook = Callable[
 # Rows of one prefill attention block: each head's scores, normalised in
 # place, take ATTN_BLOCK_ROWS x S floats at a time instead of S x S. 64 rows
 # keep a block's buffers (1 MiB each at S=2048) within a 2 MiB L2; measured
-# against 32 and 128 at S=1024 and S=4096 (table in README.md).
+# against 32 and 128 at S=1024 and S=4096 (BENCH_einsum_contract.json's
+# tile_sweep).
 ATTN_BLOCK_ROWS = 64
 
 __all__ = [
@@ -112,8 +121,9 @@ class ModelWeights:
 
 @dataclass(frozen=True, eq=False)
 class HeadKVCache:
-    """One head's rows in a ``LayerKVCache`` as read-only views into its store:
-    ``keys`` and ``values`` L x D_k, ``positions`` L and strictly ascending."""
+    """One head's rows in a ``LayerKVCache`` as read-only views into its store
+    (a write raises ``ValueError``): ``keys`` and ``values`` L x D_k,
+    ``positions`` L and strictly ascending."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -128,8 +138,11 @@ class LayerKVCache(Sequence):
 
     One head-major store holds them: keys^T (H x D_k x cap), values (H x cap
     x D_k) and positions (H x cap), cap >= rows, so each head's slab has the
-    strides of a store of its own. The constructor copies its arrays into an
-    exact-size store, so a layer never aliases them. Item h is head h's view.
+    strides of a store of its own, and the bits and memory traffic are those
+    of a per-head store. The constructor refuses arrays of mismatched shapes
+    and positions that are not strictly ascending in every head
+    (``ValueError``), and copies its arrays into an exact-size store, so a
+    layer never aliases them. Item h is head h's view.
     """
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray):
@@ -159,7 +172,12 @@ class LayerKVCache(Sequence):
         Head h then writes its rows to ``kt[h, :, rows - m:rows]`` and
         ``vs[h, rows - m:rows]``. A store too small is replaced by one of twice
         the new length, but at most ``max_rows`` rows, so its slack stays
-        within ``rows`` rows; the old rows are copied over once.
+        within ``rows`` rows; the old rows are copied over once. So prefill
+        reserves min(2S, ``max_rows``) rows per head, and a layer cut by
+        ``take`` (exact size) is copied into a store of at most twice its
+        length on its first decode step; every later step writes only its
+        new row. The capacity idea is PagedAttention's (Kwon et al. 2023,
+        arXiv 2309.06180), per layer and without pages.
         """
         l0 = self.rows
         l1 = l0 + len(positions)
@@ -318,7 +336,11 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
 
     Only the last row leaves the final layer, so that layer appends all m
     rows to the caches but runs the rest (queries, scores, softmax, value
-    mix, out-projection and MLP) for its last row block alone.
+    mix, out-projection and MLP) for its last row block alone, which saves
+    most of the final layer's attention, 1/N of the pass's. Serving engines
+    sample from the last token's hidden state in the same way (vLLM, Kwon
+    et al. 2023, arXiv 2309.06180). That block still has more than one row
+    unless m is 1, so a prompt of m > 1 rows gives no operand a single row.
 
     Each layer's heads run on min(H, usable CPUs) threads (``_run_heads``),
     each thread with two workspaces of one block each for the whole pass: the
@@ -409,9 +431,10 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
     With ``record_trace`` the report's ``attn_last_rows`` is the N x H x S
     array of last attention rows that ``decide`` reads. The hook, kept for
     perfbench/ until ROADMAP item 6, runs for layers 1..N in order on a
-    read-only view of that layer's H x S block and may replace the layer's
-    caches with pruned ones. No layer reads another layer's cache, so
-    pruning after the pass leaves the caches pruning between layers would.
+    read-only view of that layer's H x S block (a write raises
+    ``ValueError``) and may replace the layer's caches with pruned ones. No
+    layer reads another layer's cache, so pruning after the pass leaves the
+    caches pruning between layers would.
     """
     s = seq.total_length
     empty = np.empty((config.num_heads, 0, config.head_dim))

@@ -175,7 +175,10 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
     reduction for all L layers. Each image takes one top-K per retention
     value over the ``(layers * H, image)`` rows of the layers allotted it:
     one copy of just the image's columns (``seq.image_spans``), K by
-    ``retained_count``. The images'
+    ``retained_count``. There are at most three retention values, so an
+    image takes at most three top-K calls whatever the depth: replaying an
+    N=12, H=8 trace with 3 images makes at most 9 calls, not one per pruned
+    layer and image (27). The images'
     selections are concatenated once per retention value, in layout order,
     into each layer's ``(H, K)`` ``per_head_retained``. Every row stands
     alone in both, so a layer's decision has the same bits whichever layers

@@ -63,6 +63,17 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     ``K == 0`` gives zeros, and an empty output (``m == 0`` or ``n == 0``)
     is returned at once.
 
+    The bits rest on three facts about numpy's einsum. It zeroes its output
+    first, so a -0.0 first product ends +0.0, as in the loop. It multiplies
+    and adds separately: its kernels are built for numpy's baseline CPU
+    features (on x86-64, X86_V2, which has no FMA) and are not dispatched at
+    run time, so no fused multiply-add rounds a product away. With
+    ``optimize=False`` it never calls BLAS. ``tests/test_tensor_core.py``
+    fails if this numpy's einsum fuses (``(0.0 - p) + x*x`` is 0.0 unfused
+    and 2^-60 fused, for ``p = x*x`` rounded), and
+    ``tests/test_cpu_dispatch.py`` checks ``matmul``'s bits at every CPU
+    dispatch level.
+
     Where two different NaNs meet in one sum or product the result may carry
     either payload, in the loop as well: numpy's vector and tail lanes pick
     different operands.
@@ -166,11 +177,13 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Row h is bitwise ``matmul(a[h:h+1], b[h])``, the loop's ``0.0 + p0 + p1
     + ...`` over k: one ``np.einsum("hk,hkn->hn", ..., optimize=False)`` over
     b with unit-stride rows (copied if not), so numpy's innermost loop runs
-    along n and each k adds its products into the zeroed output, as in
-    ``matmul``. A 1-column product has no such loop to run, so its H x K
+    along n (a decode step's cache rows for the scores, D_k for the value
+    mix and q/k/v) and each k adds its products into the zeroed output, as
+    in ``matmul``. A 1-column product has no such loop to run, so its H x K
     products are added along k by ``_in_order_sum``, as ``matmul``'s single
     element is. ``K == 0`` gives zeros, and NaN payloads behave as in
-    ``matmul``.
+    ``matmul``. The only temporaries are those products and the H x n
+    result, so a decode step's stay below one head's key rows.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -201,7 +214,9 @@ def head_row_softmax(scores: np.ndarray) -> np.ndarray:
 
 def _normalise_rows(x: np.ndarray, width: int) -> np.ndarray:
     """Softmax of each row of C-ordered ``x`` in place: subtract the row max,
-    exp, divide by the row sum over ``width`` columns (``_padded_row_sum``)."""
+    exp, divide by the row sum over ``width`` columns (``_padded_row_sum``).
+    ``ndarray.max`` and ``np.add.reduce`` are ``np.max``'s and ``np.sum``'s
+    bits without their Python wrappers."""
     x -= x.max(axis=1, keepdims=True)
     np.exp(x, out=x)
     x /= _padded_row_sum(x, width)

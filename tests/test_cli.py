@@ -1,3 +1,8 @@
+"""The CLI: parsing, config files, the three subcommands, exit codes, input
+bounds, and README's account of every flag, key, column and trace field.
+``replay --method M`` is checked against ``run --method M`` for each method.
+"""
+
 import csv
 import dataclasses
 import json
@@ -12,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plphp import FastVConfig, PruningConfig, VTWConfig, cli, init_model, pruning
-from plphp.trace import AttentionTrace
+from plphp import FastVConfig, PruningConfig, VTWConfig, cli, init_model, metrics, pruning
+from plphp.trace import MAGIC, VERSION, AttentionTrace
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
 
@@ -301,6 +306,13 @@ def exit_code(argv) -> int:
 
 
 class TestInputBounds:
+    """``run``'s flags and config-file values are fuzzed with huge, negative,
+    zero, NaN and infinite values, and ``replay``'s method keys over a
+    recorded trace and single-point ``sweep`` grids, every method, with NaN,
+    +-inf, -0.0, 0, 1e308, -1, 1e-320, 10^20 and valid values: each exits 0
+    or 2. The oversized cases also run in a child process whose address
+    space is capped at 1 GiB."""
+
     @pytest.mark.parametrize("extra", [
         ["--steps", "-5"],
         ["--segments", "T:1,I:3000000000,T:1"],                  # 22 GiB of positions
@@ -533,3 +545,30 @@ class TestReplay:
         bad = tmp_path / "bad.plpt"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["replay", "--trace", str(bad)]) == 3
+
+
+def test_readme_documents_every_flag_key_column_and_trace_field():
+    # every name is read from the code, so a flag, default, column or trace
+    # field the code gains or changes without README following fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = {"--" + key.replace("_", "-"): key for key in cli._KEYS}
+    flags = [*keys, "--config", "--grid", "--trace"]
+    assert [flag for flag in flags if flag not in text] == []
+    rows = {cells[0].strip("`"): cells for cells in
+            ([c.strip() for c in line.split("|")[1:-1]] for line in text.splitlines()
+             if line.startswith("| `--"))}
+    assert sorted(rows) == sorted(flags)  # the flag table names each flag once
+    for flag, key in keys.items():
+        kind, default = cli._KEYS[key]
+        subcommands = [name for name, read in cli._SUBCOMMAND_KEYS.items() if key in read]
+        _, type_cell, default_cell, subcommand_cell, _ = rows[flag]
+        assert type_cell == kind.__name__, flag
+        assert default_cell.startswith("unset" if default is None else f"`{default}`"), flag
+        assert subcommand_cell == ("all" if len(subcommands) == len(cli._SUBCOMMAND_KEYS)
+                                   else ", ".join(subcommands)), flag
+    for code in (0, 2, 3, 4):
+        assert f"| `{code}` |" in text, code
+    assert ",".join(metrics.CSV_COLUMNS) in text
+    assert all(f"`{field.name}`" in text for field in dataclasses.fields(metrics.MetricsReport))
+    assert ",".join(cli._METHOD_KEYS) in text and "RR,KV,latency_ms,status" in text
+    assert f'magic "{MAGIC.decode()}"' in text and f"version = {VERSION}" in text

@@ -1,3 +1,13 @@
+"""The model's passes and cache store against the references in ``helpers``.
+
+``TestBlockedPrefill`` checks the blocked prefill, pruned after the pass,
+against ``full_matrix_prefill``, which prunes each layer before the next one
+runs, bit for bit: caches, last rows and 8-12 greedy decode steps of each
+method against the per-head ``reference_decode_step``. ``TestKVStore``
+checks the cache store and its clones, and ``TestParallelHeads`` the
+prefill threads.
+"""
+
 import collections
 import contextlib
 import dataclasses

@@ -51,3 +51,4 @@ def test_a_latency_kill_is_rerun_without_the_latency_test(tmp_path, monkeypatch,
     assert len(commands) == len(runs)
     assert [f"--deselect={mutants.LATENCY_TEST}" in c for c in commands] == \
         [False] + [True] * (len(runs) - 1)
+    assert all(f"--hypothesis-seed={mutants.HYPOTHESIS_SEED}" in c for c in commands)

@@ -1,3 +1,8 @@
+"""The pruning rules: the batched decisions against the per-layer oracle
+``per_layer_decision`` for every class, range end and tie, the per-image
+budgets, and each rule against a brute-force oracle in ``helpers``.
+"""
+
 import dataclasses
 
 import numpy as np

@@ -1,3 +1,19 @@
+"""The kernels against the brute-force references in ``helpers``, by bit pattern.
+
+``matmul`` is held to the k-loop (``loop_matmul``): a Hypothesis property
+over m, K and n in {0, 1, 2-40, 200-300}, six memory layouts of each
+operand, a dirty ``out`` and every special value; the cancellation
+``1e16 + 1 + ... + 1 - 1e16`` at one row, one column and one element; a
+case that fused multiply-adds round differently, whose failure says that
+this numpy's einsum fuses; a recording ``np`` that checks ``optimize=False``
+and unit-stride inner loops; and reversed and broadcast operands.
+``head_matmul`` and ``head_row_softmax`` are held to the per-head
+``matmul`` and 1-row softmax over the same layouts, K = 0, n = 0, one
+column, signed zeros, +-inf and NaN. The blocked softmax is held to the
+full map's rows, and its padding-free row sum to the zero-padded reduce for
+widths past 9000. ``argtopk`` is held to a stable argsort.
+"""
+
 import itertools
 import tracemalloc
 from collections import Counter

@@ -6,16 +6,18 @@
     python3 tools/mutants.py --list
 
 The checkout's ``src/`` and ``tests/``, and what the tests read (``demos/``,
-``perfbench/`` without its output, ``pyproject.toml``), are copied to one
-temporary directory. Each mutant replaces exactly one line of a file there,
-``python -m pytest -x`` runs in that copy, and the file is restored before
-the next mutant; the checkout is never written. A mutant is killed when
-pytest fails, and survived when every test passes. The criterion-7 latency
-test can fail on a busy host whatever the code, so a mutant it fails first
-is run again with that test deselected: the second run gives the result,
-and the report names both. One line per mutant reports the result, the
-first failing test and the seconds taken, and a Markdown table of all of
-them follows.
+``perfbench/`` without its output, ``pyproject.toml``, ``README.md``), are
+copied to one temporary directory. Each mutant replaces exactly one line of a
+file there, ``python -m pytest -x`` runs in that copy with a fixed Hypothesis
+seed, and the file is restored before the next mutant; the checkout is never
+written. The fixed seed makes every run draw the same examples, so a mutant
+that a Hypothesis property kills first names the same test until the code or
+the tests change. A mutant is killed when pytest fails, and survived when
+every test passes. The criterion-7 latency test can fail on a busy host
+whatever the code, so a mutant it fails first is run again with that test
+deselected: the second run gives the result, and the report names both. One
+line per mutant reports the result, the first failing test and the seconds
+taken, and a Markdown table of all of them follows, under the seed.
 
 Every mutant targets a bitwise contract, a bound on outside input or a
 pruning rule. A survivor needs a test, or a note saying why the mutant is
@@ -35,7 +37,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml", "README.md")
+HYPOTHESIS_SEED = 0
 # a surviving mutant runs the whole suite (about a minute); ten is a hang
 TIMEOUT_S = 600
 # checks that every mutated line occurs once in the checkout: a mutant fails it
@@ -182,7 +185,7 @@ def run_pytest(tree: Path, *extra: str) -> tuple[str, str]:
     """(killed | survived | timeout, first failing test or "") of one pytest run in ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               f"--ignore={TABLE_TEST}", *extra]
+               f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--ignore={TABLE_TEST}", *extra]
     try:
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
@@ -241,7 +244,8 @@ def main() -> int:
             result, test, seconds = run_one(tree, name)
             rows.append((name, result, test, seconds))
             print(f"{name}: {result} {test} ({seconds:.1f} s)", flush=True)
-    print("\n| mutant | result | killed by | s |\n|---|---|---|---|")
+    print(f"\nHypothesis seed {HYPOTHESIS_SEED}\n\n| mutant | result | killed by | s |\n"
+          "|---|---|---|---|")
     for name, result, test, seconds in rows:
         print(f"| {name} | {result} | {test or '-'} | {seconds:.1f} |")
     return 0 if all(result == "killed" for _, result, _, _ in rows) else 1

@@ -12,10 +12,12 @@ them in causal row blocks, starting from empty caches; each block's value
 mix reads its normalised scores column-major, from one transposing copy,
 so ``matmul`` runs its innermost loop along the block's rows. A decode
 step's pass appends one row per head and attends with all H heads of a
-layer at once (``tensor_core.head_matmul`` and ``head_row_softmax``), each
-head over the rows it kept. A layer keeps all its heads' rows in one store
-with room to spare, so a decode step writes one row per head and copies
-none. No head holds an S x S map: memory is O(B * S) per thread for
+layer at once, each head over the rows it kept, through the bodies of
+``tensor_core.head_matmul`` and ``head_row_softmax``; its queries, keys and
+values are one contraction over the layer's slice of the (3, N, H, D, D_k)
+q/k/v table (``ModelWeights.w_qkv``). A layer keeps all its heads' rows in
+one store with room to spare, so a decode step writes one row per head and
+copies none. No head holds an S x S map: memory is O(B * S) per thread for
 blocks of B rows, not O(S^2) per head, and the masked upper triangle is
 never multiplied. This is FlashAttention's row tiling (Dao et al. 2022,
 arXiv 2205.14135); full rows fit, so there is no online rescaling. Every
@@ -51,6 +53,7 @@ never affects prefill values, only decode-time attention.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections.abc import Sequence
@@ -60,7 +63,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .layout import MultimodalSequence
-from .tensor_core import head_matmul, head_row_softmax, make_rng, masked_row_softmax, matmul
+from .tensor_core import _head_matmul, _normalise_rows, make_rng, masked_row_softmax, matmul
 
 # hook(layer_1based, last_rows[H, S], layer_cache, seq) -> (layer_cache, LayerDecision),
 # last_rows read-only; kept for perfbench/ until ROADMAP item 6, as is prefill's hook loop
@@ -106,17 +109,31 @@ class ModelConfig:
 
 @dataclass
 class ModelWeights:
-    """One array per field, shaped as ``weight_shapes`` lists it."""
+    """One array per field, shaped as ``weight_shapes`` lists it.
+
+    ``w_qkv`` holds the query, key and value projections as one (3, N, H, D,
+    D_k) table, so a decode step contracts its layer's (3, H, D, D_k) slice
+    once and builds nothing per step. ``w_q``, ``w_k`` and ``w_v`` are
+    read-only (N, H, D, D_k) views of its three parts (a write raises
+    ``ValueError``). The table's bytes are the three parts' in that order.
+    """
 
     token_embedding: np.ndarray
     position_embedding: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
+    w_qkv: np.ndarray
     w_o: np.ndarray
     w_up: np.ndarray
     w_down: np.ndarray
     unembedding: np.ndarray
+
+    def _part(self, c: int) -> np.ndarray:
+        view = self.w_qkv[c]
+        view.flags.writeable = False
+        return view
+
+    w_q = property(lambda self: self._part(0))
+    w_k = property(lambda self: self._part(1))
+    w_v = property(lambda self: self._part(2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,11 +239,15 @@ class PrefillReport:
 
 
 def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every ``ModelWeights`` field, in field (and draw) order."""
+    """The shape of every ``ModelWeights`` field, in field (and draw) order.
+
+    The q/k/v table is one entry and one draw: PCG64 fills a (3, N, H, D,
+    D_k) draw with the values of three consecutive (N, H, D, D_k) draws.
+    """
     d, dk, n, h = config.model_dim, config.head_dim, config.num_layers, config.num_heads
     return {"token_embedding": (config.vocab_size, d),
             "position_embedding": (config.max_positions, d),
-            "w_q": (n, h, d, dk), "w_k": (n, h, d, dk), "w_v": (n, h, d, dk),
+            "w_qkv": (3, n, h, d, dk),
             "w_o": (n, d, d), "w_up": (n, d, 4 * d), "w_down": (n, 4 * d, d),
             "unembedding": (d, config.vocab_size)}
 
@@ -240,7 +261,18 @@ def init_model(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    # np.mean's own sum and divide, without its Python wrapper
+    """Each row of ``x`` (m x D, or one row of D) over the root of its mean
+    square plus ``eps``.
+
+    The mean is ``np.mean``'s own sum and divide without its Python wrapper.
+    A single row, every norm of a decode step, takes its scale as a Python
+    float: the same reduce, then a divide, an add and a square root, each
+    correctly rounded in IEEE double as numpy's are, so the bits are the
+    rows' form's in three numpy calls instead of six.
+    """
+    if x.size == x.shape[-1]:
+        row = x.reshape(-1)
+        return x / math.sqrt(float(np.add.reduce(row * row)) / len(row) + eps)
     return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
 
 
@@ -398,27 +430,28 @@ def _decode_pass(weights: ModelWeights, config: ModelConfig, caches: list[LayerK
     """Run one new row at ``position`` through every layer; returns it, 1 x D.
 
     Each layer appends the row to every head (``LayerKVCache.extend``) and
-    attends with all H heads at once, over the n rows each head now holds:
-    queries, keys and values as 3H rows of one ``head_matmul`` over the
-    layer's stacked (3H, D, D_k) weights, scores over ``kt[:, :, :n]``, the
-    softmax of the (H, n) rows by ``head_row_softmax`` and the value mix
-    over ``vs[:, :n]``. Row h of each keeps the bits of head h's 1-row
-    ``matmul`` and ``masked_row_softmax``, and the (H, D_k) output, read as
-    one row, is the heads' columns in order.
+    attends with all H heads at once, over the n rows each head now holds.
+    It calls the bodies of ``tensor_core.head_matmul`` and
+    ``head_row_softmax`` (``_head_matmul`` and ``_normalise_rows``) on the
+    shapes it builds, without their argument checks: queries, keys and
+    values in one contraction of the row with the layer's (3, H, D, D_k)
+    slice of ``w_qkv`` (no per-step copy of the weights), scores over
+    ``kt[:, :, :n]``, their softmax and the value mix over ``vs[:, :n]``.
+    Row h of each keeps the bits of head h's 1-row ``matmul`` and
+    ``masked_row_softmax``, and the (H, D_k) output, read as one row, is the
+    heads' columns in order. The out-projection, MLP and unembedding are
+    checked ``matmul`` calls.
     """
     x, positions = _embed(weights, config, np.array([token_id]), position)
-    h = config.num_heads
     inv_sqrt_dk = 1.0 / np.sqrt(config.head_dim)
     for l in range(config.num_layers):
         kt, vs = caches[l].extend(positions, config.max_positions)
         n = caches[l].rows
-        qkv = head_matmul(_rmsnorm(x).repeat(3 * h, axis=0),
-                          np.concatenate((weights.w_q[l], weights.w_k[l], weights.w_v[l])))
-        q, kt[:, :, n - 1], vs[:, n - 1] = qkv[:h], qkv[h:2 * h], qkv[2 * h:]
-        scores = head_matmul(q, kt[:, :, :n])
+        q, kt[:, :, n - 1], vs[:, n - 1] = _head_matmul(_rmsnorm(x), weights.w_qkv[:, l])
+        scores = _head_matmul(q, kt[:, :, :n])
         scores *= inv_sqrt_dk
-        head_row_softmax(scores)
-        x += matmul(head_matmul(scores, vs[:, :n]).reshape(1, -1), weights.w_o[l])
+        _normalise_rows(scores, n)
+        x += matmul(_head_matmul(scores, vs[:, :n]).reshape(1, -1), weights.w_o[l])
         _add_mlp(weights, l, x)
     return x
 

@@ -7,9 +7,12 @@ product exactly. It is one ``np.einsum`` contraction with
 ``optimize=False``, laid out so that numpy's innermost loop runs along an
 output axis and never along the summed one; an output of one element, which
 has no such axis, takes one in-order ``np.add.accumulate`` instead (see
-``matmul``). A decode step runs every head of a layer at once through
-``head_matmul`` and ``head_row_softmax``, whose row h keeps the bits of the
-1-row ``matmul`` and ``masked_row_softmax`` of head h, whose bodies they share.
+``matmul``). ``head_matmul`` and ``head_row_softmax`` run every head of a
+layer at once: row h keeps the bits of head h's 1-row ``matmul`` and
+``masked_row_softmax``, whose bodies they share. Each of the two is its
+argument checks plus one body (``_head_matmul``, ``_normalise_rows``), and a
+decode step calls those bodies directly on the shapes it builds, so it runs
+their arithmetic without their per-call checks.
 
 The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so the
 values it draws are the same on every platform. ``matmul`` and ``argtopk``
@@ -87,22 +90,19 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
+    (m, inner), (rows, n) = a.shape, b.shape
+    if inner != rows:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-    (m, inner), n = a.shape, b.shape[1]
-    if out is not None and (out.shape != (m, n) or out.dtype != np.float64
-                            or not out.flags.c_contiguous):
+    if out is None:
+        out = np.empty((m, n))
+    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}, "
                          f"got {out.dtype} {out.shape}")
     if inner == 0 or m * n == 0:
-        if out is None:
-            return np.zeros((m, n))
         out.fill(0.0)
         return out
     if m == n == 1:
         return _in_order_sum(np.multiply(a, b.T), out)
-    if out is None:
-        out = np.empty((m, n))
     if m > n and (n == 1 or a.flags.f_contiguous):
         out_t = np.einsum("ki,kj->ji", np.asfortranarray(a).T, b, out=np.empty((n, m)),
                           optimize=False)
@@ -112,11 +112,12 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 def _in_order_sum(products: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Each row of H x K ``products`` added left to right, H x 1 (into ``out`` if
-    given): accumulate's last sums ``+ 0.0``, the loop's ``0.0 + p0 + p1 + ...``
-    (a running sum is -0.0 only while every product so far is)."""
-    sums = np.add.accumulate(products, axis=1)
-    return np.add(sums[:, -1:], 0.0, out=out)
+    """Each row (last axis) of (..., K) ``products`` added left to right, (...,
+    1) (into ``out`` if given): accumulate's last sums ``+ 0.0``, the loop's
+    ``0.0 + p0 + p1 + ...`` (a running sum is -0.0 only while every product
+    so far is)."""
+    sums = np.add.accumulate(products, axis=-1)
+    return np.add(sums[..., -1:], 0.0, out=out)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -128,7 +129,12 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     overlap (a broadcast, stride 0) leave the loop order to the other
     operands, which put k innermost too; rows that step backwards (a
     negative stride) run k backwards when the other operand's k does.
+    A C-contiguous ``x``, the usual operand, passes on its flag alone: its
+    rows are unit-stride and follow one another, except along an axis of
+    length 1, where the order of one row or one product cannot show.
     """
+    if x.flags.c_contiguous:
+        return x
     if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:
         return np.ascontiguousarray(x)
     return x
@@ -175,15 +181,10 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Each head's row times its own matrix: (H x K) by (H x K x n) gives H x n.
 
     Row h is bitwise ``matmul(a[h:h+1], b[h])``, the loop's ``0.0 + p0 + p1
-    + ...`` over k: one ``np.einsum("hk,hkn->hn", ..., optimize=False)`` over
-    b with unit-stride rows (copied if not), so numpy's innermost loop runs
-    along n (a decode step's cache rows for the scores, D_k for the value
-    mix and q/k/v) and each k adds its products into the zeroed output, as
-    in ``matmul``. A 1-column product has no such loop to run, so its H x K
-    products are added along k by ``_in_order_sum``, as ``matmul``'s single
-    element is. ``K == 0`` gives zeros, and NaN payloads behave as in
-    ``matmul``. The only temporaries are those products and the H x n
-    result, so a decode step's stay below one head's key rows.
+    + ...`` over k. This is the argument checks, the copy that gives b
+    unit-stride rows if it lacks them (``_unit_rows``) and ``_head_matmul``,
+    the body that a decode step also calls directly on the shapes it builds.
+    ``K == 0`` gives zeros.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -193,9 +194,33 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     h, inner, n = b.shape
     if inner == 0 or h * n == 0:
         return np.zeros((h, n))
-    if n == 1:
-        return _in_order_sum(np.multiply(a, b[:, :, 0]))
-    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)
+    return _head_matmul(a, _unit_rows(b))
+
+
+def _head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``head_matmul``'s body: float64 ``a`` (..., K) times ``b`` (..., K, n),
+    unchecked, for K >= 1 and n >= 1, b's rows unit-stride and following one
+    another forward (``_unit_rows``), and a's leading axes broadcasting to
+    b's. Gives ``b.shape[:-2] + (n,)``, C-ordered.
+
+    Each output row is the loop's ``0.0 + p0 + p1 + ...`` over k: one
+    ``np.einsum("...k,...kn->...n", ..., optimize=False)``, so numpy's
+    innermost loop runs along n (a decode step's cache rows for the scores,
+    D_k for the value mix and q/k/v) and each k adds its products into the
+    zeroed output, as in ``matmul``. A 1-column product has no such loop to
+    run, so its products are added along k by ``_in_order_sum``, as
+    ``matmul``'s single element is. NaN payloads behave as in ``matmul``.
+    The only temporaries are those products and the result, so a decode
+    step's stay below one head's key rows.
+
+    A decode step's q/k/v is one call: its (1, D) row, broadcast, against
+    the layer's (3, H, D, D_k) slice of ``ModelWeights.w_qkv`` gives (3, H,
+    D_k), each (c, h) row the bits of ``matmul(row, w[c, h])``.
+    """
+    if b.shape[-1] == 1:
+        return _in_order_sum(np.multiply(a, b[..., 0]))
+    out = np.empty(b.shape[:-2] + b.shape[-1:])
+    return np.einsum("...k,...kn->...n", a, b, out=out, optimize=False)
 
 
 def head_row_softmax(scores: np.ndarray) -> np.ndarray:
@@ -203,7 +228,8 @@ def head_row_softmax(scores: np.ndarray) -> np.ndarray:
 
     A decode step's score row per head: nothing is masked, and the rows are
     normalised by ``masked_row_softmax``'s body at width n, so row h keeps
-    the bits of ``masked_row_softmax(scores[h:h+1])``.
+    the bits of ``masked_row_softmax(scores[h:h+1])``. This is the checks
+    and ``_normalise_rows``, which a decode step calls directly.
     """
     if scores.ndim != 2 or scores.shape[1] == 0 or scores.dtype != np.float64 \
             or not scores.flags.c_contiguous:
@@ -215,9 +241,9 @@ def head_row_softmax(scores: np.ndarray) -> np.ndarray:
 def _normalise_rows(x: np.ndarray, width: int) -> np.ndarray:
     """Softmax of each row of C-ordered ``x`` in place: subtract the row max,
     exp, divide by the row sum over ``width`` columns (``_padded_row_sum``).
-    ``ndarray.max`` and ``np.add.reduce`` are ``np.max``'s and ``np.sum``'s
-    bits without their Python wrappers."""
-    x -= x.max(axis=1, keepdims=True)
+    ``np.maximum.reduce`` and ``np.add.reduce`` are ``np.max``'s and
+    ``np.sum``'s bits without their Python wrappers."""
+    x -= np.maximum.reduce(x, axis=1, keepdims=True)
     np.exp(x, out=x)
     x /= _padded_row_sum(x, width)
     return x

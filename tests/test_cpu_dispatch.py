@@ -42,7 +42,7 @@ MATMUL_SHAPES = [
     (300, 64, 7, "F"),   # "ki,kj->ji": column-major a, m > n (prefill's value mix)
     (300, 8, 1, "C"),    # "ki,kj->ji": one column, a copied
 ]
-# head_matmul cases (H, K, n): "hk,hkn->hn" for n >= 2, the in-order accumulate for n = 1
+# head_matmul cases (H, K, n): "...k,...kn->...n" for n >= 2, the in-order accumulate for n = 1
 HEAD_MATMUL_SHAPES = [(4, 300, 64), (4, 300, 1)]
 EXP_GRID = np.linspace(-745.0, 0.0, 100_001)
 

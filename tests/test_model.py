@@ -74,6 +74,21 @@ class TestInitModel:
         assert list(shapes) == [field.name for field in dataclasses.fields(w)]
         assert all(getattr(w, name).shape == shape for name, shape in shapes.items())
 
+    def test_q_k_v_are_read_only_views_of_one_table(self):
+        # one (3, N, H, D, D_k) table, counted once: the weight floats, and so
+        # the CLI's cap, are those of three (N, H, D, D_k) projections
+        cfg, w = tiny()
+        n, h, d, dk = cfg.num_layers, cfg.num_heads, cfg.model_dim, cfg.head_dim
+        for c, name in enumerate(("w_q", "w_k", "w_v")):
+            view = getattr(w, name)
+            assert view.shape == (n, h, d, dk) and np.shares_memory(view, w.w_qkv)
+            assert view.ctypes.data == w.w_qkv[c].ctypes.data
+            with pytest.raises(ValueError):
+                view[0, 0, 0, 0] = 1.0
+        v, p = cfg.vocab_size, cfg.max_positions
+        assert sum(np.prod(shape) for shape in weight_shapes(cfg).values()) == \
+            v * d + p * d + 3 * n * h * d * dk + n * d * d + 2 * n * d * 4 * d + d * v
+
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(num_layers=4, num_heads=2, model_dim=9, head_dim=4,

@@ -63,6 +63,10 @@ MUTANTS = {
         "tensor_core.py",
         '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)',
         '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=True)'),
+    # only a C-contiguous operand skips the stride test
+    "unit-rows-flag": (
+        "tensor_core.py", "    if x.flags.c_contiguous:",
+        "    if x.flags.c_contiguous or x.flags.f_contiguous:"),
     "unit-rows-copy": (
         "tensor_core.py",
         "    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:",
@@ -75,28 +79,30 @@ MUTANTS = {
         "tensor_core.py",
         "    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:",
         "    if x.strides[-1] != x.itemsize or x.strides[-2] < 0:"),
+    # the body that head_matmul and a decode step's q/k/v, scores and value mix share
     "head-k-innermost": (
         "tensor_core.py",
-        '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)',
-        '    return np.einsum("hk,hkn->hn", a, '
-        'np.ascontiguousarray(b.transpose(0, 2, 1)).transpose(0, 2, 1), '
-        'out=np.empty((h, n)), optimize=False)'),
+        '    return np.einsum("...k,...kn->...n", a, b, out=out, optimize=False)',
+        '    return np.einsum("...k,...kn->...n", a, '
+        'np.ascontiguousarray(np.swapaxes(b, -1, -2)).swapaxes(-1, -2), out=out, '
+        'optimize=False)'),
     "head-optimize": (
         "tensor_core.py",
-        '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=False)',
-        '    return np.einsum("hk,hkn->hn", a, _unit_rows(b), out=np.empty((h, n)), optimize=True)'),
+        '    return np.einsum("...k,...kn->...n", a, b, out=out, optimize=False)',
+        '    return np.einsum("...k,...kn->...n", a, b, out=out, optimize=True)'),
     "head-1-column-fallback": (
-        "tensor_core.py", "    if n == 1:", "    if False:"),
+        "tensor_core.py", "    if b.shape[-1] == 1:", "    if False:"),
     # the 1-column accumulate that matmul's 1 x 1 and head_matmul's n = 1 share
     "head-accumulate-axis": (
-        "tensor_core.py", "    sums = np.add.accumulate(products, axis=1)",
+        "tensor_core.py", "    sums = np.add.accumulate(products, axis=-1)",
         "    sums = np.add.accumulate(products, axis=0)"),
     "head-accumulate-plus-zero": (
-        "tensor_core.py", "    return np.add(sums[:, -1:], 0.0, out=out)",
-        "    return np.add(sums[:, -1:], -0.0, out=out)"),
+        "tensor_core.py", "    return np.add(sums[..., -1:], 0.0, out=out)",
+        "    return np.add(sums[..., -1:], -0.0, out=out)"),
     # the softmax body that masked_row_softmax and head_row_softmax share
     "head-softmax-max-axis": (
-        "tensor_core.py", "    x -= x.max(axis=1, keepdims=True)", "    x -= x.max()"),
+        "tensor_core.py", "    x -= np.maximum.reduce(x, axis=1, keepdims=True)",
+        "    x -= np.maximum.reduce(x, axis=None)"),
     "padded-row-sum-leaf": (
         "tensor_core.py", "        total = np.add.reduce(leaf, axis=1, keepdims=True)",
         "        total = np.add.reduce(x[:, lo:], axis=1, keepdims=True)"),
@@ -104,6 +110,17 @@ MUTANTS = {
         "tensor_core.py",
         "    if kept.size != neg.shape[0] * k or np.isnan(threshold).any():",
         "    if np.isnan(threshold).any():"),
+    # the decode pass contracts its row with another layer's q/k/v slice
+    "decode-qkv-layer": (
+        "model.py",
+        "        q, kt[:, :, n - 1], vs[:, n - 1] = _head_matmul(_rmsnorm(x), weights.w_qkv[:, l])",
+        "        q, kt[:, :, n - 1], vs[:, n - 1] = _head_matmul(_rmsnorm(x), "
+        "weights.w_qkv[:, (l + 1) % config.num_layers])"),
+    # a decode step's one-row norm summed in another order than the rows' reduce
+    "row-norm-sum-order": (
+        "model.py",
+        "        return x / math.sqrt(float(np.add.reduce(row * row)) / len(row) + eps)",
+        "        return x / math.sqrt(math.fsum(row * row) / len(row) + eps)"),
     "read-only-rows": (
         "model.py", "        read_only.flags.writeable = False", "        pass"),
     "thread-join": (
@@ -153,6 +170,8 @@ MUTANTS = {
         "pruning.py", "        return self.per_head_retained is None", "        return False"),
     "union-writable": (
         "layout.py", "        union.flags.writeable = False", "        pass"),
+    "weight-views-writable": (
+        "model.py", "        view.flags.writeable = False", "        pass"),
     "views-writable": (
         "model.py", "            view.flags.writeable = False", "            pass"),
     "report-none-spelling": (

@@ -10,7 +10,10 @@ decisions record each layer's gamma but no class or retention.
 
 ``decide(cfg, rows[N, H, S], seq)`` is the one decision path of every
 method: a pure function of the last prefill rows of all N layers, which
-``run`` then applies with ``pruning.prune`` and ``replay`` counts.
+``run`` then applies with ``pruning.prune``. It is level one,
+``allocate(cfg, rows, seq)``, which fixes each layer's gamma, class,
+retention and count of kept vision rows per head, then level two, which
+selects those rows. ``replay`` counts ``allocate``'s result alone.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from .layout import MultimodalSequence
 from .model import LayerKVCache
 # prune_head_cache stays bound here for perfbench/tracer.py, which rebinds it
 # under this module's name; the hooks prune through prune_layer.
-from .pruning import (LayerDecision, PruningConfig, _head_average, decide_layers,  # noqa: F401
+from .pruning import (LayerAllocation, LayerDecision, PruningConfig,  # noqa: F401
+                      _floor_share, _head_average, allocate_layers, decide_layers,
                       prune_head_cache, prune_layer, vision_attention_score)
 from .tensor_core import argtopk
 
-__all__ = ["FastVConfig", "VTWConfig", "fastv_surviving_set", "decide", "check_depth"]
+__all__ = ["FastVConfig", "VTWConfig", "fastv_kept_count", "fastv_surviving_set", "allocate",
+           "decide", "check_depth"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,12 @@ def check_depth(cfg: FastVConfig | VTWConfig, num_layers: int) -> None:
         raise ValueError(f"k_layer {cfg.k_layer} exceeds model depth {num_layers}")
 
 
+def fastv_kept_count(prune_ratio: float, num_vision: int) -> int:
+    """FastV's K: the V - floor(prune_ratio * V) vision rows that survive
+    (the floor rounded as in ``pruning.retained_count``)."""
+    return num_vision - _floor_share(prune_ratio, num_vision)
+
+
 def fastv_surviving_set(last_rows: np.ndarray, seq: MultimodalSequence,
                         cfg: FastVConfig) -> np.ndarray:
     """Vision positions surviving FastV's one-shot ranking of layer K's
@@ -64,51 +75,80 @@ def fastv_surviving_set(last_rows: np.ndarray, seq: MultimodalSequence,
     if vision.size == 0:
         return vision
     mean_row = _head_average(np.asarray(last_rows, dtype=np.float64))
-    keep = vision.size - int(np.floor(cfg.prune_ratio * vision.size))
-    return vision[argtopk(mean_row[vision], keep)]
+    return vision[argtopk(mean_row[vision], fastv_kept_count(cfg.prune_ratio, vision.size))]
 
 
 _NO_VISION = np.empty(0, dtype=np.int64)
 
 
-def _kept_from_k(rows: np.ndarray, seq: MultimodalSequence, k_layer: int, kept: np.ndarray,
-                 first_layer: int = 1) -> list[LayerDecision]:
-    """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` rows.
+def _allocate_from_k(rows: np.ndarray, seq: MultimodalSequence, k_layer: int, kept: int,
+                     first_layer: int = 1) -> list[LayerAllocation]:
+    """Level one for layers ``first_layer..`` from their ``(L, H, S)`` rows.
 
-    Layers below ``k_layer`` are exempt; from it on every head keeps the
-    ascending vision positions ``kept``, one row broadcast to ``(H, K)``.
-    Gamma takes one reduction for all L layers.
+    Layers below ``k_layer`` are exempt; from it on every head keeps
+    ``kept`` vision rows. Gamma takes one reduction for all L layers.
     """
     gammas = vision_attention_score(rows, seq.vision_union)
-    per_head = np.broadcast_to(kept, (rows.shape[1], kept.size))
-    return [LayerDecision(layer=layer, gamma=gamma, layer_class=None,
-                          per_head_retained=None if layer < k_layer else per_head)
+    return [LayerAllocation(layer, gamma, None, None, None if layer < k_layer else kept)
             for layer, gamma in enumerate(gammas.tolist(), start=first_layer)]
+
+
+def _shared_rows(allocations: list[LayerAllocation], kept: np.ndarray,
+                 num_heads: int) -> list[LayerDecision]:
+    """Each allocation's decision: every head of a pruned layer keeps the
+    ascending vision positions ``kept``, one row broadcast to ``(H, K)``."""
+    per_head = np.broadcast_to(kept, (num_heads, kept.size))
+    return [LayerDecision(layer=a.layer, gamma=a.gamma, layer_class=None,
+                          per_head_retained=None if a.kept is None else per_head)
+            for a in allocations]
+
+
+def allocate(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray,
+             seq: MultimodalSequence) -> list[LayerAllocation] | None:
+    """Level one of ``decide``: each layer's gamma, class, retention and the
+    number of vision rows each head keeps, from ``(N, H, S)`` rows, with no
+    row selected. None for no pruning.
+
+    plphp keeps ``retained_count`` rows of each image, FastV
+    ``fastv_kept_count`` rows and VTW none, both from layer K on.
+    """
+    if cfg is None:
+        return None
+    rows = np.asarray(rows, dtype=np.float64)
+    if isinstance(cfg, PruningConfig):
+        return allocate_layers(rows, seq, cfg, 1, len(rows))
+    check_depth(cfg, len(rows))
+    kept = fastv_kept_count(cfg.prune_ratio, seq.vision_union.size) \
+        if isinstance(cfg, FastVConfig) else 0
+    return _allocate_from_k(rows, seq, cfg.k_layer, kept)
 
 
 def decide(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray,
            seq: MultimodalSequence) -> list[LayerDecision] | None:
     """Every layer's decision under method ``cfg`` (None: no pruning) from ``(N, H, S)`` rows.
 
-    Pure function of the rows, the layout and the config. FastV ranks
-    ``rows[K - 1]`` once; VTW keeps no vision row from layer K on.
+    Pure function of the rows, the layout and the config: ``allocate``,
+    then the rows it counts. FastV ranks ``rows[K - 1]`` once; VTW keeps no
+    vision row from layer K on.
     """
-    if cfg is None:
-        return None
     rows = np.asarray(rows, dtype=np.float64)
     if isinstance(cfg, PruningConfig):
         return decide_layers(rows, seq, cfg, 1, len(rows))
-    check_depth(cfg, len(rows))
+    allocations = allocate(cfg, rows, seq)
+    if allocations is None:
+        return None
     kept = fastv_surviving_set(rows[cfg.k_layer - 1], seq, cfg) \
         if isinstance(cfg, FastVConfig) else _NO_VISION
-    return _kept_from_k(rows, seq, cfg.k_layer, kept)
+    return _shared_rows(allocations, kept, rows.shape[1])
 
 
 def fastv_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
                seq: MultimodalSequence, cfg: FastVConfig,
                surviving: np.ndarray) -> tuple[LayerKVCache, LayerDecision]:
     """FastV at one layer, given the set ranked at layer K; for perfbench/ until ROADMAP item 6."""
-    decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, surviving, layer)[0]
+    rows = np.asarray(last_rows)[None]
+    allocation = _allocate_from_k(rows, seq, cfg.k_layer, surviving.size, layer)
+    decision = _shared_rows(allocation, surviving, rows.shape[1])[0]
     return prune_layer(caches, seq, decision), decision
 
 
@@ -116,7 +156,9 @@ def vtw_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
              seq: MultimodalSequence,
              cfg: VTWConfig) -> tuple[LayerKVCache, LayerDecision]:
     """VTW at one layer; kept for perfbench/ until ROADMAP item 6."""
-    decision = _kept_from_k(np.asarray(last_rows)[None], seq, cfg.k_layer, _NO_VISION, layer)[0]
+    rows = np.asarray(last_rows)[None]
+    allocation = _allocate_from_k(rows, seq, cfg.k_layer, 0, layer)
+    decision = _shared_rows(allocation, _NO_VISION, rows.shape[1])[0]
     return prune_layer(caches, seq, decision), decision
 
 

@@ -5,8 +5,9 @@ Subcommands:
     run     build a synthetic workload; prefill, decide and prune under a
             method, greedy decode; write a JSON report and a per-layer CSV
     sweep   run a grid of hyperparameter points, write one CSV row each
-    replay  make a method's ``decide`` call offline on a recorded trace
-            (``--method``, default plphp) and count RR/KV from its decisions
+    replay  count RR/KV and the per-layer rows of a method (``--method``,
+            default plphp) offline on a recorded trace, from each layer's
+            allocation; no row is selected
 
 Every flag has a config-file equivalent: the file is flat ``key = value``
 text, keys matching the long flag names with underscores (``method = plphp``,
@@ -43,7 +44,10 @@ from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, account, latency_probe, report_to_json, write_report_csv
 from .model import ModelConfig, decode_step, init_model, prefill, weight_shapes
 from .pruning import PruningConfig, prune
-from .trace import TraceFormatError, read_trace, replay, trace_from_run, write_trace
+# replay stays bound here for perfbench/tracer.py, which rebinds it under this
+# module's name; cmd_replay counts through replay_report.
+from .trace import (TraceFormatError, read_trace, replay, replay_report,  # noqa: F401
+                    trace_from_run, write_trace)
 
 # Every method once, as name: (config class, {config key: the class's field}).
 _METHODS = {"none": (None, {}),
@@ -340,7 +344,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _check_distinct_files({"--config": args.config, "--trace": args.trace,
                            **_report_files(cfg)})
     trace = read_trace(args.trace)
-    _, report = replay(trace, method_config(cfg, trace.num_layers))
+    report = replay_report(trace, method_config(cfg, trace.num_layers))
     _write_reports(cfg, report)
     print(f"replayed {trace.num_layers} layers: "
           f"RR={report.retention_rate:.6f} KV={report.kv_fraction:.6f}")

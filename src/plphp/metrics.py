@@ -62,7 +62,9 @@ def report_from_counts(kept_rows: np.ndarray, kept_vision: np.ndarray, seq_len: 
     """RR, KV and the per-(layer, head) rows from N x H counts of kept prompt rows.
 
     The one accounting both ``account`` (counting live caches) and trace
-    replay (counting decisions) go through.
+    replay (counting each layer's allocation) go through; ``decisions`` may
+    be any per-layer records with ``gamma``, ``layer_class`` and
+    ``retention``, such as ``pruning.LayerAllocation``.
     """
     n, h = kept_rows.shape
     per_layer = []

@@ -8,13 +8,16 @@ rows. Text rows are never pruned, and layers 1, 2 and N are exempt.
 
 Every method decides all layers at once through ``baselines.decide(cfg,
 rows[N, H, S], seq)``, plphp through ``decide_layers`` here; ``prune``
-cuts each layer's cache in one gather, and trace replay counts it.
+cuts each layer's cache in one gather. Level one alone fixes how many rows
+each head keeps, so ``baselines.allocate`` (plphp: ``allocate_layers``)
+stops there, and trace replay counts its result without selecting a row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +31,10 @@ VISION_INDIFFERENT = "vision-indifferent"
 
 __all__ = [
     "VISION_ATTENTIVE", "VISION_BALANCED", "VISION_INDIFFERENT",
-    "PruningConfig", "LayerDecision",
+    "PruningConfig", "LayerAllocation", "LayerDecision",
     "vision_attention_score", "classify_layer", "allocate_retention",
     "retained_count", "prune_head_cache", "prune_layer", "prune",
-    "decide_layers",
+    "allocate_layers", "decide_layers",
 ]
 
 
@@ -100,6 +103,21 @@ class LayerDecision:
         return self.per_head_retained is None
 
 
+class LayerAllocation(NamedTuple):
+    """Level one's outcome for one decoder layer, before any row is selected.
+
+    ``kept`` is the number of vision rows each head of the layer keeps,
+    every image together, or None for an exempt layer, which keeps its
+    whole cache; gamma, class and retention are as in ``LayerDecision``.
+    """
+
+    layer: int
+    gamma: float
+    layer_class: str | None
+    retention: float | None
+    kept: int | None
+
+
 def vision_attention_score(attn_last_rows: np.ndarray, vision_union: np.ndarray) -> np.ndarray:
     """Each layer's head-averaged attention mass on vision positions, in [0, 1].
 
@@ -144,14 +162,25 @@ def allocate_retention(layer_class: str, cfg: PruningConfig) -> float:
     return cfg.r
 
 
+def _floor_share(fraction: float, length: int) -> int:
+    """floor(fraction * length) by ``retained_count``'s rounding rule."""
+    return math.floor(round(fraction * length, 9))
+
+
 def retained_count(retention: float, image_length: int) -> int:
     """K = floor(retention * image_length), with a minimum of 1 whenever
-    retention > 0 so no image vanishes from context entirely."""
+    retention > 0 so no image vanishes from context entirely.
+
+    The product is rounded to 9 decimals before the floor, because a
+    retention of r +- dr carries float error: 0.3 - 0.1 is
+    0.19999999999999998, and 10 rows of it must keep 2, not 1. FastV's
+    dropped count, floor(prune_ratio * V), floors by the same rule.
+    """
     if image_length < 1:
         raise ValueError("image index set must be nonempty")
     if not 0.0 <= retention <= 1.0:
         raise ValueError(f"retention must be in [0, 1], got {retention}")
-    k = math.floor(retention * image_length)
+    k = _floor_share(retention, image_length)
     return max(1, k) if retention > 0.0 else k
 
 
@@ -167,29 +196,44 @@ def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
     return np.flatnonzero(np.isin(cache.positions, keep))
 
 
+def allocate_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
+                    first_layer: int, num_layers: int) -> list[LayerAllocation]:
+    """Level one for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
+
+    Gamma takes one reduction for all L layers; a layer in the pruned range
+    keeps ``retained_count`` rows of each image (``seq.image_spans``).
+    """
+    gammas = vision_attention_score(attn_last_rows, seq.vision_union).tolist()  # checks (L, H, S)
+    first, last = cfg.pruned_range(num_layers)
+    lengths = [hi - lo for lo, hi in seq.image_spans]
+    allocations = []
+    for layer, gamma in enumerate(gammas, start=first_layer):
+        layer_class = classify_layer(gamma, cfg)
+        retention = allocate_retention(layer_class, cfg) if first <= layer <= last else None
+        kept = None if retention is None else sum(retained_count(retention, n) for n in lengths)
+        allocations.append(LayerAllocation(layer, gamma, layer_class, retention, kept))
+    return allocations
+
+
 def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
                   first_layer: int, num_layers: int) -> list[LayerDecision]:
     """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
 
-    Pure function of the rows, the layout and the config. Gamma takes one
-    reduction for all L layers. Each image takes one top-K per retention
-    value over the ``(layers * H, image)`` rows of the layers allotted it:
-    one copy of just the image's columns (``seq.image_spans``), K by
+    Pure function of the rows, the layout and the config: level one by
+    ``allocate_layers``, then level two. Each image takes one top-K per
+    retention value over the ``(layers * H, image)`` rows of the layers
+    allotted it: one copy of just the image's columns, K by
     ``retained_count``. There are at most three retention values, so an
-    image takes at most three top-K calls whatever the depth: replaying an
-    N=12, H=8 trace with 3 images makes at most 9 calls, not one per pruned
-    layer and image (27). The images'
-    selections are concatenated once per retention value, in layout order,
-    into each layer's ``(H, K)`` ``per_head_retained``. Every row stands
-    alone in both, so a layer's decision has the same bits whichever layers
-    share the call.
+    image takes at most three top-K calls whatever the depth: an N=12, H=8
+    trace with 3 images makes at most 9 calls, not one per pruned layer and
+    image (27). The images' selections are concatenated once per retention
+    value, in layout order, into each layer's ``(H, K)``
+    ``per_head_retained``. Every row stands alone in both, so a layer's
+    decision has the same bits whichever layers share the call.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
-    gammas = vision_attention_score(rows, seq.vision_union).tolist()  # checks (L, H, S)
-    first, last = cfg.pruned_range(num_layers)
-    classes = [classify_layer(gamma, cfg) for gamma in gammas]
-    retentions = [allocate_retention(c, cfg) if first <= first_layer + i <= last else None
-                  for i, c in enumerate(classes)]
+    allocations = allocate_layers(rows, seq, cfg, first_layer, num_layers)
+    retentions = [a.retention for a in allocations]
     num_heads, spans, kept = rows.shape[1], seq.image_spans, {}
     for retention in dict.fromkeys(r for r in retentions if r is not None):
         group = [i for i, r in enumerate(retentions) if r == retention]
@@ -199,9 +243,9 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
             local = argtopk(rows[group, :, lo:hi].reshape(-1, hi - lo), k)
             per_image.append((local + lo).reshape(len(group), num_heads, k))
         kept.update(zip(group, np.concatenate(per_image, axis=2)))
-    return [LayerDecision(layer=first_layer + i, gamma=gamma, layer_class=c, retention=r,
-                          per_head_retained=kept.get(i))
-            for i, (gamma, c, r) in enumerate(zip(gammas, classes, retentions))]
+    return [LayerDecision(layer=a.layer, gamma=a.gamma, layer_class=a.layer_class,
+                          retention=a.retention, per_head_retained=kept.get(i))
+            for i, a in enumerate(allocations)]
 
 
 def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalSequence,

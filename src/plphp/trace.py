@@ -1,4 +1,4 @@
-"""Versioned binary attention-trace files and offline replay through ``decide``.
+"""Versioned binary attention-trace files and offline replay of a method's decision.
 
 A trace stores, for every layer and head, the last attention row of the
 prefill pass (the only row ``decide`` reads). The on-disk format is
@@ -12,6 +12,11 @@ platforms:
 Loading checks the declared sizes against the file size before reading the
 body, then validates the header, the segment lengths against S, that the
 layout ends in text, and that each stored row sums to 1 within 1e-6.
+
+Replay counts RR, KV and every per-(layer, head) row from each layer's
+allocation, ``baselines.allocate``: how many rows each head keeps is fixed
+there, so no row is selected (``replay_report``). ``replay`` also returns
+``decide``'s decisions.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import FastVConfig, VTWConfig, decide
+from .baselines import FastVConfig, VTWConfig, allocate, decide
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, report_from_counts
 # decide_layer stays bound here for perfbench/tracer.py, which rebinds it
-# under this module's name; replay decides through ``decide``.
+# under this module's name; replay decides through ``decide`` and counts
+# through ``allocate``.
 from .pruning import LayerDecision, PruningConfig, decide_layer  # noqa: F401
 
 MAGIC = b"PLPT"
@@ -35,7 +41,7 @@ _KIND_CODE = {TEXT: 0, IMAGE: 1}
 _CODE_KIND = {0: TEXT, 1: IMAGE}
 
 __all__ = ["MAGIC", "VERSION", "TraceFormatError", "AttentionTrace",
-           "write_trace", "read_trace", "trace_from_run", "replay"]
+           "write_trace", "read_trace", "trace_from_run", "replay_report", "replay"]
 
 
 class TraceFormatError(ValueError):
@@ -127,22 +133,31 @@ def trace_from_run(attn_last_rows: np.ndarray, seq: MultimodalSequence) -> Atten
                           segments=seq.segments, rows=np.asarray(attn_last_rows, dtype=np.float64))
 
 
-def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig | None
-           ) -> tuple[list[LayerDecision] | None, MetricsReport]:
-    """Recompute every pruning decision offline, plus RR/KV accounting.
+def replay_report(trace: AttentionTrace,
+                  cfg: PruningConfig | FastVConfig | VTWConfig | None) -> MetricsReport:
+    """RR, KV and the per-(layer, head) rows of method ``cfg`` (None: no pruning)
+    on ``trace``, counted from each layer's allocation; no row is selected.
 
     ``trace`` must be valid (``AttentionTrace.validate``): ``read_trace``,
-    the gate for trace files, returns only validated traces. ``cfg`` names
-    the method (None: no pruning). The decisions are ``decide``'s over the
-    trace's rows, the ones ``run`` prunes by, bit for bit; RR/KV are counted
-    from them. No model execution.
+    the gate for trace files, returns only validated traces. An exempt
+    layer's heads keep every row; a pruned layer's heads keep every text row
+    and as many vision rows as its allocation counts. No model execution.
     """
     seq = build_sequence(trace.segments, seed=0)
-    n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
-    v = seq.vision_union.size
-    kept_vision = np.full((n, h), v)
-    decisions = decide(cfg, trace.rows, seq)
-    for l, dec in enumerate(decisions or ()):
-        if not dec.exempt:  # every head of a layer keeps equally many rows per image
-            kept_vision[l] = dec.per_head_retained.shape[1]
-    return decisions, report_from_counts(kept_vision + (s - v), kept_vision, s, v, decisions)
+    s, v = trace.seq_len, seq.vision_union.size
+    allocations = allocate(cfg, trace.rows, seq)
+    kept = [v] * trace.num_layers if allocations is None else \
+        [v if a.kept is None else a.kept for a in allocations]
+    kept_vision = np.repeat(np.array(kept, dtype=np.int64)[:, None], trace.num_heads, axis=1)
+    return report_from_counts(kept_vision + (s - v), kept_vision, s, v, allocations)
+
+
+def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig | None
+           ) -> tuple[list[LayerDecision] | None, MetricsReport]:
+    """Every pruning decision offline, and ``replay_report``'s report.
+
+    The decisions are ``decide``'s over the trace's rows, the ones ``run``
+    prunes by, bit for bit. ``trace`` must be valid, as for ``replay_report``.
+    """
+    decisions = decide(cfg, trace.rows, build_sequence(trace.segments, seed=0))
+    return decisions, replay_report(trace, cfg)

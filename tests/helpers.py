@@ -21,6 +21,9 @@ decision reaches it only through ``argtopk``.
 layer, and check only the batching and FastV's layer-K set.
 ``json_report`` is the report JSON as ``json.dumps`` writes it, which
 ``plphp.metrics.report_to_json`` renders without json's indenting encoder.
+``decision_count_report`` is the replay report counted from ``decide``'s
+selected rows, which ``plphp.trace.replay_report`` counts from each layer's
+allocation alone; both go through the one accounting.
 ``layer_from_heads``, ``random_cache_state``, ``cut_head`` and
 ``pruned_prefill`` are no oracles: they build and cut
 caches for the tests, ``pruned_prefill`` through the library's one pruning
@@ -34,9 +37,10 @@ import json
 import numpy as np
 
 from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention, argtopk,
-                   classify_layer, decide, masked_row_softmax, matmul, prefill, prune,
-                   vision_attention_score)
+                   build_sequence, classify_layer, decide, masked_row_softmax, matmul, prefill,
+                   prune, vision_attention_score)
 from plphp.baselines import fastv_surviving_set
+from plphp.metrics import report_from_counts
 from plphp.pruning import prune_head_cache, prune_layer, retained_count
 
 
@@ -310,7 +314,8 @@ def vtw_decide(layer: int, last_rows: np.ndarray, seq, cfg) -> LayerDecision:
 
 def sort_select(head_row: np.ndarray, image_indices: np.ndarray,
                 retention: float) -> tuple[list[int], int]:
-    k = int(np.floor(retention * len(image_indices)))
+    # K floors the product rounded to 9 decimals: 0.19999999999999998 * 10 keeps 2
+    k = int(np.floor(round(retention * len(image_indices), 9)))
     if retention > 0:
         k = max(1, k)
     ranked = sorted(image_indices.tolist(), key=lambda i: (-head_row[i], i))
@@ -341,6 +346,24 @@ def recount_metrics(state, seq) -> tuple[float, float]:
                         vision_rows += 1
     rr = vision_rows / (n * h * len(vision)) if vision else 1.0
     return rr, rows / (n * h * s)
+
+
+def decision_count_report(trace, cfg):
+    """The replay report of method ``cfg`` counted from ``decide``'s decisions.
+
+    Each pruned layer's heads keep ``per_head_retained.shape[1]`` vision rows
+    and every text row; an exempt layer keeps every row. This is how replay
+    counted before it counted level one alone, selecting every row first.
+    """
+    seq = build_sequence(trace.segments, seed=0)
+    n, h, s = trace.num_layers, trace.num_heads, trace.seq_len
+    v = seq.vision_union.size
+    kept_vision = np.full((n, h), v)
+    decisions = decide(cfg, trace.rows, seq)
+    for l, dec in enumerate(decisions or ()):
+        if not dec.exempt:
+            kept_vision[l] = dec.per_head_retained.shape[1]
+    return report_from_counts(kept_vision + (s - v), kept_vision, s, v, decisions)
 
 
 def json_report(report) -> str:

@@ -84,10 +84,12 @@ class TestFastV:
             assert cache.positions.tolist() == seq.text_union.tolist()
 
     def test_surviving_count(self, rng):
-        seq = mixed_seq(text_a=4, vision=92, text_b=4)
-        surviving = fastv_surviving_set(rows_for(rng, seq), seq,
-                                        FastVConfig(k_layer=3, prune_ratio=0.5))
-        assert surviving.size == 46  # 92 - floor(0.5 * 92)
+        # V - floor(R * V); 0.29 * 100 is 28.999999999999996, and drops 29 rows
+        for vision, ratio, want in [(92, 0.5, 46), (100, 0.29, 71)]:
+            seq = mixed_seq(text_a=4, vision=vision, text_b=4)
+            surviving = fastv_surviving_set(rows_for(rng, seq), seq,
+                                            FastVConfig(k_layer=3, prune_ratio=ratio))
+            assert surviving.size == want
 
     def test_ranking_matches_sort_oracle(self, rng):
         seq = mixed_seq(vision=10)

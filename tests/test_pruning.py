@@ -121,6 +121,16 @@ class TestSelectRetained:
         got, k = select_retained(rng.random(8), np.arange(5), 0.0)
         assert k == 0 and got.size == 0
 
+    @pytest.mark.parametrize("r, dr, layer_class, want", [
+        (0.3, 0.1, VISION_INDIFFERENT, 2),  # retention 0.19999999999999998
+        (0.7, 0.1, VISION_ATTENTIVE, 8),    # retention 0.7999999999999999
+    ])
+    def test_k_floors_the_rounded_product(self, rng, r, dr, layer_class, want):
+        retention = allocate_retention(layer_class, PruningConfig(r=r, delta_r=dr))
+        row, image = rng.random(12), np.arange(1, 11)
+        got, k = select_retained(row, image, retention)
+        assert k == got.size == sort_select(row, image, retention)[1] == want
+
     @pytest.mark.parametrize("retention", [0.0, 0.1, 0.4, 1.0])
     def test_head_rows_equal_per_head_calls(self, rng, retention):
         # coarse values tie within and across heads

@@ -6,18 +6,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import layer_from_heads
+from helpers import decision_count_report, layer_from_heads
 from plphp import (IMAGE, TEXT, FastVConfig, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, decide, prune)
+from plphp import baselines as baselines_module
 from plphp import pruning as pruning_module
 from plphp import trace as trace_module
+from plphp.baselines import allocate
 from plphp.cli import main
+from plphp.metrics import report_to_json, write_report_csv
 from plphp.model import DecoderState
-from plphp.trace import AttentionTrace, TraceFormatError, read_trace, replay, write_trace
+from plphp.trace import (AttentionTrace, TraceFormatError, read_trace, replay, replay_report,
+                         write_trace)
 
 # the methods that prune; "none" keeps every row
 METHODS = ["fastv", "plphp", "vtw"]
@@ -214,23 +218,98 @@ class TestReplay:
         assert report.retention_rate == 1.0  # no vision tokens to retain
 
 
-def test_cli_replay_takes_one_top_k_per_image_and_retention(rng, tmp_path, monkeypatch):
+# each method's config as ``main`` builds it from ``--method M --fastv-k 1 --vtw-k 1``
+REPLAY_METHODS = {"none": None, "plphp": PruningConfig(), "fastv": FastVConfig(k_layer=1),
+                  "vtw": VTWConfig(k_layer=1)}
+
+
+@pytest.mark.parametrize("method", sorted(REPLAY_METHODS))
+def test_cli_replay_makes_no_top_k_call(rng, tmp_path, monkeypatch, method):
+    """Replay counts each layer's allocation, so it selects no row; ``replay``,
+    which also returns ``decide``'s decisions, shows that the counter counts."""
     segments = (Segment(TEXT, 2), Segment(IMAGE, 6), Segment(TEXT, 1), Segment(IMAGE, 5),
-                Segment(TEXT, 1), Segment(IMAGE, 7), Segment(TEXT, 2))
+                Segment(TEXT, 2))
     path = tmp_path / "t.plpt"
     write_trace(path, make_trace(rng, n=9, h=3, segments=segments))
-    # gammas around V/S = 0.75, so the pruned layers take more than one retention
-    cfg = PruningConfig(alpha=0.76, beta=0.74)
-    decisions, _ = replay(read_trace(path), cfg)
-    retentions = {d.retention for d in decisions if not d.exempt}
-    assert len(retentions) >= 2
     calls = []
-    real = pruning_module.argtopk
-    monkeypatch.setattr(pruning_module, "argtopk",
-                        lambda values, k: calls.append(k) or real(values, k))
-    assert main(["replay", "--trace", str(path), "--method", "plphp",
-                 "--alpha", "0.76", "--beta", "0.74"]) == 0
-    assert 0 < len(calls) <= 3 * len(retentions)
+    for module in (pruning_module, baselines_module):
+        monkeypatch.setattr(module, "argtopk", lambda values, k, real=module.argtopk:
+                            calls.append(k) or real(values, k))
+    assert main(["replay", "--trace", str(path), "--method", method, "--fastv-k", "1",
+                 "--vtw-k", "1", "--report-out", str(tmp_path / "r.json")]) == 0
+    assert calls == []
+    replay(read_trace(path), REPLAY_METHODS[method])
+    assert bool(calls) == (method in ("plphp", "fastv"))
+
+
+def count_case(n, h, segments, cfg, seed=0):
+    """A trace of random softmax rows over ``segments``, and the method config."""
+    s = sum(seg.length for seg in segments)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = np.stack([random_softmax_rows(rng, h, s) for _ in range(n)])
+    return AttentionTrace(n, h, s, tuple(segments), rows), cfg
+
+
+def images(*lengths):
+    """Text, then each image followed by text."""
+    return [Segment(TEXT, 2), *(seg for n in lengths for seg in (Segment(IMAGE, n),
+                                                                 Segment(TEXT, 1)))]
+
+
+@st.composite
+def count_cases(draw):
+    n, h = draw(st.integers(3, 6)), draw(st.integers(1, 3))
+    segments = images(*draw(st.lists(st.integers(1, 12), max_size=3)))
+    method = draw(st.sampled_from(["none", *METHODS]))
+    k = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    if method == "plphp":
+        dr = draw(st.floats(0.0, 0.5))
+        beta, alpha = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        r = draw(st.sampled_from([dr, draw(st.floats(dr, 1.0 - dr))]))  # r = dr: retention 0
+        cfg = PruningConfig(r=r, delta_r=dr, alpha=alpha, beta=beta)
+    elif method == "fastv":
+        ratio = draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))]))
+        cfg = FastVConfig(k_layer=k, prune_ratio=ratio)
+    else:
+        cfg = VTWConfig(k_layer=k) if method == "vtw" else None
+    return count_case(n, h, segments, cfg, draw(st.integers(0, 2**32 - 1)))
+
+
+# alpha = beta = 1 makes every layer indifferent (r - dr), alpha = beta = 0 attentive (r + dr)
+INDIFFERENT, ATTENTIVE = dict(alpha=1.0, beta=1.0), dict(alpha=0.0, beta=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=count_cases())
+@example(case=count_case(5, 2, images(7, 3, 1, 12), None))
+@example(case=count_case(5, 2, images(7, 3, 1, 12), PruningConfig(r=0.1, delta_r=0.0)))  # K = 1
+@example(case=count_case(5, 3, images(4, 9), PruningConfig(r=0.3, delta_r=0.3, **INDIFFERENT)))
+@example(case=count_case(4, 2, images(10, 10), PruningConfig(r=0.3, delta_r=0.1, **INDIFFERENT)))
+@example(case=count_case(4, 2, images(10, 3), PruningConfig(r=0.7, delta_r=0.1, **ATTENTIVE)))
+@example(case=count_case(5, 2, images(7, 3), FastVConfig(k_layer=1, prune_ratio=0.0)))
+@example(case=count_case(5, 2, images(7, 3), FastVConfig(k_layer=5, prune_ratio=1.0)))
+@example(case=count_case(4, 2, images(60, 40), FastVConfig(k_layer=2, prune_ratio=0.29)))
+@example(case=count_case(5, 2, images(7, 3), VTWConfig(k_layer=1)))
+@example(case=count_case(5, 2, images(7, 3), VTWConfig(k_layer=5)))
+def test_level_one_count_equals_the_count_of_selected_rows(case):
+    """The replay report counted from each layer's allocation has the bytes,
+    JSON and CSV, of the one counted from ``decide``'s selected rows, and each
+    pruned layer selects as many rows as its allocation counts."""
+    trace, cfg = case
+    got, want = replay_report(trace, cfg), decision_count_report(trace, cfg)
+    assert report_to_json(got) == report_to_json(want)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_report_csv(paths[0], got)
+        write_report_csv(paths[1], want)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    seq = build_sequence(trace.segments, seed=0)
+    allocations, decisions = allocate(cfg, trace.rows, seq), decide(cfg, trace.rows, seq)
+    assert (allocations is None) == (decisions is None)
+    for a, d in zip(allocations or (), decisions or (), strict=True):
+        assert (a.kept is None) == d.exempt
+        if not d.exempt:
+            assert d.per_head_retained.shape[1] == a.kept
 
 
 @st.composite

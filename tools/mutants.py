@@ -188,6 +188,27 @@ MUTANTS = {
     "image-concat-order": (
         "pruning.py", "        kept.update(zip(group, np.concatenate(per_image, axis=2)))",
         "        kept.update(zip(group, np.concatenate(per_image[::-1], axis=2)))"),
+    # K floors the product unrounded: 0.19999999999999998 * 10 keeps 1 row, not 2
+    "k-floor-unrounded": (
+        "pruning.py", "    return math.floor(round(fraction * length, 9))",
+        "    return math.floor(fraction * length)"),
+    # replay's count of a pruned plphp layer forgets K's minimum of 1, which selection keeps
+    "count-drops-k-minimum": (
+        "pruning.py",
+        "        kept = None if retention is None else sum(retained_count(retention, n) "
+        "for n in lengths)",
+        "        kept = None if retention is None else sum(_floor_share(retention, n) "
+        "for n in lengths)"),
+    # replay's count keeps no vision row of an exempt layer
+    "count-exempt-as-pruned": (
+        "trace.py", "        [v if a.kept is None else a.kept for a in allocations]",
+        "        [0 if a.kept is None else a.kept for a in allocations]"),
+    # replay's count of FastV rounds the dropped share up; the selection floors it
+    "fastv-count-rounds-up": (
+        "baselines.py",
+        "    kept = fastv_kept_count(cfg.prune_ratio, seq.vision_union.size) \\",
+        "    kept = seq.vision_union.size - int(np.ceil(cfg.prune_ratio * "
+        "seq.vision_union.size)) \\"),
 }
 
 

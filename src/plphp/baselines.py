@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import MultimodalSequence
-from .model import LayerKVCache
+from .model import DecoderState
 # prune_head_cache stays bound here for perfbench/tracer.py, which rebinds it
-# under this module's name; the hooks prune through prune_layer.
+# under this module's name; the hooks prune through pruning.prune.
 from .pruning import (LayerAllocation, LayerDecision, PruningConfig,  # noqa: F401
                       _floor_share, _head_average, allocate_layers, decide_layers,
-                      prune_head_cache, prune_layer, vision_attention_score)
+                      prune, prune_head_cache, vision_attention_score)
 from .tensor_core import argtopk
 
 __all__ = ["FastVConfig", "VTWConfig", "fastv_kept_count", "fastv_surviving_set", "allocate",
@@ -81,28 +81,6 @@ def fastv_surviving_set(last_rows: np.ndarray, seq: MultimodalSequence,
 _NO_VISION = np.empty(0, dtype=np.int64)
 
 
-def _allocate_from_k(rows: np.ndarray, seq: MultimodalSequence, k_layer: int, kept: int,
-                     first_layer: int = 1) -> list[LayerAllocation]:
-    """Level one for layers ``first_layer..`` from their ``(L, H, S)`` rows.
-
-    Layers below ``k_layer`` are exempt; from it on every head keeps
-    ``kept`` vision rows. Gamma takes one reduction for all L layers.
-    """
-    gammas = vision_attention_score(rows, seq.vision_union)
-    return [LayerAllocation(layer, gamma, None, None, None if layer < k_layer else kept)
-            for layer, gamma in enumerate(gammas.tolist(), start=first_layer)]
-
-
-def _shared_rows(allocations: list[LayerAllocation], kept: np.ndarray,
-                 num_heads: int) -> list[LayerDecision]:
-    """Each allocation's decision: every head of a pruned layer keeps the
-    ascending vision positions ``kept``, one row broadcast to ``(H, K)``."""
-    per_head = np.broadcast_to(kept, (num_heads, kept.size))
-    return [LayerDecision(layer=a.layer, gamma=a.gamma, layer_class=None,
-                          per_head_retained=None if a.kept is None else per_head)
-            for a in allocations]
-
-
 def allocate(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray,
              seq: MultimodalSequence) -> list[LayerAllocation] | None:
     """Level one of ``decide``: each layer's gamma, class, retention and the
@@ -110,17 +88,20 @@ def allocate(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarr
     row selected. None for no pruning.
 
     plphp keeps ``retained_count`` rows of each image, FastV
-    ``fastv_kept_count`` rows and VTW none, both from layer K on.
+    ``fastv_kept_count`` rows and VTW none, both from layer K on (the
+    layers below K are exempt). Gamma takes one reduction for all N layers.
     """
     if cfg is None:
         return None
     rows = np.asarray(rows, dtype=np.float64)
     if isinstance(cfg, PruningConfig):
-        return allocate_layers(rows, seq, cfg, 1, len(rows))
+        return allocate_layers(rows, seq, cfg)
     check_depth(cfg, len(rows))
     kept = fastv_kept_count(cfg.prune_ratio, seq.vision_union.size) \
         if isinstance(cfg, FastVConfig) else 0
-    return _allocate_from_k(rows, seq, cfg.k_layer, kept)
+    gammas = vision_attention_score(rows, seq.vision_union)
+    return [LayerAllocation(layer, gamma, None, None, None if layer < cfg.k_layer else kept)
+            for layer, gamma in enumerate(gammas.tolist(), start=1)]
 
 
 def decide(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray,
@@ -129,50 +110,41 @@ def decide(cfg: PruningConfig | FastVConfig | VTWConfig | None, rows: np.ndarray
 
     Pure function of the rows, the layout and the config: ``allocate``,
     then the rows it counts. FastV ranks ``rows[K - 1]`` once; VTW keeps no
-    vision row from layer K on.
+    vision row from layer K on. Every head of a baseline's pruned layer keeps
+    the same ascending vision positions, one row broadcast to ``(H, K)``.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if isinstance(cfg, PruningConfig):
-        return decide_layers(rows, seq, cfg, 1, len(rows))
+        return decide_layers(rows, seq, cfg)
     allocations = allocate(cfg, rows, seq)
     if allocations is None:
         return None
     kept = fastv_surviving_set(rows[cfg.k_layer - 1], seq, cfg) \
         if isinstance(cfg, FastVConfig) else _NO_VISION
-    return _shared_rows(allocations, kept, rows.shape[1])
+    per_head = np.broadcast_to(kept, (rows.shape[1], kept.size))
+    return [LayerDecision(layer=a.layer, gamma=a.gamma, layer_class=None,
+                          per_head_retained=None if a.kept is None else per_head)
+            for a in allocations]
 
 
-def fastv_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
-               seq: MultimodalSequence, cfg: FastVConfig,
-               surviving: np.ndarray) -> tuple[LayerKVCache, LayerDecision]:
-    """FastV at one layer, given the set ranked at layer K; for perfbench/ until ROADMAP item 6."""
-    rows = np.asarray(last_rows)[None]
-    allocation = _allocate_from_k(rows, seq, cfg.k_layer, surviving.size, layer)
-    decision = _shared_rows(allocation, surviving, rows.shape[1])[0]
-    return prune_layer(caches, seq, decision), decision
+def fastv_hook(last_rows: np.ndarray, state: DecoderState, seq: MultimodalSequence,
+               cfg: FastVConfig | VTWConfig) -> tuple[DecoderState, list[LayerDecision]]:
+    """``decide`` and ``prune`` under ``cfg`` over prefill's ``(N, H, S)`` rows;
+    kept for perfbench/ until ROADMAP item 6."""
+    decisions = decide(cfg, last_rows, seq)
+    return prune(state, seq, decisions), decisions
 
 
-def vtw_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
-             seq: MultimodalSequence,
-             cfg: VTWConfig) -> tuple[LayerKVCache, LayerDecision]:
-    """VTW at one layer; kept for perfbench/ until ROADMAP item 6."""
-    rows = np.asarray(last_rows)[None]
-    allocation = _allocate_from_k(rows, seq, cfg.k_layer, 0, layer)
-    decision = _shared_rows(allocation, _NO_VISION, rows.shape[1])[0]
-    return prune_layer(caches, seq, decision), decision
+# VTW's hook is the same adapter, bound under the name perfbench/tracer.py times it by
+vtw_hook = fastv_hook
 
 
 def make_fastv_hook(cfg: FastVConfig, num_layers: int):
-    """FastV's prefill hook; only it holds the layer-K set. For perfbench/ until ROADMAP item 6."""
+    """FastV's prefill hook; kept for perfbench/ until ROADMAP item 6."""
     check_depth(cfg, num_layers)
-    surviving = _NO_VISION  # read only from layer K on
 
-    def hook(layer, last_rows, caches, seq):
-        nonlocal surviving
-        if layer == cfg.k_layer:
-            surviving = fastv_surviving_set(last_rows, seq, cfg)
-        return fastv_hook(layer, last_rows, caches, seq, cfg, surviving)
-
+    def hook(last_rows, state, seq):
+        return fastv_hook(last_rows, state, seq, cfg)
     return hook
 
 
@@ -180,7 +152,6 @@ def make_vtw_hook(cfg: VTWConfig, num_layers: int):
     """VTW's prefill hook; kept for perfbench/ until ROADMAP item 6."""
     check_depth(cfg, num_layers)
 
-    def hook(layer, last_rows, caches, seq):
-        return vtw_hook(layer, last_rows, caches, seq, cfg)
-
+    def hook(last_rows, state, seq):
+        return vtw_hook(last_rows, state, seq, cfg)
     return hook

@@ -47,8 +47,9 @@ own to every step.
 Prefill also returns the last prompt row of each head's attention map, the
 one row every pruning method reads, as one (N, H, S) array;
 ``baselines.decide`` turns it into decisions and ``pruning.prune`` cuts the
-caches after the pass. No layer reads another layer's cache, so pruning
-never affects prefill values, only decode-time attention.
+caches after the pass; a prefill hook does both in one call there. No layer
+reads another layer's cache, so pruning never affects prefill values, only
+decode-time attention.
 """
 
 from __future__ import annotations
@@ -65,12 +66,10 @@ import numpy as np
 from .layout import MultimodalSequence
 from .tensor_core import _head_matmul, _normalise_rows, make_rng, masked_row_softmax, matmul
 
-# hook(layer_1based, last_rows[H, S], layer_cache, seq) -> (layer_cache, LayerDecision),
-# last_rows read-only; kept for perfbench/ until ROADMAP item 6, as is prefill's hook loop
-PruningHook = Callable[
-    [int, np.ndarray, "LayerKVCache", MultimodalSequence],
-    tuple["LayerKVCache", Any],
-]
+# hook(last_rows[N, H, S], state, seq) -> (state, decisions), called once after the
+# pass with last_rows read-only; kept for perfbench/ until ROADMAP item 6
+PruningHook = Callable[[np.ndarray, "DecoderState", MultimodalSequence],
+                       tuple["DecoderState", Any]]
 
 # Rows of one prefill attention block: each head's scores, normalised in
 # place, take ATTN_BLOCK_ROWS x S floats at a time instead of S x S. 64 rows
@@ -463,11 +462,11 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
 
     With ``record_trace`` the report's ``attn_last_rows`` is the N x H x S
     array of last attention rows that ``decide`` reads. The hook, kept for
-    perfbench/ until ROADMAP item 6, runs for layers 1..N in order on a
-    read-only view of that layer's H x S block (a write raises
-    ``ValueError``) and may replace the layer's caches with pruned ones. No
-    layer reads another layer's cache, so pruning after the pass leaves the
-    caches pruning between layers would.
+    perfbench/ until ROADMAP item 6, runs once after the pass on a read-only
+    view of that array (a write raises ``ValueError``) and returns the state
+    to decode from and the decisions the report carries. No layer reads
+    another layer's cache, so pruning after the pass leaves the caches
+    pruning between layers would.
     """
     s = seq.total_length
     empty = np.empty((config.num_heads, 0, config.head_dim))
@@ -475,15 +474,11 @@ def prefill(weights: ModelWeights, config: ModelConfig, seq: MultimodalSequence,
               for _ in range(config.num_layers)]
     last_rows = np.empty((config.num_layers, config.num_heads, s))
     _prefill_pass(weights, config, caches, seq.token_ids, last_rows)
-    decisions: list[Any] | None = None
+    state, decisions = DecoderState(caches=caches, next_position=s), None
     if hook is not None:
         read_only = last_rows.view()
         read_only.flags.writeable = False
-        decisions = []
-        for l in range(config.num_layers):
-            caches[l], decision = hook(l + 1, read_only[l], caches[l], seq)
-            decisions.append(decision)
-    state = DecoderState(caches=caches, next_position=s)
+        state, decisions = hook(read_only, state, seq)
     return state, PrefillReport(decisions, last_rows if record_trace else None)
 
 

@@ -196,18 +196,18 @@ def prune_head_cache(cache: HeadKVCache, text_union: np.ndarray,
     return np.flatnonzero(np.isin(cache.positions, keep))
 
 
-def allocate_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
-                    first_layer: int, num_layers: int) -> list[LayerAllocation]:
-    """Level one for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
+def allocate_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence,
+                    cfg: PruningConfig) -> list[LayerAllocation]:
+    """Level one for all N layers from their ``(N, H, S)`` last attention rows.
 
-    Gamma takes one reduction for all L layers; a layer in the pruned range
+    Gamma takes one reduction for all N layers; a layer in the pruned range
     keeps ``retained_count`` rows of each image (``seq.image_spans``).
     """
-    gammas = vision_attention_score(attn_last_rows, seq.vision_union).tolist()  # checks (L, H, S)
-    first, last = cfg.pruned_range(num_layers)
+    gammas = vision_attention_score(attn_last_rows, seq.vision_union).tolist()  # checks (N, H, S)
+    first, last = cfg.pruned_range(len(gammas))
     lengths = [hi - lo for lo, hi in seq.image_spans]
     allocations = []
-    for layer, gamma in enumerate(gammas, start=first_layer):
+    for layer, gamma in enumerate(gammas, start=1):
         layer_class = classify_layer(gamma, cfg)
         retention = allocate_retention(layer_class, cfg) if first <= layer <= last else None
         kept = None if retention is None else sum(retained_count(retention, n) for n in lengths)
@@ -215,9 +215,9 @@ def allocate_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Pr
     return allocations
 
 
-def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: PruningConfig,
-                  first_layer: int, num_layers: int) -> list[LayerDecision]:
-    """Decisions for layers ``first_layer..`` from their ``(L, H, S)`` last attention rows.
+def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence,
+                  cfg: PruningConfig) -> list[LayerDecision]:
+    """Decisions for all N layers from their ``(N, H, S)`` last attention rows.
 
     Pure function of the rows, the layout and the config: level one by
     ``allocate_layers``, then level two. Each image takes one top-K per
@@ -229,10 +229,10 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
     image (27). The images' selections are concatenated once per retention
     value, in layout order, into each layer's ``(H, K)``
     ``per_head_retained``. Every row stands alone in both, so a layer's
-    decision has the same bits whichever layers share the call.
+    decision has the same bits as one selected alone.
     """
     rows = np.asarray(attn_last_rows, dtype=np.float64)
-    allocations = allocate_layers(rows, seq, cfg, first_layer, num_layers)
+    allocations = allocate_layers(rows, seq, cfg)
     retentions = [a.retention for a in allocations]
     num_heads, spans, kept = rows.shape[1], seq.image_spans, {}
     for retention in dict.fromkeys(r for r in retentions if r is not None):
@@ -248,15 +248,8 @@ def decide_layers(attn_last_rows: np.ndarray, seq: MultimodalSequence, cfg: Prun
             for i, a in enumerate(allocations)]
 
 
-def decide_layer(attn_last_rows: list[np.ndarray] | np.ndarray, seq: MultimodalSequence,
-                 cfg: PruningConfig, layer: int, num_layers: int) -> LayerDecision:
-    """Full layer-level decision from one layer's ``(H, S)`` last attention rows.
-
-    ``decide_layers`` for one layer, for ``plphp_hook``: the hook and
-    ``decide`` run one code path, so their decisions agree exactly.
-    """
-    rows = np.asarray(attn_last_rows, dtype=np.float64)[None]
-    return decide_layers(rows, seq, cfg, layer, num_layers)[0]
+# plphp_hook decides through this name, which perfbench/tracer.py times; until ROADMAP item 6
+decide_layer = decide_layers
 
 
 def prune_layer(layer: LayerKVCache, seq: MultimodalSequence,
@@ -282,16 +275,19 @@ def prune(state: DecoderState, seq: MultimodalSequence,
     return DecoderState(caches=caches, next_position=state.next_position)
 
 
-def plphp_hook(layer: int, last_rows: np.ndarray, caches: LayerKVCache,
-               seq: MultimodalSequence, cfg: PruningConfig,
-               num_layers: int) -> tuple[LayerKVCache, LayerDecision]:
-    """plphp at one layer (decide, then prune); kept for perfbench/ until ROADMAP item 6."""
-    decision = decide_layer(last_rows, seq, cfg, layer, num_layers)
-    return prune_layer(caches, seq, decision), decision
+def plphp_hook(last_rows: np.ndarray, state: DecoderState, seq: MultimodalSequence,
+               cfg: PruningConfig) -> tuple[DecoderState, list[LayerDecision]]:
+    """plphp's decisions from prefill's ``(N, H, S)`` rows, and the state they prune;
+    kept for perfbench/ until ROADMAP item 6."""
+    decisions = decide_layer(last_rows, seq, cfg)
+    return prune(state, seq, decisions), decisions
 
 
 def make_hook(cfg: PruningConfig, num_layers: int):
-    """plphp's prefill hook; kept for perfbench/ until ROADMAP item 6."""
-    def hook(layer, last_rows, caches, seq):
-        return plphp_hook(layer, last_rows, caches, seq, cfg, num_layers)
+    """plphp's prefill hook, refused here if ``cfg`` prunes past layer ``num_layers``;
+    kept for perfbench/ until ROADMAP item 6."""
+    cfg.pruned_range(num_layers)
+
+    def hook(last_rows, state, seq):
+        return plphp_hook(last_rows, state, seq, cfg)
     return hook

@@ -30,9 +30,9 @@ import numpy as np
 from .baselines import FastVConfig, VTWConfig, allocate, decide
 from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
 from .metrics import MetricsReport, report_from_counts
-# decide_layer stays bound here for perfbench/tracer.py, which rebinds it
-# under this module's name; replay decides through ``decide`` and counts
-# through ``allocate``.
+# decide_layer (pruning's alias of decide_layers) stays bound here for
+# perfbench/tracer.py, which rebinds it under this module's name; replay
+# decides through ``decide`` and counts through ``allocate``.
 from .pruning import LayerDecision, PruningConfig, decide_layer  # noqa: F401
 
 MAGIC = b"PLPT"

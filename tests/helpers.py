@@ -251,7 +251,8 @@ def loop_gamma(rows: np.ndarray, vision: np.ndarray) -> float:
 
 
 def per_layer_decision(rows: np.ndarray, seq, cfg, layer: int, num_layers: int) -> LayerDecision:
-    """``plphp.pruning.decide_layer`` as it was before decisions were batched.
+    """One layer's decision as plphp made it before ``plphp.pruning.decide_layers``
+    batched the layers.
 
     One layer's ``(H, S)`` rows: gamma by ``np.mean``, a 1-D gather and
     ``np.sum``, then one ``select_retained`` per image over the H rows.

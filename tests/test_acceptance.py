@@ -170,7 +170,8 @@ def test_criterion_6_structural_contrast():
     caches = layer_from_heads([(np.zeros((s, 4)), np.zeros((s, 4)), np.arange(s, dtype=np.int64))
                                for _ in rows])
     decision, = decide_layers(np.stack(rows)[None], seq,
-                              PruningConfig(r=0.2, delta_r=0.0, alpha=0.0, beta=0.0), 3, 6)
+                              PruningConfig(r=0.2, delta_r=0.0, alpha=0.0, beta=0.0,
+                                            first_pruned_layer=1, last_pruned_layer=1))
     pruned = prune_layer(caches, seq, decision)
     head_sets = [tuple(row.tolist()) for row in decision.per_head_retained]
     assert head_sets[0] != head_sets[1]

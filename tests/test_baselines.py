@@ -60,6 +60,8 @@ class TestConfigs:
             make_vtw_hook(VTWConfig(k_layer=9), num_layers=8)
         with pytest.raises(ValueError):
             make_fastv_hook(FastVConfig(k_layer=9, prune_ratio=0.5), num_layers=8)
+        with pytest.raises(ValueError, match="last pruned layer 9 exceeds model depth 8"):
+            make_hook(PruningConfig(last_pruned_layer=9), num_layers=8)
         seq = mixed_seq()
         rows = np.stack([rows_for(rng, seq) for _ in range(8)])
         for cfg in (VTWConfig(k_layer=9), FastVConfig(k_layer=9, prune_ratio=0.5)):

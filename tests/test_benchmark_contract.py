@@ -1,7 +1,8 @@
 """The benchmark's traced run rebinds the plphp names listed in
 ``perfbench/tracer.py``; a rename in plphp would break ``--trace 1``, and so
-would a ``matmul`` operand shape its classifier does not know. Its
-replay_grid workload drives the CLI, so a flag it passes must stay."""
+would a ``matmul`` operand shape its classifier does not know or a call that
+goes past a rebound name. Its replay_grid workload drives the CLI, so a flag
+it passes must stay."""
 
 import importlib
 import importlib.util
@@ -82,6 +83,43 @@ def test_tracer_classifies_every_matmul(monkeypatch, method):
     assert "unembed" not in kinds[:decode_from]
     # the tracer labels any 1-row left operand a decode step
     assert ctx.seq.total_length > 1 and min(a[0] for a, _ in shapes[:decode_from]) > 1
+
+
+# the tracer names a prefill reaches under each method's hook: a refactor that
+# calls past one would read 0 in its per-layer metric instead of failing
+PREFILL_REACHES = {"plphp.model.prefill", "plphp.model.matmul", "plphp.model.masked_row_softmax"}
+HOOK_REACHES = {
+    "none": set(),
+    "plphp": {"plphp.pruning.plphp_hook", "plphp.pruning.decide_layer",
+              "plphp.pruning.argtopk", "plphp.pruning.prune_head_cache"},
+    "fastv": {"plphp.baselines.fastv_hook", "plphp.baselines.argtopk",
+              "plphp.pruning.prune_head_cache"},
+    # VTW's pruned layers keep (H, 0) vision rows, cut head by head like any other
+    "vtw": {"plphp.baselines.vtw_hook", "plphp.pruning.prune_head_cache"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(HOOK_REACHES))
+def test_hooks_reach_the_tracer_names(monkeypatch, method):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run", monkeypatch)
+    spec = dict(run.LONG_DECODE, segments="T:8,I:24,T:4,I:24,T:4", steps=0)
+    ctx = run.model_setup(spec, seed=0, name="contract")
+    reached = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            reached[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, _ in run.tracing.TARGETS:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, counting(f"{module}.{attr}", getattr(mod, attr)))
+    model.prefill(ctx.weights, ctx.cfg, ctx.seq, hook=run.method_hook(method, ctx.cfg.num_layers))
+    assert set(reached) == PREFILL_REACHES | HOOK_REACHES[method]
+    # one hook call and one decision per prefill, over every layer's rows
+    assert all(n == 1 for name, n in reached.items() if name.endswith(("_hook", "decide_layer")))
 
 
 def test_replay_grid_argv_is_accepted(monkeypatch, tmp_path):

@@ -224,7 +224,8 @@ def test_decide_layer_per_image_budget(rng):
                           Segment(TEXT, 1)], seed=0)
     rows = random_softmax_rows(rng, 2, seq.total_length)
     decision, = decide_layers(rows[None], seq,
-                              PruningConfig(r=0.4, delta_r=0.0, alpha=1.0, beta=0.0), 3, 5)
+                              PruningConfig(r=0.4, delta_r=0.0, alpha=1.0, beta=0.0,
+                                            first_pruned_layer=1, last_pruned_layer=1))
     # each image gets its own floor(0.4 * S_j) budget, and keeps nothing outside itself
     assert decision.per_head_retained.shape == (2, 5)
     for row in decision.per_head_retained:
@@ -266,14 +267,7 @@ def test_decide_layers_equals_per_layer_oracle(data):
                         first_pruned_layer=first, last_pruned_layer=last)
 
     want = [per_layer_decision(rows[l], seq, cfg, l + 1, n) for l in range(n)]
-    assert_same_decisions(decide_layers(rows, seq, cfg, 1, n), want)
-    # a layer's decision does not depend on which layers share the call
-    a = data.draw(st.integers(0, n - 1))
-    b = data.draw(st.integers(a + 1, n))
-    assert_same_decisions(decide_layers(rows[a:b], seq, cfg, a + 1, n), want[a:b])
-    layer = data.draw(st.integers(1, n))  # one layer alone
-    assert_same_decisions(decide_layers(rows[layer - 1:layer], seq, cfg, layer, n),
-                          want[layer - 1:layer])
+    assert_same_decisions(decide_layers(rows, seq, cfg), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,7 +319,7 @@ def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):
     rows = np.stack([random_softmax_rows(rng, 3, seq.total_length) for _ in range(8)])
     # gammas around V/S = 0.75: layers fall on both sides of alpha and beta
     cfg = PruningConfig(alpha=0.76, beta=0.74)
-    decisions = decide_layers(rows, seq, cfg, 1, 8)
+    decisions = decide_layers(rows, seq, cfg)
     groups = {d.retention: sum(1 for e in decisions if e.retention == d.retention)
               for d in decisions if not d.exempt}
     assert len(groups) >= 2

@@ -156,8 +156,12 @@ MUTANTS = {
         "pruning.py", "        return layer.clone()",
         "        return layer.take(np.stack([prune_head_cache(c, seq.text_union,"
         " np.empty(0, dtype=np.int64)) for c in layer]))"),
-    "fastv-adapter-reranks": (
-        "baselines.py", "        if layer == cfg.k_layer:", "        if layer >= cfg.k_layer:"),
+    # the benchmark's plphp hook decides but hands prefill the unpruned state
+    "hook-skips-prune": (
+        "pruning.py", "    return prune(state, seq, decisions), decisions",
+        "    return state, decisions"),
+    "hook-skips-depth-check": (
+        "pruning.py", "    cfg.pruned_range(num_layers)", "    pass"),
     "layer-equal-rows-check": (
         "pruning.py",
         "        if kept is not None and not (isinstance(kept, np.ndarray) and kept.ndim == 2",

@@ -21,6 +21,7 @@ import operator
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -99,6 +100,8 @@ def latency_probe(step_fn: Callable[[], None], steps: int) -> float | None:
 
 def _json_scalar(value) -> str:
     """``value`` as ``json.dumps`` spells it (``ensure_ascii``, ``allow_nan``)."""
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -120,10 +123,19 @@ def _json_scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# one per_layer row as json.dumps(..., sort_keys=True, indent=2) writes it
+# a per_layer row as json.dumps(..., sort_keys=True, indent=2) writes it: the
+# text around its six cells, keys in _ROW_KEYS order
 _ROW_KEYS = sorted(CSV_COLUMNS)
 _ROW_VALUES = operator.itemgetter(*_ROW_KEYS)
-_ROW = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS) + "\n    }"
+_ROW_TEXT = ("    {\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS)
+             + "\n    }").split("%s")
+_CSV_VALUES = operator.itemgetter(*CSV_COLUMNS)
+
+
+def _same_objects(cells, last) -> bool:
+    """Whether ``cells`` are the very objects of ``last``; never ``==``, under
+    which 0.0 and -0.0, or 1 and True, would share one spelling."""
+    return all(map(operator.is_, cells, last))
 
 
 def report_to_json(report: MetricsReport) -> str:
@@ -134,11 +146,22 @@ def report_to_json(report: MetricsReport) -> str:
     ``CSV_COLUMNS`` keys; the fixed shape is written here, because json's
     indenting encoder is pure Python and took most of a replay's report
     time. Scalars are spelled as json spells them, NaN and infinities
-    included.
+    included. A layer's rows share their class, gamma, layer and retention
+    objects (``report_from_counts``), so those four are spelled once while
+    the next row holds the same objects; equal but distinct objects (0.0 and
+    -0.0, 1 and True) are spelled again.
     """
-    rows = ",\n".join([_ROW % tuple(map(_json_scalar, _ROW_VALUES(row)))
-                       for row in report.per_layer])
-    per_layer = f"[\n{rows}\n  ]" if report.per_layer else "[]"
+    t = _ROW_TEXT
+    rows, last = [], (object(),) * 4
+    for row in report.per_layer:
+        cls, gamma, head, kept, layer, retention = _ROW_VALUES(row)
+        shared = (cls, gamma, layer, retention)
+        if not _same_objects(shared, last):
+            last = shared
+            before = f"{t[0]}{_json_scalar(cls)}{t[1]}{_json_scalar(gamma)}{t[2]}"
+            after = f"{t[4]}{_json_scalar(layer)}{t[5]}{_json_scalar(retention)}{t[6]}"
+        rows.append(f"{before}{_json_scalar(head)}{t[3]}{_json_scalar(kept)}{after}")
+    per_layer = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return (f'{{\n  "decode_latency_ms": {_json_scalar(report.decode_latency_ms)},\n'
             f'  "kv_fraction": {_json_scalar(report.kv_fraction)},\n'
             f'  "per_layer": {per_layer},\n'
@@ -146,8 +169,25 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def write_report_csv(path, report: MetricsReport) -> None:
-    """One line per (layer, head) in ``CSV_COLUMNS`` order; None is an empty cell."""
+    """One line per (layer, head) in ``CSV_COLUMNS`` order; None is an empty cell.
+
+    The bytes ``csv.DictWriter`` writes, built as one string and written
+    once. A layer's four shared cells lead each of its lines and are spelled
+    once, by the same identity rule as ``report_to_json``.
+    """
+    # writerow returns what the file's write returns: here the line, cut
+    # before its "\r\n". The writer keeps that terminator, because csv quotes
+    # a cell holding any of its characters.
+    spell = csv.writer(SimpleNamespace(write=lambda line: line[:-2])).writerow
+    lines, last = [spell(CSV_COLUMNS) + "\r\n"], (object(),) * 4
+    for row in report.per_layer:
+        *shared, head, kept = _CSV_VALUES(row)  # layer, gamma, class, retention lead
+        if not _same_objects(shared, last):
+            last = shared
+            before = spell(shared)
+        if type(head) is int and type(kept) is int:
+            lines.append(f"{before},{head},{kept}\r\n")
+        else:
+            lines.append(f"{before},{spell((head, kept))}\r\n")
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([row[k] for k in CSV_COLUMNS] for row in report.per_layer)
+        f.write("".join(lines))

@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import FastVConfig, VTWConfig, allocate, decide
-from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence
+# build_sequence and decide_layer (pruning's alias of decide_layers) stay bound
+# here for perfbench/tracer.py, which rebinds them under this module's name;
+# replay lays out a trace with ``_layout``, decides through ``decide`` and
+# counts through ``allocate``.
+from .layout import IMAGE, TEXT, MultimodalSequence, Segment, build_sequence  # noqa: F401
 from .metrics import MetricsReport, report_from_counts
-# decide_layer (pruning's alias of decide_layers) stays bound here for
-# perfbench/tracer.py, which rebinds it under this module's name; replay
-# decides through ``decide`` and counts through ``allocate``.
 from .pruning import LayerDecision, PruningConfig, decide_layer  # noqa: F401
 
 MAGIC = b"PLPT"
@@ -133,6 +134,11 @@ def trace_from_run(attn_last_rows: np.ndarray, seq: MultimodalSequence) -> Atten
                           segments=seq.segments, rows=np.asarray(attn_last_rows, dtype=np.float64))
 
 
+def _layout(trace: AttentionTrace) -> MultimodalSequence:
+    """The trace's prompt layout. No decision reads a token id, so each is 0."""
+    return MultimodalSequence(trace.segments, np.zeros(trace.seq_len, dtype=np.int64))
+
+
 def replay_report(trace: AttentionTrace,
                   cfg: PruningConfig | FastVConfig | VTWConfig | None) -> MetricsReport:
     """RR, KV and the per-(layer, head) rows of method ``cfg`` (None: no pruning)
@@ -143,7 +149,11 @@ def replay_report(trace: AttentionTrace,
     layer's heads keep every row; a pruned layer's heads keep every text row
     and as many vision rows as its allocation counts. No model execution.
     """
-    seq = build_sequence(trace.segments, seed=0)
+    return _count_report(trace, cfg, _layout(trace))
+
+
+def _count_report(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig | None,
+                  seq: MultimodalSequence) -> MetricsReport:
     s, v = trace.seq_len, seq.vision_union.size
     allocations = allocate(cfg, trace.rows, seq)
     kept = [v] * trace.num_layers if allocations is None else \
@@ -159,5 +169,5 @@ def replay(trace: AttentionTrace, cfg: PruningConfig | FastVConfig | VTWConfig |
     The decisions are ``decide``'s over the trace's rows, the ones ``run``
     prunes by, bit for bit. ``trace`` must be valid, as for ``replay_report``.
     """
-    decisions = decide(cfg, trace.rows, build_sequence(trace.segments, seed=0))
-    return decisions, replay_report(trace, cfg)
+    seq = _layout(trace)
+    return decide(cfg, trace.rows, seq), _count_report(trace, cfg, seq)

@@ -20,7 +20,9 @@ decision reaches it only through ``argtopk``.
 ``plphp.decide`` batches: they share the FastV ranking and the gamma of one
 layer, and check only the batching and FastV's layer-K set.
 ``json_report`` is the report JSON as ``json.dumps`` writes it, which
-``plphp.metrics.report_to_json`` renders without json's indenting encoder.
+``plphp.metrics.report_to_json`` renders without json's indenting encoder;
+``dict_writer_csv`` is the report CSV as ``csv.DictWriter`` writes it, which
+``plphp.metrics.write_report_csv`` builds as one string.
 ``decision_count_report`` is the replay report counted from ``decide``'s
 selected rows, which ``plphp.trace.replay_report`` counts from each layer's
 allocation alone; both go through the one accounting.
@@ -32,6 +34,8 @@ path; the ``assert_same_*`` helpers compare caches and decisions.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -40,7 +44,7 @@ from plphp import (DecoderState, LayerDecision, LayerKVCache, allocate_retention
                    build_sequence, classify_layer, decide, masked_row_softmax, matmul, prefill,
                    prune, vision_attention_score)
 from plphp.baselines import fastv_surviving_set
-from plphp.metrics import report_from_counts
+from plphp.metrics import CSV_COLUMNS, report_from_counts
 from plphp.pruning import prune_head_cache, prune_layer, retained_count
 
 
@@ -376,6 +380,16 @@ def json_report(report) -> str:
         "per_layer": report.per_layer,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def dict_writer_csv(report) -> bytes:
+    """The report CSV as ``csv.DictWriter`` writes it, None as an empty cell."""
+    f = io.StringIO(newline="")
+    writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in report.per_layer:
+        writer.writerow({k: ("" if row[k] is None else row[k]) for k in CSV_COLUMNS})
+    return f.getvalue().encode()
 
 
 def _rms(x):

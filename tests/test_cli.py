@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dict_writer_csv, json_report
 from plphp import FastVConfig, PruningConfig, VTWConfig, cli, init_model, metrics, pruning
-from plphp.trace import MAGIC, VERSION, AttentionTrace
+from plphp.trace import MAGIC, VERSION, AttentionTrace, read_trace, replay
 from plphp.cli import (ConfigError, build_parser, load_config_file, main, parse_grid,
                        parse_segments, resolve_config)
 
@@ -537,6 +538,20 @@ class TestReplay:
         assert offline["retention_rate"] == live["retention_rate"]
         assert offline["kv_fraction"] == live["kv_fraction"]
         assert offline["per_layer"] == live["per_layer"]
+
+    @pytest.mark.parametrize("method, cfg", [
+        ("none", None), ("plphp", PruningConfig()),
+        ("fastv", FastVConfig(k_layer=2)), ("vtw", VTWConfig(k_layer=3))])
+    def test_replay_writes_json_dumps_and_dict_writer_bytes(self, small_trace, tmp_path,
+                                                            method, cfg):
+        # the files replay writes, byte for byte, against json.dumps and
+        # csv.DictWriter over replay's report of the same trace and method
+        out = tmp_path / "replay.json"
+        assert main(["replay", "--trace", str(small_trace), "--method", method,
+                     "--fastv-k", "2", "--vtw-k", "3", "--report-out", str(out)]) == 0
+        _, report = replay(read_trace(small_trace), cfg)
+        assert out.read_text() == json_report(report)
+        assert out.with_suffix(".csv").read_bytes() == dict_writer_csv(report)
 
     def test_missing_trace_exit_code(self, tmp_path):
         assert main(["replay", "--trace", str(tmp_path / "nope.plpt")]) == 3

@@ -1,13 +1,14 @@
-import csv
-import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import json_report, pruned_prefill, random_cache_state, recount_metrics
+from helpers import dict_writer_csv, json_report, pruned_prefill, random_cache_state, recount_metrics
 from plphp import (IMAGE, TEXT, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, init_model, latency_probe, prefill)
 from plphp.metrics import CSV_COLUMNS, MetricsReport, report_to_json, write_report_csv
@@ -113,7 +114,8 @@ def test_serialization(tmp_path):
     assert len(lines) == 1 + cfg.num_layers * cfg.num_heads
 
 
-# every scalar json.dumps takes, with the spellings that differ from repr
+# every scalar json.dumps takes, with the spellings that differ from repr, and
+# the cells csv must quote
 _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
@@ -123,15 +125,44 @@ _FLOATS = st.one_of(
 _STRINGS = st.one_of(
     st.text(st.characters(codec=None, exclude_categories=())),  # lone surrogates too
     st.sampled_from(["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\u00e9\u2028\u2029",
-                     "\U0001f600", "\ud800", "vision-attentive"]))
+                     "\U0001f600", "\ud800", "vision-attentive", "a,b", 'say "hi"', "\r",
+                     "\n", "two\r\nlines", " ", ""]))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70),
                      _FLOATS, _STRINGS)
+# cells equal under == but spelled apart; NaN equals nothing, not even a NaN
+_EQUAL_GROUPS = ((0.0, -0.0, 0, False), (1, 1.0, True), (math.nan,))
+
+
+def _fresh(value):
+    """``value`` as a new object where Python makes one: a float is never cached."""
+    return float(repr(value)) if type(value) is float else value
+
+
+@st.composite
+def _shared_layers(draw):
+    """``per_layer`` as ``report_from_counts`` builds it: each layer's layer,
+    gamma, class and retention drawn once and held by all of its rows. A layer
+    may take each cell from its predecessor's group: an equal but distinct
+    object, which a writer must spell again."""
+    rows, groups = [], None
+    for _ in range(draw(st.integers(1, 4))):
+        if groups is None or draw(st.booleans()):
+            groups = {k: draw(st.one_of(st.sampled_from(_EQUAL_GROUPS),
+                                        _SCALARS.map(lambda v: (v,))))
+                      for k in ("layer", "gamma", "class", "retention")}
+        shared = {k: _fresh(draw(st.sampled_from(group))) for k, group in groups.items()}
+        rows += [{**shared, "head": draw(_SCALARS), "kept_rows": draw(_SCALARS)}
+                 for _ in range(draw(st.integers(1, 3)))]
+    return rows
+
+
+_PER_LAYER = st.one_of(
+    st.lists(st.fixed_dictionaries({k: _SCALARS for k in CSV_COLUMNS}), max_size=4),
+    _shared_layers())
 
 
 @settings(max_examples=300, deadline=None)
-@given(top=st.tuples(_SCALARS, _SCALARS, _SCALARS),
-       per_layer=st.lists(st.fixed_dictionaries({k: _SCALARS for k in CSV_COLUMNS}),
-                          max_size=4))
+@given(top=st.tuples(_SCALARS, _SCALARS, _SCALARS), per_layer=_PER_LAYER)
 def test_report_json_bytes_equal_json_dumps(top, per_layer):
     # the renderer writes the fixed shape itself; json.dumps is the spec
     report = MetricsReport(*top, per_layer=per_layer)
@@ -151,14 +182,21 @@ def test_report_json_refuses_what_json_refuses():
         report_to_json(MetricsReport([0.5], 0.5, None, []))
 
 
-def dict_writer_csv(report) -> bytes:
-    """The report CSV as ``csv.DictWriter`` writes it, None as an empty cell."""
-    f = io.StringIO(newline="")
-    writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    for row in report.per_layer:
-        writer.writerow({k: ("" if row[k] is None else row[k]) for k in CSV_COLUMNS})
-    return f.getvalue().encode()
+@settings(max_examples=300, deadline=None)
+@given(per_layer=_PER_LAYER)
+def test_report_csv_bytes_equal_dict_writer(per_layer):
+    # the CSV is built as one string; csv.DictWriter is the spec, quoting included
+    report = MetricsReport(0.5, 0.5, None, per_layer=per_layer)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.csv"
+        try:
+            want = dict_writer_csv(report)
+        except UnicodeEncodeError:  # a lone surrogate: neither writes it
+            with pytest.raises(UnicodeEncodeError):
+                write_report_csv(out, report)
+            return
+        write_report_csv(out, report)
+        assert out.read_bytes() == want
 
 
 @pytest.mark.parametrize("method", ["plphp", "none"])

@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import decision_count_report, layer_from_heads
+from helpers import assert_same_decisions, decision_count_report, layer_from_heads
 from plphp import (IMAGE, TEXT, FastVConfig, PruningConfig, Segment, VTWConfig,
                    account, build_sequence, decide, prune)
 from plphp import baselines as baselines_module
 from plphp import pruning as pruning_module
+from plphp import layout as layout_module
 from plphp import trace as trace_module
 from plphp.baselines import allocate
 from plphp.cli import main
@@ -310,6 +311,34 @@ def test_level_one_count_equals_the_count_of_selected_rows(case):
         assert (a.kept is None) == d.exempt
         if not d.exempt:
             assert d.per_head_retained.shape[1] == a.kept
+
+
+@pytest.mark.parametrize("cfg", [None, PruningConfig(), FastVConfig(k_layer=2),
+                                 VTWConfig(k_layer=2)])
+def test_replay_lays_out_the_trace_once_and_draws_no_token_id(monkeypatch, cfg):
+    # decide and the count read one layout, built with no token draw; the
+    # decisions and report keep their bits
+    rng = np.random.Generator(np.random.PCG64(5))
+    segments = (Segment(TEXT, 3), Segment(IMAGE, 9), Segment(TEXT, 2), Segment(IMAGE, 5),
+                Segment(TEXT, 2))
+    trace = AttentionTrace(5, 2, 21, segments,
+                           np.stack([random_softmax_rows(rng, 2, 21) for _ in range(5)]))
+    want_decisions = decide(cfg, trace.rows, build_sequence(segments, seed=0))
+    want_json = report_to_json(decision_count_report(trace, cfg))
+    monkeypatch.setattr(layout_module, "make_rng",
+                        mock.Mock(side_effect=AssertionError("token ids drawn")))
+    layouts = []
+    for name in ("decide", "allocate"):
+        def recording(cfg, rows, seq, _fn=getattr(trace_module, name)):
+            layouts.append(seq)
+            return _fn(cfg, rows, seq)
+        monkeypatch.setattr(trace_module, name, recording)
+    decisions, report = replay(trace, cfg)
+    assert len(layouts) == 2 and layouts[0] is layouts[1]
+    assert layouts[0].segments == segments
+    assert (decisions is None) == (want_decisions is None)
+    assert_same_decisions(decisions or [], want_decisions or [])
+    assert report_to_json(report) == want_json
 
 
 @st.composite

@@ -182,6 +182,16 @@ MUTANTS = {
         "metrics.py", '        return "null"', '        return "None"'),
     "report-drops-key": (
         "metrics.py", "_ROW_KEYS = sorted(CSV_COLUMNS)", "_ROW_KEYS = sorted(CSV_COLUMNS)[1:]"),
+    # a layer's spelling reused for equal cells: 0.0 for -0.0, 1 for True
+    "report-reuses-equal-cells": (
+        "metrics.py", "    return all(map(operator.is_, cells, last))",
+        "    return all(map(operator.eq, cells, last))"),
+    # cells spelled with no line terminator: csv then leaves a "\n" or "\r" cell unquoted
+    "csv-cell-unquoted": (
+        "metrics.py",
+        "    spell = csv.writer(SimpleNamespace(write=lambda line: line[:-2])).writerow",
+        "    spell = csv.writer(SimpleNamespace(write=lambda line: line),"
+        ' lineterminator="").writerow'),
     "image-slice-end": (
         "layout.py",
         "        return tuple((hi - seg.length, hi) for seg, hi in zip(self.segments, ends)",

@@ -17,10 +17,14 @@ layer at once, each head over the rows it kept, through the bodies of
 values are one contraction over the layer's slice of the (3, N, H, D, D_k)
 q/k/v table (``ModelWeights.w_qkv``). A layer keeps all its heads' rows in
 one store with room to spare, so a decode step writes one row per head and
-copies none. No head holds an S x S map: memory is O(B * S) per thread for
-blocks of B rows, not O(S^2) per head, and the masked upper triangle is
-never multiplied. This is FlashAttention's row tiling (Dao et al. 2022,
-arXiv 2205.14135); full rows fit, so there is no online rescaling. Every
+copies none. No head holds an S x S map: a block of B rows ending at row
+i1 holds B x i1 scores, and B shrinks as i1 grows so that a block holds at
+most ATTN_BLOCK_FLOATS floats (plus one row). So a thread's two score
+workspaces are bounded whatever the prompt length, not O(S) per thread or
+O(S^2) per head, and the masked upper triangle is never multiplied. This
+is FlashAttention's tiling (Dao et al. 2022, arXiv 2205.14135), which sizes
+a tile by the memory it must fit; full rows fit, so there is no online
+rescaling. Every
 output keeps the bits of the full-matrix computation (a masked weight is
 exactly +0.0, and adding its +-0 product leaves the sum unchanged), and
 each head's decode row keeps the bits of its own 1-row product and
@@ -71,12 +75,16 @@ from .tensor_core import _head_matmul, _normalise_rows, make_rng, masked_row_sof
 PruningHook = Callable[[np.ndarray, "DecoderState", MultimodalSequence],
                        tuple["DecoderState", Any]]
 
-# Rows of one prefill attention block: each head's scores, normalised in
-# place, take ATTN_BLOCK_ROWS x S floats at a time instead of S x S. 64 rows
-# keep a block's buffers (1 MiB each at S=2048) within a 2 MiB L2; measured
-# against 32 and 128 at S=1024 and S=4096 (BENCH_einsum_contract.json's
-# tile_sweep).
+# The most rows and floats of one prefill attention block: a block of r rows
+# ending at row i1 holds r x i1 scores, normalised in place, and their
+# transposing copy, so r is capped by ATTN_BLOCK_ROWS and r * i1 by
+# ATTN_BLOCK_FLOATS. 2**17 floats (1 MiB) keep a thread's two workspaces
+# within a 2 MiB L2 at any prompt length; up to i1 = 2048 the budget allows
+# the full 64 rows. 64 rows were measured against 32 and 128 at S=1024 and
+# S=4096 (BENCH_einsum_contract.json's tile_sweep), and 2**17 floats against
+# 2**16 and 2**18 at S=4096 and S=8192 (BENCH_block_floats.json).
 ATTN_BLOCK_ROWS = 64
+ATTN_BLOCK_FLOATS = 2**17
 
 __all__ = [
     "ModelConfig", "ModelWeights", "HeadKVCache", "LayerKVCache", "DecoderState",
@@ -285,10 +293,19 @@ def _add_mlp(weights: ModelWeights, l: int, x: np.ndarray) -> None:
 def attention_row_blocks(m: int) -> list[tuple[int, int]]:
     """Causal attention row blocks ``[i0, i1)`` over the m new rows of a pass.
 
-    Blocks hold ATTN_BLOCK_ROWS rows; a 1-row tail joins the block before it,
-    so only an S=1 prompt has a 1-row block.
+    Block ``[i0, i1)`` takes the most rows r <= ATTN_BLOCK_ROWS for which
+    ``r * i1 <= ATTN_BLOCK_FLOATS``, with ``i1 = min(m, i0 + r)``, but at
+    least 2; a 1-row tail joins the block before it. So only an S=1 prompt
+    (or ATTN_BLOCK_ROWS = 1) has a 1-row block, and a block exceeds the
+    budget only by that joined row or at the 2-row floor. Up to m = 2048 the
+    defaults give the plain 64-row tiling.
     """
-    bounds = [*range(0, m, ATTN_BLOCK_ROWS), m]
+    bounds = [0]
+    while bounds[-1] < m:
+        i0 = bounds[-1]
+        # the most rows r with r * (i0 + r) <= ATTN_BLOCK_FLOATS, but at least 2
+        fit = max(2, (math.isqrt(i0 * i0 + 4 * ATTN_BLOCK_FLOATS) - i0) // 2)
+        bounds.append(min(m, i0 + min(ATTN_BLOCK_ROWS, fit)))
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds, bounds[1:]))

@@ -131,6 +131,22 @@ def assert_same_decisions(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
+def assert_kept_sets_nest(inner, outer, seq):
+    """Each (layer, head)'s kept vision rows under decisions ``inner`` lie within
+    its rows under ``outer``; an exempt layer keeps every vision row."""
+    vision = seq.vision_union.size
+    for a, b in zip(inner, outer, strict=True):
+        assert a.layer == b.layer
+        if b.exempt:
+            continue
+        if a.exempt:  # then b must keep every vision row too
+            assert all(len(row) == vision for row in b.per_head_retained), a.layer
+            continue
+        for h, (small, big) in enumerate(zip(a.per_head_retained, b.per_head_retained,
+                                             strict=True)):
+            assert np.isin(small, big).all(), (a.layer, h, small, big)
+
+
 def bits(x: np.ndarray) -> np.ndarray:
     """Bit patterns of a float64 array: unlike ==, tells -0.0 from +0.0."""
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_softmax_rows
-from helpers import (FastVRule, assert_same_caches, assert_same_decisions, layer_from_heads,
-                     pruned_prefill, same_bits, sort_topk, vtw_decide)
+from helpers import (FastVRule, assert_kept_sets_nest, assert_same_caches, assert_same_decisions,
+                     layer_from_heads, pruned_prefill, same_bits, sort_topk, vtw_decide)
 from plphp import (IMAGE, TEXT, DecoderState, FastVConfig, PruningConfig, Segment,
                    VTWConfig, build_sequence, decide, init_model, make_rng, prefill, prune)
 from plphp.baselines import fastv_surviving_set, make_fastv_hook, make_vtw_hook
@@ -194,6 +194,25 @@ def baseline_case(draw):
 def test_decide_equals_per_layer_rules(case):
     cfg, rows, seq = case
     assert_same_decisions(decide(cfg, rows, seq), per_layer_oracle(cfg, rows, seq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=baseline_case(), data=st.data())
+def test_kept_sets_nest_as_fastv_ratio_falls_and_vtw_k_rises(case, data):
+    """FastV's kept rows at a smaller prune_ratio hold those at a larger one,
+    with K fixed; VTW's at a larger K hold those at a smaller one."""
+    _, rows, seq = case
+    n = len(rows)
+    k = data.draw(st.integers(1, n))
+    ratios = sorted(data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                                  st.floats(0.0, 1.0)), min_size=2, max_size=5)),
+                    reverse=True)
+    fastv = [decide(FastVConfig(k_layer=k, prune_ratio=p), rows, seq) for p in ratios]
+    ks = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=5)))
+    vtw = [decide(VTWConfig(k_layer=k), rows, seq) for k in ks]
+    for sweep in (fastv, vtw):
+        for inner, outer in zip(sweep, sweep[1:]):
+            assert_kept_sets_nest(inner, outer, seq)
 
 
 @pytest.mark.parametrize("cfg", [None, PruningConfig(), FastVConfig(k_layer=2, prune_ratio=0.5),

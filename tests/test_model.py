@@ -197,18 +197,22 @@ class TestBlockedPrefill:
                               Segment(TEXT, tail)], seed=seed, vocab_size=cfg.vocab_size)
         assert_blocked_equals_full(w, cfg, seq, METHODS[method])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), block_rows=st.integers(1, 12),
-           method=st.sampled_from(sorted(METHODS)), steps=st.integers(8, 12))
-    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, method, steps):
+           block_floats=st.integers(1, 1000), method=st.sampled_from(sorted(METHODS)),
+           steps=st.integers(8, 12))
+    def test_random_layouts_and_block_sizes_bitwise(self, seed, block_rows, block_floats,
+                                                    method, steps):
         # small blocks put many boundaries (and 1-row blocks) inside short
-        # prompts; the head-batched decode keeps the per-head loop's bits
-        # over the head-divergent caches each method leaves
+        # prompts, and a small float budget shrinks them, down to the 2-row
+        # floor, as they move down the map; the head-batched decode keeps the
+        # per-head loop's bits over the head-divergent caches each method leaves
         rng = make_rng(seed)
         cfg, w = small_model(rng, max_layers=5)
         seq = build_sequence(random_segments(rng, max_segments=5, max_len=12),
                              seed=seed, vocab_size=cfg.vocab_size)
-        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
+        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows), \
+                mock.patch.object(model, "ATTN_BLOCK_FLOATS", block_floats):
             assert_blocked_equals_full(w, cfg, seq, METHODS[method], steps)
 
     # one tile, exact tiles, a 1-row tail (joined to the tile before) and a ragged tail
@@ -283,24 +287,45 @@ class TestBlockedPrefill:
         assert_same_caches(ref, got)
         assert_decodes_like_reference(w, cfg, ref, got, 3)
 
-    @settings(max_examples=200, deadline=None)
-    @given(s=st.integers(1, 2000), block_rows=st.integers(1, 300))
-    def test_row_blocks_tile_the_prompt(self, s, block_rows):
-        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows):
-            blocks = model.attention_row_blocks(s)
-        assert blocks[0][0] == 0 and blocks[-1][1] == s
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 20_000), block_rows=st.integers(1, 300),
+           block_floats=st.one_of(st.integers(1, 2**12), st.integers(1, 2**18)))
+    def test_row_blocks_tile_the_prompt(self, m, block_rows, block_floats):
+        with mock.patch.object(model, "ATTN_BLOCK_ROWS", block_rows), \
+                mock.patch.object(model, "ATTN_BLOCK_FLOATS", block_floats):
+            blocks = model.attention_row_blocks(m)
+        assert blocks[0][0] == 0 and blocks[-1][1] == m
         assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
         sizes = [i1 - i0 for i0, i1 in blocks]
         assert all(1 <= n <= block_rows + 1 for n in sizes)
-        if s > 1 and block_rows > 1:  # a 1-row block would look like a decode step
+        if m > 1 and block_rows > 1:  # a 1-row block would look like a decode step
             assert min(sizes) > 1
+        for i0, i1 in blocks:
+            r = i1 - i0
+            # within the budget or at the 2-row floor, the last block perhaps
+            # with a 1-row tail joined to it
+            assert r * i1 <= block_floats or r <= 2 or i1 == m and (
+                (r - 1) * (i1 - 1) <= block_floats or r <= 3), (i0, i1)
+        for i0, i1 in blocks[:-1]:
+            r = i1 - i0  # and no block before the last could take one more row
+            assert r == block_rows or (r + 1) * (i1 + 1) > block_floats, (i0, i1)
+
+    def test_row_blocks_are_64_row_tiles_up_to_2048_rows(self):
+        # the float budget first binds past row 2048 at the defaults
+        assert (model.ATTN_BLOCK_ROWS, model.ATTN_BLOCK_FLOATS) == (64, 2**17)
+        for m in range(1, 2049):
+            bounds = [*range(0, m, 64), m]
+            if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+                del bounds[-2]
+            assert model.attention_row_blocks(m) == list(zip(bounds, bounds[1:])), m
 
     def test_peak_memory_below_one_score_matrix(self, cpus):
-        # two heads, then four on the same two threads: the score workspaces
-        # and temporaries are per thread, so the heads add only their caches
+        # at S=2048 two heads, then four on the same two threads: the score
+        # workspaces and temporaries are per thread, so the heads add only
+        # their caches; at S=4096 a 64-row block would hold 2 MiB, but a
+        # workspace holds ATTN_BLOCK_FLOATS floats plus one row at any length
         cpus(2)
-        s = 2048
-        for h in (2, 4):
+        for s, h, mib in ((2048, 2, 8), (2048, 4, 8), (4096, 2, 9)):
             cfg, w = tiny(h=h, max_positions=s)
             seq = build_sequence([Segment(TEXT, 16), Segment(IMAGE, s - 32), Segment(TEXT, 16)],
                                  seed=0, vocab_size=cfg.vocab_size)
@@ -310,8 +335,8 @@ class TestBlockedPrefill:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # tile-sized: a few ATTN_BLOCK_ROWS x S buffers per thread, never S x S
-            assert peak < 8 * 2**20, f"H={h} prefill peak {peak / 2**20:.1f} MiB"
+            # tile-sized: two budget-sized workspaces per thread, never S x S
+            assert peak < mib * 2**20, f"S={s} H={h} prefill peak {peak / 2**20:.2f} MiB"
 
 
 def prefill_and_decode_digest(w, cfg, seq, pruning, steps=5):

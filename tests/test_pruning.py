@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segments, random_softmax_rows
-from helpers import (assert_same_decisions, cut_head, image_parts, layer_from_heads, loop_gamma,
-                     per_layer_decision, select_retained, set_keep, sort_select, stable_argtopk)
+from helpers import (assert_kept_sets_nest, assert_same_decisions, cut_head, image_parts,
+                     layer_from_heads, loop_gamma, per_layer_decision, select_retained, set_keep,
+                     sort_select, stable_argtopk)
 from plphp import (IMAGE, TEXT, FastVConfig, LayerDecision, PruningConfig, Segment, VTWConfig,
                    build_sequence, decide, make_rng, pruning)
 from plphp.baselines import fastv_surviving_set
@@ -307,6 +308,32 @@ def test_every_decision_keeps_one_ascending_row_per_head(seed, method):
         if method == "plphp":
             want = [retained_count(d.retention, hi - lo) for lo, hi in seq.image_spans]
             assert all([len(part) for part in image_parts(row, seq)] == want for row in kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kept_sets_nest_as_r_grows(data):
+    """With dr, alpha and beta fixed, each (layer, head)'s kept rows at a larger
+    r hold its rows at a smaller r, over random layouts and rows that tie: a
+    layer's class does not depend on r, its retention and so K grow with r,
+    and a top-K keeps its ranking's first K."""
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    seq = build_sequence(random_segments(rng, max_segments=5, max_len=12), seed=0)
+    n, h = data.draw(st.integers(4, 9)), data.draw(st.integers(1, 4))
+    rows = rng.random((n, h, seq.total_length))
+    levels = data.draw(st.sampled_from([None, 2, 3]))  # few levels: ties within a row
+    if levels is not None:
+        rows = np.floor(rows * levels) + 1.0
+    rows /= rows.sum(axis=2, keepdims=True)
+    dr = data.draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 0.5)))
+    beta = data.draw(st.floats(0.0, 1.0))
+    alpha = data.draw(st.floats(beta, 1.0))
+    rs = sorted(data.draw(st.lists(st.one_of(st.just(dr), st.just(1.0 - dr),
+                                             st.floats(dr, 1.0 - dr)), min_size=2, max_size=5)))
+    decisions = [decide(PruningConfig(r=r, delta_r=dr, alpha=alpha, beta=beta), rows, seq)
+                 for r in rs]
+    for inner, outer in zip(decisions, decisions[1:]):
+        assert_kept_sets_nest(inner, outer, seq)
 
 
 def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):

@@ -12,7 +12,10 @@ file there, ``python -m pytest -x`` runs in that copy with a fixed Hypothesis
 seed, and the file is restored before the next mutant; the checkout is never
 written. The fixed seed makes every run draw the same examples, so a mutant
 that a Hypothesis property kills first names the same test until the code or
-the tests change. A mutant is killed when pytest fails, and survived when
+the tests change. A mutant whose fault other tests meet only at random (a
+worker thread left running races whichever test comes next) names the one
+test that always fails it: that test runs alone first, and the suite runs
+only if it passes. A mutant is killed when pytest fails, and survived when
 every test passes. The criterion-7 latency test can fail on a busy host
 whatever the code, so a mutant it fails first is run again with that test
 deselected: the second run gives the result, and the report names both. One
@@ -47,7 +50,8 @@ TABLE_TEST = "tests/test_mutants.py"
 # fails at random on a busy host, so a kill it reports first is not credited
 LATENCY_TEST = "tests/test_acceptance.py::test_criterion_7_monotone_latency_trend"
 
-# name -> (file under src/plphp, the one line replaced, its replacement)
+# name -> (file under src/plphp, the one line replaced, its replacement[, a test
+# that runs alone before the suite])
 MUTANTS = {
     "matmul-1x1-fallback": (
         "tensor_core.py", "    if m == n == 1:", "    if False:"),
@@ -123,8 +127,11 @@ MUTANTS = {
         "        return x / math.sqrt(math.fsum(row * row) / len(row) + eps)"),
     "read-only-rows": (
         "model.py", "        read_only.flags.writeable = False", "        pass"),
+    # the unjoined worker races whichever test runs next, so the test that
+    # checks for it runs alone first
     "thread-join": (
-        "model.py", "            worker.join()", "            pass"),
+        "model.py", "            worker.join()", "            pass",
+        "tests/test_model.py::TestParallelHeads::test_no_thread_outlives_a_prefill"),
     # a thread that fails to start leaves those started before it unjoined
     "start-failure-join": (
         "model.py", "        for worker in started:",
@@ -166,6 +173,11 @@ MUTANTS = {
         "pruning.py",
         "        if kept is not None and not (isinstance(kept, np.ndarray) and kept.ndim == 2",
         "        if False and not (isinstance(kept, np.ndarray) and kept.ndim == 2"),
+    # prefill blocks of ATTN_BLOCK_ROWS rows whatever their width
+    "block-rows-ignore-float-budget": (
+        "model.py",
+        "        fit = max(2, (math.isqrt(i0 * i0 + 4 * ATTN_BLOCK_FLOATS) - i0) // 2)",
+        "        fit = ATTN_BLOCK_ROWS"),
     "layer-cap-ignores-max-rows": (
         "model.py", "            cap = max(l1, min(2 * l1, max_rows))", "            cap = 2 * l1"),
     "prune-shares-exempt": (
@@ -254,16 +266,19 @@ def run_pytest(tree: Path, *extra: str) -> tuple[str, str]:
 def run_one(tree: Path, name: str) -> tuple[str, str, float]:
     """(killed | survived | timeout, first failing test or "", seconds).
 
-    A mutant LATENCY_TEST fails first runs again without it; that run gives
-    the result, and the test names the first run's failure after it.
+    A mutant that names a test runs it alone first, and the suite only if it
+    passes. A mutant LATENCY_TEST fails first runs again without it; that run
+    gives the result, and the test names the first run's failure after it.
     """
-    rel, old, new = MUTANTS[name]
+    rel, old, new, *first = MUTANTS[name]
     path = tree / "src" / "plphp" / rel
     original = path.read_text()
     path.write_text(mutate(original, old, new))
     start = time.perf_counter()
     try:
-        result, test = run_pytest(tree)
+        result, test = run_pytest(tree, *first) if first else ("survived", "")
+        if result == "survived":
+            result, test = run_pytest(tree)
         if test == LATENCY_TEST:
             result, test = run_pytest(tree, f"--deselect={LATENCY_TEST}")
             test = f"{test or '-'} (first run: {LATENCY_TEST})"
@@ -278,7 +293,7 @@ def main() -> int:
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args()
     if args.list:
-        for name, (rel, old, new) in MUTANTS.items():
+        for name, (rel, old, new, *_) in MUTANTS.items():
             print(f"{name}: src/plphp/{rel}\n  - {old.strip()}\n  + {new.strip()}")
         return 0
     unknown = set(args.names) - set(MUTANTS)

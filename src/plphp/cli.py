@@ -164,7 +164,9 @@ def method_config(cfg: dict, num_layers: int) -> PruningConfig | FastVConfig | V
         return None
     try:
         pruning = config_class(**{field: cfg[key] for key, field in fields.items()})
-        if not isinstance(pruning, PruningConfig):  # its layer range is checked as it decides
+        if isinstance(pruning, PruningConfig):
+            pruning.pruned_range(num_layers)
+        else:
             check_depth(pruning, num_layers)
     except ValueError as e:
         raise ConfigError(str(e)) from e

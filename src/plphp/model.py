@@ -12,12 +12,13 @@ them in causal row blocks, starting from empty caches; each block's value
 mix reads its normalised scores column-major, from one transposing copy,
 so ``matmul`` runs its innermost loop along the block's rows. A decode
 step's pass appends one row per head and attends with all H heads of a
-layer at once, each head over the rows it kept, through the bodies of
-``tensor_core.head_matmul`` and ``head_row_softmax``; its queries, keys and
-values are one contraction over the layer's slice of the (3, N, H, D, D_k)
-q/k/v table (``ModelWeights.w_qkv``). A layer keeps all its heads' rows in
-one store with room to spare, so a decode step writes one row per head and
-copies none. No head holds an S x S map: a block of B rows ending at row
+layer at once, each head over the rows it kept, through the contraction
+and softmax bodies that ``matmul`` and ``masked_row_softmax`` check
+(``tensor_core._head_matmul`` and ``_normalise_rows``); its queries, keys
+and values are one contraction over the layer's slice of the (3, N, H, D,
+D_k) q/k/v table (``ModelWeights.w_qkv``). A layer keeps all its heads'
+rows in one store with room to spare, so a decode step writes one row per
+head and copies none. No head holds an S x S map: a block of B rows ending at row
 i1 holds B x i1 scores, and B shrinks as i1 grows so that a block holds at
 most ATTN_BLOCK_FLOATS floats (plus one row). So a thread's two score
 workspaces are bounded whatever the prompt length, not O(S) per thread or
@@ -120,9 +121,8 @@ class ModelWeights:
 
     ``w_qkv`` holds the query, key and value projections as one (3, N, H, D,
     D_k) table, so a decode step contracts its layer's (3, H, D, D_k) slice
-    once and builds nothing per step. ``w_q``, ``w_k`` and ``w_v`` are
-    read-only (N, H, D, D_k) views of its three parts (a write raises
-    ``ValueError``). The table's bytes are the three parts' in that order.
+    once and builds nothing per step; ``w_qkv[c, l, h]`` is head h's query
+    (c = 0), key (1) or value (2) projection in layer l.
     """
 
     token_embedding: np.ndarray
@@ -132,15 +132,6 @@ class ModelWeights:
     w_up: np.ndarray
     w_down: np.ndarray
     unembedding: np.ndarray
-
-    def _part(self, c: int) -> np.ndarray:
-        view = self.w_qkv[c]
-        view.flags.writeable = False
-        return view
-
-    w_q = property(lambda self: self._part(0))
-    w_k = property(lambda self: self._part(1))
-    w_v = property(lambda self: self._part(2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,9 +410,9 @@ def _prefill_pass(weights: ModelWeights, config: ModelConfig, caches: list[Layer
         def attend(h: int, work: np.ndarray) -> None:
             # reads only shared inputs; writes only head h's slabs, columns of
             # mixed and last row, so the order of heads changes no bit
-            q = matmul(h_in[r0:], weights.w_q[l, h])
-            kt[h, :, :m] = matmul(h_in, weights.w_k[l, h]).T
-            vs[h, :m] = matmul(h_in, weights.w_v[l, h])
+            q = matmul(h_in[r0:], weights.w_qkv[0, l, h])
+            kt[h, :, :m] = matmul(h_in, weights.w_qkv[1, l, h]).T
+            vs[h, :m] = matmul(h_in, weights.w_qkv[2, l, h])
             out = mixed[:, h * dk:(h + 1) * dk]
             for i0, i1 in blocks:
                 cells = (i1 - i0) * i1
@@ -447,12 +438,12 @@ def _decode_pass(weights: ModelWeights, config: ModelConfig, caches: list[LayerK
 
     Each layer appends the row to every head (``LayerKVCache.extend``) and
     attends with all H heads at once, over the n rows each head now holds.
-    It calls the bodies of ``tensor_core.head_matmul`` and
-    ``head_row_softmax`` (``_head_matmul`` and ``_normalise_rows``) on the
-    shapes it builds, without their argument checks: queries, keys and
-    values in one contraction of the row with the layer's (3, H, D, D_k)
-    slice of ``w_qkv`` (no per-step copy of the weights), scores over
-    ``kt[:, :, :n]``, their softmax and the value mix over ``vs[:, :n]``.
+    It calls the bodies that ``matmul`` and ``masked_row_softmax`` check
+    (``tensor_core._head_matmul`` and ``_normalise_rows``) on the shapes it
+    builds, without the checks: queries, keys and values in one contraction
+    of the row with the layer's (3, H, D, D_k) slice of ``w_qkv`` (no
+    per-step copy of the weights), scores over ``kt[:, :, :n]``, their
+    softmax and the value mix over ``vs[:, :n]``.
     Row h of each keeps the bits of head h's 1-row ``matmul`` and
     ``masked_row_softmax``, and the (H, D_k) output, read as one row, is the
     heads' columns in order. The out-projection, MLP and unembedding are

@@ -68,6 +68,9 @@ class PruningConfig:
         last = self.last_pruned_layer if self.last_pruned_layer is not None else num_layers - 1
         if last > num_layers:
             raise ValueError(f"last pruned layer {last} exceeds model depth {num_layers}")
+        if self.first_pruned_layer > last:
+            raise ValueError(f"first pruned layer {self.first_pruned_layer} lies past the "
+                             f"last, {last}, of a {num_layers}-layer model: nothing to prune")
         return self.first_pruned_layer, last
 
 

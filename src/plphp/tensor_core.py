@@ -3,16 +3,17 @@
 All public operations work on float64 numpy arrays and are deterministic:
 ``matmul`` accumulates over the inner dimension in a fixed sequential order,
 so results are bit-reproducible across runs and match a naive triple-loop
-product exactly. It is one ``np.einsum`` contraction with
-``optimize=False``, laid out so that numpy's innermost loop runs along an
-output axis and never along the summed one; an output of one element, which
-has no such axis, takes one in-order ``np.add.accumulate`` instead (see
-``matmul``). ``head_matmul`` and ``head_row_softmax`` run every head of a
-layer at once: row h keeps the bits of head h's 1-row ``matmul`` and
-``masked_row_softmax``, whose bodies they share. Each of the two is its
-argument checks plus one body (``_head_matmul``, ``_normalise_rows``), and a
-decode step calls those bodies directly on the shapes it builds, so it runs
-their arithmetic without their per-call checks.
+product exactly. Two bodies hold the arithmetic. ``_head_matmul`` is the
+row-major contraction: one ``np.einsum`` with ``optimize=False`` whose
+innermost loop runs along an output axis and never along the summed one,
+or, for a 1-column output, which has no such axis, one in-order
+``np.add.accumulate``. ``_normalise_rows`` is the row softmax. ``matmul``
+and ``masked_row_softmax`` are their checked entries: ``matmul`` adds one
+column-major layout of its own (prefill's value mix), and
+``masked_row_softmax`` the causal mask. A decode step calls both bodies
+directly, for every head of a layer at once, on the shapes it builds, so
+it runs their arithmetic without their per-call checks, and row h keeps
+the bits of head h's 1-row ``matmul`` and ``masked_row_softmax``.
 
 The seeded generator is numpy's PCG64 (a documented 64-bit PRNG), so the
 values it draws are the same on every platform. ``matmul`` and ``argtopk``
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matmul", "masked_row_softmax", "head_matmul", "head_row_softmax", "argtopk",
-           "make_rng"]
+__all__ = ["matmul", "masked_row_softmax", "argtopk", "make_rng"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -50,16 +50,14 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     numpy orders the loops by the operands' strides, so the innermost axis is
     the output axis along which an operand is unit-stride:
 
-    * j, ``"ik,kj->ij"``, over b with unit-stride rows that follow one
-      another forward without overlap (b is copied if not, see
-      ``_unit_rows``): the usual layout, and every one where n >= 2 and a is
-      not column-major.
-    * i, ``"ki,kj->ji"`` over a column-major a, when m > n: a's columns are
-      the longer inner loop. The n x m result is copied out transposed. An
-      ``n == 1`` product takes this layout even when a is not column-major,
-      and then copies a.
-    * none, for ``m == n == 1``: the K products in one row, added left to
-      right by ``_in_order_sum``.
+    * j, ``_head_matmul``'s ``"...k,...kn->...n"``, over b with unit-stride
+      rows that follow one another forward without overlap (b is copied if
+      not, see ``_unit_rows``): the usual layout, and every one with n >= 2
+      but the next.
+    * i, ``"ki,kj->ji"`` over a column-major a, when m > n > 1: a's columns
+      are the longer inner loop. The n x m result is copied out transposed.
+    * none, for ``n == 1``: each row's K products, added left to right by
+      ``_head_matmul``'s ``_in_order_sum``.
 
     einsum may run an axis backwards when every operand steps backwards
     along it; k runs forward because b's rows, or a's columns, step forward.
@@ -101,14 +99,11 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     if inner == 0 or m * n == 0:
         out.fill(0.0)
         return out
-    if m == n == 1:
-        return _in_order_sum(np.multiply(a, b.T), out)
-    if m > n and (n == 1 or a.flags.f_contiguous):
-        out_t = np.einsum("ki,kj->ji", np.asfortranarray(a).T, b, out=np.empty((n, m)),
-                          optimize=False)
+    if m > n > 1 and a.flags.f_contiguous:
+        out_t = np.einsum("ki,kj->ji", a.T, b, out=np.empty((n, m)), optimize=False)
         out[...] = out_t.T
         return out
-    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)
+    return _head_matmul(a, _unit_rows(b), out)
 
 
 def _in_order_sum(products: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -158,9 +153,8 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None) -> np.ndarr
     tree. Each row sum equals ``np.add.reduce`` over the row zero-padded to
     ``width`` columns, which ``_padded_row_sum`` computes without the padding.
 
-    ``scores`` must be a C-contiguous float64 array, as for
-    ``head_row_softmax``: C order keeps each row sum a pairwise sum along the
-    row. Any other layout raises ``ValueError``.
+    ``scores`` must be a C-contiguous float64 array: C order keeps each row
+    sum a pairwise sum along the row. Any other layout raises ``ValueError``.
     """
     if scores.ndim != 2 or scores.dtype != np.float64 or not scores.flags.c_contiguous:
         raise ValueError(f"expected a C-contiguous float64 m x n array, "
@@ -177,65 +171,31 @@ def masked_row_softmax(scores: np.ndarray, width: int | None = None) -> np.ndarr
     return _normalise_rows(scores, width)
 
 
-def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each head's row times its own matrix: (H x K) by (H x K x n) gives H x n.
-
-    Row h is bitwise ``matmul(a[h:h+1], b[h])``, the loop's ``0.0 + p0 + p1
-    + ...`` over k. This is the argument checks, the copy that gives b
-    unit-stride rows if it lacks them (``_unit_rows``) and ``_head_matmul``,
-    the body that a decode step also calls directly on the shapes it builds.
-    ``K == 0`` gives zeros.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 3 or b.shape[:2] != a.shape:
-        raise ValueError(f"head_matmul expects (H, K) x (H, K, n) operands, "
-                         f"got {a.shape} x {b.shape}")
-    h, inner, n = b.shape
-    if inner == 0 or h * n == 0:
-        return np.zeros((h, n))
-    return _head_matmul(a, _unit_rows(b))
-
-
-def _head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``head_matmul``'s body: float64 ``a`` (..., K) times ``b`` (..., K, n),
-    unchecked, for K >= 1 and n >= 1, b's rows unit-stride and following one
-    another forward (``_unit_rows``), and a's leading axes broadcasting to
-    b's. Gives ``b.shape[:-2] + (n,)``, C-ordered.
+def _head_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The row-major contraction: float64 ``a`` (..., K) times ``b`` (..., K,
+    n), unchecked, for K >= 1 and n >= 1, b's rows unit-stride and following
+    one another forward (``_unit_rows``). Gives ``b.shape[:-2] + (n,)``,
+    C-ordered, when a's leading axes broadcast to b's, or fills and returns
+    ``out``, a C-contiguous array of the broadcast shape (``matmul``'s m x n).
 
     Each output row is the loop's ``0.0 + p0 + p1 + ...`` over k: one
     ``np.einsum("...k,...kn->...n", ..., optimize=False)``, so numpy's
     innermost loop runs along n (a decode step's cache rows for the scores,
     D_k for the value mix and q/k/v) and each k adds its products into the
-    zeroed output, as in ``matmul``. A 1-column product has no such loop to
-    run, so its products are added along k by ``_in_order_sum``, as
-    ``matmul``'s single element is. NaN payloads behave as in ``matmul``.
-    The only temporaries are those products and the result, so a decode
-    step's stay below one head's key rows.
+    zeroed output. A 1-column product has no such loop to run, so its
+    products are added along k by ``_in_order_sum``. NaN payloads behave as
+    in ``matmul``. The only temporaries are those products and the result,
+    so a decode step's stay below one head's key rows.
 
     A decode step's q/k/v is one call: its (1, D) row, broadcast, against
     the layer's (3, H, D, D_k) slice of ``ModelWeights.w_qkv`` gives (3, H,
     D_k), each (c, h) row the bits of ``matmul(row, w[c, h])``.
     """
     if b.shape[-1] == 1:
-        return _in_order_sum(np.multiply(a, b[..., 0]))
-    out = np.empty(b.shape[:-2] + b.shape[-1:])
+        return _in_order_sum(np.multiply(a, b[..., 0]), out)
+    if out is None:
+        out = np.empty(b.shape[:-2] + b.shape[-1:])
     return np.einsum("...k,...kn->...n", a, b, out=out, optimize=False)
-
-
-def head_row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax of each row of H x n ``scores``, normalised in place and returned.
-
-    A decode step's score row per head: nothing is masked, and the rows are
-    normalised by ``masked_row_softmax``'s body at width n, so row h keeps
-    the bits of ``masked_row_softmax(scores[h:h+1])``. This is the checks
-    and ``_normalise_rows``, which a decode step calls directly.
-    """
-    if scores.ndim != 2 or scores.shape[1] == 0 or scores.dtype != np.float64 \
-            or not scores.flags.c_contiguous:
-        raise ValueError(f"expected a C-contiguous float64 H x n array with n >= 1, "
-                         f"got {scores.dtype} {scores.shape}")
-    return _normalise_rows(scores, scores.shape[1])
 
 
 def _normalise_rows(x: np.ndarray, width: int) -> np.ndarray:

@@ -173,9 +173,9 @@ def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The k-loop product ``c += a[:, k] * b[k, :]``, one numpy step per k.
 
     Same summation order as ``naive_matmul`` and fast enough for the
-    differential tests of ``plphp.matmul`` and ``head_matmul``: their einsum
-    layouts, the single element and the empty products must reproduce it bit
-    for bit.
+    differential tests of ``plphp.matmul`` and the contraction it shares with
+    a decode step: their einsum layouts, the in-order 1-column sum and the
+    empty products must reproduce it bit for bit.
     """
     out = np.zeros((a.shape[0], b.shape[1]))
     tmp = np.empty_like(out)
@@ -434,9 +434,9 @@ def cache_free_decode_logits(weights, config, seq, decode_tokens,
         h_in = _rms(x)
         outs = []
         for head in range(h):
-            q = h_in @ weights.w_q[l, head]
-            k = h_in @ weights.w_k[l, head]
-            v = h_in @ weights.w_v[l, head]
+            q = h_in @ weights.w_qkv[0, l, head]
+            k = h_in @ weights.w_qkv[1, l, head]
+            v = h_in @ weights.w_qkv[2, l, head]
             allowed = np.zeros((total, total), dtype=bool)
             for i in range(s):
                 allowed[i, : i + 1] = True
@@ -477,9 +477,9 @@ def full_matrix_prefill(weights, config, seq, decisions=None):
         h_in = _rms(x)
         heads, outs = [], []
         for head in range(h):
-            q = matmul(h_in, weights.w_q[l, head])
-            k = matmul(h_in, weights.w_k[l, head])
-            v = matmul(h_in, weights.w_v[l, head])
+            q = matmul(h_in, weights.w_qkv[0, l, head])
+            k = matmul(h_in, weights.w_qkv[1, l, head])
+            v = matmul(h_in, weights.w_qkv[2, l, head])
             attn = masked_row_softmax(matmul(q, k.T) * scale)
             outs.append(matmul(attn, v))
             last_rows[l, head] = attn[-1]
@@ -514,9 +514,9 @@ def reference_decode_step(weights, config, state, token_id):
         heads = []
         for h in range(config.num_heads):
             cache = state.caches[l][h]
-            q = matmul(h_in, weights.w_q[l, h])
-            k_new = matmul(h_in, weights.w_k[l, h])
-            v_new = matmul(h_in, weights.w_v[l, h])
+            q = matmul(h_in, weights.w_qkv[0, l, h])
+            k_new = matmul(h_in, weights.w_qkv[1, l, h])
+            v_new = matmul(h_in, weights.w_qkv[2, l, h])
             keys = np.concatenate([cache.keys, k_new])
             values = np.concatenate([cache.values, v_new])
             positions = np.concatenate([cache.positions, [pos]])

@@ -73,8 +73,8 @@ def test_tracer_classifies_every_matmul(monkeypatch, method):
     tracer = run.tracing.Tracer(cfg.model_dim, cfg.head_dim, cfg.vocab_size)
     kinds = [tracer.matmul_kind(np.empty(a), np.empty(b)) for a, b in shapes]
     n = cfg.num_layers
-    # a decode step attends with every head at once through head_matmul and
-    # head_row_softmax, which the tracer does not bind: it sees only the
+    # a decode step attends with every head at once through _head_matmul and
+    # _normalise_rows, which the tracer does not bind: it sees only the
     # layers' out-projections and MLPs and the unembedding
     per_step = Counter(out_proj=n, mlp=2 * n, unembed=1)
     assert Counter(kinds[decode_from:]) == Counter({k: spec["steps"] * c

@@ -66,7 +66,7 @@ class TestInitModel:
     def test_seed_changes_weights(self):
         _, w1 = tiny(seed=3)
         _, w2 = tiny(seed=4)
-        assert not np.array_equal(w1.w_q, w2.w_q)
+        assert not np.array_equal(w1.w_qkv, w2.w_qkv)
 
     def test_weight_shapes_list_every_field_in_order(self):
         cfg, w = tiny()
@@ -76,15 +76,16 @@ class TestInitModel:
 
     def test_q_k_v_are_read_only_views_of_one_table(self):
         # one (3, N, H, D, D_k) table, counted once: the weight floats, and so
-        # the CLI's cap, are those of three (N, H, D, D_k) projections
+        # the CLI's cap, are those of three (N, H, D, D_k) projections, drawn
+        # in turn after the embeddings
         cfg, w = tiny()
         n, h, d, dk = cfg.num_layers, cfg.num_heads, cfg.model_dim, cfg.head_dim
-        for c, name in enumerate(("w_q", "w_k", "w_v")):
-            view = getattr(w, name)
-            assert view.shape == (n, h, d, dk) and np.shares_memory(view, w.w_qkv)
-            assert view.ctypes.data == w.w_qkv[c].ctypes.data
-            with pytest.raises(ValueError):
-                view[0, 0, 0, 0] = 1.0
+        rng = make_rng(0)
+        rng.standard_normal((cfg.vocab_size, d))
+        rng.standard_normal((cfg.max_positions, d))
+        for c in range(3):  # query, key and value
+            want = rng.standard_normal((n, h, d, dk)) * (1.0 / np.sqrt(d))
+            assert w.w_qkv[c].shape == (n, h, d, dk) and np.array_equal(w.w_qkv[c], want)
         v, p = cfg.vocab_size, cfg.max_positions
         assert sum(np.prod(shape) for shape in weight_shapes(cfg).values()) == \
             v * d + p * d + 3 * n * h * d * dk + n * d * d + 2 * n * d * 4 * d + d * v
@@ -398,7 +399,7 @@ class TestParallelHeads:
         seq = mixed_seq()
         real = model.matmul
         current = threading.local()  # the head this thread runs: its q projection comes first
-        w_q = [w.w_q[0, h].ctypes.data for h in range(cfg.num_heads)]
+        w_q = [w.w_qkv[0, 0, h].ctypes.data for h in range(cfg.num_heads)]
         calls = collections.Counter()
 
         def failing(a, b, **kwargs):

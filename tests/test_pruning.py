@@ -45,6 +45,18 @@ class TestPruningConfig:
         with pytest.raises(ValueError):
             PruningConfig(**kwargs)
 
+    def test_pruned_range_is_never_empty(self):
+        # the default last layer, N - 1, resolves per model: a first layer past
+        # it is refused as the same range written out is, not pruned as nothing
+        assert PruningConfig().pruned_range(4) == (3, 3)
+        assert PruningConfig(first_pruned_layer=8, last_pruned_layer=8).pruned_range(8) == (8, 8)
+        for cfg, depth in [(PruningConfig(first_pruned_layer=8), 8), (PruningConfig(), 3),
+                           (PruningConfig(), 1)]:
+            with pytest.raises(ValueError, match="lies past the last"):
+                cfg.pruned_range(depth)
+        with pytest.raises(ValueError, match="exceeds model depth"):
+            PruningConfig(last_pruned_layer=9).pruned_range(8)
+
 
 class TestVisionAttentionScore:
     def test_uniform_rows(self):
@@ -263,7 +275,8 @@ def test_decide_layers_equals_per_layer_oracle(data):
     dr = data.draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.5)))
     r = data.draw(st.one_of(st.just(dr), st.just(1.0 - dr), st.floats(dr, 1.0 - dr)))
     first = data.draw(st.integers(1, n))
-    last = data.draw(st.one_of(st.none(), st.integers(first, n)))
+    # the default last layer is N - 1, so a range that starts at N names its end
+    last = data.draw(st.one_of(st.none(), st.integers(first, n)) if first < n else st.just(n))
     cfg = PruningConfig(r=r, delta_r=dr, alpha=alpha, beta=beta,
                         first_pruned_layer=first, last_pruned_layer=last)
 
@@ -279,7 +292,9 @@ def test_every_decision_keeps_one_ascending_row_per_head(seed, method):
     the images; plphp keeps ``retained_count`` rows of each image per head."""
     rng = make_rng(seed)
     seq = build_sequence(random_segments(rng), seed=0)
-    n, h = int(rng.integers(3, 8)), int(rng.integers(1, 5))
+    # plphp's default range [3, N - 1] needs N >= 4
+    n = int(rng.integers(4 if method == "plphp" else 3, 8))
+    h = int(rng.integers(1, 5))
     rows = rng.random((n, h, seq.total_length))
     rows /= rows.sum(axis=2, keepdims=True)
     dr = float(rng.uniform(0.0, 0.5))
@@ -334,6 +349,38 @@ def test_kept_sets_nest_as_r_grows(data):
                  for r in rs]
     for inner, outer in zip(decisions, decisions[1:]):
         assert_kept_sets_nest(inner, outer, seq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kept_sets_shrink_as_alpha_or_beta_rise(data):
+    """With r and dr fixed, raising alpha or beta never adds a kept row to any
+    (layer, head), over random layouts and rows that tie: a higher alpha can
+    only move a layer from attentive to balanced and a higher beta from
+    balanced to indifferent, each to a retention no larger, and a top-K
+    keeps its ranking's first K."""
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    seq = build_sequence(random_segments(rng, max_segments=5, max_len=12), seed=0)
+    n, h = data.draw(st.integers(4, 9)), data.draw(st.integers(1, 4))
+    rows = rng.random((n, h, seq.total_length))
+    levels = data.draw(st.sampled_from([None, 2, 3]))  # few levels: ties within a row
+    if levels is not None:
+        rows = np.floor(rows * levels) + 1.0
+    rows /= rows.sum(axis=2, keepdims=True)
+    dr = data.draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 0.5)))
+    r = data.draw(st.one_of(st.just(dr), st.just(1.0 - dr), st.floats(dr, 1.0 - dr)))
+    # thresholds at the layers' own gammas too, so a rise moves layers across them
+    gammas = vision_attention_score(rows, seq.vision_union).tolist()
+    threshold = st.one_of(st.sampled_from([0.0, 1.0, *gammas]), st.floats(0.0, 1.0))
+    steps = data.draw(st.integers(2, 5))
+    betas = sorted(data.draw(st.lists(threshold, min_size=steps, max_size=steps)))
+    alphas = sorted(data.draw(st.lists(threshold, min_size=steps, max_size=steps)))
+    # alpha_i = max(alphas_i, betas_i): both rise, and beta <= alpha at every step
+    decisions = [decide(PruningConfig(r=r, delta_r=dr, alpha=max(alpha, beta), beta=beta),
+                        rows, seq)
+                 for alpha, beta in zip(alphas, betas)]
+    for lower, higher in zip(decisions, decisions[1:]):
+        assert_kept_sets_nest(higher, lower, seq)
 
 
 def test_decide_layers_one_top_k_per_retention_and_image(rng, monkeypatch):

@@ -1,17 +1,18 @@
 """The kernels against the brute-force references in ``helpers``, by bit pattern.
 
 ``matmul`` is held to the k-loop (``loop_matmul``): a Hypothesis property
-over m, K and n in {0, 1, 2-40, 200-300}, six memory layouts of each
+over m, K and n in {0, 1, 2-40, 200-300}, seven memory layouts of each
 operand, a dirty ``out`` and every special value; the cancellation
 ``1e16 + 1 + ... + 1 - 1e16`` at one row, one column and one element; a
 case that fused multiply-adds round differently, whose failure says that
 this numpy's einsum fuses; a recording ``np`` that checks ``optimize=False``
-and unit-stride inner loops; and reversed and broadcast operands.
-``head_matmul`` and ``head_row_softmax`` are held to the per-head
-``matmul`` and 1-row softmax over the same layouts, K = 0, n = 0, one
-column, signed zeros, +-inf and NaN. The blocked softmax is held to the
-full map's rows, and its padding-free row sum to the zero-padded reduce for
-widths past 9000. ``argtopk`` is held to a stable argsort.
+and unit-stride inner loops; and reversed and broadcast operands. The
+bodies a decode step calls unchecked, ``_head_matmul`` and
+``_normalise_rows``, are held to the per-head ``matmul`` and 1-row softmax
+on the layouts a decode step builds, one column, signed zeros, +-inf and
+NaN. The blocked softmax is held to the full map's rows, and its
+padding-free row sum to the zero-padded reduce for widths past 9000.
+``argtopk`` is held to a stable argsort.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from helpers import (DIRTY_NAN, DirtyNumpy, bits, canonical_nan_bits, loop_matmu
                      naive_matmul, naive_softmax, row_softmax, same_bits, sort_topk,
                      stable_argtopk)
 from plphp import argtopk, make_rng, masked_row_softmax, matmul, model, tensor_core
-from plphp.tensor_core import head_matmul, head_row_softmax
+from plphp.tensor_core import _head_matmul, _normalise_rows
 
 NAN_A = DIRTY_NAN
 NAN_B = np.uint64(0xFFF80000000ABCDE).view(np.float64)
@@ -41,7 +42,7 @@ SPECIALS = {"finite": [0.0, -0.0], "inf": [0.0, -0.0, np.inf, -np.inf],
             "nan_a": [0.0, -0.0, NAN_A], "nan_b": [0.0, -0.0, NAN_B],
             "nan_two": [0.0, -0.0, np.inf, -np.inf, NAN_A, NAN_B]}
 # how an operand's values lie in memory (see _laid_out)
-LAYOUTS = ["C", "F", "transposed", "sliced", "strided", "reversed"]
+LAYOUTS = ["C", "F", "transposed", "sliced", "strided", "reversed", "broadcast"]
 
 
 def _operand(rng, shape, mode):
@@ -59,8 +60,12 @@ def _laid_out(x, layout):
     "sliced" is cut from a larger NaN-filled array, every axis starting at 1
     and ending before the larger one's end, as a cache store's slab is;
     "strided" takes every other element along every axis; "reversed" is a
-    view with every axis stepping backwards.
+    view with every axis stepping backwards. "broadcast" alone is not equal
+    to ``x``: it repeats x's first row (stride 0 along the second-to-last
+    axis), so a test compares against a copy of it.
     """
+    if layout == "broadcast":
+        return np.broadcast_to(x[..., :1, :], x.shape)
     if layout == "C":
         return np.ascontiguousarray(x)
     if layout == "F":
@@ -143,7 +148,7 @@ class TestMatmul:
         a, b = np.array([[-1.0, x]] * 3), np.array([[p] * 3, [x] * 3])
         got = {"j innermost": matmul(a, b),
                "i innermost": matmul(np.asfortranarray(a), b[:, :2]),
-               "heads": head_matmul(a, np.stack([b] * 3))}
+               "heads": _head_matmul(a, np.stack([b] * 3))}
         for layout, c in got.items():
             assert same_bits(c, np.zeros(c.shape)), (
                 f"{layout}: this numpy's einsum fuses its multiply and add (FMA), so "
@@ -154,10 +159,11 @@ class TestMatmul:
         # optimize=True may hand a contraction to BLAS, which sums in its own order
         recording = _RecordingNumpy()
         a, b = rng.standard_normal((30, 8)), rng.standard_normal((8, 4))
+        keys = rng.standard_normal((4, 8, 16))  # a decode step's keys^T store
         with patch.object(tensor_core, "np", recording):
             matmul(a, b)
             matmul(np.asfortranarray(a), b)
-            head_matmul(a[:4], rng.standard_normal((4, 8, 3)))
+            _head_matmul(a[:4], keys[:, :, :3])
         assert [kwargs.get("optimize", "not given") for _, kwargs in recording.calls] == \
             [False] * 3
 
@@ -171,8 +177,7 @@ class TestMatmul:
         with patch.object(tensor_core, "np", recording):
             matmul(_laid_out(a, layout), _laid_out(b, layout))
             matmul(_laid_out(b.T, layout), _laid_out(a.T, layout))
-            head_matmul(_laid_out(a, layout), _laid_out(np.stack([b] * 5), layout))
-        assert len(recording.calls) == 3
+        assert len(recording.calls) == 2
         for (spec, *operands), _ in recording.calls:
             inner = operands[0] if spec == "ki,kj->ji" else operands[-1]
             assert inner.strides[-1] == inner.itemsize, (spec, inner.strides)
@@ -186,8 +191,6 @@ class TestMatmul:
         a_back, b_back = np.array(a[:, ::-1])[:, ::-1], np.array(b[::-1])[::-1]
         for x in (a, a_back, np.asfortranarray(a_back[::-1])[::-1]):
             assert same_bits(matmul(x, b_back), want) and same_bits(matmul(x, b), want)
-        heads = np.array(np.stack([b] * 3)[:, ::-1])[:, ::-1]
-        assert same_bits(head_matmul(a_back, heads), want)
 
     def test_broadcast_rows_are_copied(self, rng):
         # rows of b that overlap (one row broadcast along k) would leave the
@@ -196,7 +199,6 @@ class TestMatmul:
         b = np.broadcast_to(rng.standard_normal(5), (50, 5))
         want = loop_matmul(a, np.array(b))
         assert same_bits(matmul(a, b), want)
-        assert same_bits(head_matmul(a, np.broadcast_to(b, (3, 50, 5))), want)
 
     @settings(max_examples=300, deadline=None)
     @given(m=DIM, inner=DIM, n=DIM, mode=st.sampled_from(sorted(SPECIALS)),
@@ -209,19 +211,26 @@ class TestMatmul:
              seed=0)
     @example(m=1, inner=0, n=3, mode="finite", layout_a="C", layout_b="C", out=False, seed=0)
     @example(m=300, inner=300, n=4, mode="finite", layout_a="F", layout_b="C", out=False, seed=0)
+    @example(m=7, inner=5, n=1, mode="finite", layout_a="broadcast", layout_b="sliced", out=True,
+             seed=0)
+    @example(m=1, inner=33, n=9, mode="finite", layout_a="reversed", layout_b="broadcast",
+             out=True, seed=0)
+    @example(m=1, inner=5, n=1, mode="finite", layout_a="F", layout_b="broadcast", out=False,
+             seed=0)
     def test_shape_rule_bitwise_equals_loop(self, m, inner, n, mode, layout_a, layout_b, out,
                                             seed):
-        # both einsum layouts and the single element, empty outputs, m = 1,
+        # both einsum layouts and the 1-column sum, empty outputs, m = 1,
         # n = 1, over operands in every memory layout, into a fresh result or
         # a caller's dirty buffer, in memory that np.empty returns dirty. One
         # NaN payload must come through bit for bit; where two different NaNs
         # meet (nan_two: two payloads and inf * 0), numpy defines no payload
         rng = make_rng(seed)
-        a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
+        a = _laid_out(_operand(rng, (m, inner), mode), layout_a)
+        b = _laid_out(_operand(rng, (inner, n), mode), layout_b)
         buf = np.full((m, n), NAN_A) if out else None
         with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
-            got = matmul(_laid_out(a, layout_a), _laid_out(b, layout_b), out=buf)
-            want = loop_matmul(a, b)
+            got = matmul(a, b, out=buf)
+            want = loop_matmul(np.array(a), np.array(b))
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == want.shape and np.array_equal(view(got), view(want))
         assert buf is None or got is buf
@@ -290,12 +299,13 @@ class TestMatmul:
         m = data.draw(st.integers(1, 40), label="m")
         n = data.draw(st.integers(max(m, -(-2048 // m)), 6000), label="n")
         rng = make_rng(seed)
-        a, b = _operand(rng, (m, inner), mode), _operand(rng, (inner, n), mode)
+        a = _laid_out(_operand(rng, (m, inner), mode), layout_a)
+        b = _laid_out(_operand(rng, (inner, n), mode), layout_b)
         buf = np.full((m, n), NAN_A) if out else None
         with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
-            got = matmul(_laid_out(a, layout_a), _laid_out(b, layout_b), out=buf)
+            got = matmul(a, b, out=buf)
         with np.errstate(invalid="ignore"):
-            want = loop_matmul(a, b)
+            want = loop_matmul(np.array(a), np.array(b))
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == want.shape and np.array_equal(view(got), view(want))
 
@@ -454,28 +464,37 @@ class TestMaskedRowSoftmax:
         assert peak < 1.5 * s * s * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
+# K and n of a head product: one, short and long (a decode step's are never 0)
+HEAD_DIM = st.one_of(st.just(1), st.integers(2, 40), st.integers(200, 300))
+
+
 class TestHeadMatmul:
+    """``_head_matmul``, the contraction a decode step calls unchecked."""
+
     @settings(max_examples=300, deadline=None)
-    @given(h=st.integers(1, 5), inner=DIM, n=DIM, mode=st.sampled_from(sorted(SPECIALS)),
-           layout_a=st.sampled_from(LAYOUTS), layout_b=st.sampled_from(LAYOUTS),
-           seed=st.integers(0, 2**32 - 1))
-    @example(h=2, inner=300, n=1, mode="nan_two", layout_a="C", layout_b="sliced", seed=0)
-    @example(h=1, inner=9, n=1, mode="finite", layout_a="C", layout_b="C", seed=0)
-    def test_rows_bitwise_equal_loop(self, h, inner, n, mode, layout_a, layout_b, seed):
-        # short and long K and n, K = 0, n = 0 and one column, in memory that
-        # np.empty returns dirty, over operands in every memory layout: the
-        # decode step's keys^T and values are sliced views of their store.
-        # One NaN payload comes through bit for bit; where two different
-        # NaNs meet (nan_two), numpy defines no payload
+    @given(h=st.integers(1, 5), inner=HEAD_DIM, n=HEAD_DIM,
+           mode=st.sampled_from(sorted(SPECIALS)), layout=st.sampled_from(["C", "sliced"]),
+           shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(h=2, inner=300, n=1, mode="nan_two", layout="sliced", shared=False, seed=0)
+    @example(h=1, inner=9, n=1, mode="finite", layout="C", shared=False, seed=0)
+    @example(h=3, inner=8, n=4, mode="finite", layout="C", shared=True, seed=0)
+    def test_rows_bitwise_equal_loop(self, h, inner, n, mode, layout, shared, seed):
+        # short and long K and n, and one column, in memory that np.empty
+        # returns dirty, over the layouts a decode step builds: C-ordered
+        # operands, keys^T and values sliced from their store
+        # (kt[:, :, :n], vs[:, :n]), and one q/k/v row (shared) against
+        # every head's weights. One NaN payload comes through bit for bit;
+        # where two different NaNs meet (nan_two), numpy defines no payload
         rng = make_rng(seed)
-        a = _operand(rng, (h, inner), mode)
+        a = _operand(rng, (1 if shared else h, inner), mode)
         b = _operand(rng, (h, inner, n), mode)
         with patch.object(tensor_core, "np", DirtyNumpy()), np.errstate(invalid="ignore"):
-            got = head_matmul(_laid_out(a, layout_a), _laid_out(b, layout_b))
+            got = _head_matmul(a, _laid_out(b, layout))
         view = canonical_nan_bits if mode == "nan_two" else bits
         assert got.shape == (h, n)
         with np.errstate(invalid="ignore"):
-            for row, want in zip(got, (loop_matmul(a[i:i + 1], b[i]) for i in range(h))):
+            for i, row in enumerate(got):
+                want = loop_matmul(a[[0 if shared else i]], b[i])
                 assert np.array_equal(view(row[None]), view(want))
 
     # one head, one head with one column, and two heads, each over the
@@ -484,12 +503,11 @@ class TestHeadMatmul:
     def test_sums_in_order_not_pairwise(self, h, n, cap):
         # 1e16 + 1 + ... + 1 - 1e16 is 0.0 in order (each +1 rounds away) and
         # not in a sum with several accumulators, which einsum takes when
-        # its innermost loop runs along k; in both layouts of b
+        # its innermost loop runs along k
         a = np.ones((h, 9))
         store = np.full((h, 9, cap), NAN_B)
         store[:, :, :n] = np.array([1e16] + [1.0] * 7 + [-1e16])[:, None]
-        for b in (store[:, :, :n], _laid_out(store[:, :, :n], "transposed")):
-            assert same_bits(head_matmul(a, b), np.zeros((h, n)))
+        assert same_bits(_head_matmul(a, store[:, :, :n]), np.zeros((h, n)))
         assert same_bits(loop_matmul(a[:1], store[0, :, :n]), np.zeros((1, n)))
 
     @pytest.mark.parametrize("inner,n", [(1, 3), (2, 5), (3, 1), (5, 2)])  # einsum, 1 column
@@ -508,7 +526,7 @@ class TestHeadMatmul:
         b[...] = 1.0
         b[:, 0] = np.array([y for _, y in firsts])[:, None]
         with patch.object(tensor_core, "np", DirtyNumpy()):
-            got = head_matmul(a, b)
+            got = _head_matmul(a, b)
         want = np.concatenate([loop_matmul(a[i:i + 1], b[i]) for i in range(len(firsts))])
         assert same_bits(got, want)
         assert same_bits(got[:3], np.zeros((3, n)))
@@ -522,21 +540,17 @@ class TestHeadMatmul:
         a, b = rng.standard_normal((h, inner)), rng.standard_normal((h, inner, n))
         tracemalloc.start()
         try:
-            got = head_matmul(a, b)
+            got = _head_matmul(a, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < (2 * 2**14 + h * n) * 8 + 2**12 < h * inner * n * 8
         assert same_bits(got[-1:], loop_matmul(a[-1:], b[-1]))
 
-    def test_operands_checked(self):
-        for a, b in [((2, 3), (2, 4, 5)), ((2, 3), (3, 3, 5)), ((3,), (1, 3, 5)),
-                     ((2, 3), (2, 3))]:
-            with pytest.raises(ValueError, match="head_matmul expects"):
-                head_matmul(np.zeros(a), np.zeros(b))
-
 
 class TestHeadRowSoftmax:
+    """``_normalise_rows`` at the row's own width: a decode step's softmax."""
+
     @settings(max_examples=150, deadline=None)
     @given(h=st.integers(1, 6), n=st.one_of(st.integers(1, 300), st.integers(8150, 8300)),
            mode=st.sampled_from(["finite", "inf", "nan_a"]), scale=st.sampled_from([1.0, 60.0]),
@@ -547,7 +561,7 @@ class TestHeadRowSoftmax:
         # where two NaNs meet, as in masked_row_softmax
         scores = _operand(make_rng(seed), (h, n), mode) * scale
         with np.errstate(invalid="ignore"):
-            got = head_row_softmax(scores.copy())
+            got = _normalise_rows(scores.copy(), n)
             want = np.concatenate([masked_row_softmax(scores[i:i + 1].copy(), width=n)
                                    for i in range(h)])
         compare = bits if mode == "finite" else canonical_nan_bits
@@ -556,13 +570,7 @@ class TestHeadRowSoftmax:
     def test_normalises_in_place(self, rng):
         scores = rng.standard_normal((3, 7))
         want = np.concatenate([row_softmax(row[None]) for row in scores])
-        assert head_row_softmax(scores) is scores and same_bits(scores, want)
-
-    def test_arguments_checked(self):
-        for bad in (np.zeros(4), np.zeros((2, 0)), np.zeros((2, 3), np.float32),
-                    np.zeros((2, 6))[:, ::2]):
-            with pytest.raises(ValueError):
-                head_row_softmax(bad)
+        assert _normalise_rows(scores, 7) is scores and same_bits(scores, want)
 
 
 def _sum_operand(draw, rows, n):

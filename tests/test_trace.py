@@ -181,7 +181,8 @@ def mutate(raw: bytes, kind, arg, value) -> bytes:
 @given(data=st.data())
 def test_mutated_trace_exits_0_or_3(data):
     """A damaged trace is replayed or refused as a trace/I/O error, for every
-    method; it is never a config error (2) or an internal error (4)."""
+    method; it is a config error (2) only for plphp on one that parses with
+    fewer than 4 layers, and never an internal error (4)."""
     n, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
     kinds = data.draw(st.lists(st.sampled_from([TEXT, IMAGE]), max_size=2)) + [TEXT]
     segments = tuple(Segment(kind, data.draw(st.integers(1, 4))) for kind in kinds)
@@ -193,11 +194,29 @@ def test_mutated_trace_exits_0_or_3(data):
         for change in data.draw(st.lists(MUTATIONS, min_size=1, max_size=3)):
             raw = mutate(raw, *change)
         path.write_bytes(raw)
+        try:
+            depth = read_trace(path).num_layers
+        except TraceFormatError:
+            depth = None
         for method in ("none", *METHODS):
-            # k = 1 fits every depth, so a trace that still parses is never too shallow
+            # k = 1 fits every depth, so a trace that still parses is never too
+            # shallow for FastV or VTW; plphp's default range [3, N - 1] is
+            # empty below N = 4
             code = main(["replay", "--trace", str(path), "--method", method,
                          "--fastv-k", "1", "--vtw-k", "1"])
-            assert code in (0, 3), (method, code)
+            shallow = method == "plphp" and depth is not None and depth < 4
+            assert code == 2 if shallow else code in (0, 3), (method, depth, code)
+
+
+@pytest.mark.parametrize("n, code", [(1, 2), (3, 2), (4, 0)])
+def test_plphp_replay_needs_a_layer_to_prune(rng, tmp_path, capsys, n, code):
+    # layers 1, 2 and N are exempt: a trace of fewer than 4 layers leaves plphp
+    # nothing to prune, a config error like FastV's K past the depth
+    path = tmp_path / "t.plpt"
+    write_trace(path, make_trace(rng, n=n))
+    assert main(["replay", "--trace", str(path), "--method", "plphp"]) == code
+    if code == 2:
+        assert "config error: first pruned layer 3 lies past the last" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -259,9 +278,10 @@ def images(*lengths):
 
 @st.composite
 def count_cases(draw):
-    n, h = draw(st.integers(3, 6)), draw(st.integers(1, 3))
-    segments = images(*draw(st.lists(st.integers(1, 12), max_size=3)))
     method = draw(st.sampled_from(["none", *METHODS]))
+    # plphp's default range [3, N - 1] needs N >= 4
+    n, h = draw(st.integers(4 if method == "plphp" else 3, 6)), draw(st.integers(1, 3))
+    segments = images(*draw(st.lists(st.integers(1, 12), max_size=3)))
     k = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
     if method == "plphp":
         dr = draw(st.floats(0.0, 0.5))

@@ -44,29 +44,24 @@ COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml", "README.md")
 HYPOTHESIS_SEED = 0
 # a surviving mutant runs the whole suite (about a minute); ten is a hang
 TIMEOUT_S = 600
-# checks that every mutated line occurs once in the checkout: a mutant fails it
-# by construction, so it is left out of the mutants' runs
-TABLE_TEST = "tests/test_mutants.py"
+# check that every mutated line, and every line tools/user_paths.py allows,
+# occurs once in the checkout: a mutant may fail them by construction, so they
+# are left out of the mutants' runs
+TABLE_TESTS = ("tests/test_mutants.py", "tests/test_user_paths.py")
 # fails at random on a busy host, so a kill it reports first is not credited
 LATENCY_TEST = "tests/test_acceptance.py::test_criterion_7_monotone_latency_trend"
 
 # name -> (file under src/plphp, the one line replaced, its replacement[, a test
 # that runs alone before the suite])
 MUTANTS = {
-    "matmul-1x1-fallback": (
-        "tensor_core.py", "    if m == n == 1:", "    if False:"),
-    "matmul-k-innermost": (
-        "tensor_core.py",
-        '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)',
-        '    return np.einsum("ik,kj->ij", a, np.asfortranarray(b), out=out, optimize=False)'),
     "matmul-columns-k-innermost": (
         "tensor_core.py",
-        '        out_t = np.einsum("ki,kj->ji", np.asfortranarray(a).T, b, out=np.empty((n, m)),',
-        '        out_t = np.einsum("ki,kj->ji", np.ascontiguousarray(a).T, b, out=np.empty((n, m)),'),
-    "matmul-optimize": (
-        "tensor_core.py",
-        '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=False)',
-        '    return np.einsum("ik,kj->ij", a, _unit_rows(b), out=out, optimize=True)'),
+        '        out_t = np.einsum("ki,kj->ji", a.T, b, out=np.empty((n, m)), optimize=False)',
+        '        out_t = np.einsum("ki,kj->ji", np.ascontiguousarray(a).T, b, out=np.empty((n, m)),'
+        ' optimize=False)'),
+    # a row-major a taken column-major: its transpose puts k innermost
+    "matmul-columns-guard": (
+        "tensor_core.py", "    if m > n > 1 and a.flags.f_contiguous:", "    if m > n > 1:"),
     # only a C-contiguous operand skips the stride test
     "unit-rows-flag": (
         "tensor_core.py", "    if x.flags.c_contiguous:",
@@ -83,7 +78,7 @@ MUTANTS = {
         "tensor_core.py",
         "    if x.strides[-1] != x.itemsize or x.strides[-2] < x.itemsize * x.shape[-1]:",
         "    if x.strides[-1] != x.itemsize or x.strides[-2] < 0:"),
-    # the body that head_matmul and a decode step's q/k/v, scores and value mix share
+    # the contraction that matmul and a decode step's q/k/v, scores and value mix share
     "head-k-innermost": (
         "tensor_core.py",
         '    return np.einsum("...k,...kn->...n", a, b, out=out, optimize=False)',
@@ -96,14 +91,14 @@ MUTANTS = {
         '    return np.einsum("...k,...kn->...n", a, b, out=out, optimize=True)'),
     "head-1-column-fallback": (
         "tensor_core.py", "    if b.shape[-1] == 1:", "    if False:"),
-    # the 1-column accumulate that matmul's 1 x 1 and head_matmul's n = 1 share
+    # the 1-column accumulate of matmul's n = 1 and a decode step's D_k = 1
     "head-accumulate-axis": (
         "tensor_core.py", "    sums = np.add.accumulate(products, axis=-1)",
         "    sums = np.add.accumulate(products, axis=0)"),
     "head-accumulate-plus-zero": (
         "tensor_core.py", "    return np.add(sums[..., -1:], 0.0, out=out)",
         "    return np.add(sums[..., -1:], -0.0, out=out)"),
-    # the softmax body that masked_row_softmax and head_row_softmax share
+    # the softmax body that masked_row_softmax and a decode step share
     "head-softmax-max-axis": (
         "tensor_core.py", "    x -= np.maximum.reduce(x, axis=1, keepdims=True)",
         "    x -= np.maximum.reduce(x, axis=None)"),
@@ -186,8 +181,6 @@ MUTANTS = {
         "pruning.py", "        return self.per_head_retained is None", "        return False"),
     "union-writable": (
         "layout.py", "        union.flags.writeable = False", "        pass"),
-    "weight-views-writable": (
-        "model.py", "        view.flags.writeable = False", "        pass"),
     "views-writable": (
         "model.py", "            view.flags.writeable = False", "            pass"),
     "report-none-spelling": (
@@ -251,7 +244,8 @@ def run_pytest(tree: Path, *extra: str) -> tuple[str, str]:
     """(killed | survived | timeout, first failing test or "") of one pytest run in ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--ignore={TABLE_TEST}", *extra]
+               f"--hypothesis-seed={HYPOTHESIS_SEED}", *(f"--ignore={t}" for t in TABLE_TESTS),
+               *extra]
     try:
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
